@@ -12,8 +12,8 @@ from .randmat import (
 )
 from .specfun import exp_integral_e1, one_minus_x_ex_e1
 from .estimation import (
-    EstimationResult,
     ImpairmentProfile,
+    MonteCarloEstimate,
     SingularMatrixError,
     UplinkConfig,
     empirical_mse,
@@ -23,11 +23,11 @@ from .estimation import (
     estimate,
     lmmse_filter,
     mse_per_antenna,
+    pilot_chain,
     simulate_uplink,
 )
 from .capacity import (
     DownlinkConfig,
-    MonteCarloEstimate,
     capacity_ideal_jensen,
     capacity_upper_bound,
     lower_bound_asymptotic,

@@ -18,17 +18,13 @@ import numpy as np
 
 from .estimation import (
     ImpairmentProfile,
+    MonteCarloEstimate,
     UplinkConfig,
-    lmmse_filter,
     error_covariance,
+    lmmse_filter,
+    pilot_chain,
 )
-from .randmat import (
-    CovarianceMatrix,
-    psd_factor,
-    sample_cn,
-    sample_scalar_cn,
-    substream,
-)
+from .randmat import CovarianceMatrix, sample_scalar_cn, substream
 from .specfun import one_minus_x_ex_e1
 
 LOG2 = math.log(2.0)
@@ -36,8 +32,6 @@ LOG2 = math.log(2.0)
 # Below this transmit-distortion level the closed-form bound switches to
 # its analytic zero-impairment limit to avoid 1/kappa blowup.
 _KAPPA_T_BS_SWITCH = 1e-12
-
-_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -54,21 +48,6 @@ class DownlinkConfig:
             raise ValueError(f"signal power must be positive, got {self.p_bs}")
         if not (self.sigma2_ut > 0.0) or not math.isfinite(self.sigma2_ut):
             raise ValueError(f"noise variance must be positive, got {self.sigma2_ut}")
-
-
-@dataclass(frozen=True)
-class MonteCarloEstimate:
-    """A Monte-Carlo value with its standard error and sample count."""
-
-    value: float
-    std_error: float
-    n_samples: int
-
-    def __post_init__(self):
-        if self.n_samples < 2:
-            raise ValueError("a Monte-Carlo estimate needs at least 2 samples")
-        if self.std_error < 0.0:
-            raise ValueError("standard error must be nonnegative")
 
 
 def simulate_downlink(dl: DownlinkConfig, h: np.ndarray, w: np.ndarray,
@@ -186,30 +165,20 @@ def lower_bound_mc(ul: UplinkConfig, dl: DownlinkConfig, n_samples: int,
                    seed: int) -> MonteCarloEstimate:
     """Monte-Carlo achievable-rate lower bound with approximate MRT.
 
-    Each sample runs the full chain: channel draw, distorted uplink pilot,
-    LMMSE estimate, beamformer v = conj(h_hat)/||h_hat||. The three
-    expectations E{h^T v}, E{|h^T v|^2}, sum_i E{|h_i|^2 |v_i|^2} are
+    Each sample runs the pilot chain (channel draw, distorted uplink pilot,
+    LMMSE estimate), then the beamformer v = conj(h_hat)/||h_hat||. The
+    three expectations E{h^T v}, E{|h^T v|^2}, sum_i E{|h_i|^2 |v_i|^2} are
     estimated jointly from the common sample stream; the standard error of
     log2(1 + SINR) follows by the delta method.
     """
     if n_samples < 1000:
         raise ValueError("lower_bound_mc needs at least 1000 samples")
-    a = lmmse_filter(ul)
-    r_factor = psd_factor(ul.r)
-    s_factor = psd_factor(ul.s)
-    from .estimation import _simulate_uplink_batch
-
     chunks = []
     dropped = 0
-    for j, start in enumerate(range(0, n_samples, _CHUNK)):
-        count = min(_CHUNK, n_samples - start)
-        rng = substream(seed, j)
-        h = sample_cn(ul.r, rng, size=count, factor=r_factor)
-        z = _simulate_uplink_batch(ul, h, rng, s_factor)
-        h_hat = z @ a.T
+    for h, h_hat in pilot_chain(ul, n_samples, seed):
         norms = np.linalg.norm(h_hat, axis=1)
         ok = norms > 0.0
-        dropped += count - int(np.sum(ok))
+        dropped += len(h) - int(np.sum(ok))
         v = np.conj(h_hat[ok]) / norms[ok, None]
         g = np.einsum("ij,ij->i", h[ok], v)
         q = np.abs(g) ** 2

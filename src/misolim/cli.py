@@ -15,23 +15,27 @@ omitted).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .experiments import (
     EXPERIMENTS,
     ExperimentConfig,
-    SweepTable,
+    csv_text,
     run_experiment,
     write_csv,
 )
 
 _LIST_KEYS = {"n_grid", "snr_db", "kappa", "t"}
 _INT_KEYS = {"seed", "samples", "workers"}
+_LIST_FLAGS = {"--n-grid", "--snr-db", "--kappa", "--t"}
+# A list value that starts with a negative number, e.g. "-10,0,10".
+_NEGATIVE_LIST = re.compile(r"-\.?\d")
 
 
-def _parse_list(text: str, cast):
-    items = [p for p in text.replace(",", " ").split() if p]
-    return [cast(p) for p in items]
+def _parse_list(key: str, text: str) -> list:
+    cast = int if key == "n_grid" else float
+    return [cast(p) for p in text.replace(",", " ").split()]
 
 
 def parse_config_file(path: str) -> dict:
@@ -49,8 +53,7 @@ def parse_config_file(path: str) -> dict:
             key = key.strip().replace("-", "_")
             value = value.strip()
             if key in _LIST_KEYS:
-                cast = int if key == "n_grid" else float
-                opts[key] = _parse_list(value, cast)
+                opts[key] = _parse_list(key, value)
             elif key in _INT_KEYS:
                 opts[key] = int(value)
             elif key in ("experiment", "out"):
@@ -81,32 +84,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_lists(argv: list[str]) -> list[str]:
+    """Join "--flag -10,0" into "--flag=-10,0" for the list flags: argparse
+    takes a lone "-10" as a value but reads "-10,0" as an unknown option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _LIST_FLAGS and _NEGATIVE_LIST.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def config_from_args(argv=None) -> ExperimentConfig:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_attach_negative_lists(argv))
     opts: dict = {}
     if args.config:
         opts.update(parse_config_file(args.config))
-    for key in ("experiment", "seed", "samples", "out", "workers"):
-        v = getattr(args, key)
-        if v is not None:
-            opts[key] = v
-    for key in ("n_grid", "snr_db", "kappa", "t"):
-        v = getattr(args, key)
-        if v is not None:
-            opts[key] = _parse_list(v, int if key == "n_grid" else float)
+    for key, v in vars(args).items():
+        if v is not None and key != "config":
+            opts[key] = _parse_list(key, v) if key in _LIST_KEYS else v
     if "experiment" not in opts:
         raise ValueError("no experiment selected (use --experiment or a config file)")
-    return ExperimentConfig(
-        experiment=opts["experiment"],
-        seed=opts.get("seed", 1),
-        n_samples=opts.get("samples"),
-        out=opts.get("out"),
-        n_grid=opts.get("n_grid"),
-        snr_db=opts.get("snr_db"),
-        kappa=opts.get("kappa"),
-        t=opts.get("t"),
-        workers=opts.get("workers", 1),
-    )
+    if "samples" in opts:
+        opts["n_samples"] = opts.pop("samples")
+    return ExperimentConfig(**opts)
 
 
 def main(argv=None) -> int:
@@ -120,16 +123,8 @@ def main(argv=None) -> int:
         write_csv(table, cfg.out)
         print(f"wrote {len(table.rows)} rows to {cfg.out}", file=sys.stderr)
     else:
-        _write_stdout(table)
+        sys.stdout.write(csv_text(table))
     return 0
-
-
-def _write_stdout(table: SweepTable) -> None:
-    from .experiments import _fmt
-
-    print(",".join(table.columns))
-    for row in table.rows:
-        print(",".join(_fmt(v) for v in row))
 
 
 if __name__ == "__main__":

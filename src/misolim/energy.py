@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .capacity import DownlinkConfig, MonteCarloEstimate, lower_bound_mc
 from .estimation import ImpairmentProfile, UplinkConfig
-from .randmat import derive_seed
+from .randmat import derive_seed, parallel_map
 
 
 @dataclass(frozen=True)
@@ -113,30 +112,23 @@ def ee_sweep(channel_model, ecfg: EnergyConfig, n_grid,
             "not apply",
             stacklevel=2,
         )
-    tasks = []
-    idx = 0
-    for n in n_grid:
-        count = n_samples(n) if callable(n_samples) else int(n_samples)
-        for name, imp in profiles.items():
-            tasks.append((idx, n, count, name, imp))
-            idx += 1
+    tasks = list(enumerate((n, name, imp) for n in n_grid
+                           for name, imp in profiles.items()))
 
     def one_point(task) -> EnergyPoint:
-        idx, n, count, name, imp = task
+        idx, (n, name, imp) = task
+        count = n_samples(n) if callable(n_samples) else int(n_samples)
         r, s, sigma2 = channel_model(n)
         p_bs = scaled_power(ecfg.p_bs_base, n, ecfg.t_bs)
         p_ut = scaled_power(ecfg.p_ut_base, n, ecfg.t_ut)
         ul = UplinkConfig(r=r, s=s, p_ut=p_ut, imp=imp)
         dl = DownlinkConfig(p_bs=p_bs, sigma2_ut=sigma2, imp=imp)
         cap = lower_bound_mc(ul, dl, count, derive_seed(seed, idx))
-        ee = energy_efficiency(cap.value, p_bs, p_ut, ecfg, n=n)
-        ee_se = cap.std_error * ecfg.bandwidth_hz / (
-            (1.0 + ecfg.alpha1) * p_bs + ecfg.alpha2 * p_ut
-            + n * ecfg.circuit_power)
-        return EnergyPoint(n=n, hardware=name, imp=imp, p_bs=p_bs, p_ut=p_ut,
-                           capacity=cap, ee=ee, ee_std_error=ee_se)
+        return EnergyPoint(
+            n=n, hardware=name, imp=imp, p_bs=p_bs, p_ut=p_ut, capacity=cap,
+            ee=energy_efficiency(cap.value, p_bs, p_ut, ecfg, n=n),
+            # the efficiency is linear in the rate, so it scales the SE alike
+            ee_std_error=energy_efficiency(cap.std_error, p_bs, p_ut, ecfg,
+                                           n=n))
 
-    if workers <= 1 or len(tasks) <= 1:
-        return [one_point(task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one_point, tasks))
+    return parallel_map(one_point, tasks, workers)

@@ -102,28 +102,36 @@ class UplinkConfig:
 
 
 @dataclass(frozen=True)
-class EstimationResult:
-    h_hat: np.ndarray
+class MonteCarloEstimate:
+    """A Monte-Carlo value with its standard error and sample count."""
+
+    value: float
+    std_error: float
+    n_samples: int
+
+    def __post_init__(self):
+        if self.n_samples < 2:
+            raise ValueError("a Monte-Carlo estimate needs at least 2 samples")
+        if self.std_error < 0.0:
+            raise ValueError("standard error must be nonnegative")
 
 
-def _system_matrix(cfg: UplinkConfig) -> np.ndarray:
-    # p (1 + kappa_t_ut) R + p kappa_r_bs diag(R) + S
-    r = cfg.r.matrix
-    m = cfg.p_ut * (1.0 + cfg.imp.kappa_t_ut) * r + cfg.s.matrix
-    m[np.diag_indices_from(m)] += cfg.p_ut * cfg.imp.kappa_r_bs * cfg.r.diagonal()
-    return m
+def _cho_solve(m: np.ndarray, b: np.ndarray, singular: str) -> np.ndarray:
+    """m^{-1} b by Cholesky; SingularMatrixError(singular) unless m > 0."""
+    try:
+        f = cho_factor(m, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(singular) from exc
+    return cho_solve(f, b)
 
 
 def _solve_against_r(cfg: UplinkConfig) -> np.ndarray:
-    """M^{-1} R via a Hermitian positive-definite factorization of M."""
-    m = _system_matrix(cfg)
-    try:
-        f = cho_factor(m, lower=True)
-    except np.linalg.LinAlgError as exc:  # cannot occur with S > 0
-        raise SingularMatrixError(
-            "observation covariance is not positive definite"
-        ) from exc
-    return cho_solve(f, cfg.r.matrix)
+    """M^{-1} R for M = p (1 + kappa_t_ut) R + p kappa_r_bs diag(R) + S."""
+    r = cfg.r.matrix
+    m = cfg.p_ut * (1.0 + cfg.imp.kappa_t_ut) * r + cfg.s.matrix
+    m[np.diag_indices_from(m)] += cfg.p_ut * cfg.imp.kappa_r_bs * cfg.r.diagonal()
+    # cannot fail: M is positive definite whenever S is
+    return _cho_solve(m, r, "observation covariance is not positive definite")
 
 
 def lmmse_filter(cfg: UplinkConfig) -> np.ndarray:
@@ -136,12 +144,12 @@ def lmmse_filter(cfg: UplinkConfig) -> np.ndarray:
     return np.conj(cfg.d) * x.conj().T
 
 
-def estimate(cfg: UplinkConfig, z: np.ndarray) -> EstimationResult:
-    """Apply the LMMSE filter to one uplink observation."""
+def estimate(cfg: UplinkConfig, z: np.ndarray) -> np.ndarray:
+    """LMMSE channel estimate h_hat = A z for one uplink observation."""
     z = np.asarray(z, dtype=np.complex128)
     if z.shape != (cfg.dim,):
         raise ValueError(f"observation must have shape ({cfg.dim},), got {z.shape}")
-    return EstimationResult(h_hat=lmmse_filter(cfg) @ z)
+    return lmmse_filter(cfg) @ z
 
 
 def error_covariance(cfg: UplinkConfig) -> CovarianceMatrix:
@@ -170,14 +178,8 @@ def error_floor(cfg: UplinkConfig) -> CovarianceMatrix:
     r = cfg.r.matrix
     b = (1.0 + cfg.imp.kappa_t_ut) * r.copy()
     b[np.diag_indices_from(b)] += cfg.imp.kappa_r_bs * cfg.r.diagonal()
-    try:
-        f = cho_factor(b, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(
-            "high-power bracket is singular (rank-deficient R with "
-            "kappa_r_bs = 0)"
-        ) from exc
-    c = r - r @ cho_solve(f, r)
+    c = r - r @ _cho_solve(b, r, "high-power bracket is singular "
+                           "(rank-deficient R with kappa_r_bs = 0)")
     return nearly_psd(c, scale=cfg.r.max_eigenvalue)
 
 
@@ -187,7 +189,8 @@ def error_floor_iid(lam: float, kappa_t_ut: float, kappa_r_bs: float) -> float:
         raise ValueError(f"channel variance must be positive, got {lam}")
     if kappa_t_ut < 0.0 or kappa_r_bs < 0.0:
         raise ValueError("impairment levels must be nonnegative")
-    return lam * (1.0 - 1.0 / (1.0 + kappa_t_ut + kappa_r_bs))
+    # kt + kr first: exactly symmetric in the two levels, unlike 1 + kt + kr
+    return lam * (1.0 - 1.0 / (1.0 + (kappa_t_ut + kappa_r_bs)))
 
 
 def _simulate_uplink_batch(cfg: UplinkConfig, h: np.ndarray,
@@ -220,26 +223,27 @@ def simulate_uplink(cfg: UplinkConfig, h: np.ndarray,
 _CHUNK = 2048
 
 
-def empirical_mse(cfg: UplinkConfig, n_samples: int, seed: int):
-    """Monte-Carlo per-antenna MSE over full channel/observation/estimate
-    chains; chunked by sample index so results do not depend on how the
-    work is partitioned."""
-    from .capacity import MonteCarloEstimate  # avoids a module cycle
-
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
+def pilot_chain(cfg: UplinkConfig, n_samples: int, seed: int):
+    """Channel draw, distorted uplink pilot, LMMSE estimate: yields (h, h_hat)
+    batches of up to _CHUNK rows, n_samples in all. Chunk j draws from
+    ``substream(seed, j)``, so results do not depend on how work is split."""
     a = lmmse_filter(cfg)
     r_factor = psd_factor(cfg.r)
     s_factor = psd_factor(cfg.s)
-    errs = []
     for j, start in enumerate(range(0, n_samples, _CHUNK)):
-        count = min(_CHUNK, n_samples - start)
         rng = substream(seed, j)
-        h = sample_cn(cfg.r, rng, size=count, factor=r_factor)
+        h = sample_cn(cfg.r, rng, size=min(_CHUNK, n_samples - start),
+                      factor=r_factor)
         z = _simulate_uplink_batch(cfg, h, rng, s_factor)
-        h_hat = z @ a.T
-        errs.append(np.sum(np.abs(h_hat - h) ** 2, axis=1) / cfg.dim)
-    e = np.concatenate(errs)
+        yield h, z @ a.T
+
+
+def empirical_mse(cfg: UplinkConfig, n_samples: int, seed: int):
+    """Monte-Carlo per-antenna MSE over the pilot chain."""
+    if n_samples < 2:
+        raise ValueError("need at least 2 samples")
+    e = np.concatenate([np.sum(np.abs(h_hat - h) ** 2, axis=1) / cfg.dim
+                        for h, h_hat in pilot_chain(cfg, n_samples, seed)])
     return MonteCarloEstimate(
         value=float(np.mean(e)),
         std_error=float(np.std(e, ddof=1) / math.sqrt(len(e))),

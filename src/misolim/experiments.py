@@ -17,8 +17,8 @@ output rows follow grid order, not completion order.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .capacity import (
@@ -36,7 +36,12 @@ from .estimation import (
     error_floor,
     mse_per_antenna,
 )
-from .randmat import CovarianceMatrix, derive_seed, exponential_correlation
+from .randmat import (
+    CovarianceMatrix,
+    derive_seed,
+    exponential_correlation,
+    parallel_map,
+)
 
 EXPERIMENTS = (
     "estimation-error",
@@ -63,8 +68,14 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)
+# Grid field -> (what each of its values must be, the test).
+_GRID_RULES = {
+    "n_grid": ("integers >= 1",
+               lambda n: isinstance(n, numbers.Integral) and n >= 1),
+    "snr_db": ("finite", math.isfinite),
+    "kappa": ("finite and >= 0", lambda k: math.isfinite(k) and k >= 0.0),
+    "t": ("finite and >= 0", lambda t: math.isfinite(t) and t >= 0.0),
+}
 
 
 @dataclass
@@ -88,10 +99,15 @@ class ExperimentConfig:
             raise ValueError("sample count must be at least 1000")
         if self.workers < 1:
             raise ValueError("worker count must be positive")
-        for name in ("n_grid", "snr_db", "kappa", "t"):
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        for name, (rule, ok) in _GRID_RULES.items():
             v = getattr(self, name)
             if v is not None and len(v) == 0:
                 raise ValueError(f"{name} grid must be non-empty")
+            for x in v or ():
+                if not ok(x):
+                    raise ValueError(f"{name} values must be {rule}, got {x}")
 
     def samples_for(self, n: int) -> int:
         if self.n_samples is not None:
@@ -101,7 +117,8 @@ class ExperimentConfig:
 
 @dataclass
 class SweepTable:
-    columns: tuple[str, ...] = CSV_COLUMNS
+    """Result rows in CSV_COLUMNS order."""
+
     rows: list[tuple] = field(default_factory=list)
 
     def add(self, experiment: str, metric: str, value: float, *, n=None,
@@ -109,45 +126,33 @@ class SweepTable:
         self.rows.append((experiment, n, snr_db, kappa_bs, kappa_ut, t,
                           metric, value, std_error))
 
-    def extend(self, other: "SweepTable"):
-        self.rows.extend(other.rows)
-
-    def values(self, metric: str, **match) -> list[tuple]:
-        """Rows for one metric, filtered on exact column values."""
-        out = []
-        for row in self.rows:
-            rec = dict(zip(self.columns, row))
-            if rec["metric"] != metric:
-                continue
-            if all(rec[k] == v for k, v in match.items()):
-                out.append(row)
-        return out
-
 
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
+    if isinstance(value, (str, int)):
         return str(value)
     return format(float(value), ".17g")
 
 
-def write_csv(table: SweepTable, path) -> None:
-    """UTF-8, LF endings, 17-significant-digit floats (round-trip exact)."""
-    lines = [",".join(table.columns)]
+def csv_text(table: SweepTable) -> str:
+    """Header and rows, LF endings, round-trip exact 17-digit floats."""
+    lines = [",".join(CSV_COLUMNS)]
     lines.extend(",".join(_fmt(v) for v in row) for row in table.rows)
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(table: SweepTable, path) -> None:
+    """Write ``csv_text(table)`` to ``path`` as UTF-8."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(csv_text(table))
 
 
-def _parallel(fn, items, workers: int):
-    """Map fn over items, preserving item order regardless of pool size."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _sweep(point_fn, grid, workers: int) -> SweepTable:
+    """Run ``point_fn((index, point))`` for each grid point and join their
+    tables in grid order; each point derives its seed from its index."""
+    subs = parallel_map(point_fn, list(enumerate(grid)), workers)
+    return SweepTable([row for sub in subs for row in sub.rows])
 
 
 def _progress(msg: str) -> None:
@@ -164,11 +169,10 @@ def run_estimation_error(cfg: ExperimentConfig) -> SweepTable:
     kappas = cfg.kappa if cfg.kappa is not None else list(KAPPA_LEVELS)
     snrs = cfg.snr_db if cfg.snr_db is not None else list(SNR_DB_GRID)
 
-    points = [(i, n, k) for i, (n, k) in
-              enumerate((n, k) for n in n_grid for k in kappas)]
+    grid = [(n, k) for n in n_grid for k in kappas]
 
     def one_point(point):
-        idx, n, kappa = point
+        idx, (n, kappa) = point
         _progress(f"estimation-error: N={n} kappa={kappa:g}")
         r = exponential_correlation(n, EXP_CORR_RHO)
         s = CovarianceMatrix.identity(n)
@@ -191,82 +195,54 @@ def run_estimation_error(cfg: ExperimentConfig) -> SweepTable:
                     std_error=est.std_error)
         return sub
 
-    table = SweepTable()
-    for sub in _parallel(one_point, points, cfg.workers):
-        table.extend(sub)
-    return table
+    return _sweep(one_point, grid, cfg.workers)
 
 
 # ---------------------------------------------------------------------------
 # capacity experiments: R = S = I, pilot and data SNR both fixed at 20 dB.
 # ---------------------------------------------------------------------------
 
-def _capacity_point(n: int, kappa_bs: float, kappa_ut: float, snr_db: float,
-                    n_samples: int, seed: int, with_extras: bool) -> SweepTable:
-    r = CovarianceMatrix.identity(n)
-    s = CovarianceMatrix.identity(n)
-    imp = ImpairmentProfile(kappa_t_bs=kappa_bs, kappa_r_bs=kappa_bs,
-                            kappa_t_ut=kappa_ut, kappa_r_ut=kappa_ut)
-    snr = db_to_linear(snr_db)
-    p = snr * s.trace() / r.trace()
-    sigma2 = s.trace() / n  # per-antenna noise level
-    ul = UplinkConfig(r=r, s=s, p_ut=p, imp=imp)
-    dl = DownlinkConfig(p_bs=p, sigma2_ut=sigma2, imp=imp)
-    sub = SweepTable()
-    kw = dict(n=n, snr_db=snr_db, kappa_bs=kappa_bs, kappa_ut=kappa_ut)
-    exp = "capacity-vs-n" if with_extras else "capacity-vs-kappa"
-    sub.add(exp, "capacity_upper", capacity_upper_bound(r, dl), **kw)
-    est = lower_bound_mc(ul, dl, n_samples, seed)
-    sub.add(exp, "capacity_lower", est.value, std_error=est.std_error, **kw)
-    if with_extras:
-        sub.add(exp, "capacity_ideal", capacity_ideal_jensen(r, dl), **kw)
-        sub.add(exp, "ceiling_large_n", upper_limit_large_n(kappa_ut), **kw)
-    return sub
-
-
-def run_capacity_vs_n(cfg: ExperimentConfig) -> SweepTable:
-    n_grid = cfg.n_grid or list(N_GRID_POW2)
-    kappas = cfg.kappa if cfg.kappa is not None else list(KAPPA_LEVELS)
-    snr_db = cfg.snr_db[0] if cfg.snr_db else SNR_DB_FIXED
-
-    points = [(i, n, k) for i, (k, n) in
-              enumerate((k, n) for k in kappas for n in n_grid)]
-
-    def one_point(point):
-        idx, n, kappa = point
-        _progress(f"capacity-vs-n: N={n} kappa={kappa:g}")
-        return _capacity_point(n, kappa, kappa, snr_db, cfg.samples_for(n),
-                               derive_seed(cfg.seed, idx), with_extras=True)
-
-    table = SweepTable()
-    for sub in _parallel(one_point, points, cfg.workers):
-        table.extend(sub)
-    return table
-
-
 # Fixed terminal impairment level for the BS-impairment sweep.
 KAPPA_UT_FIXED = 0.05 ** 2
 
 
-def run_capacity_vs_kappa(cfg: ExperimentConfig) -> SweepTable:
+def run_capacity(cfg: ExperimentConfig) -> SweepTable:
+    """capacity-vs-n sweeps one kappa at both ends of the link and adds the
+    ideal-hardware curve and the large-array ceiling; capacity-vs-kappa
+    sweeps the BS level with the terminal level fixed at KAPPA_UT_FIXED."""
+    exp = cfg.experiment
+    vs_n = exp == "capacity-vs-n"
     n_grid = cfg.n_grid or list(N_GRID_POW2)
-    kappas_bs = cfg.kappa if cfg.kappa is not None else list(KAPPA_LEVELS)
+    kappas = cfg.kappa if cfg.kappa is not None else list(KAPPA_LEVELS)
     snr_db = cfg.snr_db[0] if cfg.snr_db else SNR_DB_FIXED
 
-    points = [(i, n, k) for i, (k, n) in
-              enumerate((k, n) for k in kappas_bs for n in n_grid)]
+    grid = [(n, k) for k in kappas for n in n_grid]
 
     def one_point(point):
-        idx, n, kappa_bs = point
-        _progress(f"capacity-vs-kappa: N={n} kappa_bs={kappa_bs:g}")
-        return _capacity_point(n, kappa_bs, KAPPA_UT_FIXED, snr_db,
-                               cfg.samples_for(n), derive_seed(cfg.seed, idx),
-                               with_extras=False)
+        idx, (n, kappa_bs) = point
+        kappa_ut = kappa_bs if vs_n else KAPPA_UT_FIXED
+        _progress(f"{exp}: N={n} kappa_bs={kappa_bs:g} kappa_ut={kappa_ut:g}")
+        r = CovarianceMatrix.identity(n)
+        s = CovarianceMatrix.identity(n)
+        imp = ImpairmentProfile(kappa_t_bs=kappa_bs, kappa_r_bs=kappa_bs,
+                                kappa_t_ut=kappa_ut, kappa_r_ut=kappa_ut)
+        snr = db_to_linear(snr_db)
+        p = snr * s.trace() / r.trace()
+        sigma2 = s.trace() / n  # per-antenna noise level
+        ul = UplinkConfig(r=r, s=s, p_ut=p, imp=imp)
+        dl = DownlinkConfig(p_bs=p, sigma2_ut=sigma2, imp=imp)
+        sub = SweepTable()
+        kw = dict(n=n, snr_db=snr_db, kappa_bs=kappa_bs, kappa_ut=kappa_ut)
+        sub.add(exp, "capacity_upper", capacity_upper_bound(r, dl), **kw)
+        est = lower_bound_mc(ul, dl, cfg.samples_for(n),
+                             derive_seed(cfg.seed, idx))
+        sub.add(exp, "capacity_lower", est.value, std_error=est.std_error, **kw)
+        if vs_n:
+            sub.add(exp, "capacity_ideal", capacity_ideal_jensen(r, dl), **kw)
+            sub.add(exp, "ceiling_large_n", upper_limit_large_n(kappa_ut), **kw)
+        return sub
 
-    table = SweepTable()
-    for sub in _parallel(one_point, points, cfg.workers):
-        table.extend(sub)
-    return table
+    return _sweep(one_point, grid, cfg.workers)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +289,8 @@ def run_energy_efficiency(cfg: ExperimentConfig) -> SweepTable:
 
 RUNNERS = {
     "estimation-error": run_estimation_error,
-    "capacity-vs-n": run_capacity_vs_n,
-    "capacity-vs-kappa": run_capacity_vs_kappa,
+    "capacity-vs-n": run_capacity,
+    "capacity-vs-kappa": run_capacity,
     "energy-efficiency": run_energy_efficiency,
 }
 

@@ -9,6 +9,8 @@ seed so Monte-Carlo results are independent of how work is partitioned.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 # Eigenvalues may dip below zero by at most this fraction of the spectral
@@ -172,17 +174,29 @@ def sample_scalar_cn(variance: float, rng: np.random.Generator,
     return complex(x) if size is None else x
 
 
+def _seed_sequence(seed: int, key) -> np.random.SeedSequence:
+    return np.random.SeedSequence(entropy=int(seed),
+                                  spawn_key=tuple(int(k) for k in key))
+
+
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Independent generator derived from (seed, key) by counter-style keying.
 
     Identical (seed, key) gives an identical stream on every platform; the
     derivation does not depend on how many other sub-streams exist.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
-    return np.random.Generator(np.random.PCG64(ss))
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, key)))
 
 
 def derive_seed(seed: int, *key: int) -> int:
     """Stable 64-bit child seed for nested deterministic dispatch."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(seed, key).generate_state(1, np.uint64)[0])
+
+
+def parallel_map(fn, items, workers: int) -> list:
+    """[fn(item) for item in items] on up to ``workers`` threads, in item
+    order whatever the pool size."""
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))

@@ -61,6 +61,23 @@ class TestConfigFromArgs:
         with pytest.raises(ValueError, match="experiment"):
             config_from_args(["--seed", "1"])
 
+    @pytest.mark.parametrize("flag", ["--n-grid", "--snr-db", "--kappa", "--t"])
+    def test_negative_list_after_flag(self, flag):
+        # argparse on its own reads "-1,2" as an unknown option and exits
+        def outcome(argv):
+            try:
+                return config_from_args(["--experiment", "estimation-error"]
+                                        + argv)
+            except ValueError as exc:
+                return str(exc)
+
+        spaced = outcome([flag, "-1,2"])
+        assert spaced == outcome([f"{flag}=-1,2"])
+        if flag == "--snr-db":
+            assert spaced.snr_db == [-1.0, 2.0]
+        else:
+            assert "got -1" in spaced
+
 
 class TestMain:
     ARGS = ["--experiment", "capacity-vs-n", "--samples", "1000",
@@ -95,3 +112,11 @@ class TestMain:
 
     def test_bad_sample_count(self, capsys):
         assert main(self.ARGS[:2] + ["--samples", "10"]) == 2
+
+    @pytest.mark.parametrize("bad", [["--kappa=-1"], ["--kappa", "nan"],
+                                     ["--snr-db", "nan"], ["--n-grid", "0"],
+                                     ["--seed=-3"]])
+    def test_bad_grid_value_rejected_before_work(self, bad, capsys):
+        assert main(self.ARGS + bad) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")

@@ -6,7 +6,7 @@ law of total covariance) validate the closed forms end to end.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from misolim.estimation import (
@@ -103,15 +103,14 @@ class TestLmmseFilter:
 class TestEstimate:
     def test_zero_observation(self):
         cfg = make_config()
-        np.testing.assert_array_equal(estimate(cfg, np.zeros(4)).h_hat,
-                                      np.zeros(4))
+        np.testing.assert_array_equal(estimate(cfg, np.zeros(4)), np.zeros(4))
 
     def test_linearity(self):
         cfg = make_config(n=3, p=2.0, kt_ut=0.01)
         z = substream(5).standard_normal(3) + 1j * substream(6).standard_normal(3)
         c = 2.0 + 1.0j
-        np.testing.assert_allclose(estimate(cfg, c * z).h_hat,
-                                   c * estimate(cfg, z).h_hat, atol=1e-14)
+        np.testing.assert_allclose(estimate(cfg, c * z),
+                                   c * estimate(cfg, z), atol=1e-14)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -262,6 +261,8 @@ class TestErrorFloorIid:
     @given(lam=st.floats(0.01, 10.0),
            a=st.floats(0.0, 0.03), b=st.floats(0.0, 0.03))
     @settings(max_examples=100, deadline=None)
+    # 1.0 + a + b and 1.0 + b + a differ in the last ulp here
+    @example(lam=1.0, a=0.028425377251427464, b=0.009439236800021665)
     def test_symmetric_in_impairments(self, lam, a, b):
         assert error_floor_iid(lam, a, b) == error_floor_iid(lam, b, a)
 

@@ -10,10 +10,20 @@ from misolim.experiments import (
     ExperimentConfig,
     SweepTable,
     db_to_linear,
-    linear_to_db,
     run_experiment,
     write_csv,
 )
+
+
+def values(table, metric, **match):
+    """Rows of ``table`` for one metric, filtered on exact column values."""
+    out = []
+    for row in table.rows:
+        rec = dict(zip(CSV_COLUMNS, row))
+        if rec["metric"] == metric and all(rec[k] == v
+                                           for k, v in match.items()):
+            out.append(row)
+    return out
 
 
 def small_config(experiment, seed=1, **kw):
@@ -31,7 +41,7 @@ class TestDbConversion:
 
     def test_round_trip(self):
         for db in (-30.0, -3.3, 0.0, 7.77, 50.0):
-            assert linear_to_db(db_to_linear(db)) == pytest.approx(
+            assert 10.0 * math.log10(db_to_linear(db)) == pytest.approx(
                 db, abs=1e-12)
 
 
@@ -88,7 +98,7 @@ class TestSweepTable:
         t.add("e", "m", 1.0, n=2)
         t.add("e", "m", 2.0, n=4)
         t.add("e", "other", 3.0, n=2)
-        rows = t.values("m", n=2)
+        rows = values(t, "m", n=2)
         assert len(rows) == 1 and rows[0][7] == 1.0
 
 
@@ -134,11 +144,11 @@ class TestEstimationErrorRuns:
         table = run_experiment(cfg)
         # 1 N x 2 kappas x 2 SNRs x 3 metrics
         assert len(table.rows) == 12
-        for row in table.values("mse_empirical"):
+        for row in values(table, "mse_empirical"):
             rec = dict(zip(CSV_COLUMNS, row))
-            analytic = table.values("mse_analytic", n=rec["n"],
-                                    snr_db=rec["snr_db"],
-                                    kappa_bs=rec["kappa_bs"])[0][7]
+            analytic = values(table, "mse_analytic", n=rec["n"],
+                            snr_db=rec["snr_db"],
+                            kappa_bs=rec["kappa_bs"])[0][7]
             assert rec["value"] == pytest.approx(
                 analytic, abs=max(6 * rec["std_error"], 1e-3))
 
@@ -146,8 +156,8 @@ class TestEstimationErrorRuns:
         cfg = small_config("estimation-error", n_grid=[4], kappa=[0.0, 0.01],
                            snr_db=[60.0])
         table = run_experiment(cfg)
-        ideal = table.values("mse_floor", kappa_bs=0.0)[0][7]
-        impaired = table.values("mse_floor", kappa_bs=0.01)[0][7]
+        ideal = values(table, "mse_floor", kappa_bs=0.0)[0][7]
+        impaired = values(table, "mse_floor", kappa_bs=0.01)[0][7]
         assert ideal == pytest.approx(0.0, abs=1e-12)
         assert impaired > 1e-3
 
@@ -156,11 +166,11 @@ class TestCapacityRuns:
     def test_vs_n_bounds_ordered(self):
         cfg = small_config("capacity-vs-n", n_grid=[2, 8], kappa=[0.0025])
         table = run_experiment(cfg)
-        for row in table.values("capacity_lower"):
+        for row in values(table, "capacity_lower"):
             rec = dict(zip(CSV_COLUMNS, row))
-            upper = table.values("capacity_upper", n=rec["n"])[0][7]
+            upper = values(table, "capacity_upper", n=rec["n"])[0][7]
             assert rec["value"] <= upper + 3 * rec["std_error"]
-            ceiling = table.values("ceiling_large_n", n=rec["n"])[0][7]
+            ceiling = values(table, "ceiling_large_n", n=rec["n"])[0][7]
             assert upper <= ceiling + 1e-9
 
     def test_vs_kappa_fixed_terminal_level(self):
@@ -171,7 +181,7 @@ class TestCapacityRuns:
             rec = dict(zip(CSV_COLUMNS, row))
             assert rec["kappa_ut"] == pytest.approx(0.0025)
         uppers = [dict(zip(CSV_COLUMNS, r))["value"]
-                  for r in table.values("capacity_upper")]
+                  for r in values(table, "capacity_upper")]
         assert uppers[0] > uppers[1]  # more BS impairment, less capacity
 
 
@@ -180,7 +190,7 @@ class TestEnergyEfficiencyRuns:
         cfg = small_config("energy-efficiency", n_grid=[4, 16],
                            kappa=[0.0025], t=[0.5])
         table = run_experiment(cfg)
-        for row in table.values("ee"):
+        for row in values(table, "ee"):
             rec = dict(zip(CSV_COLUMNS, row))
             assert rec["snr_db"] == pytest.approx(
                 20.0 - 5.0 * math.log10(rec["n"]))
@@ -191,5 +201,5 @@ class TestEnergyEfficiencyRuns:
         cfg = small_config("energy-efficiency", n_grid=[2], kappa=[0.0],
                            t=[0.25, 0.5])
         table = run_experiment(cfg)
-        assert len(table.values("ee")) == 2
-        assert len(table.values("capacity_lower")) == 2
+        assert len(values(table, "ee")) == 2
+        assert len(values(table, "capacity_lower")) == 2
