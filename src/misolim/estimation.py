@@ -21,7 +21,6 @@ from scipy.linalg import cho_factor, cho_solve
 from .randmat import (
     CovarianceMatrix,
     nearly_psd,
-    psd_factor,
     sample_cn,
     sample_scalar_cn,
     substream,
@@ -194,12 +193,11 @@ def error_floor_iid(lam: float, kappa_t_ut: float, kappa_r_bs: float) -> float:
 
 
 def _simulate_uplink_batch(cfg: UplinkConfig, h: np.ndarray,
-                           rng: np.random.Generator,
-                           s_factor: np.ndarray) -> np.ndarray:
+                           rng: np.random.Generator) -> np.ndarray:
     """Vectorized uplink draws for a (count, N) batch of channels."""
     count, n = h.shape
     eta_t = sample_scalar_cn(cfg.imp.kappa_t_ut * cfg.p_ut, rng, size=count)
-    nu = sample_cn(cfg.s, rng, size=count, factor=s_factor)
+    nu = sample_cn(cfg.s, rng, size=count)
     eta_r = (np.sqrt(cfg.imp.kappa_r_bs * cfg.p_ut) * np.abs(h)
              * sample_scalar_cn(1.0, rng, size=(count, n)))
     return h * (cfg.d + eta_t)[:, None] + nu + eta_r
@@ -216,7 +214,7 @@ def simulate_uplink(cfg: UplinkConfig, h: np.ndarray,
     h = np.asarray(h, dtype=np.complex128)
     if h.shape != (cfg.dim,):
         raise ValueError(f"channel must have shape ({cfg.dim},), got {h.shape}")
-    z = _simulate_uplink_batch(cfg, h[None, :], rng, psd_factor(cfg.s))
+    z = _simulate_uplink_batch(cfg, h[None, :], rng)
     return z[0]
 
 
@@ -228,13 +226,10 @@ def pilot_chain(cfg: UplinkConfig, n_samples: int, seed: int):
     batches of up to _CHUNK rows, n_samples in all. Chunk j draws from
     ``substream(seed, j)``, so results do not depend on how work is split."""
     a = lmmse_filter(cfg)
-    r_factor = psd_factor(cfg.r)
-    s_factor = psd_factor(cfg.s)
     for j, start in enumerate(range(0, n_samples, _CHUNK)):
         rng = substream(seed, j)
-        h = sample_cn(cfg.r, rng, size=min(_CHUNK, n_samples - start),
-                      factor=r_factor)
-        z = _simulate_uplink_batch(cfg, h, rng, s_factor)
+        h = sample_cn(cfg.r, rng, size=min(_CHUNK, n_samples - start))
+        z = _simulate_uplink_batch(cfg, h, rng)
         yield h, z @ a.T
 
 

@@ -9,6 +9,7 @@ seed so Monte-Carlo results are independent of how work is partitioned.
 
 from __future__ import annotations
 
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -26,8 +27,9 @@ class CovarianceMatrix:
     """Hermitian positive-semidefinite N x N complex covariance matrix.
 
     Construction validates Hermitian symmetry bit-exactly, a real
-    nonnegative diagonal, and min eigenvalue >= -PSD_TOL * ||M||.
-    The wrapped array is frozen (read-only).
+    nonnegative diagonal, and min eigenvalue >= -PSD_TOL * ||M||. The same
+    eigendecomposition M = V diag(w) V^H gives ``factor`` = V sqrt(max(w, 0)),
+    so factor @ factor^H = M even for singular M. Both arrays are read-only.
     """
 
     def __init__(self, matrix) -> None:
@@ -40,30 +42,33 @@ class CovarianceMatrix:
             raise InvalidMatrixError("matrix is not Hermitian")
         if np.any(np.diagonal(m).real < 0.0):
             raise InvalidMatrixError("diagonal has negative entries")
-        eig = np.linalg.eigvalsh(m)
+        eig, v = np.linalg.eigh(m)
         norm = max(abs(eig[0]), abs(eig[-1]))
         if eig[0] < -PSD_TOL * norm:
             raise InvalidMatrixError(
                 f"matrix is indefinite: min eigenvalue {eig[0]:.3e} "
                 f"below -{PSD_TOL:g} * {norm:.3e}"
             )
+        self._store(m, eig, v * np.sqrt(np.clip(eig, 0.0, None)))
+
+    def _store(self, m, eig, factor) -> "CovarianceMatrix":
         m.flags.writeable = False
+        factor.flags.writeable = False
         self._m = m
-        self._eig_min = float(eig[0])
-        self._eig_max = float(eig[-1])
+        self._eig = eig
+        self.factor = factor
+        return self
+
+    @classmethod
+    def _known(cls, m, eig, factor) -> "CovarianceMatrix":
+        """Unvalidated instance of a matrix with known spectrum and factor."""
+        return cls.__new__(cls)._store(m, eig, factor)
 
     @classmethod
     def identity(cls, n: int) -> "CovarianceMatrix":
-        if n < 1:
-            raise InvalidMatrixError("dimension must be a positive integer")
-        # spectrum is known, so skip the O(n^3) validation decomposition
-        self = cls.__new__(cls)
-        m = np.eye(int(n), dtype=np.complex128)
-        m.flags.writeable = False
-        self._m = m
-        self._eig_min = 1.0
-        self._eig_max = 1.0
-        return self
+        m = np.eye(_dimension(n), dtype=np.complex128)
+        # I is its own factor: one n x n array serves both
+        return cls._known(m, np.ones(m.shape[0]), m)
 
     @property
     def dim(self) -> int:
@@ -75,11 +80,11 @@ class CovarianceMatrix:
 
     @property
     def min_eigenvalue(self) -> float:
-        return self._eig_min
+        return float(self._eig[0])
 
     @property
     def max_eigenvalue(self) -> float:
-        return self._eig_max
+        return float(self._eig[-1])
 
     def trace(self) -> float:
         return float(np.trace(self._m).real)
@@ -89,12 +94,19 @@ class CovarianceMatrix:
         return np.diagonal(self._m).real.copy()
 
     def scaled(self, c: float) -> "CovarianceMatrix":
-        if c < 0:
-            raise InvalidMatrixError("scale factor must be nonnegative")
-        return CovarianceMatrix(c * self._m)
+        if not (0.0 <= c < np.inf):
+            raise InvalidMatrixError(f"scale factor must be finite and >= 0, got {c}")
+        # c M has eigenvalues c w and factor sqrt(c) factor: nothing to revalidate
+        return self._known(c * self._m, c * self._eig, np.sqrt(c) * self.factor)
 
     def __repr__(self) -> str:
         return f"CovarianceMatrix(dim={self.dim})"
+
+
+def _dimension(n) -> int:
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise InvalidMatrixError(f"dimension must be a positive integer, got {n!r}")
+    return int(n)
 
 
 def _as_cov(m) -> CovarianceMatrix:
@@ -118,13 +130,14 @@ def nearly_psd(m: np.ndarray, scale: float) -> CovarianceMatrix:
         )
     w = np.clip(w, 0.0, None)
     out = (v * w) @ v.conj().T
-    return CovarianceMatrix((out + out.conj().T) / 2.0)
+    # PSD by construction, with the spectrum just computed: not revalidated
+    return CovarianceMatrix._known((out + out.conj().T) / 2.0, w,
+                                   v * np.sqrt(w))
 
 
 def exponential_correlation(n: int, rho: float) -> CovarianceMatrix:
     """Exponential correlation model: entry (i, j) = rho^|i-j|."""
-    if n < 1:
-        raise ValueError("dimension must be a positive integer")
+    n = _dimension(n)
     rho = float(rho)
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"correlation coefficient must lie in [0, 1), got {rho}")
@@ -134,26 +147,17 @@ def exponential_correlation(n: int, rho: float) -> CovarianceMatrix:
 
 
 def psd_factor(m) -> np.ndarray:
-    """Factor L with L @ L^H = m, valid for rank-deficient input.
-
-    Eigen-based: negative eigenvalues within the PSD tolerance are clipped
-    to zero, so singular covariances factor cleanly.
-    """
-    cov = _as_cov(m)
-    w, v = np.linalg.eigh(cov.matrix)
-    w = np.clip(w, 0.0, None)
-    return v * np.sqrt(w)
+    """Read-only factor L with L @ L^H = m (see ``CovarianceMatrix.factor``)."""
+    return _as_cov(m).factor
 
 
-def sample_cn(m, rng: np.random.Generator, size: int | None = None,
-              factor: np.ndarray | None = None) -> np.ndarray:
+def sample_cn(m, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Draw x ~ CN(0, m): zero mean, E{x x^H} = m, E{x x^T} = 0.
 
-    Returns shape (n,) or (size, n). Pass a precomputed ``psd_factor`` to
-    avoid refactoring in sampling loops.
+    Returns shape (n,) or (size, n). A CovarianceMatrix carries its factor;
+    an array ``m`` is validated and factored on every call.
     """
-    if factor is None:
-        factor = psd_factor(m)
+    factor = _as_cov(m).factor
     n = factor.shape[0]
     shape = (n,) if size is None else (int(size), n)
     re = rng.standard_normal(shape)

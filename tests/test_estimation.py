@@ -26,7 +26,6 @@ from misolim.estimation import (
 from misolim.randmat import (
     CovarianceMatrix,
     exponential_correlation,
-    psd_factor,
     sample_cn,
     substream,
 )
@@ -93,7 +92,7 @@ class TestLmmseFilter:
         n_draws = 1_000_000
         rng = substream(100)
         h = sample_cn(r, rng, size=n_draws)
-        z = _simulate_uplink_batch(cfg, h, rng, psd_factor(cfg.s))
+        z = _simulate_uplink_batch(cfg, h, rng)
         cov_hz = np.einsum("ki,kj->ij", h, np.conj(z)) / n_draws  # E{h z^H}
         cov_zz = np.einsum("ki,kj->ij", z, np.conj(z)) / n_draws
         a_emp = cov_hz @ np.linalg.inv(cov_zz)
@@ -124,7 +123,7 @@ class TestEstimate:
         n_draws = 100_000
         rng = substream(101)
         h = sample_cn(r, rng, size=n_draws)
-        z = _simulate_uplink_batch(cfg, h, rng, psd_factor(cfg.s))
+        z = _simulate_uplink_batch(cfg, h, rng)
         h_hat = z @ a.T
         eps = h - h_hat
         cross = np.einsum("ki,kj->ij", h_hat, np.conj(eps)) / n_draws
@@ -193,7 +192,7 @@ class TestErrorCovariance:
         n_draws = 100_000
         rng = substream(102)
         h = sample_cn(r, rng, size=n_draws)
-        z = _simulate_uplink_batch(cfg, h, rng, psd_factor(cfg.s))
+        z = _simulate_uplink_batch(cfg, h, rng)
         h_hat = z @ a.T
         emp = np.einsum("ki,kj->ij", h_hat, np.conj(h_hat)) / n_draws
         se = 3.0 / np.sqrt(n_draws)
@@ -293,7 +292,7 @@ class TestSimulateUplink:
         n_draws = 100_000
         rng = substream(3)
         h = sample_cn(r, rng, size=n_draws)
-        z = _simulate_uplink_batch(cfg, h, rng, psd_factor(cfg.s))
+        z = _simulate_uplink_batch(cfg, h, rng)
         emp = np.einsum("ki,kj->ij", z, np.conj(z)) / n_draws
         expected = (cfg.p_ut * (1 + 0.01) * r.matrix
                     + cfg.p_ut * 0.02 * np.diag(r.diagonal())

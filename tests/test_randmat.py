@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from misolim.randmat import (
@@ -41,6 +41,20 @@ class TestCovarianceMatrix:
         c = CovarianceMatrix.identity(2)
         with pytest.raises(ValueError):
             c.matrix[0, 0] = 5.0
+
+    @pytest.mark.parametrize("c", [-1.0, np.nan, np.inf])
+    def test_scaled_rejects_bad_factor(self, c):
+        with pytest.raises(InvalidMatrixError):
+            exponential_correlation(3, 0.5).scaled(c)
+
+    @pytest.mark.parametrize("n", [2.5, 0, -1])
+    @pytest.mark.parametrize("make", [
+        CovarianceMatrix.identity,
+        lambda n: exponential_correlation(n, 0.5),
+    ], ids=["identity", "exponential_correlation"])
+    def test_rejects_bad_dimension(self, make, n):
+        with pytest.raises(ValueError):
+            make(n)
 
 
 class TestExponentialCorrelation:
@@ -106,6 +120,52 @@ class TestNearlyPsd:
     def test_rejects_genuinely_indefinite(self):
         with pytest.raises(InvalidMatrixError):
             nearly_psd(np.diag([1.0, -0.5]), scale=1.0)
+
+
+# LAPACK rescales a matrix whose norm is below about 1e-146 before it
+# decomposes it, which can move the last bit of the dense path's
+# eigenvalues; from well above that threshold the paths agree bit for bit.
+LAPACK_UNSCALED = 1e-140
+
+
+class TestStructuredMatchesDense:
+    @given(n=st.integers(1, 64), c=st.floats(0.0, 1e3))
+    @example(n=2, c=1e-300)
+    @settings(max_examples=60, deadline=None)
+    def test_scaled_identity(self, n, c):
+        fast = CovarianceMatrix.identity(n).scaled(c)
+        dense = CovarianceMatrix(c * np.eye(n))
+        x_fast = sample_cn(fast, substream(5, n), size=3)
+        x_dense = sample_cn(dense, substream(5, n), size=3)
+        assert not psd_factor(fast).flags.writeable
+        assert not psd_factor(c * np.eye(n)).flags.writeable
+        pairs = [(fast.min_eigenvalue, dense.min_eigenvalue),
+                 (fast.max_eigenvalue, dense.max_eigenvalue)]
+        if c == 0.0 or c >= LAPACK_UNSCALED:
+            assert np.array_equal(fast.factor, dense.factor)
+            assert all(a == b for a, b in pairs)
+            assert np.array_equal(x_fast, x_dense)
+        else:  # the 1e-12 relative agreement a fast path owes the dense one
+            tol = 1e-12 * np.sqrt(c)
+            np.testing.assert_allclose(fast.factor, dense.factor, rtol=0, atol=tol)
+            np.testing.assert_allclose(x_fast, x_dense, rtol=0, atol=10 * tol)
+            assert all(a == pytest.approx(b, rel=1e-12, abs=0.0) for a, b in pairs)
+
+    # subnormal scales carry no relative precision, so they are left out
+    @given(n=st.integers(1, 64),
+           c=st.one_of(st.just(0.0), st.floats(1e-300, 1e3)),
+           rho=st.floats(0.0, 0.99))
+    @settings(max_examples=60, deadline=None)
+    def test_nearly_psd_factor_reconstructs(self, n, c, rho):
+        # remove the top eigenpair: rank-deficient, with roundoff negatives
+        r = exponential_correlation(n, rho).matrix
+        w, v = np.linalg.eigh(r)
+        m = c * (r - w[-1] * np.outer(v[:, -1], v[:, -1].conj()))
+        cov = nearly_psd(m, scale=c * w[-1])
+        f = cov.factor
+        err = np.linalg.norm(f @ f.conj().T - cov.matrix)
+        assert err <= 1e-12 * np.linalg.norm(cov.matrix)
+        assert not f.flags.writeable
 
 
 class TestSampleCn:
