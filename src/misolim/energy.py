@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .capacity import DownlinkConfig, MonteCarloEstimate, lower_bound_mc
 from .estimation import ImpairmentProfile, UplinkConfig
-from .randmat import derive_seed, parallel_map
+from .randmat import derive_seed
 
 
 @dataclass(frozen=True)
@@ -91,44 +91,45 @@ class EnergyPoint:
     ee_std_error: float
 
 
-def ee_sweep(channel_model, ecfg: EnergyConfig, n_grid,
-             profiles: dict[str, ImpairmentProfile],
-             n_samples, seed: int, workers: int = 1) -> list[EnergyPoint]:
-    """Power-scaled efficiency sweep over array sizes.
-
-    ``channel_model(n)`` must return (R, S, sigma2_ut) for an n-antenna
-    array; ``n_samples`` is either an int or a callable of n. One point is
-    produced per (n, hardware profile), in grid order, each with a seed
-    derived from (seed, point index) so the output does not depend on the
-    worker count.
-    """
-    n_grid = list(n_grid)
-    if not n_grid:
-        raise ValueError("array-size grid must be non-empty")
+def warn_if_inadmissible(ecfg: EnergyConfig) -> None:
     if not ecfg.exponents_admissible():
         warnings.warn(
             f"scaling exponents (t_bs={ecfg.t_bs:g}, t_ut={ecfg.t_ut:g}) are "
             "outside the admissible region; asymptotic rate guarantees do "
-            "not apply",
-            stacklevel=2,
-        )
-    tasks = list(enumerate((n, name, imp) for n in n_grid
-                           for name, imp in profiles.items()))
+            "not apply", stacklevel=3)
 
-    def one_point(task) -> EnergyPoint:
-        idx, (n, name, imp) = task
-        count = n_samples(n) if callable(n_samples) else int(n_samples)
-        r, s, sigma2 = channel_model(n)
-        p_bs = scaled_power(ecfg.p_bs_base, n, ecfg.t_bs)
-        p_ut = scaled_power(ecfg.p_ut_base, n, ecfg.t_ut)
-        ul = UplinkConfig(r=r, s=s, p_ut=p_ut, imp=imp)
-        dl = DownlinkConfig(p_bs=p_bs, sigma2_ut=sigma2, imp=imp)
-        cap = lower_bound_mc(ul, dl, count, derive_seed(seed, idx))
-        return EnergyPoint(
-            n=n, hardware=name, imp=imp, p_bs=p_bs, p_ut=p_ut, capacity=cap,
-            ee=energy_efficiency(cap.value, p_bs, p_ut, ecfg, n=n),
-            # the efficiency is linear in the rate, so it scales the SE alike
-            ee_std_error=energy_efficiency(cap.std_error, p_bs, p_ut, ecfg,
-                                           n=n))
 
-    return parallel_map(one_point, tasks, workers)
+def ee_point(ecfg: EnergyConfig, n: int, channel, hardware: str,
+             imp: ImpairmentProfile, n_samples: int, seed: int) -> EnergyPoint:
+    """One sweep point: ``channel`` is the (R, S, sigma2_ut) of an n-antenna
+    array, the rate the Monte-Carlo lower bound at the scaled powers."""
+    r, s, sigma2 = channel
+    p_bs = scaled_power(ecfg.p_bs_base, n, ecfg.t_bs)
+    p_ut = scaled_power(ecfg.p_ut_base, n, ecfg.t_ut)
+    ul = UplinkConfig(r=r, s=s, p_ut=p_ut, imp=imp)
+    dl = DownlinkConfig(p_bs=p_bs, sigma2_ut=sigma2, imp=imp)
+    cap = lower_bound_mc(ul, dl, n_samples, seed)
+    return EnergyPoint(
+        n=n, hardware=hardware, imp=imp, p_bs=p_bs, p_ut=p_ut, capacity=cap,
+        ee=energy_efficiency(cap.value, p_bs, p_ut, ecfg, n=n),
+        # the efficiency is linear in the rate, so it scales the SE alike
+        ee_std_error=energy_efficiency(cap.std_error, p_bs, p_ut, ecfg, n=n))
+
+
+def ee_sweep(channel_model, ecfg: EnergyConfig, n_grid,
+             profiles: dict[str, ImpairmentProfile],
+             n_samples: int, seed: int) -> list[EnergyPoint]:
+    """Power-scaled efficiency sweep over array sizes: one point per (n,
+    hardware profile) in grid order, point i seeded by derive_seed(seed, i).
+    ``channel_model(n)`` returns (R, S, sigma2_ut); it is called once per n."""
+    n_grid = list(n_grid)
+    if not n_grid:
+        raise ValueError("array-size grid must be non-empty")
+    warn_if_inadmissible(ecfg)
+    points = []
+    for n in n_grid:
+        channel = channel_model(n)
+        for name, imp in profiles.items():
+            points.append(ee_point(ecfg, n, channel, name, imp, n_samples,
+                                   derive_seed(seed, len(points))))
+    return points

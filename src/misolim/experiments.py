@@ -19,7 +19,9 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import product
 
 from .capacity import (
     DownlinkConfig,
@@ -28,7 +30,7 @@ from .capacity import (
     lower_bound_mc,
     upper_limit_large_n,
 )
-from .energy import EnergyConfig, ee_sweep
+from .energy import EnergyConfig, ee_point, warn_if_inadmissible
 from .estimation import (
     ImpairmentProfile,
     UplinkConfig,
@@ -36,12 +38,7 @@ from .estimation import (
     error_floor,
     mse_per_antenna,
 )
-from .randmat import (
-    CovarianceMatrix,
-    derive_seed,
-    exponential_correlation,
-    parallel_map,
-)
+from .randmat import CovarianceMatrix, derive_seed, exponential_correlation
 
 EXPERIMENTS = (
     "estimation-error",
@@ -148,10 +145,15 @@ def write_csv(table: SweepTable, path) -> None:
         fh.write(csv_text(table))
 
 
-def _sweep(point_fn, grid, workers: int) -> SweepTable:
-    """Run ``point_fn((index, point))`` for each grid point and join their
-    tables in grid order; each point derives its seed from its index."""
-    subs = parallel_map(point_fn, list(enumerate(grid)), workers)
+def _sweep(point_fn, grid: list, workers: int) -> SweepTable:
+    """Run ``point_fn(point)`` for each grid point on up to ``workers``
+    threads and join their tables in grid order, whatever the pool size.
+    Callers build covariances before the sweep: no thread factors one."""
+    if workers <= 1 or len(grid) <= 1:
+        subs = [point_fn(point) for point in grid]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            subs = list(pool.map(point_fn, grid))
     return SweepTable([row for sub in subs for row in sub.rows])
 
 
@@ -165,18 +167,20 @@ def _progress(msg: str) -> None:
 # ---------------------------------------------------------------------------
 
 def run_estimation_error(cfg: ExperimentConfig) -> SweepTable:
+    exp = cfg.experiment
     n_grid = cfg.n_grid or [10, 100]
     kappas = cfg.kappa if cfg.kappa is not None else list(KAPPA_LEVELS)
     snrs = cfg.snr_db if cfg.snr_db is not None else list(SNR_DB_GRID)
 
-    grid = [(n, k) for n in n_grid for k in kappas]
+    covs = {n: (exponential_correlation(n, EXP_CORR_RHO),
+                CovarianceMatrix.identity(n)) for n in n_grid}
+    imps = {k: ImpairmentProfile(kappa_t_ut=k, kappa_r_bs=k) for k in kappas}
+    grid = list(enumerate((n, k) for n in n_grid for k in kappas))
 
     def one_point(point):
         idx, (n, kappa) = point
         _progress(f"estimation-error: N={n} kappa={kappa:g}")
-        r = exponential_correlation(n, EXP_CORR_RHO)
-        s = CovarianceMatrix.identity(n)
-        imp = ImpairmentProfile(kappa_t_ut=kappa, kappa_r_bs=kappa)
+        (r, s), imp = covs[n], imps[kappa]
         sub = SweepTable()
         floor = None
         for j, snr_db in enumerate(snrs):
@@ -184,15 +188,13 @@ def run_estimation_error(cfg: ExperimentConfig) -> SweepTable:
             ul = UplinkConfig(r=r, s=s, p_ut=p_ut, imp=imp)
             if floor is None:
                 floor = error_floor(ul).trace() / n
-            sub.add("estimation-error", "mse_analytic", mse_per_antenna(ul),
-                    n=n, snr_db=snr_db, kappa_bs=kappa, kappa_ut=kappa)
-            sub.add("estimation-error", "mse_floor", floor,
-                    n=n, snr_db=snr_db, kappa_bs=kappa, kappa_ut=kappa)
+            kw = dict(n=n, snr_db=snr_db, kappa_bs=kappa, kappa_ut=kappa)
+            sub.add(exp, "mse_analytic", mse_per_antenna(ul), **kw)
+            sub.add(exp, "mse_floor", floor, **kw)
             est = empirical_mse(ul, cfg.samples_for(n),
                                 derive_seed(cfg.seed, idx, j))
-            sub.add("estimation-error", "mse_empirical", est.value,
-                    n=n, snr_db=snr_db, kappa_bs=kappa, kappa_ut=kappa,
-                    std_error=est.std_error)
+            sub.add(exp, "mse_empirical", est.value, std_error=est.std_error,
+                    **kw)
         return sub
 
     return _sweep(one_point, grid, cfg.workers)
@@ -216,16 +218,16 @@ def run_capacity(cfg: ExperimentConfig) -> SweepTable:
     kappas = cfg.kappa if cfg.kappa is not None else list(KAPPA_LEVELS)
     snr_db = cfg.snr_db[0] if cfg.snr_db else SNR_DB_FIXED
 
-    grid = [(n, k) for k in kappas for n in n_grid]
+    covs = {n: CovarianceMatrix.identity(n) for n in n_grid}  # R = S = I
+    ut = {k: k if vs_n else KAPPA_UT_FIXED for k in kappas}
+    imps = {k: ImpairmentProfile(k, k, ut[k], ut[k]) for k in kappas}
+    grid = list(enumerate((n, k) for k in kappas for n in n_grid))
 
     def one_point(point):
         idx, (n, kappa_bs) = point
-        kappa_ut = kappa_bs if vs_n else KAPPA_UT_FIXED
+        kappa_ut, imp = ut[kappa_bs], imps[kappa_bs]
         _progress(f"{exp}: N={n} kappa_bs={kappa_bs:g} kappa_ut={kappa_ut:g}")
-        r = CovarianceMatrix.identity(n)
-        s = CovarianceMatrix.identity(n)
-        imp = ImpairmentProfile(kappa_t_bs=kappa_bs, kappa_r_bs=kappa_bs,
-                                kappa_t_ut=kappa_ut, kappa_r_ut=kappa_ut)
+        r = s = covs[n]
         snr = db_to_linear(snr_db)
         p = snr * s.trace() / r.trace()
         sigma2 = s.trace() / n  # per-antenna noise level
@@ -255,36 +257,39 @@ EE_SNR_BASE_DB = 20.0
 EE_KAPPA_IMPAIRED = 0.05 ** 2
 
 
-def _ee_channel_model(n: int):
-    r = exponential_correlation(n, EXP_CORR_RHO)
-    sigma2 = EE_P_BASE_W / db_to_linear(EE_SNR_BASE_DB)
-    s = CovarianceMatrix.identity(n).scaled(sigma2)
-    return r, s, sigma2
-
-
 def run_energy_efficiency(cfg: ExperimentConfig) -> SweepTable:
     n_grid = cfg.n_grid or list(N_GRID_POW2)
     t_grid = cfg.t if cfg.t is not None else list(T_GRID)
     kappas = cfg.kappa if cfg.kappa is not None else [0.0, EE_KAPPA_IMPAIRED]
     profiles = {("ideal" if k == 0.0 else f"impaired[{k:g}]"):
                 ImpairmentProfile.uniform(k) for k in kappas}
+    sigma2 = EE_P_BASE_W / db_to_linear(EE_SNR_BASE_DB)
+    channels = {n: (exponential_correlation(n, EXP_CORR_RHO),
+                    CovarianceMatrix.identity(n).scaled(sigma2), sigma2)
+                for n in n_grid}
+    ecfgs = [EnergyConfig(p_bs_base=EE_P_BASE_W, p_ut_base=EE_P_BASE_W,
+                          t_bs=t, t_ut=t) for t in t_grid]
+    for ecfg in ecfgs:
+        warn_if_inadmissible(ecfg)
+    cells = [(n, name, imp) for n in n_grid for name, imp in profiles.items()]
+    grid = list(product(enumerate(t_grid), enumerate(cells)))
 
-    table = SweepTable()
-    for ti, t in enumerate(t_grid):
-        _progress(f"energy-efficiency: t={t:g}")
-        ecfg = EnergyConfig(p_bs_base=EE_P_BASE_W, p_ut_base=EE_P_BASE_W,
-                            t_bs=t, t_ut=t)
-        points = ee_sweep(_ee_channel_model, ecfg, n_grid, profiles,
-                          cfg.samples_for, derive_seed(cfg.seed, ti),
-                          workers=cfg.workers)
-        for pt in points:
-            kw = dict(n=pt.n, snr_db=EE_SNR_BASE_DB - 10.0 * t * math.log10(pt.n),
-                      kappa_bs=pt.imp.kappa_t_bs, kappa_ut=pt.imp.kappa_t_ut, t=t)
-            table.add("energy-efficiency", "ee", pt.ee,
-                      std_error=pt.ee_std_error, **kw)
-            table.add("energy-efficiency", "capacity_lower", pt.capacity.value,
-                      std_error=pt.capacity.std_error, **kw)
-    return table
+    def one_point(point):
+        (ti, t), (j, (n, name, imp)) = point
+        _progress(f"energy-efficiency: t={t:g} N={n} hardware={name}")
+        # the seed of point j in ee_sweep(..., derive_seed(cfg.seed, ti))
+        pt = ee_point(ecfgs[ti], n, channels[n], name, imp, cfg.samples_for(n),
+                      derive_seed(derive_seed(cfg.seed, ti), j))
+        sub = SweepTable()
+        kw = dict(n=n, snr_db=EE_SNR_BASE_DB - 10.0 * t * math.log10(n),
+                  kappa_bs=imp.kappa_t_bs, kappa_ut=imp.kappa_t_ut, t=t)
+        sub.add("energy-efficiency", "ee", pt.ee,
+                std_error=pt.ee_std_error, **kw)
+        sub.add("energy-efficiency", "capacity_lower", pt.capacity.value,
+                std_error=pt.capacity.std_error, **kw)
+        return sub
+
+    return _sweep(one_point, grid, cfg.workers)
 
 
 RUNNERS = {

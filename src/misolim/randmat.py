@@ -10,7 +10,6 @@ seed so Monte-Carlo results are independent of how work is partitioned.
 from __future__ import annotations
 
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -196,11 +195,3 @@ def derive_seed(seed: int, *key: int) -> int:
     """Stable 64-bit child seed for nested deterministic dispatch."""
     return int(_seed_sequence(seed, key).generate_state(1, np.uint64)[0])
 
-
-def parallel_map(fn, items, workers: int) -> list:
-    """[fn(item) for item in items] on up to ``workers`` threads, in item
-    order whatever the pool size."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

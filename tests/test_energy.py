@@ -158,21 +158,17 @@ class TestEeSweep:
             ee_sweep(identity_channel, cfg, [2], {"ideal": ImpairmentProfile()},
                      n_samples=1000, seed=0)
 
-    def test_worker_count_does_not_change_output(self):
-        cfg = EnergyConfig(t_bs=0.25, t_ut=0.25)
-        a = ee_sweep(identity_channel, cfg, [2, 8], self.PROFILES,
-                     n_samples=1000, seed=3, workers=1)
-        b = ee_sweep(identity_channel, cfg, [2, 8], self.PROFILES,
-                     n_samples=1000, seed=3, workers=4)
-        assert a == b
+    def test_channel_model_called_once_per_n(self):
+        calls = []
 
-    def test_callable_sample_count(self):
-        cfg = EnergyConfig(t_bs=0.25, t_ut=0.25)
-        pts = ee_sweep(identity_channel, cfg, [2, 4],
-                       {"ideal": ImpairmentProfile()},
-                       n_samples=lambda n: 1000 * (1 + (n > 2)), seed=4)
-        assert pts[0].capacity.n_samples == 1000
-        assert pts[1].capacity.n_samples == 2000
+        def channel(n):
+            calls.append(n)
+            return identity_channel(n)
+
+        pts = ee_sweep(channel, EnergyConfig(t_bs=0.25, t_ut=0.25), [2, 8],
+                       self.PROFILES, n_samples=1000, seed=3)
+        assert calls == [2, 8]
+        assert len(pts) == 4
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

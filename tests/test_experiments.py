@@ -28,7 +28,7 @@ def values(table, metric, **match):
 
 def small_config(experiment, seed=1, **kw):
     defaults = dict(n_samples=1000, n_grid=[2, 4], snr_db=[0.0, 20.0],
-                    kappa=[0.0, 0.0025], t=[0.25])
+                    kappa=[0.0, 0.0025], t=[0.25, 0.5])
     defaults.update(kw)
     return ExperimentConfig(experiment=experiment, seed=seed, **defaults)
 
