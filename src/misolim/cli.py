@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from functools import partial
 
 from .experiments import (
     EXPERIMENTS,
@@ -51,20 +52,30 @@ def parse_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            value = value.strip()
             if key in _LIST_KEYS:
-                opts[key] = _parse_list(key, value)
+                parse = partial(_parse_list, key)
             elif key in _INT_KEYS:
-                opts[key] = int(value)
+                parse = int
             elif key in ("experiment", "out"):
-                opts[key] = value
+                parse = str
             else:
                 raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
+            try:
+                opts[key] = parse(value.strip())
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: bad {key} value: {exc}") from None
     return opts
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # main prints it as one line and exits 2, not a usage block
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="misolim",
         description="Run a seeded sweep experiment and emit a CSV table.",
     )

@@ -38,6 +38,15 @@ class TestParseConfigFile:
         with pytest.raises(ValueError, match="key = value"):
             parse_config_file(str(cfg))
 
+    @pytest.mark.parametrize("line", ["seed = abc", "n-grid = 4,x",
+                                      "kappa = 0.01,low", "samples = 2.5"])
+    def test_bad_value_has_location(self, tmp_path, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"experiment = capacity-vs-n\n# note\n{line}\n")
+        with pytest.raises(ValueError) as exc:
+            parse_config_file(str(cfg))
+        assert str(exc.value).startswith(f"{cfg}:3:")
+
 
 class TestConfigFromArgs:
     def test_flags_only(self):
@@ -120,3 +129,18 @@ class TestMain:
         assert main(self.ARGS + bad) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize("bad", [["--seed", "abc"], ["--workers", "x"],
+                                     ["--experiment", "bogus"], ["--bogus"]])
+    def test_argparse_error_is_one_line(self, bad, capsys):
+        assert main(self.ARGS + bad) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert captured.out == ""
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out

@@ -1,6 +1,7 @@
 """Experiment driver and CSV determinism tests."""
 
 import math
+import warnings
 
 import pytest
 
@@ -135,6 +136,33 @@ class TestDeterminism:
             elif rec1["value"] != rec2["value"]:
                 changed += 1
         assert changed > 0
+
+
+class TestWarningsOncePerRun:
+    @pytest.mark.parametrize("experiment", ["capacity-vs-n",
+                                            "capacity-vs-kappa",
+                                            "estimation-error"])
+    def test_typical_range_once_per_kappa(self, experiment):
+        cfg = small_config(experiment, n_grid=[2, 4, 8], kappa=[0.05],
+                           snr_db=[20.0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_experiment(cfg)
+        typical = [w for w in caught if issubclass(w.category, UserWarning)
+                   and "typical range" in str(w.message)]
+        assert len(typical) == 1
+
+    def test_inadmissible_exponent_once_per_t(self):
+        # t = 0 and t = 0.5 are outside the admissible region, 0.25 is not
+        cfg = small_config("energy-efficiency", n_grid=[2, 4, 8],
+                           t=[0.0, 0.25, 0.5])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_experiment(cfg)
+        admissible = [str(w.message) for w in caught
+                      if "admissible" in str(w.message)]
+        assert len(admissible) == 2
+        assert "t_bs=0," in admissible[0] and "t_bs=0.5," in admissible[1]
 
 
 class TestEstimationErrorRuns:
