@@ -92,6 +92,7 @@ class EnergyPoint:
 
 
 def warn_if_inadmissible(ecfg: EnergyConfig) -> None:
+    """UserWarning unless ``ecfg.exponents_admissible()``."""
     if not ecfg.exponents_admissible():
         warnings.warn(
             f"scaling exponents (t_bs={ecfg.t_bs:g}, t_ut={ecfg.t_ut:g}) are "
