@@ -108,18 +108,22 @@ def capacity_upper_bound(r: CovarianceMatrix, dl: DownlinkConfig) -> float:
     bits per channel use.
 
     G sums one antenna term per diagonal entry of R; at kappa_t_bs = 0 it
-    collapses to the analytic limit p * tr(R) / sigma^2.
+    collapses to the analytic limit p * tr(R) / sigma^2. A scaled identity
+    R = c I has one term, counted N times.
     """
-    diag = r.diagonal()
+    scale = r.identity_scale
+    diag = r.diagonal() if scale is None else np.float64(scale)
     if np.any(diag <= 0.0):
         raise ValueError("channel covariance has a zero diagonal entry")
     kt, kr = dl.imp.kappa_t_bs, dl.imp.kappa_r_ut
     if kt < _KAPPA_T_BS_SWITCH:
-        g = dl.p_bs * float(np.sum(diag)) / dl.sigma2_ut
+        total = float(np.sum(diag)) if scale is None else r.trace()
+        g = dl.p_bs * total / dl.sigma2_ut
     else:
         x = dl.sigma2_ut / (dl.p_bs * kt * diag)
         # antennas with equal channel variance share one evaluation
-        uniq, counts = np.unique(x, return_counts=True)
+        uniq, counts = (np.unique(x, return_counts=True) if scale is None
+                        else ((x,), (r.dim,)))
         g = sum(c * one_minus_x_ex_e1(xi) for xi, c in zip(uniq, counts)) / kt
     return math.log2(1.0 + g / (1.0 + kr * g))
 
@@ -225,6 +229,8 @@ def lower_bound_asymptotic(ul: UplinkConfig, dl: DownlinkConfig,
     if n_scalar_samples < 2:
         raise ValueError("need at least 2 scalar samples")
     a = lmmse_filter(ul)
+    if np.ndim(a) == 0:  # the filter a I of scaled-identity R and S
+        a = a * np.eye(ul.dim)
     c = error_covariance(ul)
     tr_rc = ul.r.trace() - c.trace()
     psi = ul.p_ut * ul.imp.kappa_r_bs * np.diag(ul.r.diagonal()) + ul.s.matrix

@@ -36,7 +36,14 @@ _NEGATIVE_LIST = re.compile(r"-\.?\d")
 
 def _parse_list(key: str, text: str) -> list:
     cast = int if key == "n_grid" else float
-    return [cast(p) for p in text.replace(",", " ").split()]
+    values = []
+    for token in text.replace(",", " ").split():
+        try:
+            values.append(cast(token))
+        except ValueError:
+            raise ValueError(
+                f"invalid {cast.__name__} value: {token!r}") from None
+    return values
 
 
 def parse_config_file(path: str) -> dict:
@@ -114,8 +121,16 @@ def config_from_args(argv=None) -> ExperimentConfig:
     if args.config:
         opts.update(parse_config_file(args.config))
     for key, v in vars(args).items():
-        if v is not None and key != "config":
-            opts[key] = _parse_list(key, v) if key in _LIST_KEYS else v
+        if v is None or key == "config":
+            continue
+        if key in _LIST_KEYS:
+            try:
+                v = _parse_list(key, v)
+            except ValueError as exc:
+                # the form argparse gives its own flag errors
+                raise ValueError(
+                    f"argument --{key.replace('_', '-')}: {exc}") from None
+        opts[key] = v
     if "experiment" not in opts:
         raise ValueError("no experiment selected (use --experiment or a config file)")
     if "samples" in opts:

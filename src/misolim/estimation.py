@@ -115,8 +115,19 @@ class MonteCarloEstimate:
             raise ValueError("standard error must be nonnegative")
 
 
-def _cho_solve(m: np.ndarray, b: np.ndarray, singular: str) -> np.ndarray:
-    """m^{-1} b by Cholesky; SingularMatrixError(singular) unless m > 0."""
+def _cho_solve(m, b, singular: str):
+    """m^{-1} b by Cholesky; SingularMatrixError(singular) unless m > 0.
+
+    Scalars m and b stand for m I and b I and give the scalar of m^{-1} b I,
+    with the dense path's arithmetic: the Cholesky factor of m I is
+    sqrt(m) I, and each triangular solve multiplies by the reciprocal of
+    its diagonal, as OpenBLAS's trsm does, so both paths give the same bits.
+    """
+    if np.ndim(m) == 0:
+        if not m > 0.0:
+            raise SingularMatrixError(singular)
+        inv = 1.0 / math.sqrt(m)
+        return b * inv * inv
     try:
         f = cho_factor(m, lower=True)
     except np.linalg.LinAlgError as exc:
@@ -124,23 +135,32 @@ def _cho_solve(m: np.ndarray, b: np.ndarray, singular: str) -> np.ndarray:
     return cho_solve(f, b)
 
 
-def _solve_against_r(cfg: UplinkConfig) -> np.ndarray:
-    """M^{-1} R for M = p (1 + kappa_t_ut) R + p kappa_r_bs diag(R) + S."""
-    r = cfg.r.matrix
-    m = cfg.p_ut * (1.0 + cfg.imp.kappa_t_ut) * r + cfg.s.matrix
-    m[np.diag_indices_from(m)] += cfg.p_ut * cfg.imp.kappa_r_bs * cfg.r.diagonal()
+def _solve_against_r(cfg: UplinkConfig) -> np.ndarray | float:
+    """M^{-1} R for M = p (1 + kappa_t_ut) R + p kappa_r_bs diag(R) + S;
+    the scalar x of M^{-1} R = x I when R and S are scaled identities."""
+    r, s = cfg.r.identity_scale, cfg.s.identity_scale
+    if r is None or s is None:
+        r = cfg.r.matrix
+        m = cfg.p_ut * (1.0 + cfg.imp.kappa_t_ut) * r + cfg.s.matrix
+        m[np.diag_indices_from(m)] += (cfg.p_ut * cfg.imp.kappa_r_bs
+                                       * cfg.r.diagonal())
+    else:
+        m = (cfg.p_ut * (1.0 + cfg.imp.kappa_t_ut) * r + s
+             + cfg.p_ut * cfg.imp.kappa_r_bs * r)
     # cannot fail: M is positive definite whenever S is
     return _cho_solve(m, r, "observation covariance is not positive definite")
 
 
-def lmmse_filter(cfg: UplinkConfig) -> np.ndarray:
+def lmmse_filter(cfg: UplinkConfig) -> np.ndarray | complex:
     """Filter A such that h_hat = A z is the LMMSE channel estimate.
 
     A = d* R (p (1 + kappa_t_ut) R + p kappa_r_bs diag(R) + S)^{-1}.
+    When R and S are scaled identities, A = a I and the scalar a is
+    returned instead of the N x N array.
     """
     x = _solve_against_r(cfg)
     # R M^{-1} = (M^{-1} R)^H since both R and M are Hermitian.
-    return np.conj(cfg.d) * x.conj().T
+    return np.conj(cfg.d) * np.conj(x).T
 
 
 def estimate(cfg: UplinkConfig, z: np.ndarray) -> np.ndarray:
@@ -148,7 +168,14 @@ def estimate(cfg: UplinkConfig, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.complex128)
     if z.shape != (cfg.dim,):
         raise ValueError(f"observation must have shape ({cfg.dim},), got {z.shape}")
-    return lmmse_filter(cfg) @ z
+    a = lmmse_filter(cfg)
+    return a * z if np.ndim(a) == 0 else a @ z
+
+
+def _clipped_identity(n: int, c: float) -> CovarianceMatrix:
+    """c I for a c that is nonnegative in exact arithmetic: a roundoff
+    negative becomes 0, as ``nearly_psd`` clips the dense result."""
+    return CovarianceMatrix.identity(n).scaled(max(c, 0.0))
 
 
 def error_covariance(cfg: UplinkConfig) -> CovarianceMatrix:
@@ -160,6 +187,9 @@ def error_covariance(cfg: UplinkConfig) -> CovarianceMatrix:
     if cfg.p_ut == 0.0:
         return cfg.r
     x = _solve_against_r(cfg)
+    if np.ndim(x) == 0:
+        r = cfg.r.identity_scale
+        return _clipped_identity(cfg.dim, r - cfg.p_ut * (r * x))
     c = cfg.r.matrix - cfg.p_ut * (cfg.r.matrix @ x)
     return nearly_psd(c, scale=cfg.r.max_eigenvalue)
 
@@ -174,11 +204,16 @@ def error_floor(cfg: UplinkConfig) -> CovarianceMatrix:
 
     C_inf = R - R ((1 + kappa_t_ut) R + kappa_r_bs diag(R))^{-1} R.
     """
+    singular = ("high-power bracket is singular "
+                "(rank-deficient R with kappa_r_bs = 0)")
+    r = cfg.r.identity_scale
+    if r is not None:
+        b = (1.0 + cfg.imp.kappa_t_ut) * r + cfg.imp.kappa_r_bs * r
+        return _clipped_identity(cfg.dim, r - r * _cho_solve(b, r, singular))
     r = cfg.r.matrix
     b = (1.0 + cfg.imp.kappa_t_ut) * r.copy()
     b[np.diag_indices_from(b)] += cfg.imp.kappa_r_bs * cfg.r.diagonal()
-    c = r - r @ _cho_solve(b, r, "high-power bracket is singular "
-                           "(rank-deficient R with kappa_r_bs = 0)")
+    c = r - r @ _cho_solve(b, r, singular)
     return nearly_psd(c, scale=cfg.r.max_eigenvalue)
 
 
@@ -230,7 +265,7 @@ def pilot_chain(cfg: UplinkConfig, n_samples: int, seed: int):
         rng = substream(seed, j)
         h = sample_cn(cfg.r, rng, size=min(_CHUNK, n_samples - start))
         z = _simulate_uplink_batch(cfg, h, rng)
-        yield h, z @ a.T
+        yield h, z * a if np.ndim(a) == 0 else z @ a.T
 
 
 def empirical_mse(cfg: UplinkConfig, n_samples: int, seed: int):

@@ -29,7 +29,13 @@ class CovarianceMatrix:
     nonnegative diagonal, and min eigenvalue >= -PSD_TOL * ||M||. The same
     eigendecomposition M = V diag(w) V^H gives ``factor`` = V sqrt(max(w, 0)),
     so factor @ factor^H = M even for singular M. Both arrays are read-only.
+
+    ``identity(n)`` and its ``scaled`` copies are c I and store only
+    (n, c): ``identity_scale`` is c for them and None for a dense matrix.
+    Their ``matrix`` and ``factor`` are built on each access.
     """
+
+    _scale = None
 
     def __init__(self, matrix) -> None:
         m = np.array(matrix, dtype=np.complex128)
@@ -53,9 +59,10 @@ class CovarianceMatrix:
     def _store(self, m, eig, factor) -> "CovarianceMatrix":
         m.flags.writeable = False
         factor.flags.writeable = False
+        self._n = m.shape[0]
         self._m = m
         self._eig = eig
-        self.factor = factor
+        self._factor = factor
         return self
 
     @classmethod
@@ -64,39 +71,67 @@ class CovarianceMatrix:
         return cls.__new__(cls)._store(m, eig, factor)
 
     @classmethod
+    def _scaled_identity(cls, n: int, c: float) -> "CovarianceMatrix":
+        cov = cls.__new__(cls)
+        cov._n = n
+        cov._scale = c
+        return cov
+
+    @classmethod
     def identity(cls, n: int) -> "CovarianceMatrix":
-        m = np.eye(_dimension(n), dtype=np.complex128)
-        # I is its own factor: one n x n array serves both
-        return cls._known(m, np.ones(m.shape[0]), m)
+        return cls._scaled_identity(_dimension(n), 1.0)
+
+    @property
+    def identity_scale(self) -> float | None:
+        """c when the matrix is c I, None for a dense matrix."""
+        return self._scale
 
     @property
     def dim(self) -> int:
-        return self._m.shape[0]
+        return self._n
+
+    def _eye(self, c) -> np.ndarray:
+        """A new read-only c I, n x n."""
+        m = c * np.eye(self._n, dtype=np.complex128)
+        m.flags.writeable = False
+        return m
 
     @property
     def matrix(self) -> np.ndarray:
-        return self._m
+        return self._m if self._scale is None else self._eye(self._scale)
+
+    @property
+    def factor(self) -> np.ndarray:
+        if self._scale is None:
+            return self._factor
+        return self._eye(np.sqrt(self._scale))
 
     @property
     def min_eigenvalue(self) -> float:
-        return float(self._eig[0])
+        return float(self._eig[0]) if self._scale is None else self._scale
 
     @property
     def max_eigenvalue(self) -> float:
-        return float(self._eig[-1])
+        return float(self._eig[-1]) if self._scale is None else self._scale
 
     def trace(self) -> float:
-        return float(np.trace(self._m).real)
+        if self._scale is None:
+            return float(np.trace(self._m).real)
+        return self._n * self._scale
 
     def diagonal(self) -> np.ndarray:
         """Real diagonal entries (the per-antenna variances)."""
-        return np.diagonal(self._m).real.copy()
+        if self._scale is None:
+            return np.diagonal(self._m).real.copy()
+        return np.full(self._n, self._scale)
 
     def scaled(self, c: float) -> "CovarianceMatrix":
         if not (0.0 <= c < np.inf):
             raise InvalidMatrixError(f"scale factor must be finite and >= 0, got {c}")
+        if self._scale is not None:
+            return self._scaled_identity(self._n, c * self._scale)
         # c M has eigenvalues c w and factor sqrt(c) factor: nothing to revalidate
-        return self._known(c * self._m, c * self._eig, np.sqrt(c) * self.factor)
+        return self._known(c * self._m, c * self._eig, np.sqrt(c) * self._factor)
 
     def __repr__(self) -> str:
         return f"CovarianceMatrix(dim={self.dim})"
@@ -154,15 +189,20 @@ def sample_cn(m, rng: np.random.Generator, size: int | None = None) -> np.ndarra
     """Draw x ~ CN(0, m): zero mean, E{x x^H} = m, E{x x^T} = 0.
 
     Returns shape (n,) or (size, n). A CovarianceMatrix carries its factor;
-    an array ``m`` is validated and factored on every call.
+    an array ``m`` is validated and factored on every call. A scaled
+    identity c I scales the same draws by sqrt(c) instead of a matrix
+    product.
     """
-    factor = _as_cov(m).factor
-    n = factor.shape[0]
+    cov = _as_cov(m)
+    n = cov.dim
     shape = (n,) if size is None else (int(size), n)
     re = rng.standard_normal(shape)
     im = rng.standard_normal(shape)
     w = (re + 1j * im) / np.sqrt(2.0)
-    return w @ factor.T
+    if cov.identity_scale is None:
+        return w @ cov.factor.T
+    # the product with sqrt(c) I, one entry at a time
+    return w * np.sqrt(cov.identity_scale)
 
 
 def sample_scalar_cn(variance: float, rng: np.random.Generator,

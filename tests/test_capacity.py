@@ -1,9 +1,12 @@
 """Downlink simulation, beamforming, and capacity-bound tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from misolim.capacity import (
     DownlinkConfig,
@@ -284,6 +287,36 @@ class TestLowerBoundMc:
         a = lower_bound_mc(ul, dl, 3_000, seed=9)
         b = lower_bound_mc(ul, dl, 3_000, seed=9)
         assert a == b
+
+
+class TestScaledIdentityBounds:
+    def test_no_dense_placeholder(self):
+        # a dense 4096 x 4096 complex identity alone is 268 MB
+        tracemalloc.start()
+        try:
+            r = CovarianceMatrix.identity(4096)
+            ul = UplinkConfig(r=r, s=r, p_ut=100.0,
+                              imp=ImpairmentProfile.uniform(0.0025))
+            dl = DownlinkConfig(p_bs=100.0, sigma2_ut=1.0, imp=ul.imp)
+            upper = capacity_upper_bound(ul.r, dl)
+            ideal = capacity_ideal_jensen(ul.r, dl)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert upper < ideal
+
+    # 6 SE, as in the benchmark's checks: a correct program fails one
+    # example in about 5e8
+    @given(n=st.integers(1, 256), kappa=st.floats(0.0, 0.03),
+           snr_db=st.floats(-10.0, 40.0), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_lower_upper_ideal_ordering(self, n, kappa, snr_db, seed):
+        ul, dl = make_symmetric(n, kappa, p=10.0 ** (snr_db / 10.0))
+        lower = lower_bound_mc(ul, dl, 1000, seed)
+        upper = capacity_upper_bound(ul.r, dl)
+        assert lower.value <= upper + 6.0 * lower.std_error
+        assert upper <= capacity_ideal_jensen(ul.r, dl)
 
 
 class TestLowerBoundAsymptotic:

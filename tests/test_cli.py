@@ -139,6 +139,15 @@ class TestMain:
         assert len(err) == 1 and err[0].startswith("error:")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flag,value,token", [
+        ("--n-grid", "4,x", "'x'"), ("--snr-db", "0,ten", "'ten'"),
+        ("--kappa", "0.01,low", "'low'"), ("--t", "0.5 half", "'half'")])
+    def test_bad_list_token_names_flag(self, flag, value, token, capsys):
+        assert main(self.ARGS + [flag, value]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert flag in err[0] and token in err[0]
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

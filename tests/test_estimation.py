@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from misolim.capacity import DownlinkConfig, capacity_upper_bound, lower_bound_mc
 from misolim.estimation import (
     ImpairmentProfile,
     SingularMatrixError,
@@ -304,3 +305,58 @@ class TestSimulateUplink:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             simulate_uplink(make_config(), np.zeros(5), substream(0))
+
+
+class TestScaledIdentityMatchesDense:
+    """The scaled-identity branches give the dense path's values within
+    1e-12 relative, on the same draws. The error covariances cancel R
+    against a correction of its size, so their roundoff is absolute: they
+    are compared with a 1e-14 absolute floor."""
+
+    # Below about 1e-146 LAPACK rescales the dense reference before its
+    # eigh, which moves the last bit of its factor; results that fall into
+    # the subnormal range magnify that bit, so scales start at 1e-140.
+    @given(n=st.integers(1, 64),
+           c_r=st.floats(1e-140, 1e3), c_s=st.floats(1e-140, 1e3),
+           p_ut=st.floats(1e-3, 1e6), kappa=st.floats(0.0, 0.03))
+    @settings(max_examples=40, deadline=None)
+    def test_whole_chain(self, n, c_r, c_s, p_ut, kappa):
+        imp = ImpairmentProfile.uniform(kappa)
+        fast = UplinkConfig(r=CovarianceMatrix.identity(n).scaled(c_r),
+                            s=CovarianceMatrix.identity(n).scaled(c_s),
+                            p_ut=p_ut, imp=imp)
+        dense = UplinkConfig(r=CovarianceMatrix(c_r * np.eye(n)),
+                             s=CovarianceMatrix(c_s * np.eye(n)),
+                             p_ut=p_ut, imp=imp)
+        dl = DownlinkConfig(p_bs=p_ut, sigma2_ut=c_s, imp=imp)
+        assert fast.r.identity_scale == c_r and dense.r.identity_scale is None
+        assert np.ndim(lmmse_filter(fast)) == 0
+        assert error_covariance(fast).identity_scale is not None
+        assert error_floor(fast).identity_scale is not None
+
+        def outcome(fn, cfg):
+            # at extreme scales both paths overflow or underflow alike
+            try:
+                return fn(cfg)
+            except RuntimeError as exc:
+                return str(exc)
+
+        def agree(fn, value=lambda v: v, floor=0.0):
+            a, b = outcome(fn, fast), outcome(fn, dense)
+            if isinstance(a, str) or isinstance(b, str):
+                assert a == b
+            else:
+                np.testing.assert_allclose(value(a), value(b), rtol=1e-12,
+                                           atol=floor)
+
+        agree(lmmse_filter, lambda a: a * np.eye(n) if np.ndim(a) == 0 else a)
+        for fn in (error_covariance, error_floor):
+            agree(fn, lambda c: c.matrix, floor=1e-14)
+        agree(mse_per_antenna, floor=1e-14)
+        agree(lambda cfg: capacity_upper_bound(cfg.r, dl))
+
+        def value_and_se(est):
+            return est.value, est.std_error
+
+        agree(lambda cfg: empirical_mse(cfg, 100, 3), value_and_se)
+        agree(lambda cfg: lower_bound_mc(cfg, dl, 1000, 3), value_and_se)

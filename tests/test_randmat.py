@@ -137,6 +137,12 @@ class TestStructuredMatchesDense:
         dense = CovarianceMatrix(c * np.eye(n))
         x_fast = sample_cn(fast, substream(5, n), size=3)
         x_dense = sample_cn(dense, substream(5, n), size=3)
+        assert fast.identity_scale == c and dense.identity_scale is None
+        assert fast.scaled(2.0).identity_scale == 2.0 * c
+        assert fast.dim == n and np.array_equal(fast.matrix, dense.matrix)
+        assert not fast.matrix.flags.writeable
+        np.testing.assert_array_equal(fast.diagonal(), dense.diagonal())
+        assert fast.trace() == pytest.approx(dense.trace(), rel=1e-12, abs=0.0)
         assert not psd_factor(fast).flags.writeable
         assert not psd_factor(c * np.eye(n)).flags.writeable
         pairs = [(fast.min_eigenvalue, dense.min_eigenvalue),
