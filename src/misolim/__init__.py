@@ -17,6 +17,7 @@ from .estimation import (
     SingularMatrixError,
     UplinkConfig,
     empirical_mse,
+    empirical_mse_batch,
     error_covariance,
     error_floor,
     error_floor_iid,
@@ -32,6 +33,7 @@ from .capacity import (
     capacity_upper_bound,
     lower_bound_asymptotic,
     lower_bound_mc,
+    lower_bound_mc_batch,
     lower_limit_scaled_power,
     optimal_beamformer,
     simulate_downlink,

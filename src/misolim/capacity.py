@@ -33,6 +33,9 @@ LOG2 = math.log(2.0)
 # its analytic zero-impairment limit to avoid 1/kappa blowup.
 _KAPPA_T_BS_SWITCH = 1e-12
 
+# Smallest normal double: a norm below it has lost bits to underflow.
+_NORM_MIN = np.finfo(np.float64).tiny
+
 
 @dataclass(frozen=True)
 class DownlinkConfig:
@@ -165,34 +168,40 @@ def lower_limit_scaled_power(kappa_t_ut: float, kappa_r_ut: float) -> float:
     return math.log2(1.0 + 1.0 / denom)
 
 
-def lower_bound_mc(ul: UplinkConfig, dl: DownlinkConfig, n_samples: int,
-                   seed: int) -> MonteCarloEstimate:
-    """Monte-Carlo achievable-rate lower bound with approximate MRT.
+def _mrt_stats(h: np.ndarray, h_hat: np.ndarray) -> np.ndarray:
+    """Rows (Re g, Im g, |g|^2, u) of the draws with h_hat != 0, for the
+    beamformer v = conj(h_hat)/||h_hat||: g = h^T v and
+    u = sum_i |h_i|^2 |v_i|^2."""
+    norms = np.linalg.norm(h_hat, axis=1)
+    ok = norms >= _NORM_MIN
+    if not ok.all():
+        # the plain norm underflows: rescale those rows by their largest
+        # modulus, and drop the rows that are zero
+        idx = np.flatnonzero(~ok)
+        peak = np.max(np.abs(h_hat[idx]), axis=1)
+        idx, peak = idx[peak > 0.0], peak[peak > 0.0]
+        h_hat = h_hat.copy()
+        h_hat[idx] /= peak[:, None]
+        norms[idx] = np.linalg.norm(h_hat[idx], axis=1)
+        ok[idx] = True
+        h, h_hat, norms = h[ok], h_hat[ok], norms[ok]
+    v = np.conj(h_hat)
+    v /= norms[:, None]
+    g = np.einsum("ij,ij->i", h, v)
+    q = np.abs(g) ** 2
+    u = np.einsum("ij,ij->i", np.abs(h) ** 2, np.abs(v) ** 2)
+    return np.column_stack([g.real, g.imag, q, u])
 
-    Each sample runs the pilot chain (channel draw, distorted uplink pilot,
-    LMMSE estimate), then the beamformer v = conj(h_hat)/||h_hat||. The
-    three expectations E{h^T v}, E{|h^T v|^2}, sum_i E{|h_i|^2 |v_i|^2} are
-    estimated jointly from the common sample stream; the standard error of
-    log2(1 + SINR) follows by the delta method.
-    """
-    if n_samples < 1000:
-        raise ValueError("lower_bound_mc needs at least 1000 samples")
-    chunks = []
-    dropped = 0
-    for h, h_hat in pilot_chain(ul, n_samples, seed):
-        norms = np.linalg.norm(h_hat, axis=1)
-        ok = norms > 0.0
-        dropped += len(h) - int(np.sum(ok))
-        v = np.conj(h_hat[ok]) / norms[ok, None]
-        g = np.einsum("ij,ij->i", h[ok], v)
-        q = np.abs(g) ** 2
-        u = np.einsum("ij,ij->i", np.abs(h[ok]) ** 2, np.abs(v) ** 2)
-        chunks.append(np.column_stack([g.real, g.imag, q, u]))
+
+def _rate_estimate(x: np.ndarray, dl: DownlinkConfig,
+                   n_samples: int) -> MonteCarloEstimate:
+    """log2(1 + SINR) of the approximate-MRT bound from the rows of
+    ``_mrt_stats``, with its delta-method standard error."""
+    dropped = n_samples - x.shape[0]
     if dropped > 0.001 * n_samples:
         raise RuntimeError(
             f"{dropped} of {n_samples} draws produced a zero channel estimate"
         )
-    x = np.vstack(chunks)
     n_eff = x.shape[0]
     mean = x.mean(axis=0)
     cov = np.cov(x, rowvar=False)
@@ -212,6 +221,35 @@ def lower_bound_mc(ul: UplinkConfig, dl: DownlinkConfig, n_samples: int,
     var = float(grad @ cov @ grad) / n_eff
     return MonteCarloEstimate(value=value, std_error=math.sqrt(max(var, 0.0)),
                               n_samples=n_eff)
+
+
+def lower_bound_mc_batch(links, n_samples: int,
+                         seed: int) -> list[MonteCarloEstimate]:
+    """``lower_bound_mc`` of each (ul, dl) pair in ``links`` over one shared
+    pilot chain: the uplink configs share R and S (see ``pilot_chain``)."""
+    if n_samples < 1000:
+        raise ValueError("lower_bound_mc needs at least 1000 samples")
+    links = list(links)
+    chunks = [[] for _ in links]
+    for i, h, h_hat in pilot_chain([ul for ul, _ in links], n_samples, seed):
+        chunks[i].append(_mrt_stats(h, h_hat))
+        del h_hat  # freed before the chain forms the next config's estimate
+    return [_rate_estimate(np.vstack(c), dl, n_samples)
+            for c, (_, dl) in zip(chunks, links)]
+
+
+def lower_bound_mc(ul: UplinkConfig, dl: DownlinkConfig, n_samples: int,
+                   seed: int) -> MonteCarloEstimate:
+    """Monte-Carlo achievable-rate lower bound with approximate MRT.
+
+    Each sample runs the pilot chain (channel draw, distorted uplink pilot,
+    LMMSE estimate), then the beamformer v = conj(h_hat)/||h_hat||. The
+    three expectations E{h^T v}, E{|h^T v|^2}, sum_i E{|h_i|^2 |v_i|^2} are
+    estimated jointly from the common sample stream; the standard error of
+    log2(1 + SINR) follows by the delta method. Draws whose estimate is
+    exactly zero are dropped; more than 0.1 % of them raise RuntimeError.
+    """
+    return lower_bound_mc_batch([(ul, dl)], n_samples, seed)[0]
 
 
 def lower_bound_asymptotic(ul: UplinkConfig, dl: DownlinkConfig,

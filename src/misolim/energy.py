@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .capacity import DownlinkConfig, MonteCarloEstimate, lower_bound_mc
+from .capacity import DownlinkConfig, MonteCarloEstimate, lower_bound_mc_batch
 from .estimation import ImpairmentProfile, UplinkConfig
 from .randmat import derive_seed
 
@@ -100,21 +100,36 @@ def warn_if_inadmissible(ecfg: EnergyConfig) -> None:
             "not apply", stacklevel=3)
 
 
+def ee_points(n: int, channel, specs, n_samples: int,
+              seed: int) -> list[EnergyPoint]:
+    """Sweep points of an n-antenna array on one shared pilot chain:
+    ``channel`` is its (R, S, sigma2_ut), ``specs`` lists one
+    (EnergyConfig, hardware name, ImpairmentProfile) per point, and each
+    rate is the Monte-Carlo lower bound at that point's scaled powers."""
+    r, s, sigma2 = channel
+    links = []
+    for ecfg, _, imp in specs:
+        p_bs = scaled_power(ecfg.p_bs_base, n, ecfg.t_bs)
+        p_ut = scaled_power(ecfg.p_ut_base, n, ecfg.t_ut)
+        links.append((UplinkConfig(r=r, s=s, p_ut=p_ut, imp=imp),
+                      DownlinkConfig(p_bs=p_bs, sigma2_ut=sigma2, imp=imp)))
+    caps = lower_bound_mc_batch(links, n_samples, seed)
+    points = []
+    for (ecfg, hardware, imp), (ul, dl), cap in zip(specs, links, caps):
+        points.append(EnergyPoint(
+            n=n, hardware=hardware, imp=imp, p_bs=dl.p_bs, p_ut=ul.p_ut,
+            capacity=cap,
+            ee=energy_efficiency(cap.value, dl.p_bs, ul.p_ut, ecfg, n=n),
+            # the efficiency is linear in the rate, so it scales the SE alike
+            ee_std_error=energy_efficiency(cap.std_error, dl.p_bs, ul.p_ut,
+                                           ecfg, n=n)))
+    return points
+
+
 def ee_point(ecfg: EnergyConfig, n: int, channel, hardware: str,
              imp: ImpairmentProfile, n_samples: int, seed: int) -> EnergyPoint:
-    """One sweep point: ``channel`` is the (R, S, sigma2_ut) of an n-antenna
-    array, the rate the Monte-Carlo lower bound at the scaled powers."""
-    r, s, sigma2 = channel
-    p_bs = scaled_power(ecfg.p_bs_base, n, ecfg.t_bs)
-    p_ut = scaled_power(ecfg.p_ut_base, n, ecfg.t_ut)
-    ul = UplinkConfig(r=r, s=s, p_ut=p_ut, imp=imp)
-    dl = DownlinkConfig(p_bs=p_bs, sigma2_ut=sigma2, imp=imp)
-    cap = lower_bound_mc(ul, dl, n_samples, seed)
-    return EnergyPoint(
-        n=n, hardware=hardware, imp=imp, p_bs=p_bs, p_ut=p_ut, capacity=cap,
-        ee=energy_efficiency(cap.value, p_bs, p_ut, ecfg, n=n),
-        # the efficiency is linear in the rate, so it scales the SE alike
-        ee_std_error=energy_efficiency(cap.std_error, p_bs, p_ut, ecfg, n=n))
+    """One sweep point: ``ee_points`` of the single (ecfg, hardware, imp)."""
+    return ee_points(n, channel, [(ecfg, hardware, imp)], n_samples, seed)[0]
 
 
 def ee_sweep(channel_model, ecfg: EnergyConfig, n_grid,

@@ -227,15 +227,33 @@ def error_floor_iid(lam: float, kappa_t_ut: float, kappa_r_bs: float) -> float:
     return lam * (1.0 - 1.0 / (1.0 + (kappa_t_ut + kappa_r_bs)))
 
 
+def _standard_draws(s: CovarianceMatrix, h: np.ndarray,
+                    rng: np.random.Generator):
+    """What the uplink distortion and noise of a (count, N) batch of channels
+    are made of, drawn in this order: w_t ~ CN(0, 1) per row, nu ~ CN(0, S),
+    and |h| w_r with w_r ~ CN(0, 1) per entry."""
+    count, n = h.shape
+    w_t = sample_scalar_cn(1.0, rng, size=count)
+    nu = sample_cn(s, rng, size=count)
+    hw_r = sample_scalar_cn(1.0, rng, size=(count, n))
+    hw_r *= np.abs(h)
+    return w_t, nu, hw_r
+
+
+def _observe(cfg: UplinkConfig, h: np.ndarray, w_t: np.ndarray,
+             nu: np.ndarray, hw_r: np.ndarray) -> np.ndarray:
+    """z = h (d + eta_t) + nu + eta_r with eta_t = sqrt(kappa_t_ut p) w_t
+    and eta_r = sqrt(kappa_r_bs p) |h| w_r, from ``_standard_draws``."""
+    z = h * (cfg.d + math.sqrt(cfg.imp.kappa_t_ut * cfg.p_ut) * w_t)[:, None]
+    z += nu
+    z += math.sqrt(cfg.imp.kappa_r_bs * cfg.p_ut) * hw_r
+    return z
+
+
 def _simulate_uplink_batch(cfg: UplinkConfig, h: np.ndarray,
                            rng: np.random.Generator) -> np.ndarray:
     """Vectorized uplink draws for a (count, N) batch of channels."""
-    count, n = h.shape
-    eta_t = sample_scalar_cn(cfg.imp.kappa_t_ut * cfg.p_ut, rng, size=count)
-    nu = sample_cn(cfg.s, rng, size=count)
-    eta_r = (np.sqrt(cfg.imp.kappa_r_bs * cfg.p_ut) * np.abs(h)
-             * sample_scalar_cn(1.0, rng, size=(count, n)))
-    return h * (cfg.d + eta_t)[:, None] + nu + eta_r
+    return _observe(cfg, h, *_standard_draws(cfg.s, h, rng))
 
 
 def simulate_uplink(cfg: UplinkConfig, h: np.ndarray,
@@ -256,26 +274,66 @@ def simulate_uplink(cfg: UplinkConfig, h: np.ndarray,
 _CHUNK = 2048
 
 
-def pilot_chain(cfg: UplinkConfig, n_samples: int, seed: int):
-    """Channel draw, distorted uplink pilot, LMMSE estimate: yields (h, h_hat)
-    batches of up to _CHUNK rows, n_samples in all. Chunk j draws from
-    ``substream(seed, j)``, so results do not depend on how work is split."""
-    a = lmmse_filter(cfg)
+def pilot_chain(cfgs, n_samples: int, seed: int):
+    """Channel draw, distorted uplink pilot, LMMSE estimate for configs that
+    share R and S (the same objects): yields (i, h, h_hat) for config i,
+    in batches of up to _CHUNK rows, n_samples rows per config in all.
+
+    Chunk j draws h and the standard draws of the distortion and noise once
+    from ``substream(seed, j)``; every config scales those same draws by its
+    own p and kappa and applies its own filter. So config i gives the same
+    bits in any batch, and results do not depend on how work is split.
+    """
+    cfgs = list(cfgs)
+    r, s = cfgs[0].r, cfgs[0].s
+    if any(cfg.r is not r or cfg.s is not s for cfg in cfgs):
+        raise ValueError("the configs of one pilot chain must share R and S")
     for j, start in enumerate(range(0, n_samples, _CHUNK)):
         rng = substream(seed, j)
-        h = sample_cn(cfg.r, rng, size=min(_CHUNK, n_samples - start))
-        z = _simulate_uplink_batch(cfg, h, rng)
-        yield h, z * a if np.ndim(a) == 0 else z @ a.T
+        h = sample_cn(r, rng, size=min(_CHUNK, n_samples - start))
+        draws = _standard_draws(s, h, rng)
+        for i, cfg in enumerate(cfgs):
+            h_hat = _estimate_rows(cfg, h, draws)
+            if i == len(cfgs) - 1:
+                del draws  # not needed while the caller uses this chunk
+            yield i, h, h_hat
+            del h_hat  # only the caller holds it while the next is formed
 
 
-def empirical_mse(cfg: UplinkConfig, n_samples: int, seed: int):
-    """Monte-Carlo per-antenna MSE over the pilot chain."""
+def _estimate_rows(cfg: UplinkConfig, h: np.ndarray, draws) -> np.ndarray:
+    """LMMSE estimates of the rows of h from their ``_standard_draws``.
+    The filter is formed here, one config at a time: holding every
+    config's N x N filter would cost that much memory each."""
+    a = lmmse_filter(cfg)
+    z = _observe(cfg, h, *draws)
+    if np.ndim(a) == 0:
+        z *= a
+        return z
+    return z @ a.T
+
+
+def empirical_mse_batch(cfgs, n_samples: int,
+                        seed: int) -> list[MonteCarloEstimate]:
+    """Monte-Carlo per-antenna MSE of each config over one shared pilot
+    chain (see ``pilot_chain``)."""
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
-    e = np.concatenate([np.sum(np.abs(h_hat - h) ** 2, axis=1) / cfg.dim
-                        for h, h_hat in pilot_chain(cfg, n_samples, seed)])
-    return MonteCarloEstimate(
-        value=float(np.mean(e)),
-        std_error=float(np.std(e, ddof=1) / math.sqrt(len(e))),
-        n_samples=len(e),
-    )
+    cfgs = list(cfgs)
+    e = [[] for _ in cfgs]
+    for i, h, h_hat in pilot_chain(cfgs, n_samples, seed):
+        h_hat -= h  # the chain's h is shared, its h_hat is not
+        e[i].append(np.sum(np.abs(h_hat) ** 2, axis=1) / cfgs[i].dim)
+        del h_hat  # freed before the chain forms the next config's estimate
+    out = []
+    for ei in map(np.concatenate, e):
+        out.append(MonteCarloEstimate(
+            value=float(np.mean(ei)),
+            std_error=float(np.std(ei, ddof=1) / math.sqrt(len(ei))),
+            n_samples=len(ei)))
+    return out
+
+
+def empirical_mse(cfg: UplinkConfig, n_samples: int,
+                  seed: int) -> MonteCarloEstimate:
+    """Monte-Carlo per-antenna MSE over the pilot chain."""
+    return empirical_mse_batch([cfg], n_samples, seed)[0]

@@ -9,9 +9,10 @@ Each experiment reproduces one of the standard performance figures:
 
 Output schema is fixed: experiment,n,snr_db,kappa_bs,kappa_ut,t,metric,
 value,std_error. Analytic metrics leave std_error empty. Tables are
-byte-identical given (config, seed), regardless of worker count: every
-grid point computes from a seed derived from (seed, point index) and
-output rows follow grid order, not completion order.
+byte-identical given (config, seed), regardless of worker count: the
+grid points that share an array size N share one Monte-Carlo draw set,
+seeded by derive_seed(seed, N), and output rows follow grid order, not
+completion order.
 """
 
 from __future__ import annotations
@@ -21,20 +22,19 @@ import numbers
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import product
 
 from .capacity import (
     DownlinkConfig,
     capacity_ideal_jensen,
     capacity_upper_bound,
-    lower_bound_mc,
+    lower_bound_mc_batch,
     upper_limit_large_n,
 )
-from .energy import EnergyConfig, ee_point, warn_if_inadmissible
+from .energy import EnergyConfig, ee_points, warn_if_inadmissible
 from .estimation import (
     ImpairmentProfile,
     UplinkConfig,
-    empirical_mse,
+    empirical_mse_batch,
     error_floor,
     mse_per_antenna,
 )
@@ -145,16 +145,20 @@ def write_csv(table: SweepTable, path) -> None:
         fh.write(csv_text(table))
 
 
-def _sweep(point_fn, grid: list, workers: int) -> SweepTable:
-    """Run ``point_fn(point)`` for each grid point on up to ``workers``
-    threads and join their tables in grid order, whatever the pool size.
-    Callers build covariances before the sweep: no thread factors one."""
-    if workers <= 1 or len(grid) <= 1:
-        subs = [point_fn(point) for point in grid]
+def _sweep(group_fn, n_grid: list, grid: list, workers: int) -> SweepTable:
+    """Run ``group_fn(n)`` once per array size on up to ``workers`` threads
+    and join the rows of the grid points in ``grid`` order, whatever the
+    pool size. ``group_fn(n)`` returns {grid point: SweepTable} for every
+    point with that n. Callers build covariances before the sweep: no
+    thread factors one."""
+    sizes = list(dict.fromkeys(n_grid))
+    if workers <= 1 or len(sizes) <= 1:
+        groups = [group_fn(n) for n in sizes]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            subs = list(pool.map(point_fn, grid))
-    return SweepTable([row for sub in subs for row in sub.rows])
+            groups = list(pool.map(group_fn, sizes))
+    tables = {point: sub for group in groups for point, sub in group.items()}
+    return SweepTable([row for point in grid for row in tables[point].rows])
 
 
 def _progress(msg: str) -> None:
@@ -175,29 +179,30 @@ def run_estimation_error(cfg: ExperimentConfig) -> SweepTable:
     covs = {n: (exponential_correlation(n, EXP_CORR_RHO),
                 CovarianceMatrix.identity(n)) for n in n_grid}
     imps = {k: ImpairmentProfile(kappa_t_ut=k, kappa_r_bs=k) for k in kappas}
-    grid = list(enumerate((n, k) for n in n_grid for k in kappas))
+    points = list(dict.fromkeys((k, snr_db) for k in kappas
+                                for snr_db in snrs))
 
-    def one_point(point):
-        idx, (n, kappa) = point
-        _progress(f"estimation-error: N={n} kappa={kappa:g}")
-        (r, s), imp = covs[n], imps[kappa]
-        sub = SweepTable()
-        floor = None
-        for j, snr_db in enumerate(snrs):
-            p_ut = db_to_linear(snr_db) * s.trace() / r.trace()
-            ul = UplinkConfig(r=r, s=s, p_ut=p_ut, imp=imp)
-            if floor is None:
-                floor = error_floor(ul).trace() / n
-            kw = dict(n=n, snr_db=snr_db, kappa_bs=kappa, kappa_ut=kappa)
+    def one_n(n):
+        _progress(f"estimation-error: N={n} ({len(points)} points)")
+        r, s = covs[n]
+        uls = [UplinkConfig(r=r, s=s, p_ut=db_to_linear(snr_db) * s.trace()
+                            / r.trace(), imp=imps[k]) for k, snr_db in points]
+        ests = empirical_mse_batch(uls, cfg.samples_for(n),
+                                   derive_seed(cfg.seed, n))
+        floors, out = {}, {}
+        for (k, snr_db), ul, est in zip(points, uls, ests):
+            if k not in floors:
+                floors[k] = error_floor(ul).trace() / n
+            sub = out[n, k, snr_db] = SweepTable()
+            kw = dict(n=n, snr_db=snr_db, kappa_bs=k, kappa_ut=k)
             sub.add(exp, "mse_analytic", mse_per_antenna(ul), **kw)
-            sub.add(exp, "mse_floor", floor, **kw)
-            est = empirical_mse(ul, cfg.samples_for(n),
-                                derive_seed(cfg.seed, idx, j))
+            sub.add(exp, "mse_floor", floors[k], **kw)
             sub.add(exp, "mse_empirical", est.value, std_error=est.std_error,
                     **kw)
-        return sub
+        return out
 
-    return _sweep(one_point, grid, cfg.workers)
+    grid = [(n, k, snr_db) for n in n_grid for k in kappas for snr_db in snrs]
+    return _sweep(one_n, n_grid, grid, cfg.workers)
 
 
 # ---------------------------------------------------------------------------
@@ -221,30 +226,34 @@ def run_capacity(cfg: ExperimentConfig) -> SweepTable:
     covs = {n: CovarianceMatrix.identity(n) for n in n_grid}  # R = S = I
     ut = {k: k if vs_n else KAPPA_UT_FIXED for k in kappas}
     imps = {k: ImpairmentProfile(k, k, ut[k], ut[k]) for k in kappas}
-    grid = list(enumerate((n, k) for k in kappas for n in n_grid))
 
-    def one_point(point):
-        idx, (n, kappa_bs) = point
-        kappa_ut, imp = ut[kappa_bs], imps[kappa_bs]
-        _progress(f"{exp}: N={n} kappa_bs={kappa_bs:g} kappa_ut={kappa_ut:g}")
+    def one_n(n):
+        _progress(f"{exp}: N={n} ({len(imps)} points)")
         r = s = covs[n]
-        snr = db_to_linear(snr_db)
-        p = snr * s.trace() / r.trace()
+        p = db_to_linear(snr_db) * s.trace() / r.trace()
         sigma2 = s.trace() / n  # per-antenna noise level
-        ul = UplinkConfig(r=r, s=s, p_ut=p, imp=imp)
-        dl = DownlinkConfig(p_bs=p, sigma2_ut=sigma2, imp=imp)
-        sub = SweepTable()
-        kw = dict(n=n, snr_db=snr_db, kappa_bs=kappa_bs, kappa_ut=kappa_ut)
-        sub.add(exp, "capacity_upper", capacity_upper_bound(r, dl), **kw)
-        est = lower_bound_mc(ul, dl, cfg.samples_for(n),
-                             derive_seed(cfg.seed, idx))
-        sub.add(exp, "capacity_lower", est.value, std_error=est.std_error, **kw)
-        if vs_n:
-            sub.add(exp, "capacity_ideal", capacity_ideal_jensen(r, dl), **kw)
-            sub.add(exp, "ceiling_large_n", upper_limit_large_n(kappa_ut), **kw)
-        return sub
+        links = [(UplinkConfig(r=r, s=s, p_ut=p, imp=imps[k]),
+                  DownlinkConfig(p_bs=p, sigma2_ut=sigma2, imp=imps[k]))
+                 for k in imps]
+        ests = lower_bound_mc_batch(links, cfg.samples_for(n),
+                                    derive_seed(cfg.seed, n))
+        out = {}
+        for kappa_bs, (_, dl), est in zip(imps, links, ests):
+            kappa_ut = ut[kappa_bs]
+            sub = out[kappa_bs, n] = SweepTable()
+            kw = dict(n=n, snr_db=snr_db, kappa_bs=kappa_bs, kappa_ut=kappa_ut)
+            sub.add(exp, "capacity_upper", capacity_upper_bound(r, dl), **kw)
+            sub.add(exp, "capacity_lower", est.value, std_error=est.std_error,
+                    **kw)
+            if vs_n:
+                sub.add(exp, "capacity_ideal", capacity_ideal_jensen(r, dl),
+                        **kw)
+                sub.add(exp, "ceiling_large_n", upper_limit_large_n(kappa_ut),
+                        **kw)
+        return out
 
-    return _sweep(one_point, grid, cfg.workers)
+    grid = [(k, n) for k in kappas for n in n_grid]
+    return _sweep(one_n, n_grid, grid, cfg.workers)
 
 
 # ---------------------------------------------------------------------------
@@ -267,29 +276,31 @@ def run_energy_efficiency(cfg: ExperimentConfig) -> SweepTable:
     channels = {n: (exponential_correlation(n, EXP_CORR_RHO),
                     CovarianceMatrix.identity(n).scaled(sigma2), sigma2)
                 for n in n_grid}
-    ecfgs = [EnergyConfig(p_bs_base=EE_P_BASE_W, p_ut_base=EE_P_BASE_W,
-                          t_bs=t, t_ut=t) for t in t_grid]
-    for ecfg in ecfgs:
+    ecfgs = {t: EnergyConfig(p_bs_base=EE_P_BASE_W, p_ut_base=EE_P_BASE_W,
+                             t_bs=t, t_ut=t) for t in t_grid}
+    for ecfg in ecfgs.values():
         warn_if_inadmissible(ecfg)
-    cells = [(n, name, imp) for n in n_grid for name, imp in profiles.items()]
-    grid = list(product(enumerate(t_grid), enumerate(cells)))
+    specs = [(ecfg, name, imp) for ecfg in ecfgs.values()
+             for name, imp in profiles.items()]
 
-    def one_point(point):
-        (ti, t), (j, (n, name, imp)) = point
-        _progress(f"energy-efficiency: t={t:g} N={n} hardware={name}")
-        # the seed of point j in ee_sweep(..., derive_seed(cfg.seed, ti))
-        pt = ee_point(ecfgs[ti], n, channels[n], name, imp, cfg.samples_for(n),
-                      derive_seed(derive_seed(cfg.seed, ti), j))
-        sub = SweepTable()
-        kw = dict(n=n, snr_db=EE_SNR_BASE_DB - 10.0 * t * math.log10(n),
-                  kappa_bs=imp.kappa_t_bs, kappa_ut=imp.kappa_t_ut, t=t)
-        sub.add("energy-efficiency", "ee", pt.ee,
-                std_error=pt.ee_std_error, **kw)
-        sub.add("energy-efficiency", "capacity_lower", pt.capacity.value,
-                std_error=pt.capacity.std_error, **kw)
-        return sub
+    def one_n(n):
+        _progress(f"energy-efficiency: N={n} ({len(specs)} points)")
+        pts = ee_points(n, channels[n], specs, cfg.samples_for(n),
+                        derive_seed(cfg.seed, n))
+        out = {}
+        for (ecfg, name, imp), pt in zip(specs, pts):
+            t = ecfg.t_bs
+            sub = out[t, n, name] = SweepTable()
+            kw = dict(n=n, snr_db=EE_SNR_BASE_DB - 10.0 * t * math.log10(n),
+                      kappa_bs=imp.kappa_t_bs, kappa_ut=imp.kappa_t_ut, t=t)
+            sub.add("energy-efficiency", "ee", pt.ee,
+                    std_error=pt.ee_std_error, **kw)
+            sub.add("energy-efficiency", "capacity_lower", pt.capacity.value,
+                    std_error=pt.capacity.std_error, **kw)
+        return out
 
-    return _sweep(one_point, grid, cfg.workers)
+    grid = [(t, n, name) for t in t_grid for n in n_grid for name in profiles]
+    return _sweep(one_n, n_grid, grid, cfg.workers)
 
 
 RUNNERS = {

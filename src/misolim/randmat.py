@@ -195,14 +195,13 @@ def sample_cn(m, rng: np.random.Generator, size: int | None = None) -> np.ndarra
     """
     cov = _as_cov(m)
     n = cov.dim
-    shape = (n,) if size is None else (int(size), n)
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    w = (re + 1j * im) / np.sqrt(2.0)
+    w = _re_plus_j_im(rng, (n,) if size is None else (int(size), n))
+    w /= np.sqrt(2.0)
     if cov.identity_scale is None:
         return w @ cov.factor.T
     # the product with sqrt(c) I, one entry at a time
-    return w * np.sqrt(cov.identity_scale)
+    w *= np.sqrt(cov.identity_scale)
+    return w
 
 
 def sample_scalar_cn(variance: float, rng: np.random.Generator,
@@ -211,10 +210,21 @@ def sample_scalar_cn(variance: float, rng: np.random.Generator,
     variance = float(variance)
     if variance < 0.0 or not np.isfinite(variance):
         raise ValueError(f"variance must be nonnegative, got {variance}")
-    re = rng.standard_normal(size)
-    im = rng.standard_normal(size)
-    x = np.sqrt(variance / 2.0) * (re + 1j * im)
+    x = _re_plus_j_im(rng, () if size is None else size)
+    x *= np.sqrt(variance / 2.0)
     return complex(x) if size is None else x
+
+
+def _re_plus_j_im(rng: np.random.Generator, shape) -> np.ndarray:
+    """re + 1j * im for a block ``re`` of standard normals and then a block
+    ``im``, written into one complex array: the bits of that expression
+    without its three complex temporaries."""
+    x = np.empty(shape, dtype=np.complex128)
+    block = rng.standard_normal(shape)
+    x.real = block
+    rng.standard_normal(out=block)
+    x.imag = block
+    return x
 
 
 def _seed_sequence(seed: int, key) -> np.random.SeedSequence:

@@ -7,7 +7,7 @@ continued fraction for x > 1.
 The capacity bound needs 1 - x e^x E1(x), whose naive composition
 overflows in e^x long before the value (which tends to 1/x) degrades.
 It is computed here as e^x E2(x) via the n = 2 continued fraction, which
-never forms e^x.
+never forms e^x, and beyond _ASYMPTOTIC_X via the asymptotic series.
 """
 
 from __future__ import annotations
@@ -21,6 +21,11 @@ E1_UNDERFLOW = 700.0
 
 _MAX_ITER = 10_000
 _TINY = 1e-300
+
+# From here on the asymptotic series of e^x E2(x) reaches full precision
+# within three terms; the continued fraction stalls a rounding step short
+# of its stopping test for some x above 1e16.
+_ASYMPTOTIC_X = 1e8
 
 
 def _check_positive(x: float) -> float:
@@ -67,6 +72,18 @@ def _en_cf(x: float, n: int) -> float:
     raise RuntimeError("exponential-integral continued fraction failed to converge")
 
 
+def _e2_asymptotic(x: float) -> float:
+    # e^x E2(x) = (1/x) sum_k (-1)^k (k+1)! / x^k (A&S 5.1.51), summed up
+    # to the first term below 1e-17; x >= _ASYMPTOTIC_X.
+    total = term = 1.0
+    k = 1
+    while abs(term) >= 1e-17:
+        term *= -(k + 1) / x
+        total += term
+        k += 1
+    return total / x
+
+
 def exp_integral_e1(x: float) -> float:
     """E1(x) for x > 0, relative error <= 1e-12 on [1e-8, 700].
 
@@ -89,4 +106,6 @@ def one_minus_x_ex_e1(x: float) -> float:
     x = _check_positive(x)
     if x <= 1.0:
         return 1.0 - x * math.exp(x) * _e1_series(x)
+    if x >= _ASYMPTOTIC_X:
+        return _e2_asymptotic(x)
     return _en_cf(x, 2)

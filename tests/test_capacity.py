@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from misolim.capacity import (
     DownlinkConfig,
+    _mrt_stats,
     MonteCarloEstimate,
     capacity_ideal_jensen,
     capacity_upper_bound,
@@ -287,6 +288,30 @@ class TestLowerBoundMc:
         a = lower_bound_mc(ul, dl, 3_000, seed=9)
         b = lower_bound_mc(ul, dl, 3_000, seed=9)
         assert a == b
+
+    def test_tiny_estimates_are_not_dropped(self):
+        # |h_hat|^2 ~ 1e-600 underflows, yet no estimate is zero
+        for r in (CovarianceMatrix.identity(1).scaled(1e-300),
+                  CovarianceMatrix(1e-300 * np.eye(3))):
+            ul = UplinkConfig(r=r, s=CovarianceMatrix.identity(r.dim),
+                              p_ut=1.0)
+            est = lower_bound_mc(ul, make_dl(p=1.0), 1000, seed=1)
+            assert est.n_samples == 1000
+            assert math.isfinite(est.value) and est.value >= 0.0
+
+    def test_beamformer_stats_scale_free(self):
+        # rows whose plain norm underflows give the beamformer of the
+        # unscaled row; zero rows are dropped
+        rng = substream(12)
+        h = sample_cn(CovarianceMatrix.identity(4), rng, size=6)
+        h_hat = sample_cn(CovarianceMatrix.identity(4), rng, size=6)
+        tiny = h_hat.copy()
+        tiny[1:4] *= 1e-300
+        tiny[4] = 0.0
+        keep = [0, 1, 2, 3, 5]
+        np.testing.assert_allclose(_mrt_stats(h, tiny),
+                                   _mrt_stats(h[keep], h_hat[keep]),
+                                   rtol=1e-14)
 
 
 class TestScaledIdentityBounds:

@@ -9,19 +9,27 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from misolim.capacity import DownlinkConfig, capacity_upper_bound, lower_bound_mc
+from misolim.capacity import (
+    DownlinkConfig,
+    capacity_upper_bound,
+    lower_bound_mc,
+    lower_bound_mc_batch,
+)
 from misolim.estimation import (
+    _CHUNK,
     ImpairmentProfile,
     SingularMatrixError,
     UplinkConfig,
     _simulate_uplink_batch,
     empirical_mse,
+    empirical_mse_batch,
     error_covariance,
     error_floor,
     error_floor_iid,
     estimate,
     lmmse_filter,
     mse_per_antenna,
+    pilot_chain,
     simulate_uplink,
 )
 from misolim.randmat import (
@@ -360,3 +368,61 @@ class TestScaledIdentityMatchesDense:
 
         agree(lambda cfg: empirical_mse(cfg, 100, 3), value_and_se)
         agree(lambda cfg: lower_bound_mc(cfg, dl, 1000, 3), value_and_se)
+
+
+class TestSharedDraws:
+    """Configs that share R and S share one draw set: config i of a batch
+    gives the bits of a batch of that config alone."""
+
+    @staticmethod
+    def batch(r):
+        s = CovarianceMatrix.identity(r.dim).scaled(0.5)
+        return [
+            UplinkConfig(r=r, s=s, p_ut=1.0),
+            UplinkConfig(r=r, s=s, p_ut=100.0,
+                         imp=ImpairmentProfile(kappa_t_ut=0.0025,
+                                               kappa_r_bs=0.01)),
+            UplinkConfig(r=r, s=s, p_ut=4.0, d=2.0 * np.exp(0.3j),
+                         imp=ImpairmentProfile.uniform(0.02)),
+        ]
+
+    @staticmethod
+    def chain(cfgs, n_samples, seed):
+        out = [([], []) for _ in cfgs]
+        for i, h, h_hat in pilot_chain(cfgs, n_samples, seed):
+            out[i][0].append(h)
+            out[i][1].append(h_hat)
+        return [(np.concatenate(h), np.concatenate(h_hat)) for h, h_hat in out]
+
+    @pytest.mark.parametrize("n_samples", [1000, _CHUNK + 100, 2 * _CHUNK + 1])
+    @pytest.mark.parametrize("r", [exponential_correlation(3, 0.7),
+                                   CovarianceMatrix.identity(3).scaled(2.0)],
+                             ids=["dense", "scaled-identity"])
+    def test_config_bits_do_not_depend_on_batch(self, r, n_samples):
+        cfgs = self.batch(r)
+        batch = self.chain(cfgs, n_samples, seed=5)
+        mse = empirical_mse_batch(cfgs, n_samples, seed=5)
+        dls = [DownlinkConfig(p_bs=cfg.p_ut, sigma2_ut=0.5, imp=cfg.imp)
+               for cfg in cfgs]
+        rates = lower_bound_mc_batch(list(zip(cfgs, dls)), n_samples, seed=5)
+        for i, cfg in enumerate(cfgs):
+            (h, h_hat), = self.chain([cfg], n_samples, seed=5)
+            assert h.shape == (n_samples, 3)
+            np.testing.assert_array_equal(batch[i][0], h)
+            np.testing.assert_array_equal(batch[i][1], h_hat)
+            assert mse[i] == empirical_mse(cfg, n_samples, seed=5)
+            assert rates[i] == lower_bound_mc(cfg, dls[i], n_samples, seed=5)
+        # one channel draw set, one estimate per config
+        np.testing.assert_array_equal(batch[0][0], batch[2][0])
+        assert not np.array_equal(batch[0][1], batch[2][1])
+
+    def test_configs_must_share_covariances(self):
+        r = exponential_correlation(3, 0.7)
+        a, b, _ = self.batch(r)
+        other_s = UplinkConfig(r=r, s=CovarianceMatrix.identity(3), p_ut=1.0)
+        other_r = UplinkConfig(r=exponential_correlation(3, 0.7), s=a.s,
+                               p_ut=1.0)
+        for cfgs in ([a, other_s], [a, other_r]):
+            with pytest.raises(ValueError, match="share R and S"):
+                next(pilot_chain(cfgs, 10, seed=0))
+        assert len(list(pilot_chain([a, b], 10, seed=0))) == 2

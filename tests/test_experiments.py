@@ -116,10 +116,18 @@ class TestDeterminism:
 
     def test_worker_count_does_not_change_bytes(self, experiment, tmp_path):
         a = tmp_path / "w1.csv"
-        b = tmp_path / "w4.csv"
         write_csv(run_experiment(small_config(experiment, workers=1)), a)
-        write_csv(run_experiment(small_config(experiment, workers=4)), b)
-        assert a.read_bytes() == b.read_bytes()
+        for workers in (2, 4):
+            b = tmp_path / f"w{workers}.csv"
+            write_csv(run_experiment(small_config(experiment,
+                                                  workers=workers)), b)
+            assert a.read_bytes() == b.read_bytes(), workers
+
+    def test_rows_of_n_do_not_depend_on_other_n(self, experiment):
+        # one draw set per N, seeded by the value of N
+        both = run_experiment(small_config(experiment, n_grid=[8, 32]))
+        alone = run_experiment(small_config(experiment, n_grid=[32]))
+        assert [row for row in both.rows if row[1] == 32] == alone.rows
 
     def test_seed_change_moves_mc_columns_only(self, experiment):
         t1 = run_experiment(small_config(experiment, seed=1))

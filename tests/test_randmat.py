@@ -218,6 +218,45 @@ class TestSampleCn:
         assert np.max(np.abs(c4 - 4.0 * c1)) <= 3.0 * se
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape
+            and np.array_equal(np.atleast_1d(a).view(np.uint64),
+                               np.atleast_1d(b).view(np.uint64)))
+
+
+class TestDrawsMatchReferenceExpression:
+    """The draws are the bits of the expressions (re + 1j * im) / sqrt(2)
+    (then times the factor) and sqrt(v / 2) * (re + 1j * im), signed zeros
+    included, for a block re of standard normals followed by a block im."""
+
+    @staticmethod
+    def blocks(rng, shape):
+        re = rng.standard_normal(shape)
+        im = rng.standard_normal(shape)
+        return re + 1j * im
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    @pytest.mark.parametrize("size", [None, 1, 5, 2048])
+    def test_sample_cn(self, n, size):
+        shape = (n,) if size is None else (size, n)
+        for m in (exponential_correlation(n, 0.7), CovarianceMatrix.identity(n),
+                  CovarianceMatrix.identity(n).scaled(0.01),
+                  CovarianceMatrix.identity(n).scaled(0.0)):
+            w = self.blocks(substream(3, n), shape) / np.sqrt(2.0)
+            ref = (w @ m.factor.T if m.identity_scale is None
+                   else w * np.sqrt(m.identity_scale))
+            assert _same_bits(sample_cn(m, substream(3, n), size), ref)
+
+    @pytest.mark.parametrize("var", [0.0, 1e-300, 0.5, 1.0, 3.7, 1e300])
+    @pytest.mark.parametrize("size", [None, 1, 5, (3, 4), (2048, 7), (0, 3)])
+    def test_sample_scalar_cn(self, var, size):
+        ref = np.sqrt(var / 2.0) * self.blocks(substream(4), size)
+        x = sample_scalar_cn(var, substream(4), size)
+        assert isinstance(x, complex) == (size is None)
+        assert _same_bits(x, ref)
+
+
 class TestSampleScalarCn:
     def test_zero_variance(self):
         assert sample_scalar_cn(0.0, substream(0)) == 0.0

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from misolim import specfun
 from misolim.specfun import exp_integral_e1, one_minus_x_ex_e1
 
 
@@ -115,3 +116,19 @@ class TestOneMinusXExE1:
     def test_domain_errors(self, x):
         with pytest.raises(ValueError):
             one_minus_x_ex_e1(x)
+
+    def test_asymptotic_range(self):
+        # x f(x) = 1 - 2/x + 6/x^2 - ...; beyond about 1e16 the continued
+        # fraction used to raise RuntimeError for one x in eight. The bound
+        # allows for the rounding of x f(x) itself.
+        rng = np.random.default_rng(2024)
+        for x in 10.0 ** rng.uniform(8.0, 300.0, 2000):
+            f = one_minus_x_ex_e1(x)
+            assert abs(x * f - 1.0) <= 3.0 / x + 4 * np.finfo(float).eps, x
+
+    def test_continuous_at_asymptotic_switch(self):
+        x = specfun._ASYMPTOTIC_X
+        below = specfun._en_cf(np.nextafter(x, 0.0), 2)
+        assert one_minus_x_ex_e1(x) == pytest.approx(below, rel=4e-16)
+        assert specfun._en_cf(x, 2) == pytest.approx(one_minus_x_ex_e1(x),
+                                                     rel=4e-16)
