@@ -17,11 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimation import (
+    _BLOCK,
     ImpairmentProfile,
     MonteCarloEstimate,
     UplinkConfig,
-    error_covariance,
+    _bracket,
     lmmse_filter,
+    mse_per_antenna,
     pilot_chain,
 )
 from .randmat import CovarianceMatrix, sample_scalar_cn, substream
@@ -231,8 +233,19 @@ def lower_bound_mc_batch(links, n_samples: int,
         raise ValueError("lower_bound_mc needs at least 1000 samples")
     links = list(links)
     chunks = [[] for _ in links]
-    for i, h, h_hat in pilot_chain([ul for ul, _ in links], n_samples, seed):
-        chunks[i].append(_mrt_stats(h, h_hat))
+    for i, h, h_hat, v in pilot_chain([ul for ul, _ in links], n_samples,
+                                      seed):
+        if v is None:
+            chunks[i].append(_mrt_stats(h, h_hat))
+        else:
+            # u needs antenna values: the chunk's h is rotated back once,
+            # each estimate a block of rows at a time
+            if i == 0:
+                h_ant = None  # the last chunk's, freed before the product
+                h_ant = h @ v.T
+            for b in range(0, h.shape[0], _BLOCK):
+                rows = slice(b, b + _BLOCK)
+                chunks[i].append(_mrt_stats(h_ant[rows], h_hat[rows] @ v.T))
         del h_hat  # freed before the chain forms the next config's estimate
     return [_rate_estimate(np.vstack(c), dl, n_samples)
             for c, (_, dl) in zip(chunks, links)]
@@ -266,14 +279,26 @@ def lower_bound_asymptotic(ul: UplinkConfig, dl: DownlinkConfig,
     """
     if n_scalar_samples < 2:
         raise ValueError("need at least 2 scalar samples")
-    a = lmmse_filter(ul)
-    if np.ndim(a) == 0:  # the filter a I of scaled-identity R and S
-        a = a * np.eye(ul.dim)
-    c = error_covariance(ul)
-    tr_rc = ul.r.trace() - c.trace()
-    psi = ul.p_ut * ul.imp.kappa_r_bs * np.diag(ul.r.diagonal()) + ul.s.matrix
-    t_sig = float(np.real(np.trace(a @ ul.r.matrix @ a.conj().T)))
-    t_psi = float(np.real(np.trace(a @ psi @ a.conj().T)))
+    tr_rc = ul.r.trace() - ul.dim * mse_per_antenna(ul)
+    bracket = _bracket(ul)
+    if bracket is not None:
+        # A = V diag(a) V^H and Psi = beta I on R's eigenbasis; a scaled
+        # identity's filter is a I, with the scalar a of its own branch
+        alpha, beta = bracket
+        lam = np.clip(ul.r.eigenvalues, 0.0, None)
+        if ul.r.identity_scale is not None:
+            a = np.full(ul.dim, lmmse_filter(ul))
+        else:
+            a = np.conj(ul.d) * lam / (alpha * lam + beta)
+        a2 = np.abs(a) ** 2
+        t_sig = float(np.sum(a2 * lam))
+        t_psi = beta * float(np.sum(a2))
+    else:
+        a = lmmse_filter(ul)
+        psi = (ul.p_ut * ul.imp.kappa_r_bs * np.diag(ul.r.diagonal())
+               + ul.s.matrix)
+        t_sig = float(np.real(np.trace(a @ ul.r.matrix @ a.conj().T)))
+        t_psi = float(np.real(np.trace(a @ psi @ a.conj().T)))
 
     rng = substream(seed, 0)
     eta = sample_scalar_cn(ul.imp.kappa_t_ut * ul.p_ut, rng, size=n_scalar_samples)

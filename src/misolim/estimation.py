@@ -20,6 +20,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .randmat import (
     CovarianceMatrix,
+    _from_spectrum,
     nearly_psd,
     sample_cn,
     sample_scalar_cn,
@@ -135,6 +136,31 @@ def _cho_solve(m, b, singular: str):
     return cho_solve(f, b)
 
 
+def _bracket(cfg: UplinkConfig) -> tuple[float, float] | None:
+    """(alpha, beta) when R has a constant diagonal r0 and S = s I, else
+    None. Then M = alpha R + beta I, with alpha = p (1 + kappa_t_ut) and
+    beta = p kappa_r_bs r0 + s, commutes with R = V diag(lam) V^H, and
+    M^{-1} R = V diag(lam / (alpha lam + beta)) V^H."""
+    r0, s = cfg.r.constant_diagonal, cfg.s.identity_scale
+    if r0 is None or s is None:
+        return None
+    return (cfg.p_ut * (1.0 + cfg.imp.kappa_t_ut),
+            cfg.p_ut * cfg.imp.kappa_r_bs * r0 + s)
+
+
+def _eigenbasis(cfg: UplinkConfig):
+    """(lam, V, g, beta) for a dense R that ``_bracket`` accepts, None for
+    other configs (scaled identities keep their scalar branches): lam is
+    R's spectrum clipped at 0, as its factor is, and M^{-1} R =
+    V diag(g) V^H with g = lam / (alpha lam + beta)."""
+    bracket = _bracket(cfg)
+    if bracket is None or cfg.r.identity_scale is not None:
+        return None
+    alpha, beta = bracket
+    lam = np.clip(cfg.r.eigenvalues, 0.0, None)
+    return lam, cfg.r.eigenvectors, lam / (alpha * lam + beta), beta
+
+
 def _solve_against_r(cfg: UplinkConfig) -> np.ndarray | float:
     """M^{-1} R for M = p (1 + kappa_t_ut) R + p kappa_r_bs diag(R) + S;
     the scalar x of M^{-1} R = x I when R and S are scaled identities."""
@@ -158,6 +184,10 @@ def lmmse_filter(cfg: UplinkConfig) -> np.ndarray | complex:
     When R and S are scaled identities, A = a I and the scalar a is
     returned instead of the N x N array.
     """
+    basis = _eigenbasis(cfg)
+    if basis is not None:
+        _, v, g, _ = basis
+        return np.conj(cfg.d) * ((v * g) @ v.conj().T)
     x = _solve_against_r(cfg)
     # R M^{-1} = (M^{-1} R)^H since both R and M are Hermitian.
     return np.conj(cfg.d) * np.conj(x).T
@@ -186,6 +216,9 @@ def error_covariance(cfg: UplinkConfig) -> CovarianceMatrix:
     """
     if cfg.p_ut == 0.0:
         return cfg.r
+    basis = _eigenbasis(cfg)
+    if basis is not None:
+        return _from_spectrum(_error_spectrum(cfg, basis), basis[1])
     x = _solve_against_r(cfg)
     if np.ndim(x) == 0:
         r = cfg.r.identity_scale
@@ -194,8 +227,18 @@ def error_covariance(cfg: UplinkConfig) -> CovarianceMatrix:
     return nearly_psd(c, scale=cfg.r.max_eigenvalue)
 
 
+def _error_spectrum(cfg: UplinkConfig, basis) -> np.ndarray:
+    """Eigenvalues of C on R's eigenbasis: lam - p g lam in the form
+    g (p kappa_t_ut lam + beta), which cancels nothing."""
+    lam, _, g, beta = basis
+    return g * (cfg.p_ut * cfg.imp.kappa_t_ut * lam + beta)
+
+
 def mse_per_antenna(cfg: UplinkConfig) -> float:
     """tr(C) / N: mean-square estimation error per channel element."""
+    basis = _eigenbasis(cfg)
+    if basis is not None:
+        return float(np.sum(_error_spectrum(cfg, basis))) / cfg.dim
     return error_covariance(cfg).trace() / cfg.dim
 
 
@@ -206,6 +249,15 @@ def error_floor(cfg: UplinkConfig) -> CovarianceMatrix:
     """
     singular = ("high-power bracket is singular "
                 "(rank-deficient R with kappa_r_bs = 0)")
+    basis = _eigenbasis(cfg)
+    if basis is not None:
+        lam, v, _, _ = basis
+        kt, kr = cfg.imp.kappa_t_ut, cfg.imp.kappa_r_bs
+        kr_r0 = kr * cfg.r.constant_diagonal
+        den = (1.0 + kt) * lam + kr_r0
+        if np.any(den <= 0.0):
+            raise SingularMatrixError(singular)
+        return _from_spectrum(lam * (kt * lam + kr_r0) / den, v)
     r = cfg.r.identity_scale
     if r is not None:
         b = (1.0 + cfg.imp.kappa_t_ut) * r + cfg.imp.kappa_r_bs * r
@@ -246,7 +298,9 @@ def _observe(cfg: UplinkConfig, h: np.ndarray, w_t: np.ndarray,
     and eta_r = sqrt(kappa_r_bs p) |h| w_r, from ``_standard_draws``."""
     z = h * (cfg.d + math.sqrt(cfg.imp.kappa_t_ut * cfg.p_ut) * w_t)[:, None]
     z += nu
-    z += math.sqrt(cfg.imp.kappa_r_bs * cfg.p_ut) * hw_r
+    c = math.sqrt(cfg.imp.kappa_r_bs * cfg.p_ut)
+    for b in range(0, z.shape[0], _BLOCK):  # no chunk-sized temporary
+        z[b:b + _BLOCK] += c * hw_r[b:b + _BLOCK]
     return z
 
 
@@ -272,40 +326,64 @@ def simulate_uplink(cfg: UplinkConfig, h: np.ndarray,
 
 
 _CHUNK = 2048
+# Rows of a chunk that one elementwise temporary or rotation covers.
+_BLOCK = 256
 
 
 def pilot_chain(cfgs, n_samples: int, seed: int):
     """Channel draw, distorted uplink pilot, LMMSE estimate for configs that
-    share R and S (the same objects): yields (i, h, h_hat) for config i,
+    share R and S (the same objects): yields (i, h, h_hat, v) for config i,
     in batches of up to _CHUNK rows, n_samples rows per config in all.
 
     Chunk j draws h and the standard draws of the distortion and noise once
     from ``substream(seed, j)``; every config scales those same draws by its
     own p and kappa and applies its own filter. So config i gives the same
     bits in any batch, and results do not depend on how work is split.
+
+    v is None when the rows of h and h_hat are antenna values. When the
+    filter is diagonal in R's eigenbasis (see ``_eigenbasis``), v is R's
+    eigenvectors and the rows are coordinates in that basis: a row x holds
+    the antenna values x @ v.T. Row norms and inner products are the same
+    in both.
     """
     cfgs = list(cfgs)
     r, s = cfgs[0].r, cfgs[0].s
     if any(cfg.r is not r or cfg.s is not s for cfg in cfgs):
         raise ValueError("the configs of one pilot chain must share R and S")
+    v = None if _eigenbasis(cfgs[0]) is None else r.eigenvectors
     for j, start in enumerate(range(0, n_samples, _CHUNK)):
         rng = substream(seed, j)
         h = sample_cn(r, rng, size=min(_CHUNK, n_samples - start))
-        draws = _standard_draws(s, h, rng)
+        w_t, nu, hw_r = _standard_draws(s, h, rng)
+        if v is not None:
+            # z is linear in h, nu and |h| w_r: each is rotated once per
+            # chunk, and rebinding frees its antenna values
+            vc = v.conj()
+            h = h @ vc
+            nu = nu @ vc
+            hw_r = hw_r @ vc
+            del vc
+        draws = w_t, nu, hw_r
+        del nu, hw_r
         for i, cfg in enumerate(cfgs):
             h_hat = _estimate_rows(cfg, h, draws)
             if i == len(cfgs) - 1:
                 del draws  # not needed while the caller uses this chunk
-            yield i, h, h_hat
+            yield i, h, h_hat, v
             del h_hat  # only the caller holds it while the next is formed
 
 
 def _estimate_rows(cfg: UplinkConfig, h: np.ndarray, draws) -> np.ndarray:
     """LMMSE estimates of the rows of h from their ``_standard_draws``.
     The filter is formed here, one config at a time: holding every
-    config's N x N filter would cost that much memory each."""
-    a = lmmse_filter(cfg)
+    config's N x N filter would cost that much memory each. On R's
+    eigenbasis the filter is the diagonal d* g of ``_eigenbasis``."""
     z = _observe(cfg, h, *draws)
+    basis = _eigenbasis(cfg)
+    if basis is not None:
+        z *= np.conj(cfg.d) * basis[2]
+        return z
+    a = lmmse_filter(cfg)
     if np.ndim(a) == 0:
         z *= a
         return z
@@ -320,7 +398,8 @@ def empirical_mse_batch(cfgs, n_samples: int,
         raise ValueError("need at least 2 samples")
     cfgs = list(cfgs)
     e = [[] for _ in cfgs]
-    for i, h, h_hat in pilot_chain(cfgs, n_samples, seed):
+    # the error's row norms are the same in either basis of the chain
+    for i, h, h_hat, _ in pilot_chain(cfgs, n_samples, seed):
         h_hat -= h  # the chain's h is shared, its h_hat is not
         e[i].append(np.sum(np.abs(h_hat) ** 2, axis=1) / cfgs[i].dim)
         del h_hat  # freed before the chain forms the next config's estimate

@@ -26,13 +26,16 @@ class CovarianceMatrix:
     """Hermitian positive-semidefinite N x N complex covariance matrix.
 
     Construction validates Hermitian symmetry bit-exactly, a real
-    nonnegative diagonal, and min eigenvalue >= -PSD_TOL * ||M||. The same
-    eigendecomposition M = V diag(w) V^H gives ``factor`` = V sqrt(max(w, 0)),
-    so factor @ factor^H = M even for singular M. Both arrays are read-only.
+    nonnegative diagonal, and min eigenvalue >= -PSD_TOL * ||M||, and keeps
+    that eigendecomposition M = V diag(w) V^H: ``eigenvalues`` w ascending,
+    paired with the columns of ``eigenvectors`` V. ``factor`` =
+    V sqrt(max(w, 0)) is built on each access, so factor @ factor^H = M
+    even for singular M. ``constant_diagonal`` is r0 when every diagonal
+    entry equals r0, else None. All arrays are read-only.
 
     ``identity(n)`` and its ``scaled`` copies are c I and store only
     (n, c): ``identity_scale`` is c for them and None for a dense matrix.
-    Their ``matrix`` and ``factor`` are built on each access.
+    Their arrays are built on each access.
     """
 
     _scale = None
@@ -54,21 +57,23 @@ class CovarianceMatrix:
                 f"matrix is indefinite: min eigenvalue {eig[0]:.3e} "
                 f"below -{PSD_TOL:g} * {norm:.3e}"
             )
-        self._store(m, eig, v * np.sqrt(np.clip(eig, 0.0, None)))
+        self._store(m, eig, v)
 
-    def _store(self, m, eig, factor) -> "CovarianceMatrix":
-        m.flags.writeable = False
-        factor.flags.writeable = False
+    def _store(self, m, eig, v) -> "CovarianceMatrix":
+        for a in (m, eig, v):
+            a.flags.writeable = False
+        diag = np.diagonal(m).real
         self._n = m.shape[0]
         self._m = m
         self._eig = eig
-        self._factor = factor
+        self._v = v
+        self._diag0 = float(diag[0]) if np.all(diag == diag[0]) else None
         return self
 
     @classmethod
-    def _known(cls, m, eig, factor) -> "CovarianceMatrix":
-        """Unvalidated instance of a matrix with known spectrum and factor."""
-        return cls.__new__(cls)._store(m, eig, factor)
+    def _known(cls, m, eig, v) -> "CovarianceMatrix":
+        """Unvalidated instance of a matrix with known eigendecomposition."""
+        return cls.__new__(cls)._store(m, eig, v)
 
     @classmethod
     def _scaled_identity(cls, n: int, c: float) -> "CovarianceMatrix":
@@ -87,14 +92,17 @@ class CovarianceMatrix:
         return self._scale
 
     @property
+    def constant_diagonal(self) -> float | None:
+        """r0 when every diagonal entry equals r0, None otherwise."""
+        return self._scale if self._scale is not None else self._diag0
+
+    @property
     def dim(self) -> int:
         return self._n
 
     def _eye(self, c) -> np.ndarray:
         """A new read-only c I, n x n."""
-        m = c * np.eye(self._n, dtype=np.complex128)
-        m.flags.writeable = False
-        return m
+        return _frozen(c * np.eye(self._n, dtype=np.complex128))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -103,8 +111,18 @@ class CovarianceMatrix:
     @property
     def factor(self) -> np.ndarray:
         if self._scale is None:
-            return self._factor
+            return _frozen(self._v * np.sqrt(np.clip(self._eig, 0.0, None)))
         return self._eye(np.sqrt(self._scale))
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        if self._scale is None:
+            return self._eig
+        return _frozen(np.full(self._n, self._scale))
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        return self._v if self._scale is None else self._eye(1.0)
 
     @property
     def min_eigenvalue(self) -> float:
@@ -130,8 +148,9 @@ class CovarianceMatrix:
             raise InvalidMatrixError(f"scale factor must be finite and >= 0, got {c}")
         if self._scale is not None:
             return self._scaled_identity(self._n, c * self._scale)
-        # c M has eigenvalues c w and factor sqrt(c) factor: nothing to revalidate
-        return self._known(c * self._m, c * self._eig, np.sqrt(c) * self._factor)
+        # c M has eigenvalues c w and the same eigenvectors: nothing to
+        # revalidate
+        return self._known(c * self._m, c * self._eig, self._v)
 
     def __repr__(self) -> str:
         return f"CovarianceMatrix(dim={self.dim})"
@@ -141,6 +160,11 @@ def _dimension(n) -> int:
     if not (isinstance(n, numbers.Integral) and n >= 1):
         raise InvalidMatrixError(f"dimension must be a positive integer, got {n!r}")
     return int(n)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _as_cov(m) -> CovarianceMatrix:
@@ -162,11 +186,18 @@ def nearly_psd(m: np.ndarray, scale: float) -> CovarianceMatrix:
         raise InvalidMatrixError(
             f"matrix is indefinite beyond roundoff: min eigenvalue {w[0]:.3e}"
         )
-    w = np.clip(w, 0.0, None)
+    return _from_spectrum(np.clip(w, 0.0, None), v)
+
+
+def _from_spectrum(w: np.ndarray, v: np.ndarray) -> CovarianceMatrix:
+    """V diag(w) V^H for a nonnegative spectrum w and unitary V, Hermitian
+    by construction and not revalidated. The stored eigenvalues are sorted
+    ascending, their columns of V with them."""
+    if np.any(w[1:] < w[:-1]):
+        order = np.argsort(w, kind="stable")
+        w, v = w[order], v[:, order]
     out = (v * w) @ v.conj().T
-    # PSD by construction, with the spectrum just computed: not revalidated
-    return CovarianceMatrix._known((out + out.conj().T) / 2.0, w,
-                                   v * np.sqrt(w))
+    return CovarianceMatrix._known((out + out.conj().T) / 2.0, w, v)
 
 
 def exponential_correlation(n: int, rho: float) -> CovarianceMatrix:

@@ -362,6 +362,19 @@ class TestLowerBoundAsymptotic:
         sigma2, p_ut, p_bs = 1.0, 100.0, 100.0
         assert sigma2 / (n * p_ut * p_bs) < 1e-4
 
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    def test_spectrum_traces_match_dense_products(self, n):
+        # exponential R with S = s I takes R's eigenbasis, an untagged
+        # S = s I the dense products
+        r = exponential_correlation(n, 0.7)
+        imp = ImpairmentProfile.uniform(0.0025)
+        dl = DownlinkConfig(p_bs=100.0, sigma2_ut=0.5, imp=imp)
+        rates = [lower_bound_asymptotic(
+            UplinkConfig(r=r, s=s, p_ut=100.0, imp=imp), dl, 1000, seed=0)
+            for s in (CovarianceMatrix.identity(n).scaled(0.5),
+                      CovarianceMatrix(0.5 * np.eye(n)))]
+        assert rates[0] == pytest.approx(rates[1], rel=1e-12)
+
     def test_unbounded_when_all_ut_impairments_vanish(self):
         n = 4
         imp = ImpairmentProfile()

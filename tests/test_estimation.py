@@ -370,6 +370,101 @@ class TestScaledIdentityMatchesDense:
         agree(lambda cfg: lower_bound_mc(cfg, dl, 1000, 3), value_and_se)
 
 
+class TestEigenbasisMatchesDense:
+    """A dense R with a constant diagonal and S = s I takes R's eigenbasis;
+    the same R with an untagged S = s I takes the Cholesky path. On the
+    same draws the two agree within 1e-12 relative; the error covariances,
+    differences of terms of order R, with a 1e-14 absolute floor, and the
+    filter relative to its largest entry, since its far off-diagonal
+    entries are small differences too."""
+
+    @given(n=st.integers(1, 64), rho=st.floats(0.0, 0.95, exclude_max=True),
+           s=st.floats(1e-2, 1e2), p_ut=st.floats(1e-3, 1e6),
+           kappa=st.floats(0.0, 0.03))
+    @settings(max_examples=40, deadline=None)
+    def test_whole_chain(self, n, rho, s, p_ut, kappa):
+        r = exponential_correlation(n, rho)
+        fast_s = CovarianceMatrix.identity(n).scaled(s)
+        dense_s = CovarianceMatrix(s * np.eye(n))
+        imp = ImpairmentProfile.uniform(kappa)
+        # a second point of each chain, as the experiments batch them
+        fast, dense = ([UplinkConfig(r=r, s=s_, p_ut=p, imp=imp_)
+                        for p, imp_ in ((p_ut, imp), (10.0, ImpairmentProfile()))]
+                       for s_ in (fast_s, dense_s))
+        dl = DownlinkConfig(p_bs=p_ut, sigma2_ut=s, imp=imp)
+        assert r.constant_diagonal == 1.0
+        assert next(pilot_chain(fast, 2, 0))[3] is r.eigenvectors
+        assert next(pilot_chain(dense, 2, 0))[3] is None
+
+        def agree(a, b, floor=0.0):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=floor)
+
+        a, b = lmmse_filter(fast[0]), lmmse_filter(dense[0])
+        agree(a, b, floor=1e-12 * np.max(np.abs(b)))
+        for fn in (error_covariance, error_floor):
+            agree(fn(fast[0]).matrix, fn(dense[0]).matrix, floor=1e-14)
+        agree(mse_per_antenna(fast[0]), mse_per_antenna(dense[0]), floor=1e-14)
+        # 1000 rows: one chunk that spans several row blocks
+        for x, y in zip(empirical_mse_batch(fast, 1000, 3),
+                        empirical_mse_batch(dense, 1000, 3)):
+            agree((x.value, x.std_error), (y.value, y.std_error))
+        for x, y in zip(lower_bound_mc_batch([(c, dl) for c in fast], 1000, 3),
+                        lower_bound_mc_batch([(c, dl) for c in dense], 1000, 3)):
+            agree((x.value, x.std_error), (y.value, y.std_error))
+
+    def test_non_constant_diagonal_takes_dense_path(self):
+        r = CovarianceMatrix(np.diag([1.0, 2.0, 3.0]) + 0.1)
+        s = CovarianceMatrix.identity(3)
+        cfg = UplinkConfig(r=r, s=s, p_ut=2.0, imp=ImpairmentProfile.uniform(0.01))
+        assert r.constant_diagonal is None
+        assert next(pilot_chain([cfg], 2, 0))[3] is None
+        m = (2.0 * 1.01 * r.matrix + 2.0 * 0.01 * np.diag(r.diagonal())
+             + np.eye(3))
+        np.testing.assert_allclose(lmmse_filter(cfg),
+                                   np.sqrt(2.0) * r.matrix @ np.linalg.inv(m),
+                                   rtol=1e-12)
+
+
+class TestEigenbasisProperties:
+    """Exponential R with S = s I, on R's eigenbasis."""
+
+    @staticmethod
+    def config(n, rho, s, p_ut, kappa):
+        return UplinkConfig(r=exponential_correlation(n, rho),
+                            s=CovarianceMatrix.identity(n).scaled(s),
+                            p_ut=p_ut, imp=ImpairmentProfile.uniform(kappa))
+
+    cases = dict(n=st.integers(1, 64), rho=st.floats(0.0, 0.95, exclude_max=True),
+                 s=st.floats(1e-2, 1e2), kappa=st.floats(0.0, 0.03))
+
+    @given(p_lo=st.floats(1e-3, 1e10), ratio=st.floats(1.0, 1e3), **cases)
+    @settings(max_examples=60, deadline=None)
+    def test_mse_non_increasing_in_power(self, n, rho, s, kappa, p_lo, ratio):
+        lo = mse_per_antenna(self.config(n, rho, s, p_lo, kappa))
+        hi = mse_per_antenna(self.config(n, rho, s, p_lo * ratio, kappa))
+        assert hi <= lo * (1.0 + 1e-14)
+
+    @given(p_ut=st.floats(1e-3, 1e10), **cases)
+    @settings(max_examples=60, deadline=None)
+    def test_error_covariance_psd(self, n, rho, s, kappa, p_ut):
+        cfg = self.config(n, rho, s, p_ut, kappa)
+        c = error_covariance(cfg)
+        assert c.min_eigenvalue >= 0.0
+        tol = 1e-14 * cfg.r.max_eigenvalue
+        assert np.linalg.eigvalsh(c.matrix)[0] >= -tol
+
+    @given(p_ut=st.floats(1.0, 1e12), **cases)
+    @settings(max_examples=60, deadline=None)
+    def test_mse_tends_to_floor(self, n, rho, s, kappa, p_ut):
+        # per eigenvalue lam, C - C_inf = lam^2 s / ((p b + s) b) <= s / p
+        # with b = (1 + kappa) lam + kappa
+        cfg = self.config(n, rho, s, p_ut, kappa)
+        mse = mse_per_antenna(cfg)
+        gap = mse - error_floor(cfg).trace() / n
+        tol = 1e-14 * mse
+        assert -tol <= gap <= s / p_ut + tol
+
+
 class TestSharedDraws:
     """Configs that share R and S share one draw set: config i of a batch
     gives the bits of a batch of that config alone."""
@@ -389,7 +484,7 @@ class TestSharedDraws:
     @staticmethod
     def chain(cfgs, n_samples, seed):
         out = [([], []) for _ in cfgs]
-        for i, h, h_hat in pilot_chain(cfgs, n_samples, seed):
+        for i, h, h_hat, _ in pilot_chain(cfgs, n_samples, seed):
             out[i][0].append(h)
             out[i][1].append(h_hat)
         return [(np.concatenate(h), np.concatenate(h_hat)) for h, h_hat in out]

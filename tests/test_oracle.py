@@ -1,0 +1,54 @@
+"""Analytic estimation rows against extended-precision values.
+
+tests/oracle/exp_corr.csv holds mse_analytic and mse_floor for exponential
+correlation R (rho = 0.7) and S = I, evaluated from their definitions in
+80-digit arithmetic by tests/oracle/make_exp_corr.py (CI regenerates the
+file and compares it byte for byte). These configs take R's eigenbasis,
+which must agree within REL_TOL relative; the kappa = 0 floors are exact
+zeros, hence the ABS_TOL floor. On the same grid the dense Cholesky path
+(the same R with an untagged S = I) is off by up to 5.6e-12 relative (N =
+1, kappa = 0, 50 dB) and leaves the kappa = 0 floors at up to 5.9e-17
+(N = 128) instead of 0.
+"""
+
+import csv
+from pathlib import Path
+
+import pytest
+
+from misolim.estimation import (
+    ImpairmentProfile,
+    UplinkConfig,
+    error_floor,
+    mse_per_antenna,
+)
+from misolim.experiments import EXP_CORR_RHO, db_to_linear
+from misolim.randmat import CovarianceMatrix, exponential_correlation
+
+ORACLE = Path(__file__).parent / "oracle" / "exp_corr.csv"
+REL_TOL = 1e-14
+ABS_TOL = 1e-300
+
+with open(ORACLE, newline="", encoding="utf-8") as fh:
+    ROWS = list(csv.DictReader(fh))
+
+
+def test_oracle_covers_grid():
+    assert EXP_CORR_RHO == 0.7
+    points = {(r["n"], r["kappa"], r["snr_db"], r["metric"]) for r in ROWS}
+    assert len(points) == len(ROWS) == 4 * 3 * 4 * 2
+
+
+@pytest.mark.parametrize("row", ROWS, ids=lambda r: ",".join(
+    (r["n"], r["kappa"], r["snr_db"], r["metric"])))
+def test_matches_oracle(row):
+    n, kappa, snr_db = int(row["n"]), float(row["kappa"]), float(row["snr_db"])
+    r, s = exponential_correlation(n, EXP_CORR_RHO), CovarianceMatrix.identity(n)
+    cfg = UplinkConfig(r=r, s=s, p_ut=db_to_linear(snr_db) * s.trace() / r.trace(),
+                       imp=ImpairmentProfile(kappa_t_ut=kappa, kappa_r_bs=kappa))
+    if row["metric"] == "mse_analytic":
+        got = mse_per_antenna(cfg)
+    else:
+        got = error_floor(cfg).trace() / n
+    want = float(row["value"])
+    assert abs(got - want) <= max(REL_TOL * abs(want), ABS_TOL)

@@ -9,6 +9,7 @@ from misolim.randmat import (
     PSD_TOL,
     CovarianceMatrix,
     InvalidMatrixError,
+    _from_spectrum,
     exponential_correlation,
     nearly_psd,
     psd_factor,
@@ -109,6 +110,38 @@ class TestPsdFactor:
         m = np.ones((3, 3))  # rank 1
         L = psd_factor(CovarianceMatrix(m))
         np.testing.assert_allclose(L @ L.conj().T, m, atol=1e-12)
+
+
+class TestStoredEigendecomposition:
+    def test_constant_diagonal(self):
+        r = exponential_correlation(5, 0.3)
+        assert r.constant_diagonal == 1.0
+        assert r.scaled(3.0).constant_diagonal == 3.0
+        assert CovarianceMatrix.identity(3).scaled(2.0).constant_diagonal == 2.0
+        assert CovarianceMatrix(np.diag([1.0, 2.0])).constant_diagonal is None
+
+    def test_factor_is_built_from_eigenvectors(self):
+        r = exponential_correlation(6, 0.7)
+        w, v = r.eigenvalues, r.eigenvectors
+        assert np.all(np.diff(w) >= 0.0)
+        assert np.array_equal(r.factor, v * np.sqrt(np.clip(w, 0.0, None)))
+        for a in (w, v, r.factor):
+            assert not a.flags.writeable
+        # scaled copies share V and scale the spectrum
+        assert r.scaled(2.0).eigenvectors is v
+        assert np.array_equal(r.scaled(2.0).eigenvalues, 2.0 * w)
+
+    def test_spectrum_is_sorted_with_its_columns(self):
+        # error_covariance builds V diag(w) V^H from a spectrum that need
+        # not follow R's order
+        v = exponential_correlation(4, 0.5).eigenvectors
+        w = np.array([3.0, 1.0, 0.0, 2.0])
+        c = _from_spectrum(w, v)
+        assert np.array_equal(c.eigenvalues, [0.0, 1.0, 2.0, 3.0])
+        np.testing.assert_allclose(
+            (c.eigenvectors * c.eigenvalues) @ c.eigenvectors.conj().T,
+            (v * w) @ v.conj().T, atol=1e-14)
+        assert c.min_eigenvalue == 0.0 and c.max_eigenvalue == 3.0
 
 
 class TestNearlyPsd:
