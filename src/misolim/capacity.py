@@ -275,7 +275,11 @@ def lower_bound_asymptotic(ul: UplinkConfig, dl: DownlinkConfig,
     eta ~ CN(0, kappa_t_ut * p_ut) remain; they are evaluated by seeded
     1-D Monte-Carlo. Psi = p_ut kappa_r_bs diag(R) + S is the
     channel-averaged covariance of the additive uplink disturbance.
-    Returns +inf if the denominator vanishes (unbounded rate).
+    The SINR denominator (1 + kappa_r_ut) E|x|^2 - |E x|^2 of the sampled
+    x is formed as kappa_r_ut E|x|^2 + E|x - E x|^2, which cancels
+    nothing: without impairments only the noise term sigma^2 / (N p_ut
+    p_bs) is left, so the rate grows without bound in the powers but is
+    finite at each. Returns +inf only if the denominator underflows to 0.
     """
     if n_scalar_samples < 2:
         raise ValueError("need at least 2 scalar samples")
@@ -303,12 +307,12 @@ def lower_bound_asymptotic(ul: UplinkConfig, dl: DownlinkConfig,
     rng = substream(seed, 0)
     eta = sample_scalar_cn(ul.imp.kappa_t_ut * ul.p_ut, rng, size=n_scalar_samples)
     scale = np.abs(ul.d + eta) ** 2 * t_sig + t_psi
-    num_samples = (1.0 + eta / ul.d) * math.sqrt(tr_rc) / np.sqrt(scale)
-    den_samples = np.abs(1.0 + eta / ul.d) ** 2 * tr_rc / scale
-    num = abs(np.mean(num_samples)) ** 2
-    n = ul.dim
-    denom = ((1.0 + dl.imp.kappa_r_ut) * float(np.mean(den_samples)) - num
-             + dl.sigma2_ut / (n * ul.p_ut * dl.p_bs))
+    x = (1.0 + eta / ul.d) * math.sqrt(tr_rc) / np.sqrt(scale)
+    mean = np.mean(x)
+    num = abs(mean) ** 2
+    denom = (dl.imp.kappa_r_ut * float(np.mean(np.abs(x) ** 2))
+             + float(np.mean(np.abs(x - mean) ** 2))
+             + dl.sigma2_ut / (ul.dim * ul.p_ut * dl.p_bs))
     if denom <= 0.0:
         return math.inf
     return math.log2(1.0 + num / denom)

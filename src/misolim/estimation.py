@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .randmat import (
     CovarianceMatrix,
@@ -119,6 +118,10 @@ class MonteCarloEstimate:
 def _cho_solve(m, b, singular: str):
     """m^{-1} b by Cholesky; SingularMatrixError(singular) unless m > 0.
 
+    A dense m is factored as m = L L^H by ``np.linalg.cholesky``, whose
+    LAPACK factorisation is the positive-definiteness test, and b is solved
+    against L and then L^H. A non-finite m raises ValueError.
+
     Scalars m and b stand for m I and b I and give the scalar of m^{-1} b I,
     with the dense path's arithmetic: the Cholesky factor of m I is
     sqrt(m) I, and each triangular solve multiplies by the reciprocal of
@@ -129,11 +132,15 @@ def _cho_solve(m, b, singular: str):
             raise SingularMatrixError(singular)
         inv = 1.0 / math.sqrt(m)
         return b * inv * inv
+    if not np.all(np.isfinite(m)):
+        raise ValueError("array must not contain infs or NaNs")
     try:
-        f = cho_factor(m, lower=True)
+        f = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(singular) from exc
-    return cho_solve(f, b)
+    # solve's LU of a triangular factor leaves its triangular solves to
+    # trsm, which keeps the scalar branch's bits; an LU of m would not
+    return np.linalg.solve(f.conj().T, np.linalg.solve(f, b))
 
 
 def _bracket(cfg: UplinkConfig) -> tuple[float, float] | None:
@@ -161,18 +168,27 @@ def _eigenbasis(cfg: UplinkConfig):
     return lam, cfg.r.eigenvectors, lam / (alpha * lam + beta), beta
 
 
+def _mix(r: CovarianceMatrix, a: float, b: float,
+         s: CovarianceMatrix | None = None):
+    """a R + b diag(R) + S (S = 0 when None): the scalar of that c I when
+    R and S are scaled identities, else the N x N array."""
+    c = r.identity_scale
+    sc = 0.0 if s is None else s.identity_scale
+    if c is not None and sc is not None:
+        return a * c + sc + b * c
+    m = a * r.matrix
+    if s is not None:
+        m += s.matrix
+    m[np.diag_indices_from(m)] += b * r.diagonal()
+    return m
+
+
 def _solve_against_r(cfg: UplinkConfig) -> np.ndarray | float:
     """M^{-1} R for M = p (1 + kappa_t_ut) R + p kappa_r_bs diag(R) + S;
     the scalar x of M^{-1} R = x I when R and S are scaled identities."""
-    r, s = cfg.r.identity_scale, cfg.s.identity_scale
-    if r is None or s is None:
-        r = cfg.r.matrix
-        m = cfg.p_ut * (1.0 + cfg.imp.kappa_t_ut) * r + cfg.s.matrix
-        m[np.diag_indices_from(m)] += (cfg.p_ut * cfg.imp.kappa_r_bs
-                                       * cfg.r.diagonal())
-    else:
-        m = (cfg.p_ut * (1.0 + cfg.imp.kappa_t_ut) * r + s
-             + cfg.p_ut * cfg.imp.kappa_r_bs * r)
+    m = _mix(cfg.r, cfg.p_ut * (1.0 + cfg.imp.kappa_t_ut),
+             cfg.p_ut * cfg.imp.kappa_r_bs, cfg.s)
+    r = cfg.r.identity_scale if np.ndim(m) == 0 else cfg.r.matrix
     # cannot fail: M is positive definite whenever S is
     return _cho_solve(m, r, "observation covariance is not positive definite")
 
@@ -202,29 +218,31 @@ def estimate(cfg: UplinkConfig, z: np.ndarray) -> np.ndarray:
     return a * z if np.ndim(a) == 0 else a @ z
 
 
-def _clipped_identity(n: int, c: float) -> CovarianceMatrix:
-    """c I for a c that is nonnegative in exact arithmetic: a roundoff
-    negative becomes 0, as ``nearly_psd`` clips the dense result."""
-    return CovarianceMatrix.identity(n).scaled(max(c, 0.0))
+def _error_product(x, q, r: CovarianceMatrix) -> CovarianceMatrix:
+    """R - R M^{-1} (M - Q) = R M^{-1} Q = x^H Q for x = M^{-1} R, which
+    cancels nothing: c I for scalars x and q, else the symmetrised
+    product."""
+    if np.ndim(x) == 0:
+        return CovarianceMatrix.identity(r.dim).scaled(x * q)
+    return nearly_psd(np.conj(x).T @ q, scale=r.max_eigenvalue)
 
 
 def error_covariance(cfg: UplinkConfig) -> CovarianceMatrix:
     """Covariance C of the estimation error h - h_hat.
 
-    C = R - p R (p (1 + kappa_t_ut) R + p kappa_r_bs diag(R) + S)^{-1} R,
-    which degrades continuously to C = R at zero pilot power.
+    C = R - p R M^{-1} R with M = p (1 + kappa_t_ut) R + p kappa_r_bs
+    diag(R) + S, which degrades continuously to C = R at zero pilot power.
+    It is evaluated as R M^{-1} (p kappa_t_ut R + p kappa_r_bs diag(R) + S),
+    which cancels nothing.
     """
     if cfg.p_ut == 0.0:
         return cfg.r
     basis = _eigenbasis(cfg)
     if basis is not None:
         return _from_spectrum(_error_spectrum(cfg, basis), basis[1])
-    x = _solve_against_r(cfg)
-    if np.ndim(x) == 0:
-        r = cfg.r.identity_scale
-        return _clipped_identity(cfg.dim, r - cfg.p_ut * (r * x))
-    c = cfg.r.matrix - cfg.p_ut * (cfg.r.matrix @ x)
-    return nearly_psd(c, scale=cfg.r.max_eigenvalue)
+    q = _mix(cfg.r, cfg.p_ut * cfg.imp.kappa_t_ut,
+             cfg.p_ut * cfg.imp.kappa_r_bs, cfg.s)
+    return _error_product(_solve_against_r(cfg), q, cfg.r)
 
 
 def _error_spectrum(cfg: UplinkConfig, basis) -> np.ndarray:
@@ -245,28 +263,25 @@ def mse_per_antenna(cfg: UplinkConfig) -> float:
 def error_floor(cfg: UplinkConfig) -> CovarianceMatrix:
     """High-pilot-power limit of the error covariance.
 
-    C_inf = R - R ((1 + kappa_t_ut) R + kappa_r_bs diag(R))^{-1} R.
+    C_inf = R - R B^{-1} R with B = (1 + kappa_t_ut) R + kappa_r_bs diag(R),
+    evaluated as R B^{-1} (kappa_t_ut R + kappa_r_bs diag(R)), which
+    cancels nothing.
     """
     singular = ("high-power bracket is singular "
                 "(rank-deficient R with kappa_r_bs = 0)")
+    kt, kr = cfg.imp.kappa_t_ut, cfg.imp.kappa_r_bs
     basis = _eigenbasis(cfg)
     if basis is not None:
         lam, v, _, _ = basis
-        kt, kr = cfg.imp.kappa_t_ut, cfg.imp.kappa_r_bs
         kr_r0 = kr * cfg.r.constant_diagonal
         den = (1.0 + kt) * lam + kr_r0
         if np.any(den <= 0.0):
             raise SingularMatrixError(singular)
         return _from_spectrum(lam * (kt * lam + kr_r0) / den, v)
-    r = cfg.r.identity_scale
-    if r is not None:
-        b = (1.0 + cfg.imp.kappa_t_ut) * r + cfg.imp.kappa_r_bs * r
-        return _clipped_identity(cfg.dim, r - r * _cho_solve(b, r, singular))
-    r = cfg.r.matrix
-    b = (1.0 + cfg.imp.kappa_t_ut) * r.copy()
-    b[np.diag_indices_from(b)] += cfg.imp.kappa_r_bs * cfg.r.diagonal()
-    c = r - r @ _cho_solve(b, r, singular)
-    return nearly_psd(c, scale=cfg.r.max_eigenvalue)
+    b = _mix(cfg.r, 1.0 + kt, kr)
+    r = cfg.r.identity_scale if np.ndim(b) == 0 else cfg.r.matrix
+    return _error_product(_cho_solve(b, r, singular), _mix(cfg.r, kt, kr),
+                          cfg.r)
 
 
 def error_floor_iid(lam: float, kappa_t_ut: float, kappa_r_bs: float) -> float:

@@ -12,6 +12,9 @@ from __future__ import annotations
 import numbers
 
 import numpy as np
+# numpy loads its random module on first use; load it with this one, so the
+# first draw of a run does not pay for the import
+import numpy.random  # noqa: F401
 
 # Eigenvalues may dip below zero by at most this fraction of the spectral
 # norm before a matrix is rejected as indefinite.

@@ -376,13 +376,20 @@ class TestLowerBoundAsymptotic:
         assert rates[0] == pytest.approx(rates[1], rel=1e-12)
 
     def test_unbounded_when_all_ut_impairments_vanish(self):
+        # Without impairments only the noise term sigma^2 / (N p_ut p_bs)
+        # is left in the SINR denominator: the bound is finite at every
+        # power, and each 100x step in both powers adds log2(1e4) bits.
         n = 4
         imp = ImpairmentProfile()
-        ul = UplinkConfig(r=CovarianceMatrix.identity(n),
-                          s=CovarianceMatrix.identity(n), p_ut=1e12, imp=imp)
-        # enormous powers make the noise term vanish; denominator -> 0
-        dl = DownlinkConfig(p_bs=1e12, sigma2_ut=1.0, imp=imp)
-        assert lower_bound_asymptotic(ul, dl, 1_000, seed=0) == math.inf
+        rates = []
+        for p in (1e6, 1e8, 1e10, 1e12, 1e14):
+            ul = UplinkConfig(r=CovarianceMatrix.identity(n),
+                              s=CovarianceMatrix.identity(n), p_ut=p, imp=imp)
+            dl = DownlinkConfig(p_bs=p, sigma2_ut=1.0, imp=imp)
+            rates.append(lower_bound_asymptotic(ul, dl, 1_000, seed=0))
+        assert all(math.isfinite(rate) for rate in rates)
+        np.testing.assert_allclose(np.diff(rates), math.log2(1e4),
+                                   rtol=0.0, atol=1e-6)
 
 
 class TestCapacityIdealJensen:

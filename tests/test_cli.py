@@ -1,5 +1,11 @@
 """Command-line interface tests."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from misolim.cli import config_from_args, main, parse_config_file
@@ -153,3 +159,46 @@ class TestMain:
             main(["--help"])
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
+
+
+# Runs one tiny point of each experiment through cli.main in a fresh
+# interpreter and prints, as JSON, the modules each run_experiment call
+# imported and whether scipy was ever loaded.
+_IMPORT_PROBE = """
+import json, sys
+import misolim.cli as cli
+
+run, fresh = cli.run_experiment, {}
+
+def probe(cfg):
+    before = set(sys.modules)
+    table = run(cfg)
+    fresh[cfg.experiment] = sorted(set(sys.modules) - before)
+    return table
+
+cli.run_experiment = probe
+one = ["--n-grid", "2", "--samples", "1000", "--out", sys.argv[1]]
+for argv in (["--experiment", "estimation-error", "--snr-db", "10",
+              "--kappa", "0.0025"],
+             ["--experiment", "capacity-vs-n", "--kappa", "0.0025"],
+             ["--experiment", "capacity-vs-kappa", "--kappa", "0.0025"],
+             ["--experiment", "energy-efficiency", "--t", "0.25"]):
+    assert cli.main(argv + one) == 0
+print(json.dumps({"fresh": fresh, "scipy": "scipy" in sys.modules}))
+"""
+
+
+def test_runs_import_nothing_and_need_no_scipy(tmp_path):
+    # scipy is only a test dependency, and every module a run needs is
+    # loaded with the package, not inside the timed sweep
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "one.csv")],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    report = json.loads(done.stdout)
+    assert report["scipy"] is False
+    assert report["fresh"] == {name: [] for name in (
+        "estimation-error", "capacity-vs-n", "capacity-vs-kappa",
+        "energy-efficiency")}

@@ -252,6 +252,26 @@ class TestErrorFloor:
             error_floor(cfg)
 
 
+class TestDenseCholeskyPath:
+    """Unequal diagonal entries in R take the Cholesky path."""
+
+    def test_singular_bracket_raises(self):
+        rank1 = CovarianceMatrix(np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]))
+        cfg = UplinkConfig(r=rank1, s=CovarianceMatrix.identity(3), p_ut=1.0)
+        assert rank1.constant_diagonal is None
+        with pytest.raises(SingularMatrixError, match="high-power bracket"):
+            error_floor(cfg)
+
+    def test_non_finite_observation_covariance_raises_value_error(self):
+        # p (1 + kappa) overflows, and M = inf R + S has inf and nan entries
+        r = CovarianceMatrix(np.diag([1.0, 2.0]))
+        cfg = UplinkConfig(r=r, s=CovarianceMatrix.identity(2), p_ut=1e308,
+                           imp=ImpairmentProfile.uniform(0.03))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="infs or NaNs"):
+            lmmse_filter(cfg)
+
+
 class TestErrorFloorIid:
     def test_ideal_hardware(self):
         assert error_floor_iid(1.0, 0.0, 0.0) == 0.0

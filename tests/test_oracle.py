@@ -3,17 +3,19 @@
 tests/oracle/exp_corr.csv holds mse_analytic and mse_floor for exponential
 correlation R (rho = 0.7) and S = I, evaluated from their definitions in
 80-digit arithmetic by tests/oracle/make_exp_corr.py (CI regenerates the
-file and compares it byte for byte). These configs take R's eigenbasis,
-which must agree within REL_TOL relative; the kappa = 0 floors are exact
-zeros, hence the ABS_TOL floor. On the same grid the dense Cholesky path
-(the same R with an untagged S = I) is off by up to 5.6e-12 relative (N =
-1, kappa = 0, 50 dB) and leaves the kappa = 0 floors at up to 5.9e-17
-(N = 128) instead of 0.
+file and compares it byte for byte). Both estimation paths must agree
+within REL_TOL relative: R's eigenbasis (S = I tagged as a scaled
+identity) and the dense Cholesky path (the same R with an untagged S =
+I), which forms the error covariance as R M^{-1} (M - p R) so that nothing
+cancels (worst 1.5e-15; R - p R M^{-1} R was off by up to 5.6e-12 at N = 1,
+kappa = 0, 50 dB). The kappa = 0 floors are exact zeros on both paths,
+hence the ABS_TOL floor.
 """
 
 import csv
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from misolim.estimation import (
@@ -39,11 +41,9 @@ def test_oracle_covers_grid():
     assert len(points) == len(ROWS) == 4 * 3 * 4 * 2
 
 
-@pytest.mark.parametrize("row", ROWS, ids=lambda r: ",".join(
-    (r["n"], r["kappa"], r["snr_db"], r["metric"])))
-def test_matches_oracle(row):
+def _check(row, s):
     n, kappa, snr_db = int(row["n"]), float(row["kappa"]), float(row["snr_db"])
-    r, s = exponential_correlation(n, EXP_CORR_RHO), CovarianceMatrix.identity(n)
+    r = exponential_correlation(n, EXP_CORR_RHO)
     cfg = UplinkConfig(r=r, s=s, p_ut=db_to_linear(snr_db) * s.trace() / r.trace(),
                        imp=ImpairmentProfile(kappa_t_ut=kappa, kappa_r_bs=kappa))
     if row["metric"] == "mse_analytic":
@@ -52,3 +52,17 @@ def test_matches_oracle(row):
         got = error_floor(cfg).trace() / n
     want = float(row["value"])
     assert abs(got - want) <= max(REL_TOL * abs(want), ABS_TOL)
+
+
+def _row_id(row):
+    return ",".join((row["n"], row["kappa"], row["snr_db"], row["metric"]))
+
+
+@pytest.mark.parametrize("row", ROWS, ids=_row_id)
+def test_matches_oracle(row):
+    _check(row, CovarianceMatrix.identity(int(row["n"])))
+
+
+@pytest.mark.parametrize("row", ROWS, ids=_row_id)
+def test_dense_path_matches_oracle(row):
+    _check(row, CovarianceMatrix(np.eye(int(row["n"]))))
