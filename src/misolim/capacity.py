@@ -21,7 +21,7 @@ from .estimation import (
     ImpairmentProfile,
     MonteCarloEstimate,
     UplinkConfig,
-    _bracket,
+    _eigenbasis,
     lmmse_filter,
     mse_per_antenna,
     pilot_chain,
@@ -284,25 +284,21 @@ def lower_bound_asymptotic(ul: UplinkConfig, dl: DownlinkConfig,
     if n_scalar_samples < 2:
         raise ValueError("need at least 2 scalar samples")
     tr_rc = ul.r.trace() - ul.dim * mse_per_antenna(ul)
-    bracket = _bracket(ul)
-    if bracket is not None:
-        # A = V diag(a) V^H and Psi = beta I on R's eigenbasis; a scaled
-        # identity's filter is a I, with the scalar a of its own branch
-        alpha, beta = bracket
-        lam = np.clip(ul.r.eigenvalues, 0.0, None)
-        if ul.r.identity_scale is not None:
-            a = np.full(ul.dim, lmmse_filter(ul))
-        else:
-            a = np.conj(ul.d) * lam / (alpha * lam + beta)
-        a2 = np.abs(a) ** 2
-        t_sig = float(np.sum(a2 * lam))
-        t_psi = beta * float(np.sum(a2))
-    else:
+    basis = _eigenbasis(ul)
+    if basis is None:
         a = lmmse_filter(ul)
         psi = (ul.p_ut * ul.imp.kappa_r_bs * np.diag(ul.r.diagonal())
                + ul.s.matrix)
         t_sig = float(np.real(np.trace(a @ ul.r.matrix @ a.conj().T)))
         t_psi = float(np.real(np.trace(a @ psi @ a.conj().T)))
+    else:
+        # A = V diag(d* g) V^H and Psi = beta I on R's eigenbasis; for
+        # R = c I, lam and g are one value, repeated N times
+        lam, _, g, beta = basis
+        lam, g = np.broadcast_to(lam, ul.dim), np.broadcast_to(g, ul.dim)
+        a2 = np.abs(np.conj(ul.d) * g) ** 2
+        t_sig = float(np.sum(a2 * lam))
+        t_psi = beta * float(np.sum(a2))
 
     rng = substream(seed, 0)
     eta = sample_scalar_cn(ul.imp.kappa_t_ut * ul.p_ut, rng, size=n_scalar_samples)

@@ -126,26 +126,18 @@ def ee_points(n: int, channel, specs, n_samples: int,
     return points
 
 
-def ee_point(ecfg: EnergyConfig, n: int, channel, hardware: str,
-             imp: ImpairmentProfile, n_samples: int, seed: int) -> EnergyPoint:
-    """One sweep point: ``ee_points`` of the single (ecfg, hardware, imp)."""
-    return ee_points(n, channel, [(ecfg, hardware, imp)], n_samples, seed)[0]
-
-
 def ee_sweep(channel_model, ecfg: EnergyConfig, n_grid,
              profiles: dict[str, ImpairmentProfile],
              n_samples: int, seed: int) -> list[EnergyPoint]:
     """Power-scaled efficiency sweep over array sizes: one point per (n,
-    hardware profile) in grid order, point i seeded by derive_seed(seed, i).
+    hardware profile) in grid order. The points of one n are ``ee_points``
+    on one pilot chain seeded by derive_seed(seed, n), as in the CLI.
     ``channel_model(n)`` returns (R, S, sigma2_ut); it is called once per n."""
     n_grid = list(n_grid)
     if not n_grid:
         raise ValueError("array-size grid must be non-empty")
     warn_if_inadmissible(ecfg)
-    points = []
-    for n in n_grid:
-        channel = channel_model(n)
-        for name, imp in profiles.items():
-            points.append(ee_point(ecfg, n, channel, name, imp, n_samples,
-                                   derive_seed(seed, len(points))))
-    return points
+    specs = [(ecfg, name, imp) for name, imp in profiles.items()]
+    return [pt for n in n_grid
+            for pt in ee_points(n, channel_model(n), specs, n_samples,
+                                derive_seed(seed, n))]

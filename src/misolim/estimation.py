@@ -115,23 +115,13 @@ class MonteCarloEstimate:
             raise ValueError("standard error must be nonnegative")
 
 
-def _cho_solve(m, b, singular: str):
+def _cho_solve(m: np.ndarray, b: np.ndarray, singular: str) -> np.ndarray:
     """m^{-1} b by Cholesky; SingularMatrixError(singular) unless m > 0.
 
-    A dense m is factored as m = L L^H by ``np.linalg.cholesky``, whose
-    LAPACK factorisation is the positive-definiteness test, and b is solved
+    m is factored as m = L L^H by ``np.linalg.cholesky``, whose LAPACK
+    factorisation is the positive-definiteness test, and b is solved
     against L and then L^H. A non-finite m raises ValueError.
-
-    Scalars m and b stand for m I and b I and give the scalar of m^{-1} b I,
-    with the dense path's arithmetic: the Cholesky factor of m I is
-    sqrt(m) I, and each triangular solve multiplies by the reciprocal of
-    its diagonal, as OpenBLAS's trsm does, so both paths give the same bits.
     """
-    if np.ndim(m) == 0:
-        if not m > 0.0:
-            raise SingularMatrixError(singular)
-        inv = 1.0 / math.sqrt(m)
-        return b * inv * inv
     if not np.all(np.isfinite(m)):
         raise ValueError("array must not contain infs or NaNs")
     try:
@@ -139,43 +129,50 @@ def _cho_solve(m, b, singular: str):
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(singular) from exc
     # solve's LU of a triangular factor leaves its triangular solves to
-    # trsm, which keeps the scalar branch's bits; an LU of m would not
+    # trsm, which multiplies by the reciprocals of the factor's diagonal,
+    # as ``_eigenbasis`` does; an LU of m would not
     return np.linalg.solve(f.conj().T, np.linalg.solve(f, b))
 
 
-def _bracket(cfg: UplinkConfig) -> tuple[float, float] | None:
-    """(alpha, beta) when R has a constant diagonal r0 and S = s I, else
-    None. Then M = alpha R + beta I, with alpha = p (1 + kappa_t_ut) and
-    beta = p kappa_r_bs r0 + s, commutes with R = V diag(lam) V^H, and
-    M^{-1} R = V diag(lam / (alpha lam + beta)) V^H."""
+def _eigenbasis(cfg: UplinkConfig):
+    """(lam, V, g, beta) when R has a constant diagonal r0 and S = s I,
+    else None. Then M = alpha R + beta I, with alpha = p (1 + kappa_t_ut)
+    and beta = p kappa_r_bs r0 + s, commutes with R = V diag(lam) V^H, and
+    M^{-1} R = V diag(g) V^H. lam is R's spectrum clipped at 0, as its
+    factor is; for R = c I it is the scalar c and V is None, so the
+    identity basis is never formed.
+
+    g = lam inv inv with inv = 1 / sqrt(alpha lam + beta): the Cholesky
+    path's operations on a diagonal M, whose factor is sqrt(M) and whose
+    triangular solves multiply by its reciprocal. lam / (alpha lam + beta)
+    rounds differently, and at high SNR the empirical MSE magnifies that
+    last bit of the filter past 1e-12 of the dense path's value.
+    """
     r0, s = cfg.r.constant_diagonal, cfg.s.identity_scale
     if r0 is None or s is None:
         return None
-    return (cfg.p_ut * (1.0 + cfg.imp.kappa_t_ut),
-            cfg.p_ut * cfg.imp.kappa_r_bs * r0 + s)
+    if cfg.r.identity_scale is None:
+        lam, v = np.clip(cfg.r.eigenvalues, 0.0, None), cfg.r.eigenvectors
+    else:
+        lam, v = cfg.r.identity_scale, None
+    alpha = cfg.p_ut * (1.0 + cfg.imp.kappa_t_ut)
+    kr_r0 = cfg.p_ut * cfg.imp.kappa_r_bs * r0
+    # M's eigenvalues summed in the dense path's order: alpha R + S first
+    inv = 1.0 / np.sqrt(alpha * lam + s + kr_r0)
+    return lam, v, lam * inv * inv, kr_r0 + s
 
 
-def _eigenbasis(cfg: UplinkConfig):
-    """(lam, V, g, beta) for a dense R that ``_bracket`` accepts, None for
-    other configs (scaled identities keep their scalar branches): lam is
-    R's spectrum clipped at 0, as its factor is, and M^{-1} R =
-    V diag(g) V^H with g = lam / (alpha lam + beta)."""
-    bracket = _bracket(cfg)
-    if bracket is None or cfg.r.identity_scale is not None:
-        return None
-    alpha, beta = bracket
-    lam = np.clip(cfg.r.eigenvalues, 0.0, None)
-    return lam, cfg.r.eigenvectors, lam / (alpha * lam + beta), beta
+def _on_basis(w, v: np.ndarray | None, n: int) -> CovarianceMatrix:
+    """V diag(w) V^H from a spectrum on ``_eigenbasis``: the scaled
+    identity w I when V is None."""
+    if v is None:
+        return CovarianceMatrix.identity(n).scaled(w)
+    return _from_spectrum(w, v)
 
 
 def _mix(r: CovarianceMatrix, a: float, b: float,
-         s: CovarianceMatrix | None = None):
-    """a R + b diag(R) + S (S = 0 when None): the scalar of that c I when
-    R and S are scaled identities, else the N x N array."""
-    c = r.identity_scale
-    sc = 0.0 if s is None else s.identity_scale
-    if c is not None and sc is not None:
-        return a * c + sc + b * c
+         s: CovarianceMatrix | None = None) -> np.ndarray:
+    """a R + b diag(R) + S (S = 0 when None) as an N x N array."""
     m = a * r.matrix
     if s is not None:
         m += s.matrix
@@ -183,14 +180,13 @@ def _mix(r: CovarianceMatrix, a: float, b: float,
     return m
 
 
-def _solve_against_r(cfg: UplinkConfig) -> np.ndarray | float:
-    """M^{-1} R for M = p (1 + kappa_t_ut) R + p kappa_r_bs diag(R) + S;
-    the scalar x of M^{-1} R = x I when R and S are scaled identities."""
+def _solve_against_r(cfg: UplinkConfig) -> np.ndarray:
+    """M^{-1} R for M = p (1 + kappa_t_ut) R + p kappa_r_bs diag(R) + S."""
     m = _mix(cfg.r, cfg.p_ut * (1.0 + cfg.imp.kappa_t_ut),
              cfg.p_ut * cfg.imp.kappa_r_bs, cfg.s)
-    r = cfg.r.identity_scale if np.ndim(m) == 0 else cfg.r.matrix
     # cannot fail: M is positive definite whenever S is
-    return _cho_solve(m, r, "observation covariance is not positive definite")
+    return _cho_solve(m, cfg.r.matrix,
+                      "observation covariance is not positive definite")
 
 
 def lmmse_filter(cfg: UplinkConfig) -> np.ndarray | complex:
@@ -201,12 +197,11 @@ def lmmse_filter(cfg: UplinkConfig) -> np.ndarray | complex:
     returned instead of the N x N array.
     """
     basis = _eigenbasis(cfg)
-    if basis is not None:
-        _, v, g, _ = basis
-        return np.conj(cfg.d) * ((v * g) @ v.conj().T)
-    x = _solve_against_r(cfg)
-    # R M^{-1} = (M^{-1} R)^H since both R and M are Hermitian.
-    return np.conj(cfg.d) * np.conj(x).T
+    if basis is None:
+        # R M^{-1} = (M^{-1} R)^H since both R and M are Hermitian.
+        return np.conj(cfg.d) * _solve_against_r(cfg).conj().T
+    _, v, g, _ = basis
+    return np.conj(cfg.d) * (g if v is None else (v * g) @ v.conj().T)
 
 
 def estimate(cfg: UplinkConfig, z: np.ndarray) -> np.ndarray:
@@ -218,31 +213,23 @@ def estimate(cfg: UplinkConfig, z: np.ndarray) -> np.ndarray:
     return a * z if np.ndim(a) == 0 else a @ z
 
 
-def _error_product(x, q, r: CovarianceMatrix) -> CovarianceMatrix:
-    """R - R M^{-1} (M - Q) = R M^{-1} Q = x^H Q for x = M^{-1} R, which
-    cancels nothing: c I for scalars x and q, else the symmetrised
-    product."""
-    if np.ndim(x) == 0:
-        return CovarianceMatrix.identity(r.dim).scaled(x * q)
-    return nearly_psd(np.conj(x).T @ q, scale=r.max_eigenvalue)
-
-
 def error_covariance(cfg: UplinkConfig) -> CovarianceMatrix:
     """Covariance C of the estimation error h - h_hat.
 
     C = R - p R M^{-1} R with M = p (1 + kappa_t_ut) R + p kappa_r_bs
     diag(R) + S, which degrades continuously to C = R at zero pilot power.
-    It is evaluated as R M^{-1} (p kappa_t_ut R + p kappa_r_bs diag(R) + S),
-    which cancels nothing.
+    It is evaluated as R M^{-1} Q = (M^{-1} R)^H Q with Q = p kappa_t_ut R
+    + p kappa_r_bs diag(R) + S, which cancels nothing, and symmetrised.
     """
     if cfg.p_ut == 0.0:
         return cfg.r
     basis = _eigenbasis(cfg)
-    if basis is not None:
-        return _from_spectrum(_error_spectrum(cfg, basis), basis[1])
-    q = _mix(cfg.r, cfg.p_ut * cfg.imp.kappa_t_ut,
-             cfg.p_ut * cfg.imp.kappa_r_bs, cfg.s)
-    return _error_product(_solve_against_r(cfg), q, cfg.r)
+    if basis is None:
+        q = _mix(cfg.r, cfg.p_ut * cfg.imp.kappa_t_ut,
+                 cfg.p_ut * cfg.imp.kappa_r_bs, cfg.s)
+        return nearly_psd(_solve_against_r(cfg).conj().T @ q,
+                          scale=cfg.r.max_eigenvalue)
+    return _on_basis(_error_spectrum(cfg, basis), basis[1], cfg.dim)
 
 
 def _error_spectrum(cfg: UplinkConfig, basis) -> np.ndarray:
@@ -255,33 +242,33 @@ def _error_spectrum(cfg: UplinkConfig, basis) -> np.ndarray:
 def mse_per_antenna(cfg: UplinkConfig) -> float:
     """tr(C) / N: mean-square estimation error per channel element."""
     basis = _eigenbasis(cfg)
-    if basis is not None:
-        return float(np.sum(_error_spectrum(cfg, basis))) / cfg.dim
-    return error_covariance(cfg).trace() / cfg.dim
+    if basis is None:
+        return error_covariance(cfg).trace() / cfg.dim
+    # the mean of the spectrum, also of the one value of R = c I
+    return float(np.mean(_error_spectrum(cfg, basis)))
 
 
 def error_floor(cfg: UplinkConfig) -> CovarianceMatrix:
     """High-pilot-power limit of the error covariance.
 
     C_inf = R - R B^{-1} R with B = (1 + kappa_t_ut) R + kappa_r_bs diag(R),
-    evaluated as R B^{-1} (kappa_t_ut R + kappa_r_bs diag(R)), which
-    cancels nothing.
+    evaluated as (B^{-1} R)^H (kappa_t_ut R + kappa_r_bs diag(R)), which
+    cancels nothing, and symmetrised.
     """
     singular = ("high-power bracket is singular "
                 "(rank-deficient R with kappa_r_bs = 0)")
     kt, kr = cfg.imp.kappa_t_ut, cfg.imp.kappa_r_bs
     basis = _eigenbasis(cfg)
-    if basis is not None:
-        lam, v, _, _ = basis
-        kr_r0 = kr * cfg.r.constant_diagonal
-        den = (1.0 + kt) * lam + kr_r0
-        if np.any(den <= 0.0):
-            raise SingularMatrixError(singular)
-        return _from_spectrum(lam * (kt * lam + kr_r0) / den, v)
-    b = _mix(cfg.r, 1.0 + kt, kr)
-    r = cfg.r.identity_scale if np.ndim(b) == 0 else cfg.r.matrix
-    return _error_product(_cho_solve(b, r, singular), _mix(cfg.r, kt, kr),
-                          cfg.r)
+    if basis is None:
+        x = _cho_solve(_mix(cfg.r, 1.0 + kt, kr), cfg.r.matrix, singular)
+        return nearly_psd(x.conj().T @ _mix(cfg.r, kt, kr),
+                          scale=cfg.r.max_eigenvalue)
+    lam, v, _, _ = basis
+    kr_r0 = kr * cfg.r.constant_diagonal
+    den = (1.0 + kt) * lam + kr_r0
+    if np.any(den <= 0.0):
+        raise SingularMatrixError(singular)
+    return _on_basis(lam * (kt * lam + kr_r0) / den, v, cfg.dim)
 
 
 def error_floor_iid(lam: float, kappa_t_ut: float, kappa_r_bs: float) -> float:
@@ -355,17 +342,18 @@ def pilot_chain(cfgs, n_samples: int, seed: int):
     own p and kappa and applies its own filter. So config i gives the same
     bits in any batch, and results do not depend on how work is split.
 
-    v is None when the rows of h and h_hat are antenna values. When the
-    filter is diagonal in R's eigenbasis (see ``_eigenbasis``), v is R's
-    eigenvectors and the rows are coordinates in that basis: a row x holds
-    the antenna values x @ v.T. Row norms and inner products are the same
-    in both.
+    v is None when the rows of h and h_hat are antenna values: on the
+    dense path, and for R = c I. Otherwise the filter is diagonal in R's
+    eigenbasis (see ``_eigenbasis``), v is R's eigenvectors and the rows
+    are coordinates in that basis: a row x holds the antenna values
+    x @ v.T. Row norms and inner products are the same in both.
     """
     cfgs = list(cfgs)
     r, s = cfgs[0].r, cfgs[0].s
     if any(cfg.r is not r or cfg.s is not s for cfg in cfgs):
         raise ValueError("the configs of one pilot chain must share R and S")
-    v = None if _eigenbasis(cfgs[0]) is None else r.eigenvectors
+    basis = _eigenbasis(cfgs[0])
+    v = None if basis is None else basis[1]
     for j, start in enumerate(range(0, n_samples, _CHUNK)):
         rng = substream(seed, j)
         h = sample_cn(r, rng, size=min(_CHUNK, n_samples - start))
@@ -395,14 +383,10 @@ def _estimate_rows(cfg: UplinkConfig, h: np.ndarray, draws) -> np.ndarray:
     eigenbasis the filter is the diagonal d* g of ``_eigenbasis``."""
     z = _observe(cfg, h, *draws)
     basis = _eigenbasis(cfg)
-    if basis is not None:
-        z *= np.conj(cfg.d) * basis[2]
-        return z
-    a = lmmse_filter(cfg)
-    if np.ndim(a) == 0:
-        z *= a
-        return z
-    return z @ a.T
+    if basis is None:
+        return z @ lmmse_filter(cfg).T
+    z *= np.conj(cfg.d) * basis[2]
+    return z
 
 
 def empirical_mse_batch(cfgs, n_samples: int,

@@ -24,7 +24,15 @@ from misolim.capacity import (
     upper_limit_high_power,
     upper_limit_large_n,
 )
-from misolim.estimation import ImpairmentProfile, UplinkConfig
+from misolim.estimation import (
+    ImpairmentProfile,
+    UplinkConfig,
+    error_covariance,
+    error_floor,
+    lmmse_filter,
+    mse_per_antenna,
+    pilot_chain,
+)
 from misolim.randmat import (
     CovarianceMatrix,
     exponential_correlation,
@@ -325,11 +333,23 @@ class TestScaledIdentityBounds:
             dl = DownlinkConfig(p_bs=100.0, sigma2_ut=1.0, imp=ul.imp)
             upper = capacity_upper_bound(ul.r, dl)
             ideal = capacity_ideal_jensen(ul.r, dl)
+            # the estimation layer serves R = c I on R's eigenbasis with
+            # V = None: scalars and vectors of N, no identity basis
+            a = lmmse_filter(ul)
+            err = error_covariance(ul)
+            floor = error_floor(ul)
+            mse = mse_per_antenna(ul)
+            asym = lower_bound_asymptotic(ul, dl, 1000)
+            v = next(pilot_chain([ul], 2, 0))[3]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
         assert upper < ideal
+        assert np.ndim(a) == 0 and v is None
+        assert err.identity_scale == pytest.approx(mse, rel=1e-15)
+        assert 0.0 < floor.identity_scale < mse
+        assert 0.0 < asym < upper
 
     # 6 SE, as in the benchmark's checks: a correct program fails one
     # example in about 5e8
