@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimation import (
-    _BLOCK,
     ImpairmentProfile,
     MonteCarloEstimate,
     UplinkConfig,
@@ -235,18 +234,12 @@ def lower_bound_mc_batch(links, n_samples: int,
     chunks = [[] for _ in links]
     for i, h, h_hat, v in pilot_chain([ul for ul, _ in links], n_samples,
                                       seed):
-        if v is None:
-            chunks[i].append(_mrt_stats(h, h_hat))
-        else:
-            # u needs antenna values: the chunk's h is rotated back once,
-            # each estimate a block of rows at a time
+        if v is not None:
+            # u needs antenna values: the chunk's h is rotated back once
             if i == 0:
-                h_ant = None  # the last chunk's, freed before the product
                 h_ant = h @ v.T
-            for b in range(0, h.shape[0], _BLOCK):
-                rows = slice(b, b + _BLOCK)
-                chunks[i].append(_mrt_stats(h_ant[rows], h_hat[rows] @ v.T))
-        del h_hat  # freed before the chain forms the next config's estimate
+            h, h_hat = h_ant, h_hat @ v.T
+        chunks[i].append(_mrt_stats(h, h_hat))
     return [_rate_estimate(np.vstack(c), dl, n_samples)
             for c, (_, dl) in zip(chunks, links)]
 

@@ -300,9 +300,7 @@ def _observe(cfg: UplinkConfig, h: np.ndarray, w_t: np.ndarray,
     and eta_r = sqrt(kappa_r_bs p) |h| w_r, from ``_standard_draws``."""
     z = h * (cfg.d + math.sqrt(cfg.imp.kappa_t_ut * cfg.p_ut) * w_t)[:, None]
     z += nu
-    c = math.sqrt(cfg.imp.kappa_r_bs * cfg.p_ut)
-    for b in range(0, z.shape[0], _BLOCK):  # no chunk-sized temporary
-        z[b:b + _BLOCK] += c * hw_r[b:b + _BLOCK]
+    z += math.sqrt(cfg.imp.kappa_r_bs * cfg.p_ut) * hw_r
     return z
 
 
@@ -327,9 +325,7 @@ def simulate_uplink(cfg: UplinkConfig, h: np.ndarray,
     return z[0]
 
 
-_CHUNK = 2048
-# Rows of a chunk that one elementwise temporary or rotation covers.
-_BLOCK = 256
+_CHUNK = 256
 
 
 def pilot_chain(cfgs, n_samples: int, seed: int):
@@ -347,46 +343,33 @@ def pilot_chain(cfgs, n_samples: int, seed: int):
     eigenbasis (see ``_eigenbasis``), v is R's eigenvectors and the rows
     are coordinates in that basis: a row x holds the antenna values
     x @ v.T. Row norms and inner products are the same in both.
+
+    Each config's row filter is formed once, before the first chunk: the
+    diagonal d* g of ``_eigenbasis``, or on the dense path the N x N
+    ``lmmse_filter(cfg).T``, held for the whole chain.
     """
     cfgs = list(cfgs)
     r, s = cfgs[0].r, cfgs[0].s
     if any(cfg.r is not r or cfg.s is not s for cfg in cfgs):
         raise ValueError("the configs of one pilot chain must share R and S")
     basis = _eigenbasis(cfgs[0])
-    v = None if basis is None else basis[1]
+    if basis is None:
+        v, apply = None, np.matmul
+        filters = [lmmse_filter(cfg).T for cfg in cfgs]
+    else:
+        v, apply = basis[1], np.multiply
+        filters = [np.conj(cfg.d) * _eigenbasis(cfg)[2] for cfg in cfgs]
+    # z is linear in h, nu and |h| w_r: each chunk of them is rotated by
+    # conj(V) once
+    vc = None if v is None else v.conj()
     for j, start in enumerate(range(0, n_samples, _CHUNK)):
         rng = substream(seed, j)
         h = sample_cn(r, rng, size=min(_CHUNK, n_samples - start))
         w_t, nu, hw_r = _standard_draws(s, h, rng)
-        if v is not None:
-            # z is linear in h, nu and |h| w_r: each is rotated once per
-            # chunk, and rebinding frees its antenna values
-            vc = v.conj()
-            h = h @ vc
-            nu = nu @ vc
-            hw_r = hw_r @ vc
-            del vc
-        draws = w_t, nu, hw_r
-        del nu, hw_r
-        for i, cfg in enumerate(cfgs):
-            h_hat = _estimate_rows(cfg, h, draws)
-            if i == len(cfgs) - 1:
-                del draws  # not needed while the caller uses this chunk
-            yield i, h, h_hat, v
-            del h_hat  # only the caller holds it while the next is formed
-
-
-def _estimate_rows(cfg: UplinkConfig, h: np.ndarray, draws) -> np.ndarray:
-    """LMMSE estimates of the rows of h from their ``_standard_draws``.
-    The filter is formed here, one config at a time: holding every
-    config's N x N filter would cost that much memory each. On R's
-    eigenbasis the filter is the diagonal d* g of ``_eigenbasis``."""
-    z = _observe(cfg, h, *draws)
-    basis = _eigenbasis(cfg)
-    if basis is None:
-        return z @ lmmse_filter(cfg).T
-    z *= np.conj(cfg.d) * basis[2]
-    return z
+        if vc is not None:
+            h, nu, hw_r = h @ vc, nu @ vc, hw_r @ vc
+        for i, (cfg, f) in enumerate(zip(cfgs, filters)):
+            yield i, h, apply(_observe(cfg, h, w_t, nu, hw_r), f), v
 
 
 def empirical_mse_batch(cfgs, n_samples: int,
@@ -401,7 +384,6 @@ def empirical_mse_batch(cfgs, n_samples: int,
     for i, h, h_hat, _ in pilot_chain(cfgs, n_samples, seed):
         h_hat -= h  # the chain's h is shared, its h_hat is not
         e[i].append(np.sum(np.abs(h_hat) ** 2, axis=1) / cfgs[i].dim)
-        del h_hat  # freed before the chain forms the next config's estimate
     out = []
     for ei in map(np.concatenate, e):
         out.append(MonteCarloEstimate(

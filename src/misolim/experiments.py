@@ -92,6 +92,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}"
             )
+        for name in ("seed", "n_samples", "workers"):
+            v = getattr(self, name)
+            if not (isinstance(v, numbers.Integral)
+                    or (v is None and name == "n_samples")):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.n_samples is not None and self.n_samples < 1000:
             raise ValueError("sample count must be at least 1000")
         if self.workers < 1:

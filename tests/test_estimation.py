@@ -4,6 +4,8 @@ Monte-Carlo oracles (sample-covariance regression, orthogonality checks,
 law of total covariance) validate the closed forms end to end.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -509,10 +511,13 @@ class TestSharedDraws:
             out[i][1].append(h_hat)
         return [(np.concatenate(h), np.concatenate(h_hat)) for h, h_hat in out]
 
-    @pytest.mark.parametrize("n_samples", [1000, _CHUNK + 100, 2 * _CHUNK + 1])
-    @pytest.mark.parametrize("r", [exponential_correlation(3, 0.7),
-                                   CovarianceMatrix.identity(3).scaled(2.0)],
-                             ids=["dense", "scaled-identity"])
+    # a partial last chunk, whole chunks, and a one-row last chunk
+    @pytest.mark.parametrize("n_samples", [1000, 4 * _CHUNK, 4 * _CHUNK + 1])
+    @pytest.mark.parametrize(
+        "r", [exponential_correlation(3, 0.7),
+              CovarianceMatrix.identity(3).scaled(2.0),
+              CovarianceMatrix(np.diag([0.5, 1.0, 2.0]) + 0.1)],
+        ids=["dense", "scaled-identity", "cholesky"])
     def test_config_bits_do_not_depend_on_batch(self, r, n_samples):
         cfgs = self.batch(r)
         batch = self.chain(cfgs, n_samples, seed=5)
@@ -530,6 +535,36 @@ class TestSharedDraws:
         # one channel draw set, one estimate per config
         np.testing.assert_array_equal(batch[0][0], batch[2][0])
         assert not np.array_equal(batch[0][1], batch[2][1])
+
+    @staticmethod
+    def traced_peak(run, n_samples):
+        tracemalloc.start()
+        try:
+            run(n_samples)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("estimator", ["rate", "mse"])
+    def test_peak_memory_does_not_grow_with_samples(self, estimator):
+        # the chain holds one chunk of rows at a time: a few arrays of
+        # _CHUNK x N complex values, whatever the sample count
+        if estimator == "rate":
+            n = 1024
+            r = CovarianceMatrix.identity(n)
+            cfgs = [UplinkConfig(r=r, s=r, p_ut=p,
+                                 imp=ImpairmentProfile.uniform(0.0025))
+                    for p in (1.0, 10.0, 100.0)]
+            links = [(cfg, DownlinkConfig(p_bs=cfg.p_ut, sigma2_ut=1.0,
+                                          imp=cfg.imp)) for cfg in cfgs]
+            run = lambda m: lower_bound_mc_batch(links, m, seed=3)
+        else:
+            n = 256
+            cfgs = self.batch(exponential_correlation(n, 0.7))
+            run = lambda m: empirical_mse_batch(cfgs, m, seed=3)
+        small, large = (self.traced_peak(run, m) for m in (1000, 4000))
+        assert large <= 1.1 * small
+        assert large < 12 * _CHUNK * n * 16
 
     def test_configs_must_share_covariances(self):
         r = exponential_correlation(3, 0.7)

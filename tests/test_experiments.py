@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from misolim.experiments import (
@@ -58,6 +59,18 @@ class TestExperimentConfig:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="capacity-vs-n", n_grid=[])
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("seed", None), ("n_samples", 1500.5),
+        ("n_samples", "2000"), ("workers", 2.0)])
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ExperimentConfig(experiment="capacity-vs-n", **{field: value})
+
+    def test_accepts_numpy_integers(self):
+        cfg = ExperimentConfig(experiment="capacity-vs-n", seed=np.int64(3),
+                               n_samples=np.int32(2000), workers=np.int64(2))
+        assert cfg.samples_for(4) == 2000
 
     def test_default_sample_rule(self):
         cfg = ExperimentConfig(experiment="capacity-vs-n")
