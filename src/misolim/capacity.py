@@ -232,13 +232,9 @@ def lower_bound_mc_batch(links, n_samples: int,
         raise ValueError("lower_bound_mc needs at least 1000 samples")
     links = list(links)
     chunks = [[] for _ in links]
-    for i, h, h_hat, v in pilot_chain([ul for ul, _ in links], n_samples,
-                                      seed):
-        if v is not None:
-            # u needs antenna values: the chunk's h is rotated back once
-            if i == 0:
-                h_ant = h @ v.T
-            h, h_hat = h_ant, h_hat @ v.T
+    # u = sum_i |h_i|^2 |v_i|^2 needs antenna values
+    for i, h, h_hat, _ in pilot_chain([ul for ul, _ in links], n_samples,
+                                      seed, antenna=True):
         chunks[i].append(_mrt_stats(h, h_hat))
     return [_rate_estimate(np.vstack(c), dl, n_samples)
             for c, (_, dl) in zip(chunks, links)]

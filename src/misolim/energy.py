@@ -45,6 +45,11 @@ class EnergyConfig:
         if self.circuit_power < 0.0:
             raise ValueError("circuit power must be nonnegative")
 
+    def powers(self, n: int) -> tuple[float, float]:
+        """(p_bs, p_ut) at array size n: the base powers scaled by 1/n^t."""
+        return (scaled_power(self.p_bs_base, n, self.t_bs),
+                scaled_power(self.p_ut_base, n, self.t_ut))
+
     def exponents_admissible(self) -> bool:
         """Whether the asymptotic non-zero-rate guarantee applies:
         t_bs >= 0, 0 < t_ut < 1/2, t_bs + t_ut < 1."""
@@ -109,8 +114,7 @@ def ee_points(n: int, channel, specs, n_samples: int,
     r, s, sigma2 = channel
     links = []
     for ecfg, _, imp in specs:
-        p_bs = scaled_power(ecfg.p_bs_base, n, ecfg.t_bs)
-        p_ut = scaled_power(ecfg.p_ut_base, n, ecfg.t_ut)
+        p_bs, p_ut = ecfg.powers(n)
         links.append((UplinkConfig(r=r, s=s, p_ut=p_ut, imp=imp),
                       DownlinkConfig(p_bs=p_bs, sigma2_ut=sigma2, imp=imp)))
     caps = lower_bound_mc_batch(links, n_samples, seed)

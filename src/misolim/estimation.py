@@ -325,10 +325,66 @@ def simulate_uplink(cfg: UplinkConfig, h: np.ndarray,
     return z[0]
 
 
+def _tridiagonal_filter(cfg: UplinkConfig):
+    """The LMMSE filter for R = c K_rho and S = s I, as (l, inv_m, kappa):
+    h_hat = d* R M^{-1} z = kappa B^{-1} z with kappa = d* c and
+    B = c alpha I + beta K^{-1}, for M = alpha R + beta I as in
+    ``_eigenbasis``. K^{-1} is tridiagonal: (1 + rho^2 inside, 1 at both
+    ends, -rho off the diagonal) / (1 - rho^2), and [1] for N = 1. B = L
+    diag(m) L^T with unit lower bidiagonal L, whose subdiagonal is l[1:].
+    """
+    n, rho, c = cfg.dim, cfg.r.kms_rho, cfg.r.constant_diagonal
+    alpha = cfg.p_ut * (1.0 + cfg.imp.kappa_t_ut)
+    beta = cfg.p_ut * cfg.imp.kappa_r_bs * c + cfg.s.identity_scale
+    g = beta / ((1.0 - rho) * (1.0 + rho))
+    ca, off = c * alpha, -g * rho
+    if n == 1:
+        diag = [ca + beta]
+    else:
+        diag = [ca + g] + [ca + g * (1.0 + rho * rho)] * (n - 2) + [ca + g]
+    l, m = [0.0], [diag[0]]
+    for b in diag[1:]:
+        l.append(off / m[-1])
+        m.append(b - l[-1] * off)
+    return l, [1.0 / mi for mi in m], np.conj(cfg.d) * c
+
+
+def _tridiagonal_solve(z: np.ndarray, f) -> np.ndarray:
+    """kappa B^{-1} z for each row of a (rows, N) z, with f = (l, inv_m,
+    kappa) from ``_tridiagonal_filter``: the Thomas algorithm, on a copy
+    of z whose antenna axis leads in memory (z itself when its transpose
+    is C-contiguous), so that each step reads whole contiguous rows. B is
+    real: the steps run on the real and imaginary parts alike."""
+    l, inv_m, kappa = f
+    u = np.ascontiguousarray(z.T)
+    x = list(u.view(np.float64))
+    for i in range(1, len(x)):
+        x[i] -= l[i] * x[i - 1]
+    x[-1] *= inv_m[-1]
+    for i in range(len(x) - 2, -1, -1):
+        x[i] *= inv_m[i]
+        x[i] -= l[i + 1] * x[i + 1]
+    u *= kappa
+    return u.T
+
+
+def _chain_filters(cfgs, antenna: bool):
+    """(v, apply, filters) of ``pilot_chain``: h_hat = apply(z, filters[i])
+    for config i, on R's eigenbasis V = v or on antenna values (v None)."""
+    cfg = cfgs[0]
+    if antenna and cfg.r.kms_rho is not None and cfg.s.identity_scale is not None:
+        return None, _tridiagonal_solve, [_tridiagonal_filter(c) for c in cfgs]
+    basis = _eigenbasis(cfg)
+    if basis is None or (antenna and basis[1] is not None):
+        return None, np.matmul, [lmmse_filter(c).T for c in cfgs]
+    return basis[1], np.multiply, [np.conj(c.d) * _eigenbasis(c)[2]
+                                   for c in cfgs]
+
+
 _CHUNK = 256
 
 
-def pilot_chain(cfgs, n_samples: int, seed: int):
+def pilot_chain(cfgs, n_samples: int, seed: int, antenna: bool = False):
     """Channel draw, distorted uplink pilot, LMMSE estimate for configs that
     share R and S (the same objects): yields (i, h, h_hat, v) for config i,
     in batches of up to _CHUNK rows, n_samples rows per config in all.
@@ -338,27 +394,28 @@ def pilot_chain(cfgs, n_samples: int, seed: int):
     own p and kappa and applies its own filter. So config i gives the same
     bits in any batch, and results do not depend on how work is split.
 
-    v is None when the rows of h and h_hat are antenna values: on the
-    dense path, and for R = c I. Otherwise the filter is diagonal in R's
-    eigenbasis (see ``_eigenbasis``), v is R's eigenvectors and the rows
-    are coordinates in that basis: a row x holds the antenna values
-    x @ v.T. Row norms and inner products are the same in both.
+    v is None when the rows of h and h_hat are antenna values, which they
+    always are when ``antenna`` is true. Otherwise a constant-diagonal R
+    with S = s I, except R = c I, has its filter diagonal in R's eigenbasis
+    (see ``_eigenbasis``): then v is R's eigenvectors and the rows are
+    coordinates in that basis, so a row x holds the antenna values
+    x @ v.T. Row norms and inner products are the same in both, so a
+    consumer that needs only those leaves ``antenna`` false.
 
-    Each config's row filter is formed once, before the first chunk: the
-    diagonal d* g of ``_eigenbasis``, or on the dense path the N x N
-    ``lmmse_filter(cfg).T``, held for the whole chain.
+    Each config's filter is formed once, before the first chunk:
+    - R = c I and S = s I: the scalar d* g of ``_eigenbasis``;
+    - antenna values for R = c K_rho (``exponential_correlation``) and
+      S = s I: a tridiagonal solve (``_tridiagonal_filter``), with no
+      eigendecomposition and no N x N array;
+    - eigenbasis coordinates: the diagonal d* g of ``_eigenbasis``;
+    - otherwise the N x N ``lmmse_filter(cfg).T``.
     """
     cfgs = list(cfgs)
     r, s = cfgs[0].r, cfgs[0].s
     if any(cfg.r is not r or cfg.s is not s for cfg in cfgs):
         raise ValueError("the configs of one pilot chain must share R and S")
-    basis = _eigenbasis(cfgs[0])
-    if basis is None:
-        v, apply = None, np.matmul
-        filters = [lmmse_filter(cfg).T for cfg in cfgs]
-    else:
-        v, apply = basis[1], np.multiply
-        filters = [np.conj(cfg.d) * _eigenbasis(cfg)[2] for cfg in cfgs]
+    v, apply, filters = _chain_filters(cfgs, antenna)
+    tridiagonal = apply is _tridiagonal_solve
     # z is linear in h, nu and |h| w_r: each chunk of them is rotated by
     # conj(V) once
     vc = None if v is None else v.conj()
@@ -368,6 +425,11 @@ def pilot_chain(cfgs, n_samples: int, seed: int):
         w_t, nu, hw_r = _standard_draws(s, h, rng)
         if vc is not None:
             h, nu, hw_r = h @ vc, nu @ vc, hw_r @ vc
+        elif tridiagonal:
+            # z already takes the AR(1) h's antenna-leading layout; this
+            # gives the two shared addends that layout too, once per chunk,
+            # so that every config's adds into z run on matching layouts
+            nu, hw_r = np.asfortranarray(nu), np.asfortranarray(hw_r)
         for i, (cfg, f) in enumerate(zip(cfgs, filters)):
             yield i, h, apply(_observe(cfg, h, w_t, nu, hw_r), f), v
 
@@ -380,8 +442,10 @@ def empirical_mse_batch(cfgs, n_samples: int,
         raise ValueError("need at least 2 samples")
     cfgs = list(cfgs)
     e = [[] for _ in cfgs]
-    # the error's row norms are the same in either basis of the chain
-    for i, h, h_hat, _ in pilot_chain(cfgs, n_samples, seed):
+    # the error's row norms are the same in either basis of the chain; on
+    # R's eigenbasis the configs share one rotation per chunk, which costs
+    # less than a tridiagonal solve per config
+    for i, h, h_hat, _ in pilot_chain(cfgs, n_samples, seed, antenna=False):
         h_hat -= h  # the chain's h is shared, its h_hat is not
         e[i].append(np.sum(np.abs(h_hat) ** 2, axis=1) / cfgs[i].dim)
     out = []

@@ -65,6 +65,12 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
+def _pilot_power(snr_db: float, n: int) -> float:
+    """Pilot power p at uplink SNR snr_db = p tr R / tr S, for the runners'
+    R and S: both have trace n."""
+    return db_to_linear(snr_db) * n / n
+
+
 # Grid field -> (what each of its values must be, the test).
 _GRID_RULES = {
     "n_grid": ("integers >= 1",
@@ -110,6 +116,36 @@ class ExperimentConfig:
             for x in v or ():
                 if not ok(x):
                     raise ValueError(f"{name} values must be {rule}, got {x}")
+        for value, power in self._powers():
+            try:
+                p = power()
+            except OverflowError:
+                p = math.inf
+            if not 0.0 < p < math.inf:
+                raise ValueError(f"{value} gives a linear power outside "
+                                 "(0, inf)")
+
+    def sizes(self) -> list[int]:
+        """The run's array sizes: n_grid, or the experiment's default."""
+        if self.n_grid:
+            return list(self.n_grid)
+        if self.experiment == "estimation-error":
+            return [10, 100]
+        return list(N_GRID_POW2)
+
+    def _powers(self):
+        """(grid value, power()) for every linear power the grids imply, as
+        the runners form it: an SNR point's pilot power, and the
+        energy-efficiency powers p_base / N^t. Each falls, or overflows, as
+        N grows, so the largest N decides."""
+        n = max(self.sizes())
+        for snr_db in self.snr_db or ():
+            yield (f"snr_db value {snr_db:g}",
+                   lambda snr_db=snr_db: _pilot_power(snr_db, n))
+        if self.experiment == "energy-efficiency":
+            for t in T_GRID if self.t is None else self.t:
+                yield (f"t value {t:g} at N = {n}",
+                       lambda t=t: min(_ee_config(t).powers(n)))
 
     def samples_for(self, n: int) -> int:
         if self.n_samples is not None:
@@ -154,8 +190,8 @@ def _sweep(group_fn, n_grid: list, grid: list, workers: int) -> SweepTable:
     """Run ``group_fn(n)`` once per array size on up to ``workers`` threads
     and join the rows of the grid points in ``grid`` order, whatever the
     pool size. ``group_fn(n)`` returns {grid point: SweepTable} for every
-    point with that n. Callers build covariances before the sweep: no
-    thread factors one."""
+    point with that n. Callers build covariances before the sweep; an
+    exponential correlation forms its arrays where they are first used."""
     sizes = list(dict.fromkeys(n_grid))
     if workers <= 1 or len(sizes) <= 1:
         groups = [group_fn(n) for n in sizes]
@@ -177,7 +213,7 @@ def _progress(msg: str) -> None:
 
 def run_estimation_error(cfg: ExperimentConfig) -> SweepTable:
     exp = cfg.experiment
-    n_grid = cfg.n_grid or [10, 100]
+    n_grid = cfg.sizes()
     kappas = cfg.kappa if cfg.kappa is not None else list(KAPPA_LEVELS)
     snrs = cfg.snr_db if cfg.snr_db is not None else list(SNR_DB_GRID)
 
@@ -190,8 +226,8 @@ def run_estimation_error(cfg: ExperimentConfig) -> SweepTable:
     def one_n(n):
         _progress(f"estimation-error: N={n} ({len(points)} points)")
         r, s = covs[n]
-        uls = [UplinkConfig(r=r, s=s, p_ut=db_to_linear(snr_db) * s.trace()
-                            / r.trace(), imp=imps[k]) for k, snr_db in points]
+        uls = [UplinkConfig(r=r, s=s, p_ut=_pilot_power(snr_db, n),
+                            imp=imps[k]) for k, snr_db in points]
         ests = empirical_mse_batch(uls, cfg.samples_for(n),
                                    derive_seed(cfg.seed, n))
         floors, out = {}, {}
@@ -224,7 +260,7 @@ def run_capacity(cfg: ExperimentConfig) -> SweepTable:
     sweeps the BS level with the terminal level fixed at KAPPA_UT_FIXED."""
     exp = cfg.experiment
     vs_n = exp == "capacity-vs-n"
-    n_grid = cfg.n_grid or list(N_GRID_POW2)
+    n_grid = cfg.sizes()
     kappas = cfg.kappa if cfg.kappa is not None else list(KAPPA_LEVELS)
     snr_db = cfg.snr_db[0] if cfg.snr_db else SNR_DB_FIXED
 
@@ -235,7 +271,7 @@ def run_capacity(cfg: ExperimentConfig) -> SweepTable:
     def one_n(n):
         _progress(f"{exp}: N={n} ({len(imps)} points)")
         r = s = covs[n]
-        p = db_to_linear(snr_db) * s.trace() / r.trace()
+        p = _pilot_power(snr_db, n)
         sigma2 = s.trace() / n  # per-antenna noise level
         links = [(UplinkConfig(r=r, s=s, p_ut=p, imp=imps[k]),
                   DownlinkConfig(p_bs=p, sigma2_ut=sigma2, imp=imps[k]))
@@ -271,8 +307,14 @@ EE_SNR_BASE_DB = 20.0
 EE_KAPPA_IMPAIRED = 0.05 ** 2
 
 
+def _ee_config(t: float) -> EnergyConfig:
+    """Base powers EE_P_BASE_W at N = 1, both scaled as 1/N^t."""
+    return EnergyConfig(p_bs_base=EE_P_BASE_W, p_ut_base=EE_P_BASE_W,
+                        t_bs=t, t_ut=t)
+
+
 def run_energy_efficiency(cfg: ExperimentConfig) -> SweepTable:
-    n_grid = cfg.n_grid or list(N_GRID_POW2)
+    n_grid = cfg.sizes()
     t_grid = cfg.t if cfg.t is not None else list(T_GRID)
     kappas = cfg.kappa if cfg.kappa is not None else [0.0, EE_KAPPA_IMPAIRED]
     profiles = {("ideal" if k == 0.0 else f"impaired[{k:g}]"):
@@ -281,8 +323,7 @@ def run_energy_efficiency(cfg: ExperimentConfig) -> SweepTable:
     channels = {n: (exponential_correlation(n, EXP_CORR_RHO),
                     CovarianceMatrix.identity(n).scaled(sigma2), sigma2)
                 for n in n_grid}
-    ecfgs = {t: EnergyConfig(p_bs_base=EE_P_BASE_W, p_ut_base=EE_P_BASE_W,
-                             t_bs=t, t_ut=t) for t in t_grid}
+    ecfgs = {t: _ee_config(t) for t in t_grid}
     for ecfg in ecfgs.values():
         warn_if_inadmissible(ecfg)
     specs = [(ecfg, name, imp) for ecfg in ecfgs.values()

@@ -9,6 +9,7 @@ seed so Monte-Carlo results are independent of how work is partitioned.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -32,16 +33,26 @@ class CovarianceMatrix:
     nonnegative diagonal, and min eigenvalue >= -PSD_TOL * ||M||, and keeps
     that eigendecomposition M = V diag(w) V^H: ``eigenvalues`` w ascending,
     paired with the columns of ``eigenvectors`` V. ``factor`` =
-    V sqrt(max(w, 0)) is built on each access, so factor @ factor^H = M
-    even for singular M. ``constant_diagonal`` is r0 when every diagonal
-    entry equals r0, else None. All arrays are read-only.
+    V sqrt(max(w, 0)), formed on first use, so factor @ factor^H = M even
+    for singular M. ``constant_diagonal`` is r0 when every diagonal entry
+    equals r0, else None. All arrays are read-only.
 
-    ``identity(n)`` and its ``scaled`` copies are c I and store only
-    (n, c): ``identity_scale`` is c for them and None for a dense matrix.
-    Their arrays are built on each access.
+    Two structured kinds store parameters, not arrays:
+
+    * ``identity(n)`` and its ``scaled`` copies are c I and store (n, c):
+      ``identity_scale`` is c. Their arrays are built on each access.
+    * ``exponential_correlation(n, rho)`` and its ``scaled`` copies are
+      c K with K_ij = rho^|i-j|, the Kac-Murdock-Szego matrix, and store
+      (n, rho, c): ``kms_rho`` is rho. K is positive definite for
+      0 <= rho < 1, so nothing is validated. ``matrix`` is built on first
+      use and its eigendecomposition on the first use of the spectrum; both
+      are kept, and shared with the scaled copies as dense ones share V.
+      ``factor`` is the lower Cholesky factor of c K in closed form.
     """
 
     _scale = None
+    _rho = None
+    _m = _eigh = _factor = None
 
     def __init__(self, matrix) -> None:
         m = np.array(matrix, dtype=np.complex128)
@@ -68,8 +79,7 @@ class CovarianceMatrix:
         diag = np.diagonal(m).real
         self._n = m.shape[0]
         self._m = m
-        self._eig = eig
-        self._v = v
+        self._eigh = eig, v
         self._diag0 = float(diag[0]) if np.all(diag == diag[0]) else None
         return self
 
@@ -86,13 +96,27 @@ class CovarianceMatrix:
         return cov
 
     @classmethod
+    def _kms(cls, n: int, rho: float, c: float, unit=None) -> "CovarianceMatrix":
+        """c K_rho; ``unit`` is the c = 1 instance that keeps K's arrays."""
+        cov = cls.__new__(cls)
+        cov._n, cov._rho, cov._diag0 = n, rho, c
+        cov._unit = cov if unit is None else unit
+        return cov
+
+    @classmethod
     def identity(cls, n: int) -> "CovarianceMatrix":
         return cls._scaled_identity(_dimension(n), 1.0)
 
     @property
     def identity_scale(self) -> float | None:
-        """c when the matrix is c I, None for a dense matrix."""
+        """c when the matrix is c I, None otherwise."""
         return self._scale
+
+    @property
+    def kms_rho(self) -> float | None:
+        """rho when the matrix is c K_rho (``exponential_correlation`` and
+        its scaled copies), None otherwise; c is ``constant_diagonal``."""
+        return self._rho
 
     @property
     def constant_diagonal(self) -> float | None:
@@ -109,51 +133,85 @@ class CovarianceMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
-        return self._m if self._scale is None else self._eye(self._scale)
+        if self._scale is not None:
+            return self._eye(self._scale)
+        if self._m is None:  # c K, built once
+            unit = self._unit
+            if unit._m is None:
+                idx = np.arange(self._n)
+                lag = np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
+                unit._m = _frozen((self._rho ** lag).astype(np.complex128))
+            self._m = (unit._m if unit is self
+                       else _frozen(self._diag0 * unit._m))
+        return self._m
+
+    def _spectrum(self):
+        """(w, V), computed for c K on first use: K's decomposition, with
+        w scaled by c."""
+        if self._eigh is None:
+            unit = self._unit
+            if unit._eigh is None:
+                eig, v = np.linalg.eigh(unit.matrix)
+                unit._eigh = _frozen(eig), _frozen(v)
+            eig, v = unit._eigh
+            if unit is not self:
+                eig = _frozen(self._diag0 * eig)
+            self._eigh = eig, v
+        return self._eigh
 
     @property
     def factor(self) -> np.ndarray:
-        if self._scale is None:
-            return _frozen(self._v * np.sqrt(np.clip(self._eig, 0.0, None)))
-        return self._eye(np.sqrt(self._scale))
+        if self._scale is not None:
+            return self._eye(np.sqrt(self._scale))
+        if self._factor is None:
+            if self._rho is None:
+                eig, v = self._eigh
+                self._factor = _frozen(v * np.sqrt(np.clip(eig, 0.0, None)))
+            else:
+                self._factor = _frozen(_kms_cholesky(self._n, self._rho)
+                                       * np.sqrt(self._diag0))
+        return self._factor
 
     @property
     def eigenvalues(self) -> np.ndarray:
         if self._scale is None:
-            return self._eig
+            return self._spectrum()[0]
         return _frozen(np.full(self._n, self._scale))
 
     @property
     def eigenvectors(self) -> np.ndarray:
-        return self._v if self._scale is None else self._eye(1.0)
+        return self._spectrum()[1] if self._scale is None else self._eye(1.0)
 
     @property
     def min_eigenvalue(self) -> float:
-        return float(self._eig[0]) if self._scale is None else self._scale
+        return float(self.eigenvalues[0]) if self._scale is None else self._scale
 
     @property
     def max_eigenvalue(self) -> float:
-        return float(self._eig[-1]) if self._scale is None else self._scale
+        return float(self.eigenvalues[-1]) if self._scale is None else self._scale
 
     def trace(self) -> float:
-        if self._scale is None:
+        if self._scale is None and self._rho is None:
             return float(np.trace(self._m).real)
-        return self._n * self._scale
+        return self._n * self.constant_diagonal
 
     def diagonal(self) -> np.ndarray:
         """Real diagonal entries (the per-antenna variances)."""
-        if self._scale is None:
+        if self._scale is None and self._rho is None:
             return np.diagonal(self._m).real.copy()
-        return np.full(self._n, self._scale)
+        return np.full(self._n, self.constant_diagonal)
 
     def scaled(self, c: float) -> "CovarianceMatrix":
         if not (0.0 <= c < np.inf):
             raise InvalidMatrixError(f"scale factor must be finite and >= 0, got {c}")
         if self._scale is not None:
             return self._scaled_identity(self._n, c * self._scale)
+        if self._rho is not None:
+            return self._kms(self._n, self._rho, c * self._diag0, self._unit)
         # c M has eigenvalues c w and the same eigenvectors: nothing to
         # revalidate
-        return self._known(c * self._m, c * self._eig, self._v)
+        eig, v = self._eigh
+        return self._known(c * self._m, c * eig, v)
 
     def __repr__(self) -> str:
         return f"CovarianceMatrix(dim={self.dim})"
@@ -204,14 +262,28 @@ def _from_spectrum(w: np.ndarray, v: np.ndarray) -> CovarianceMatrix:
 
 
 def exponential_correlation(n: int, rho: float) -> CovarianceMatrix:
-    """Exponential correlation model: entry (i, j) = rho^|i-j|."""
+    """Exponential correlation model: entry (i, j) = rho^|i-j|, the
+    Kac-Murdock-Szego matrix K (see ``CovarianceMatrix``)."""
     n = _dimension(n)
     rho = float(rho)
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"correlation coefficient must lie in [0, 1), got {rho}")
+    return CovarianceMatrix._kms(n, rho, 1.0)
+
+
+def _innovation(rho: float) -> float:
+    """sqrt(1 - rho^2), without cancellation as rho nears 1."""
+    return math.sqrt((1.0 - rho) * (1.0 + rho))
+
+
+def _kms_cholesky(n: int, rho: float) -> np.ndarray:
+    """Lower Cholesky factor L of K_rho: L_i0 = rho^i and
+    L_ij = sqrt(1 - rho^2) rho^(i-j) for 1 <= j <= i."""
     idx = np.arange(n)
-    m = rho ** np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
-    return CovarianceMatrix(m)
+    lag = idx[:, None] - idx[None, :]
+    f = np.where(lag >= 0, rho ** np.abs(lag).astype(np.float64), 0.0)
+    f[:, 1:] *= _innovation(rho)
+    return f.astype(np.complex128)
 
 
 def psd_factor(m) -> np.ndarray:
@@ -222,20 +294,39 @@ def psd_factor(m) -> np.ndarray:
 def sample_cn(m, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Draw x ~ CN(0, m): zero mean, E{x x^H} = m, E{x x^T} = 0.
 
-    Returns shape (n,) or (size, n). A CovarianceMatrix carries its factor;
-    an array ``m`` is validated and factored on every call. A scaled
-    identity c I scales the same draws by sqrt(c) instead of a matrix
-    product.
+    Returns shape (n,) or (size, n). The draws are w = (re + 1j im) /
+    sqrt(2) for a block re of standard normals and then a block im, of
+    that shape. A dense matrix returns w @ factor^T, with the factor
+    formed once per CovarianceMatrix; an array ``m`` is validated and
+    factored on every call. A scaled identity c I scales w by sqrt(c)
+    instead of a matrix product. c K_rho scales w by sqrt(c) and runs it
+    through the AR(1) recursion of its Cholesky factor, x_0 = w_0 and
+    x_i = rho x_(i-1) + sqrt(1 - rho^2) w_i: O(N) per draw, with the
+    antenna axis leading in memory, so that each step reads one contiguous
+    row (the result is a transposed view).
     """
     cov = _as_cov(m)
-    n = cov.dim
-    w = _re_plus_j_im(rng, (n,) if size is None else (int(size), n))
+    n, rho = cov.dim, cov.kms_rho
+    shape = (n,) if size is None else (int(size), n)
+    out = None if rho is None else np.empty(shape[::-1], dtype=np.complex128).T
+    w = _re_plus_j_im(rng, shape, out)
     w /= np.sqrt(2.0)
-    if cov.identity_scale is None:
+    if cov.identity_scale is None and rho is None:
         return w @ cov.factor.T
-    # the product with sqrt(c) I, one entry at a time
-    w *= np.sqrt(cov.identity_scale)
+    # the product with sqrt(c) I, one entry at a time, for c I and c K
+    w *= np.sqrt(cov.constant_diagonal)
+    if rho is not None:
+        _ar1(w.T.reshape(n, -1).view(np.float64), rho)
     return w
+
+
+def _ar1(x: np.ndarray, rho: float) -> None:
+    """x_i <- rho x_(i-1) + sqrt(1 - rho^2) x_i along the leading axis, in
+    place, from i = 1 on."""
+    a = _innovation(rho)
+    for prev, row in zip(x, x[1:]):
+        row *= a
+        row += rho * prev
 
 
 def sample_scalar_cn(variance: float, rng: np.random.Generator,
@@ -249,11 +340,12 @@ def sample_scalar_cn(variance: float, rng: np.random.Generator,
     return complex(x) if size is None else x
 
 
-def _re_plus_j_im(rng: np.random.Generator, shape) -> np.ndarray:
+def _re_plus_j_im(rng: np.random.Generator, shape, out=None) -> np.ndarray:
     """re + 1j * im for a block ``re`` of standard normals and then a block
-    ``im``, written into one complex array: the bits of that expression
-    without its three complex temporaries."""
-    x = np.empty(shape, dtype=np.complex128)
+    ``im``, written into one complex array (``out``, of that shape, when
+    given): the bits of that expression without its three complex
+    temporaries."""
+    x = np.empty(shape, dtype=np.complex128) if out is None else out
     block = rng.standard_normal(shape)
     x.real = block
     rng.standard_normal(out=block)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from misolim import estimation
 from misolim.capacity import (
     DownlinkConfig,
     _mrt_stats,
@@ -16,6 +17,7 @@ from misolim.capacity import (
     capacity_upper_bound,
     lower_bound_asymptotic,
     lower_bound_mc,
+    lower_bound_mc_batch,
     lower_limit_scaled_power,
     optimal_beamformer,
     simulate_downlink,
@@ -364,6 +366,34 @@ class TestScaledIdentityBounds:
         assert lower.value <= upper + 6.0 * lower.std_error
         assert upper <= capacity_ideal_jensen(ul.r, dl)
 
+
+
+class TestExponentialCorrelationChain:
+    def test_no_eigh_and_no_dense_array(self, monkeypatch):
+        # R = K_rho and S = s I: AR(1) draws and a tridiagonal solve per
+        # config, with no eigendecomposition and no N x N array, of which
+        # the smallest, a real one, is 134 MB at N = 4096. The chain holds
+        # a few arrays of _CHUNK x N complex values: a smaller chunk keeps
+        # them well below that.
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        n = 4096
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        monkeypatch.setattr(estimation, "_CHUNK", 128)
+        tracemalloc.start()
+        try:
+            r = exponential_correlation(n, 0.7)
+            imp = ImpairmentProfile.uniform(0.0025)
+            ul = UplinkConfig(r=r, s=CovarianceMatrix.identity(n).scaled(0.01),
+                              p_ut=1.0, imp=imp)
+            dl = DownlinkConfig(p_bs=1.0, sigma2_ut=0.01, imp=imp)
+            rate, = lower_bound_mc_batch([(ul, dl)], 1000, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
+        assert 0.0 < rate.value < capacity_upper_bound(r, dl)
 
 class TestLowerBoundAsymptotic:
     def test_consistent_with_mc_when_ut_transmit_ideal(self):

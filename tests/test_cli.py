@@ -161,6 +161,29 @@ class TestMain:
         assert "usage:" in capsys.readouterr().out
 
 
+def _env_with_src():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+
+
+# Grid values whose linear power overflows or underflows to 0: rejected
+# with one line before any work, not by a traceback from the sweep.
+@pytest.mark.parametrize("argv", [
+    ["--experiment", "capacity-vs-n", "--n-grid", "4", "--snr-db", "4000"],
+    ["--experiment", "capacity-vs-n", "--n-grid", "4", "--snr-db=-4000"],
+    ["--experiment", "energy-efficiency", "--n-grid", "2", "--t", "2000"],
+], ids=["overflow", "underflow", "ee-scaling"])
+def test_out_of_range_power_rejected_before_work(argv):
+    done = subprocess.run([sys.executable, "-m", "misolim.cli", *argv],
+                          env=_env_with_src(), capture_output=True,
+                          text=True, timeout=120)
+    err = done.stderr.splitlines()
+    assert done.returncode == 2
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "Traceback" not in done.stderr and done.stdout == ""
+
+
 # Runs one tiny point of each experiment through cli.main in a fresh
 # interpreter and prints, as JSON, the modules each run_experiment call
 # imported and whether scipy was ever loaded.
@@ -191,12 +214,10 @@ print(json.dumps({"fresh": fresh, "scipy": "scipy" in sys.modules}))
 def test_runs_import_nothing_and_need_no_scipy(tmp_path):
     # scipy is only a test dependency, and every module a run needs is
     # loaded with the package, not inside the timed sweep
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
     done = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "one.csv")],
-        env=env, capture_output=True, text=True, check=True, timeout=120)
+        env=_env_with_src(), capture_output=True, text=True, check=True,
+        timeout=120)
     report = json.loads(done.stdout)
     assert report["scipy"] is False
     assert report["fresh"] == {name: [] for name in (

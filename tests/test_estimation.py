@@ -5,12 +5,14 @@ law of total covariance) validate the closed forms end to end.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from misolim import estimation
 from misolim.capacity import (
     DownlinkConfig,
     capacity_upper_bound,
@@ -23,6 +25,8 @@ from misolim.estimation import (
     SingularMatrixError,
     UplinkConfig,
     _simulate_uplink_batch,
+    _tridiagonal_filter,
+    _tridiagonal_solve,
     empirical_mse,
     empirical_mse_batch,
     error_covariance,
@@ -341,7 +345,10 @@ class TestScaledIdentityMatchesDense:
     """The scaled-identity branches give the dense path's values within
     1e-12 relative, on the same draws. The error covariances cancel R
     against a correction of its size, so their roundoff is absolute: they
-    are compared with a 1e-14 absolute floor."""
+    are compared with a 1e-14 absolute floor. The Monte-Carlo standard
+    errors meet 1e-12 only on a BLAS whose triangular solve multiplies by
+    the reciprocal of the factor's diagonal (OpenBLAS does): one ulp of
+    the dense filter moves them by up to 1.5e-12 at high SNR."""
 
     # Below about 1e-146 LAPACK rescales the dense reference before its
     # eigh, which moves the last bit of its factor; results that fall into
@@ -393,12 +400,13 @@ class TestScaledIdentityMatchesDense:
 
 
 class TestEigenbasisMatchesDense:
-    """A dense R with a constant diagonal and S = s I takes R's eigenbasis;
-    the same R with an untagged S = s I takes the Cholesky path. On the
-    same draws the two agree within 1e-12 relative; the error covariances,
-    differences of terms of order R, with a 1e-14 absolute floor, and the
-    filter relative to its largest entry, since its far off-diagonal
-    entries are small differences too."""
+    """Exponential R with S = s I takes R's eigenbasis, except in the lower
+    bound's chain, which needs antenna values and takes the tridiagonal
+    solve; the same R with an untagged S = s I takes the Cholesky path. On
+    the same draws (the AR(1) draws of R) the two agree within 1e-12
+    relative; the error covariances, differences of terms of order R, with
+    a 1e-14 absolute floor, and the filter relative to its largest entry,
+    since its far off-diagonal entries are small differences too."""
 
     @given(n=st.integers(1, 64), rho=st.floats(0.0, 0.95, exclude_max=True),
            s=st.floats(1e-2, 1e2), p_ut=st.floats(1e-3, 1e6),
@@ -414,7 +422,13 @@ class TestEigenbasisMatchesDense:
                         for p, imp_ in ((p_ut, imp), (10.0, ImpairmentProfile()))]
                        for s_ in (fast_s, dense_s))
         dl = DownlinkConfig(p_bs=p_ut, sigma2_ut=s, imp=imp)
-        assert r.constant_diagonal == 1.0
+        assert r.constant_diagonal == 1.0 and r.kms_rho == rho
+        with mock.patch.object(estimation, "_tridiagonal_solve",
+                               wraps=_tridiagonal_solve) as solve:
+            assert next(pilot_chain(fast, 2, 0, antenna=True))[3] is None
+            assert solve.call_count == 1
+            assert next(pilot_chain(dense, 2, 0, antenna=True))[3] is None
+            assert solve.call_count == 1
         assert next(pilot_chain(fast, 2, 0))[3] is r.eigenvectors
         assert next(pilot_chain(dense, 2, 0))[3] is None
 
@@ -433,6 +447,26 @@ class TestEigenbasisMatchesDense:
         for x, y in zip(lower_bound_mc_batch([(c, dl) for c in fast], 1000, 3),
                         lower_bound_mc_batch([(c, dl) for c in dense], 1000, 3)):
             agree((x.value, x.std_error), (y.value, y.std_error))
+
+    @given(n=st.integers(1, 64), rho=st.floats(0.0, 0.95, exclude_max=True),
+           c=st.floats(1e-3, 1e3), s=st.floats(1e-2, 1e2),
+           p_ut=st.floats(1e-3, 1e6), kappa=st.floats(0.0, 0.03))
+    @example(n=1, rho=0.7, c=1.0, s=1.0, p_ut=1.0, kappa=0.01)
+    @example(n=2, rho=0.0, c=1.0, s=1.0, p_ut=1.0, kappa=0.01)
+    @example(n=2, rho=0.9, c=2.0, s=0.1, p_ut=1e3, kappa=0.0)
+    @settings(max_examples=60, deadline=None)
+    def test_tridiagonal_filter(self, n, rho, c, s, p_ut, kappa):
+        # the solve applied to the rows of I gives the rows of A^T
+        r = exponential_correlation(n, rho).scaled(c)
+        imp = ImpairmentProfile.uniform(kappa)
+        fast, dense = (UplinkConfig(r=r, s=s_, p_ut=p_ut, imp=imp)
+                       for s_ in (CovarianceMatrix.identity(n).scaled(s),
+                                  CovarianceMatrix(s * np.eye(n))))
+        eye = np.eye(n, dtype=np.complex128)
+        got = _tridiagonal_solve(eye, _tridiagonal_filter(fast)).T
+        want = lmmse_filter(dense)
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(want)))
 
     def test_non_constant_diagonal_takes_dense_path(self):
         r = CovarianceMatrix(np.diag([1.0, 2.0, 3.0]) + 0.1)
@@ -516,8 +550,9 @@ class TestSharedDraws:
     @pytest.mark.parametrize(
         "r", [exponential_correlation(3, 0.7),
               CovarianceMatrix.identity(3).scaled(2.0),
-              CovarianceMatrix(np.diag([0.5, 1.0, 2.0]) + 0.1)],
-        ids=["dense", "scaled-identity", "cholesky"])
+              CovarianceMatrix(np.diag([0.5, 1.0, 2.0]) + 0.1),
+              CovarianceMatrix(exponential_correlation(3, 0.7).matrix)],
+        ids=["dense", "scaled-identity", "cholesky", "untagged"])
     def test_config_bits_do_not_depend_on_batch(self, r, n_samples):
         cfgs = self.batch(r)
         batch = self.chain(cfgs, n_samples, seed=5)

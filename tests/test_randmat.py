@@ -1,5 +1,7 @@
 """Covariance construction and complex Gaussian sampling tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -121,10 +123,11 @@ class TestStoredEigendecomposition:
         assert CovarianceMatrix(np.diag([1.0, 2.0])).constant_diagonal is None
 
     def test_factor_is_built_from_eigenvectors(self):
-        r = exponential_correlation(6, 0.7)
+        r = CovarianceMatrix(exponential_correlation(6, 0.7).matrix)
         w, v = r.eigenvalues, r.eigenvectors
         assert np.all(np.diff(w) >= 0.0)
         assert np.array_equal(r.factor, v * np.sqrt(np.clip(w, 0.0, None)))
+        assert r.factor is r.factor  # formed once
         for a in (w, v, r.factor):
             assert not a.flags.writeable
         # scaled copies share V and scale the spectrum
@@ -142,6 +145,60 @@ class TestStoredEigendecomposition:
             (c.eigenvectors * c.eigenvalues) @ c.eigenvectors.conj().T,
             (v * w) @ v.conj().T, atol=1e-14)
         assert c.min_eigenvalue == 0.0 and c.max_eigenvalue == 3.0
+
+
+class TestKmsTag:
+    """exponential_correlation stores (n, rho); c K_rho keeps the tag."""
+
+    def test_no_array_until_asked(self):
+        n = 4096  # a dense n x n complex matrix alone is 268 MB
+        tracemalloc.start()
+        try:
+            r = exponential_correlation(n, 0.7)
+            c = r.scaled(2.0)
+            facts = (r.trace(), c.trace(), r.diagonal(), c.diagonal(),
+                     r.constant_diagonal, c.constant_diagonal)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert r.kms_rho == c.kms_rho == 0.7
+        assert r.identity_scale is None and c.identity_scale is None
+        assert facts[:2] == (n, 2.0 * n)
+        assert np.array_equal(facts[2], np.ones(n))
+        assert np.array_equal(facts[3], np.full(n, 2.0))
+        assert facts[4:] == (1.0, 2.0)
+        assert CovarianceMatrix.identity(3).kms_rho is None
+        assert CovarianceMatrix(np.eye(3)).kms_rho is None
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    @pytest.mark.parametrize("rho", [0.0, 0.7])
+    def test_arrays_are_the_dense_ones(self, n, rho):
+        # the bits of the dense matrix built from the same expression, and
+        # of its eigendecomposition; scaled copies share V and scale w
+        r = exponential_correlation(n, rho)
+        idx = np.arange(n)
+        m = rho ** np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
+        dense = CovarianceMatrix(m)
+        assert r.matrix is r.matrix and not r.matrix.flags.writeable
+        assert _same_bits(r.matrix, dense.matrix)
+        assert _same_bits(r.eigenvalues, dense.eigenvalues)
+        assert _same_bits(r.eigenvectors, dense.eigenvectors)
+        c = r.scaled(3.0)
+        assert c.eigenvectors is r.eigenvectors
+        assert _same_bits(c.eigenvalues, 3.0 * r.eigenvalues)
+        assert _same_bits(c.matrix, 3.0 * r.matrix)
+        assert c.max_eigenvalue == 3.0 * r.max_eigenvalue
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    @pytest.mark.parametrize("rho", [0.0, 0.7, 0.95])
+    def test_factor_is_cholesky(self, n, rho):
+        r = exponential_correlation(n, rho).scaled(2.0)
+        f = r.factor
+        assert not f.flags.writeable
+        assert np.array_equal(f, np.tril(f))
+        np.testing.assert_allclose(f, np.linalg.cholesky(r.matrix),
+                                   rtol=0.0, atol=1e-14)
 
 
 class TestNearlyPsd:
@@ -252,10 +309,11 @@ class TestSampleCn:
 
 
 def _same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return (a.shape == b.shape
-            and np.array_equal(np.atleast_1d(a).view(np.uint64),
-                               np.atleast_1d(b).view(np.uint64)))
+    # c K_rho draws are a transposed view: compare them in C order
+    if np.shape(a) != np.shape(b):
+        return False
+    a, b = (np.ascontiguousarray(np.atleast_1d(x)) for x in (a, b))
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestDrawsMatchReferenceExpression:
@@ -269,17 +327,45 @@ class TestDrawsMatchReferenceExpression:
         im = rng.standard_normal(shape)
         return re + 1j * im
 
+    @staticmethod
+    def ar1(w, rho):
+        """The recursion x_0 = w_0, x_i = rho x_(i-1) + sqrt(1 - rho^2) w_i
+        along the last axis of w."""
+        x = w.copy()
+        a = np.sqrt((1.0 - rho) * (1.0 + rho))
+        for i in range(1, w.shape[-1]):
+            x[..., i] = rho * x[..., i - 1] + a * w[..., i]
+        return x
+
     @pytest.mark.parametrize("n", [1, 2, 7, 64])
     @pytest.mark.parametrize("size", [None, 1, 5, 2048])
     def test_sample_cn(self, n, size):
+        # a dense matrix times its factor V sqrt(w), c I and c K_rho
+        # scaled by sqrt(c), and c K_rho then run through its recursion
         shape = (n,) if size is None else (size, n)
-        for m in (exponential_correlation(n, 0.7), CovarianceMatrix.identity(n),
+        for m in (CovarianceMatrix(exponential_correlation(n, 0.7).matrix),
+                  exponential_correlation(n, 0.7),
+                  exponential_correlation(n, 0.7).scaled(0.01),
+                  CovarianceMatrix.identity(n),
                   CovarianceMatrix.identity(n).scaled(0.01),
                   CovarianceMatrix.identity(n).scaled(0.0)):
             w = self.blocks(substream(3, n), shape) / np.sqrt(2.0)
-            ref = (w @ m.factor.T if m.identity_scale is None
-                   else w * np.sqrt(m.identity_scale))
+            if m.identity_scale is None and m.kms_rho is None:
+                ref = w @ m.factor.T
+            else:
+                ref = w * np.sqrt(m.constant_diagonal)
+            if m.kms_rho is not None:
+                ref = self.ar1(ref, m.kms_rho)
             assert _same_bits(sample_cn(m, substream(3, n), size), ref)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    @pytest.mark.parametrize("rho", [0.0, 0.7, 0.95])
+    def test_kms_draws_are_cholesky_products(self, n, rho):
+        r = exponential_correlation(n, rho).scaled(2.0)
+        w = self.blocks(substream(3, n), (2048, n)) / np.sqrt(2.0)
+        ref = w @ np.linalg.cholesky(r.matrix).T
+        np.testing.assert_allclose(sample_cn(r, substream(3, n), 2048), ref,
+                                   rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
 
     @pytest.mark.parametrize("var", [0.0, 1e-300, 0.5, 1.0, 3.7, 1e300])
     @pytest.mark.parametrize("size", [None, 1, 5, (3, 4), (2048, 7), (0, 3)])
