@@ -233,8 +233,8 @@ def lower_bound_mc_batch(links, n_samples: int,
     links = list(links)
     chunks = [[] for _ in links]
     # u = sum_i |h_i|^2 |v_i|^2 needs antenna values
-    for i, h, h_hat, _ in pilot_chain([ul for ul, _ in links], n_samples,
-                                      seed, antenna=True):
+    for i, h, h_hat in pilot_chain([ul for ul, _ in links], n_samples,
+                                   seed):
         chunks[i].append(_mrt_stats(h, h_hat))
     return [_rate_estimate(np.vstack(c), dl, n_samples)
             for c, (_, dl) in zip(chunks, links)]

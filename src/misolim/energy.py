@@ -34,6 +34,9 @@ class EnergyConfig:
     circuit_power: float = 0.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.alpha1 < 0.0 or self.alpha2 < 0.0:
             raise ValueError("overhead multipliers must be nonnegative")
         if not (self.p_bs_base > 0.0 and self.p_ut_base > 0.0):
@@ -59,12 +62,12 @@ class EnergyConfig:
 
 def scaled_power(p_base: float, n: int, t: float) -> float:
     """Power at array size n under 1/n^t scaling: p_base / n**t."""
-    if not (p_base > 0.0):
-        raise ValueError("base power must be positive")
+    if not (p_base > 0.0) or not math.isfinite(p_base):
+        raise ValueError("base power must be positive and finite")
     if n < 1:
         raise ValueError("array size must be a positive integer")
-    if t < 0.0:
-        raise ValueError("scaling exponent must be nonnegative")
+    if not (t >= 0.0) or not math.isfinite(t):
+        raise ValueError("scaling exponent must be nonnegative and finite")
     return p_base / n ** t
 
 
@@ -75,12 +78,12 @@ def energy_efficiency(capacity_bits: float, p_bs: float, p_ut: float,
     The optional per-antenna circuit power adds n * circuit_power to the
     denominator; it defaults to zero.
     """
-    if capacity_bits < 0.0:
-        raise ValueError("capacity must be nonnegative")
+    if not (capacity_bits >= 0.0) or not math.isfinite(capacity_bits):
+        raise ValueError("capacity must be nonnegative and finite")
     total = ((1.0 + cfg.alpha1) * p_bs + cfg.alpha2 * p_ut
              + n * cfg.circuit_power)
-    if total <= 0.0:
-        raise ValueError("total power must be positive")
+    if not (total > 0.0) or not math.isfinite(total):
+        raise ValueError("total power must be positive and finite")
     return capacity_bits * cfg.bandwidth_hz / total
 
 

@@ -144,9 +144,8 @@ def _eigenbasis(cfg: UplinkConfig):
 
     g = lam inv inv with inv = 1 / sqrt(alpha lam + beta): the Cholesky
     path's operations on a diagonal M, whose factor is sqrt(M) and whose
-    triangular solves multiply by its reciprocal. lam / (alpha lam + beta)
-    rounds differently, and at high SNR the empirical MSE magnifies that
-    last bit of the filter past 1e-12 of the dense path's value.
+    triangular solves multiply by its reciprocal, so that for R = c I the
+    filter has the dense path's bits on a BLAS that does so.
     """
     r0, s = cfg.r.constant_diagonal, cfg.s.identity_scale
     if r0 is None or s is None:
@@ -180,13 +179,18 @@ def _mix(r: CovarianceMatrix, a: float, b: float,
     return m
 
 
-def _solve_against_r(cfg: UplinkConfig) -> np.ndarray:
-    """M^{-1} R for M = p (1 + kappa_t_ut) R + p kappa_r_bs diag(R) + S."""
+def _solve_m(cfg: UplinkConfig, b: np.ndarray) -> np.ndarray:
+    """M^{-1} b for M = p (1 + kappa_t_ut) R + p kappa_r_bs diag(R) + S."""
     m = _mix(cfg.r, cfg.p_ut * (1.0 + cfg.imp.kappa_t_ut),
              cfg.p_ut * cfg.imp.kappa_r_bs, cfg.s)
     # cannot fail: M is positive definite whenever S is
-    return _cho_solve(m, cfg.r.matrix,
-                      "observation covariance is not positive definite")
+    return _cho_solve(m, b, "observation covariance is not positive definite")
+
+
+def _q(cfg: UplinkConfig) -> np.ndarray:
+    """Q = M - p R = p kappa_t_ut R + p kappa_r_bs diag(R) + S."""
+    return _mix(cfg.r, cfg.p_ut * cfg.imp.kappa_t_ut,
+                cfg.p_ut * cfg.imp.kappa_r_bs, cfg.s)
 
 
 def lmmse_filter(cfg: UplinkConfig) -> np.ndarray | complex:
@@ -199,7 +203,7 @@ def lmmse_filter(cfg: UplinkConfig) -> np.ndarray | complex:
     basis = _eigenbasis(cfg)
     if basis is None:
         # R M^{-1} = (M^{-1} R)^H since both R and M are Hermitian.
-        return np.conj(cfg.d) * _solve_against_r(cfg).conj().T
+        return np.conj(cfg.d) * _solve_m(cfg, cfg.r.matrix).conj().T
     _, v, g, _ = basis
     return np.conj(cfg.d) * (g if v is None else (v * g) @ v.conj().T)
 
@@ -225,9 +229,7 @@ def error_covariance(cfg: UplinkConfig) -> CovarianceMatrix:
         return cfg.r
     basis = _eigenbasis(cfg)
     if basis is None:
-        q = _mix(cfg.r, cfg.p_ut * cfg.imp.kappa_t_ut,
-                 cfg.p_ut * cfg.imp.kappa_r_bs, cfg.s)
-        return nearly_psd(_solve_against_r(cfg).conj().T @ q,
+        return nearly_psd(_solve_m(cfg, cfg.r.matrix).conj().T @ _q(cfg),
                           scale=cfg.r.max_eigenvalue)
     return _on_basis(_error_spectrum(cfg, basis), basis[1], cfg.dim)
 
@@ -273,10 +275,11 @@ def error_floor(cfg: UplinkConfig) -> CovarianceMatrix:
 
 def error_floor_iid(lam: float, kappa_t_ut: float, kappa_r_bs: float) -> float:
     """Per-antenna error floor for R = lam * I: lam (1 - 1/(1 + kt + kr))."""
-    if not (lam > 0.0):
+    if not (lam > 0.0) or not math.isfinite(lam):
         raise ValueError(f"channel variance must be positive, got {lam}")
-    if kappa_t_ut < 0.0 or kappa_r_bs < 0.0:
-        raise ValueError("impairment levels must be nonnegative")
+    if not all(k >= 0.0 and math.isfinite(k)
+               for k in (kappa_t_ut, kappa_r_bs)):
+        raise ValueError("impairment levels must be nonnegative reals")
     # kt + kr first: exactly symmetric in the two levels, unlike 1 + kt + kr
     return lam * (1.0 - 1.0 / (1.0 + (kappa_t_ut + kappa_r_bs)))
 
@@ -368,86 +371,216 @@ def _tridiagonal_solve(z: np.ndarray, f) -> np.ndarray:
     return u.T
 
 
-def _chain_filters(cfgs, antenna: bool):
-    """(v, apply, filters) of ``pilot_chain``: h_hat = apply(z, filters[i])
-    for config i, on R's eigenbasis V = v or on antenna values (v None)."""
+def _chain_filters(cfgs):
+    """(apply, filters) of ``pilot_chain``: h_hat = apply(z, filters[i])
+    for config i, on antenna values."""
     cfg = cfgs[0]
-    if antenna and cfg.r.kms_rho is not None and cfg.s.identity_scale is not None:
-        return None, _tridiagonal_solve, [_tridiagonal_filter(c) for c in cfgs]
+    if cfg.r.kms_rho is not None and cfg.s.identity_scale is not None:
+        return _tridiagonal_solve, [_tridiagonal_filter(c) for c in cfgs]
     basis = _eigenbasis(cfg)
-    if basis is None or (antenna and basis[1] is not None):
-        return None, np.matmul, [lmmse_filter(c).T for c in cfgs]
-    return basis[1], np.multiply, [np.conj(c.d) * _eigenbasis(c)[2]
-                                   for c in cfgs]
+    if basis is not None and basis[1] is None:
+        return np.multiply, [np.conj(c.d) * _eigenbasis(c)[2] for c in cfgs]
+    return np.matmul, [lmmse_filter(c).T for c in cfgs]
 
 
 _CHUNK = 256
 
 
-def pilot_chain(cfgs, n_samples: int, seed: int, antenna: bool = False):
+def _shared(cfgs) -> list:
+    """cfgs as a list, checked to share R and S (the same objects)."""
+    cfgs = list(cfgs)
+    r, s = cfgs[0].r, cfgs[0].s
+    if any(cfg.r is not r or cfg.s is not s for cfg in cfgs):
+        raise ValueError("the configs of one pilot chain must share R and S")
+    return cfgs
+
+
+def _draw_chunk(r: CovarianceMatrix, s: CovarianceMatrix, count: int,
+                rng: np.random.Generator):
+    """h ~ CN(0, R) of count rows, then its ``_standard_draws``."""
+    h = sample_cn(r, rng, size=count)
+    return (h, *_standard_draws(s, h, rng))
+
+
+def _chunks(cfgs, n_samples: int, seed: int):
+    """(h, w_t, nu, |h| w_r) of each chunk of up to _CHUNK rows,
+    n_samples rows in all: chunk j draws h ~ CN(0, R) and then the
+    ``_standard_draws`` from ``substream(seed, j)``. Only the caller holds
+    the arrays, so it can let each one go once it is used."""
+    for j, start in enumerate(range(0, n_samples, _CHUNK)):
+        yield _draw_chunk(cfgs[0].r, cfgs[0].s,
+                          min(_CHUNK, n_samples - start), substream(seed, j))
+
+
+def pilot_chain(cfgs, n_samples: int, seed: int):
     """Channel draw, distorted uplink pilot, LMMSE estimate for configs that
-    share R and S (the same objects): yields (i, h, h_hat, v) for config i,
-    in batches of up to _CHUNK rows, n_samples rows per config in all.
+    share R and S (the same objects): yields (i, h, h_hat) for config i,
+    antenna values in batches of up to _CHUNK rows, n_samples rows per
+    config in all.
 
     Chunk j draws h and the standard draws of the distortion and noise once
     from ``substream(seed, j)``; every config scales those same draws by its
     own p and kappa and applies its own filter. So config i gives the same
     bits in any batch, and results do not depend on how work is split.
 
-    v is None when the rows of h and h_hat are antenna values, which they
-    always are when ``antenna`` is true. Otherwise a constant-diagonal R
-    with S = s I, except R = c I, has its filter diagonal in R's eigenbasis
-    (see ``_eigenbasis``): then v is R's eigenvectors and the rows are
-    coordinates in that basis, so a row x holds the antenna values
-    x @ v.T. Row norms and inner products are the same in both, so a
-    consumer that needs only those leaves ``antenna`` false.
-
     Each config's filter is formed once, before the first chunk:
     - R = c I and S = s I: the scalar d* g of ``_eigenbasis``;
-    - antenna values for R = c K_rho (``exponential_correlation``) and
-      S = s I: a tridiagonal solve (``_tridiagonal_filter``), with no
-      eigendecomposition and no N x N array;
-    - eigenbasis coordinates: the diagonal d* g of ``_eigenbasis``;
+    - R = c K_rho (``exponential_correlation``) and S = s I: a tridiagonal
+      solve (``_tridiagonal_filter``), with no eigendecomposition and no
+      N x N array;
     - otherwise the N x N ``lmmse_filter(cfg).T``.
     """
-    cfgs = list(cfgs)
-    r, s = cfgs[0].r, cfgs[0].s
-    if any(cfg.r is not r or cfg.s is not s for cfg in cfgs):
-        raise ValueError("the configs of one pilot chain must share R and S")
-    v, apply, filters = _chain_filters(cfgs, antenna)
-    tridiagonal = apply is _tridiagonal_solve
-    # z is linear in h, nu and |h| w_r: each chunk of them is rotated by
-    # conj(V) once
-    vc = None if v is None else v.conj()
-    for j, start in enumerate(range(0, n_samples, _CHUNK)):
-        rng = substream(seed, j)
-        h = sample_cn(r, rng, size=min(_CHUNK, n_samples - start))
-        w_t, nu, hw_r = _standard_draws(s, h, rng)
-        if vc is not None:
-            h, nu, hw_r = h @ vc, nu @ vc, hw_r @ vc
-        elif tridiagonal:
+    cfgs = _shared(cfgs)
+    apply, filters = _chain_filters(cfgs)
+    for h, w_t, nu, hw_r in _chunks(cfgs, n_samples, seed):
+        if apply is _tridiagonal_solve:
             # z already takes the AR(1) h's antenna-leading layout; this
             # gives the two shared addends that layout too, once per chunk,
             # so that every config's adds into z run on matching layouts
             nu, hw_r = np.asfortranarray(nu), np.asfortranarray(hw_r)
         for i, (cfg, f) in enumerate(zip(cfgs, filters)):
-            yield i, h, apply(_observe(cfg, h, w_t, nu, hw_r), f), v
+            yield i, h, apply(_observe(cfg, h, w_t, nu, hw_r), f)
+
+
+def _error_weights(cfg: UplinkConfig, basis) -> np.ndarray:
+    """The weights (p g^2, q g, q^2) of ``_eigenbasis``'s gains g and of
+    q = (p kappa_t_ut lam + beta) / (alpha lam + beta), the gains of Q
+    M^{-1}, as a (3, N) array."""
+    lam, _, g, beta = basis
+    p, kt = cfg.p_ut, cfg.imp.kappa_t_ut
+    q = (p * kt * lam + beta) / (p * (1.0 + kt) * lam + beta)
+    w = np.empty((3, cfg.dim))
+    w[0], w[1], w[2] = p * g * g, q * g, q * q
+    return w
+
+
+def _weigh(a: np.ndarray, b: np.ndarray, w: np.ndarray, p: np.ndarray,
+           t: np.ndarray, imag: bool = False) -> np.ndarray:
+    """<P, w_c> for each config c: P is the real part of a conj(b) (its
+    imaginary part when ``imag``), formed in the buffer p with t as
+    scratch, and w_c is a (k, N) stack of that config's weights. Returns
+    a (configs, k, rows) array, from one fixed-shape product per config
+    and weight, so that a config's bits do not depend on the batch."""
+    if imag:
+        np.multiply(a.imag, b.real, out=p)
+        np.multiply(a.real, b.imag, out=t)
+        p -= t
+    else:
+        np.multiply(a.real, b.real, out=p)
+        np.multiply(a.imag, b.imag, out=t)
+        p += t
+    out = np.empty((w.shape[0], w.shape[1], p.shape[0]))
+    for wc, oc in zip(w, out):
+        for wj, oj in zip(wc, oc):
+            np.dot(p, wj, out=oj)
+    return out
+
+
+def _diagonal_norms(cfgs, basis, n_samples: int, seed: int):
+    """Each chunk's ||e||^2 per config and row, as a (configs, rows)
+    array, for configs on R's eigenbasis (``_eigenbasis``).
+
+    There A = V diag(d* g) V^H and Q M^{-1} = V diag(q) V^H. With x = |h|
+    w_r, eta_t = sqrt(kappa_t_ut p) w_t, c = sqrt(kappa_r_bs p), the
+    draws h, nu and x rotated by conj(V), and <P, w> = sum_k w_k P_k over
+    a row,
+
+      ||e||^2 = |eta_t|^2 <|h|^2, p g^2> - 2 Re(d* eta_t) <|h|^2, q g>
+              + <|h|^2, q^2> + <|nu|^2, p g^2> + c^2 <|x|^2, p g^2>
+              + 2 c <Re(nu x*), p g^2>
+              + 2 Re(eta_t (<h nu*, p g^2> + c <h x*, p g^2>))
+              - 2 Re(d (<h nu*, q g> + c <h x*, q g>)).
+
+    The products P are formed once per chunk, one at a time in one
+    buffer, and summed with the weights of ``_error_weights``, which are
+    formed once per chain.
+    """
+    vc = None if basis[1] is None else basis[1].conj()
+    w = np.array([_error_weights(c, _eigenbasis(c)) for c in cfgs])
+    g2, g1 = w[:, :1], w[:, :2]  # p g^2 alone, and with q g
+    d = np.array([[c.d] for c in cfgs])
+    eta = np.array([[math.sqrt(c.imp.kappa_t_ut * c.p_ut)] for c in cfgs])
+    c_r = np.array([math.sqrt(c.imp.kappa_r_bs * c.p_ut) for c in cfgs])
+    c_r = c_r[:, None, None]
+    for h, w_t, nu, x in _chunks(cfgs, n_samples, seed):
+        p, t = np.empty((2, h.shape[0], cfgs[0].dim))
+        # one rotation at a time, each original let go once rotated
+        if vc is not None:
+            h = h @ vc
+        hh = _weigh(h, h, w, p, t)
+        if vc is not None:
+            nu = nu @ vc
+        nn = _weigh(nu, nu, g2, p, t)
+        hy = (_weigh(h, nu, g1, p, t)
+              + 1j * _weigh(h, nu, g1, p, t, imag=True))
+        if vc is not None:
+            x = x @ vc
+        # with u = nu + c x: hy = <h u*> and xx = <|u|^2> - <|nu|^2>
+        xx = c_r ** 2 * _weigh(x, x, g2, p, t)
+        xx += 2.0 * c_r * _weigh(nu, x, g2, p, t)
+        hy += c_r * (_weigh(h, x, g1, p, t)
+                     + 1j * _weigh(h, x, g1, p, t, imag=True))
+        # let the chunk's arrays go before the next chunk is drawn
+        del h, nu, x, p, t
+        e_t = eta * w_t
+        yield ((e_t.real ** 2 + e_t.imag ** 2) * hh[:, 0]
+               - 2.0 * (d.conj() * e_t).real * hh[:, 1] + hh[:, 2]
+               + nn[:, 0] + xx[:, 0]
+               + 2.0 * (e_t * hy[:, 0]).real - 2.0 * (d * hy[:, 1]).real)
+
+
+def _error_filters(cfg: UplinkConfig):
+    """(A^T, (Q M^{-1})^T) for the dense path, from one Cholesky solve:
+    with X = M^{-1} [R, Q], A^T = d* conj(X_R) and (Q M^{-1})^T =
+    conj(X_Q), as Q and M are Hermitian."""
+    x = _solve_m(cfg, np.hstack([cfg.r.matrix, _q(cfg)])).conj()
+    return np.conj(cfg.d) * x[:, :cfg.dim], x[:, cfg.dim:]
+
+
+def _dense_norms(cfgs, n_samples: int, seed: int):
+    """Each chunk's ||e||^2 per config and row, as a list over configs,
+    with e = y A^T - h (Q M^{-1})^T formed per config from its two N x N
+    filters."""
+    filters = [_error_filters(c) for c in cfgs]
+    for h, w_t, nu, x in _chunks(cfgs, n_samples, seed):
+        yield [_dense_norm(cfg, f, h, w_t, nu, x)
+               for cfg, f in zip(cfgs, filters)]
+
+
+def _dense_norm(cfg: UplinkConfig, f, h: np.ndarray, w_t: np.ndarray,
+                nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """||e||^2 per row of one chunk, with f = ``_error_filters(cfg)``."""
+    y = h * (math.sqrt(cfg.imp.kappa_t_ut * cfg.p_ut) * w_t)[:, None]
+    y += nu
+    y += math.sqrt(cfg.imp.kappa_r_bs * cfg.p_ut) * x
+    e = y @ f[0]
+    e -= h @ f[1]
+    return np.sum(np.abs(e) ** 2, axis=1)
 
 
 def empirical_mse_batch(cfgs, n_samples: int,
                         seed: int) -> list[MonteCarloEstimate]:
-    """Monte-Carlo per-antenna MSE of each config over one shared pilot
-    chain (see ``pilot_chain``)."""
+    """Monte-Carlo per-antenna MSE of each config over the draws of one
+    shared pilot chain (see ``pilot_chain``).
+
+    No estimate is formed: the error e = h_hat - h is taken in the closed
+    form e = A y - Q M^{-1} h, where z = d h + y, y = eta_t h + nu +
+    eta_r, A is the LMMSE filter and Q = M - p R = p kappa_t_ut R + p
+    kappa_r_bs diag(R) + S. Nothing in it cancels at high SNR, where h_hat
+    - h would: ||e||^2 comes from weighted row sums on R's eigenbasis
+    (``_diagonal_norms``), and otherwise from the two N x N filters
+    (``_dense_norms``).
+    """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
-    cfgs = list(cfgs)
+    cfgs = _shared(cfgs)
+    basis = _eigenbasis(cfgs[0])
+    norms = (_dense_norms(cfgs, n_samples, seed) if basis is None
+             else _diagonal_norms(cfgs, basis, n_samples, seed))
     e = [[] for _ in cfgs]
-    # the error's row norms are the same in either basis of the chain; on
-    # R's eigenbasis the configs share one rotation per chunk, which costs
-    # less than a tridiagonal solve per config
-    for i, h, h_hat, _ in pilot_chain(cfgs, n_samples, seed, antenna=False):
-        h_hat -= h  # the chain's h is shared, its h_hat is not
-        e[i].append(np.sum(np.abs(h_hat) ** 2, axis=1) / cfgs[i].dim)
+    for chunk in norms:
+        for ei, rows in zip(e, chunk):
+            ei.append(rows / cfgs[0].dim)
     out = []
     for ei in map(np.concatenate, e):
         out.append(MonteCarloEstimate(

@@ -29,6 +29,7 @@ from misolim.capacity import (
 from misolim.estimation import (
     ImpairmentProfile,
     UplinkConfig,
+    empirical_mse,
     error_covariance,
     error_floor,
     lmmse_filter,
@@ -343,13 +344,15 @@ class TestScaledIdentityBounds:
             floor = error_floor(ul)
             mse = mse_per_antenna(ul)
             asym = lower_bound_asymptotic(ul, dl, 1000)
-            v = next(pilot_chain([ul], 2, 0))[3]
+            h_hat = next(pilot_chain([ul], 2, 0))[2]
+            emp = empirical_mse(ul, 2, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
         assert upper < ideal
-        assert np.ndim(a) == 0 and v is None
+        assert np.ndim(a) == 0 and h_hat.shape == (2, 4096)
+        assert emp.value > 0.0
         assert err.identity_scale == pytest.approx(mse, rel=1e-15)
         assert 0.0 < floor.identity_scale < mse
         assert 0.0 < asym < upper

@@ -45,6 +45,10 @@ class TestEnergyConfig:
         {"t_bs": -0.25},
         {"bandwidth_hz": 0.0},
         {"circuit_power": -0.5},
+        {"t_bs": math.nan},
+        {"alpha1": math.nan},
+        {"bandwidth_hz": math.inf},
+        {"p_bs_base": math.inf},
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
@@ -79,6 +83,12 @@ class TestScaledPower:
             scaled_power(1.0, 0, 0.5)
         with pytest.raises(ValueError):
             scaled_power(1.0, 4, -0.1)
+
+    @pytest.mark.parametrize("p,t", [(1.0, math.nan), (1.0, math.inf),
+                                     (math.inf, 0.5), (math.nan, 0.5)])
+    def test_rejects_non_finite(self, p, t):
+        with pytest.raises(ValueError):
+            scaled_power(p, 4, t)
 
     @given(n=st.integers(1, 10_000), t=st.floats(0.0, 1.0))
     @settings(max_examples=50, deadline=None)
@@ -120,6 +130,14 @@ class TestEnergyEfficiency:
     def test_rejects_negative_capacity(self):
         with pytest.raises(ValueError):
             energy_efficiency(-1.0, 1.0, 1.0, EnergyConfig())
+
+    @pytest.mark.parametrize("args", [(math.nan, 1.0, 1.0),
+                                      (math.inf, 1.0, 1.0),
+                                      (1.0, math.nan, 1.0),
+                                      (1.0, 1.0, math.inf)])
+    def test_rejects_non_finite(self, args):
+        with pytest.raises(ValueError):
+            energy_efficiency(*args, EnergyConfig(alpha2=1.0))
 
     def test_rejects_zero_total_power(self):
         with pytest.raises(ValueError):

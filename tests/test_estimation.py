@@ -292,6 +292,13 @@ class TestErrorFloorIid:
         with pytest.raises(ValueError):
             error_floor_iid(0.0, 0.01, 0.01)
 
+    @pytest.mark.parametrize("args", [(1.0, np.nan, 0.0), (1.0, 0.0, np.nan),
+                                      (np.inf, 0.01, 0.01),
+                                      (1.0, np.inf, 0.0)])
+    def test_rejects_non_finite(self, args):
+        with pytest.raises(ValueError):
+            error_floor_iid(*args)
+
     @given(lam=st.floats(0.01, 10.0),
            a=st.floats(0.0, 0.03), b=st.floats(0.0, 0.03))
     @settings(max_examples=100, deadline=None)
@@ -345,10 +352,8 @@ class TestScaledIdentityMatchesDense:
     """The scaled-identity branches give the dense path's values within
     1e-12 relative, on the same draws. The error covariances cancel R
     against a correction of its size, so their roundoff is absolute: they
-    are compared with a 1e-14 absolute floor. The Monte-Carlo standard
-    errors meet 1e-12 only on a BLAS whose triangular solve multiplies by
-    the reciprocal of the factor's diagonal (OpenBLAS does): one ulp of
-    the dense filter moves them by up to 1.5e-12 at high SNR."""
+    are compared with a 1e-14 absolute floor. Both empirical MSE paths
+    take the error in closed form, so neither cancels at high SNR."""
 
     # Below about 1e-146 LAPACK rescales the dense reference before its
     # eigh, which moves the last bit of its factor; results that fall into
@@ -398,6 +403,33 @@ class TestScaledIdentityMatchesDense:
         agree(lambda cfg: empirical_mse(cfg, 100, 3), value_and_se)
         agree(lambda cfg: lower_bound_mc(cfg, dl, 1000, 3), value_and_se)
 
+    @pytest.mark.parametrize("c_r, c_s, p_ut", [(1.0, 1e-140, 1.0),
+                                               (915.0, 1e-3, 197.0)])
+    def test_mse_matches_extended_precision(self, c_r, c_s, p_ut):
+        # h_hat - h cancels at these points: it rounds to 0 at the first,
+        # and its standard error is 7e-13 off at the second. The chain's
+        # own draws give e = d* g nu - q h (kappa = 0) in extended
+        # precision, with g = c_r / m, q = c_s / m and m = p c_r + c_s
+        for r, s in ((CovarianceMatrix.identity(1).scaled(c_r),
+                      CovarianceMatrix.identity(1).scaled(c_s)),
+                     (CovarianceMatrix(np.array([[c_r]])),
+                      CovarianceMatrix(np.array([[c_s]])))):
+            cfg = UplinkConfig(r=r, s=s, p_ut=p_ut)
+            rng = substream(3, 0)
+            h = sample_cn(r, rng, size=100)
+            _, nu, _ = estimation._standard_draws(s, h, rng)
+            ld = np.longdouble
+            m = ld(p_ut) * ld(c_r) + ld(c_s)
+            e = (np.conj(np.clongdouble(cfg.d)) * (ld(c_r) / m)
+                 * nu.astype(np.clongdouble)
+                 - (ld(c_s) / m) * h.astype(np.clongdouble))
+            rows = np.abs(e[:, 0]) ** 2
+            want = (np.mean(rows), np.std(rows, ddof=1) / np.sqrt(ld(100)))
+            got = empirical_mse(cfg, 100, 3)
+            np.testing.assert_allclose((got.value, got.std_error),
+                                       np.array(want, dtype=np.float64),
+                                       rtol=1e-12)
+
 
 class TestEigenbasisMatchesDense:
     """Exponential R with S = s I takes R's eigenbasis, except in the lower
@@ -425,12 +457,17 @@ class TestEigenbasisMatchesDense:
         assert r.constant_diagonal == 1.0 and r.kms_rho == rho
         with mock.patch.object(estimation, "_tridiagonal_solve",
                                wraps=_tridiagonal_solve) as solve:
-            assert next(pilot_chain(fast, 2, 0, antenna=True))[3] is None
+            next(pilot_chain(fast, 2, 0))
             assert solve.call_count == 1
-            assert next(pilot_chain(dense, 2, 0, antenna=True))[3] is None
+            next(pilot_chain(dense, 2, 0))
             assert solve.call_count == 1
-        assert next(pilot_chain(fast, 2, 0))[3] is r.eigenvectors
-        assert next(pilot_chain(dense, 2, 0))[3] is None
+        # the MSE chain forms N x N error filters on the dense path only
+        with mock.patch.object(estimation, "_error_filters",
+                               wraps=estimation._error_filters) as filters:
+            empirical_mse_batch(fast, 2, 0)
+            assert filters.call_count == 0
+            empirical_mse_batch(dense, 2, 0)
+            assert filters.call_count == 2
 
         def agree(a, b, floor=0.0):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=floor)
@@ -473,7 +510,10 @@ class TestEigenbasisMatchesDense:
         s = CovarianceMatrix.identity(3)
         cfg = UplinkConfig(r=r, s=s, p_ut=2.0, imp=ImpairmentProfile.uniform(0.01))
         assert r.constant_diagonal is None
-        assert next(pilot_chain([cfg], 2, 0))[3] is None
+        with mock.patch.object(estimation, "_error_filters",
+                               wraps=estimation._error_filters) as filters:
+            empirical_mse(cfg, 2, 0)
+            assert filters.call_count == 1
         m = (2.0 * 1.01 * r.matrix + 2.0 * 0.01 * np.diag(r.diagonal())
              + np.eye(3))
         np.testing.assert_allclose(lmmse_filter(cfg),
@@ -540,7 +580,7 @@ class TestSharedDraws:
     @staticmethod
     def chain(cfgs, n_samples, seed):
         out = [([], []) for _ in cfgs]
-        for i, h, h_hat, _ in pilot_chain(cfgs, n_samples, seed):
+        for i, h, h_hat in pilot_chain(cfgs, n_samples, seed):
             out[i][0].append(h)
             out[i][1].append(h_hat)
         return [(np.concatenate(h), np.concatenate(h_hat)) for h, h_hat in out]
@@ -570,6 +610,22 @@ class TestSharedDraws:
         # one channel draw set, one estimate per config
         np.testing.assert_array_equal(batch[0][0], batch[2][0])
         assert not np.array_equal(batch[0][1], batch[2][1])
+
+    def test_mse_bits_do_not_depend_on_batch_at_n_128(self):
+        # at N = 128 the BLAS blocks its products: one product over all
+        # configs' weights would give a config other bits in another batch
+        r = exponential_correlation(128, 0.7)
+        s = CovarianceMatrix.identity(128).scaled(0.5)
+        cfgs = [UplinkConfig(r=r, s=s, p_ut=p,
+                             imp=ImpairmentProfile(kappa_t_ut=kt,
+                                                   kappa_r_bs=kr))
+                for p in (0.1, 1.0, 10.0, 1e3)
+                for kt, kr in ((0.0, 0.0), (0.0025, 0.01))]
+        cfgs.append(UplinkConfig(r=r, s=s, p_ut=4.0, d=2.0 * np.exp(0.3j),
+                                 imp=ImpairmentProfile.uniform(0.02)))
+        mse = empirical_mse_batch(cfgs, 1000, seed=5)
+        for i, cfg in enumerate(cfgs):
+            assert mse[i] == empirical_mse(cfg, 1000, seed=5)
 
     @staticmethod
     def traced_peak(run, n_samples):
