@@ -22,6 +22,7 @@ from .estimation import (
     error_floor,
     error_floor_iid,
     estimate,
+    floor_per_antenna,
     lmmse_filter,
     mse_per_antenna,
     pilot_chain,

@@ -12,6 +12,7 @@ terminal-side impairment levels as the array grows.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,7 @@ from .estimation import (
     ImpairmentProfile,
     MonteCarloEstimate,
     UplinkConfig,
+    _check_levels,
     _eigenbasis,
     lmmse_filter,
     mse_per_antenna,
@@ -142,8 +144,9 @@ def upper_limit_high_power(n: int, kappa_t_bs: float, kappa_r_ut: float) -> floa
 
     Returns +inf when both impairment levels are zero (no ceiling).
     """
-    if n < 1:
+    if not (isinstance(n, numbers.Integral) and n >= 1):
         raise ValueError("antenna count must be a positive integer")
+    _check_levels(kappa_t_bs, kappa_r_ut)
     denom = kappa_t_bs + kappa_r_ut * n
     if denom == 0.0:
         return math.inf
@@ -155,6 +158,7 @@ def upper_limit_large_n(kappa_r_ut: float) -> float:
 
     Returns +inf at kappa_r_ut = 0 (unbounded, not an error).
     """
+    _check_levels(kappa_r_ut)
     if kappa_r_ut == 0.0:
         return math.inf
     return math.log2(1.0 + 1.0 / kappa_r_ut)
@@ -163,6 +167,7 @@ def upper_limit_large_n(kappa_r_ut: float) -> float:
 def lower_limit_scaled_power(kappa_t_ut: float, kappa_r_ut: float) -> float:
     """Large-array limit of the lower bound under admissible power scaling:
     log2(1 + 1/(kr + kt + kr kt)); +inf when both levels are zero."""
+    _check_levels(kappa_t_ut, kappa_r_ut)
     denom = kappa_r_ut + kappa_t_ut + kappa_r_ut * kappa_t_ut
     if denom == 0.0:
         return math.inf
@@ -283,7 +288,7 @@ def lower_bound_asymptotic(ul: UplinkConfig, dl: DownlinkConfig,
     else:
         # A = V diag(d* g) V^H and Psi = beta I on R's eigenbasis; for
         # R = c I, lam and g are one value, repeated N times
-        lam, _, g, beta = basis
+        lam, g, beta = basis
         lam, g = np.broadcast_to(lam, ul.dim), np.broadcast_to(g, ul.dim)
         a2 = np.abs(np.conj(ul.d) * g) ** 2
         t_sig = float(np.sum(a2 * lam))

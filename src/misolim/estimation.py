@@ -19,7 +19,6 @@ import numpy as np
 
 from .randmat import (
     CovarianceMatrix,
-    _from_spectrum,
     nearly_psd,
     sample_cn,
     sample_scalar_cn,
@@ -135,38 +134,27 @@ def _cho_solve(m: np.ndarray, b: np.ndarray, singular: str) -> np.ndarray:
 
 
 def _eigenbasis(cfg: UplinkConfig):
-    """(lam, V, g, beta) when R has a constant diagonal r0 and S = s I,
+    """(lam, g, beta) when R is c I or c K_rho and S is s I by their tags,
     else None. Then M = alpha R + beta I, with alpha = p (1 + kappa_t_ut)
-    and beta = p kappa_r_bs r0 + s, commutes with R = V diag(lam) V^H, and
-    M^{-1} R = V diag(g) V^H. lam is R's spectrum clipped at 0, as its
-    factor is; for R = c I it is the scalar c and V is None, so the
-    identity basis is never formed.
+    and beta = p kappa_r_bs c + s, has R's eigenvectors, and M^{-1} R has
+    the gains g on them. lam is R's spectrum clipped at 0, as its factor
+    is (the scalar c for R = c I).
 
     g = lam inv inv with inv = 1 / sqrt(alpha lam + beta): the Cholesky
     path's operations on a diagonal M, whose factor is sqrt(M) and whose
     triangular solves multiply by its reciprocal, so that for R = c I the
     filter has the dense path's bits on a BLAS that does so.
     """
-    r0, s = cfg.r.constant_diagonal, cfg.s.identity_scale
-    if r0 is None or s is None:
+    lam, s = cfg.r.identity_scale, cfg.s.identity_scale
+    if s is None or (lam is None and cfg.r.kms_rho is None):
         return None
-    if cfg.r.identity_scale is None:
-        lam, v = np.clip(cfg.r.eigenvalues, 0.0, None), cfg.r.eigenvectors
-    else:
-        lam, v = cfg.r.identity_scale, None
+    if lam is None:
+        lam = np.clip(cfg.r.eigenvalues, 0.0, None)
     alpha = cfg.p_ut * (1.0 + cfg.imp.kappa_t_ut)
-    kr_r0 = cfg.p_ut * cfg.imp.kappa_r_bs * r0
+    kr_r0 = cfg.p_ut * cfg.imp.kappa_r_bs * cfg.r.constant_diagonal
     # M's eigenvalues summed in the dense path's order: alpha R + S first
     inv = 1.0 / np.sqrt(alpha * lam + s + kr_r0)
-    return lam, v, lam * inv * inv, kr_r0 + s
-
-
-def _on_basis(w, v: np.ndarray | None, n: int) -> CovarianceMatrix:
-    """V diag(w) V^H from a spectrum on ``_eigenbasis``: the scaled
-    identity w I when V is None."""
-    if v is None:
-        return CovarianceMatrix.identity(n).scaled(w)
-    return _from_spectrum(w, v)
+    return lam, lam * inv * inv, kr_r0 + s
 
 
 def _mix(r: CovarianceMatrix, a: float, b: float,
@@ -200,12 +188,10 @@ def lmmse_filter(cfg: UplinkConfig) -> np.ndarray | complex:
     When R and S are scaled identities, A = a I and the scalar a is
     returned instead of the N x N array.
     """
-    basis = _eigenbasis(cfg)
-    if basis is None:
-        # R M^{-1} = (M^{-1} R)^H since both R and M are Hermitian.
-        return np.conj(cfg.d) * _solve_m(cfg, cfg.r.matrix).conj().T
-    _, v, g, _ = basis
-    return np.conj(cfg.d) * (g if v is None else (v * g) @ v.conj().T)
+    if cfg.r.identity_scale is not None and cfg.s.identity_scale is not None:
+        return np.conj(cfg.d) * _eigenbasis(cfg)[1]
+    # R M^{-1} = (M^{-1} R)^H since both R and M are Hermitian.
+    return np.conj(cfg.d) * _solve_m(cfg, cfg.r.matrix).conj().T
 
 
 def estimate(cfg: UplinkConfig, z: np.ndarray) -> np.ndarray:
@@ -227,27 +213,25 @@ def error_covariance(cfg: UplinkConfig) -> CovarianceMatrix:
     """
     if cfg.p_ut == 0.0:
         return cfg.r
-    basis = _eigenbasis(cfg)
-    if basis is None:
-        return nearly_psd(_solve_m(cfg, cfg.r.matrix).conj().T @ _q(cfg),
-                          scale=cfg.r.max_eigenvalue)
-    return _on_basis(_error_spectrum(cfg, basis), basis[1], cfg.dim)
-
-
-def _error_spectrum(cfg: UplinkConfig, basis) -> np.ndarray:
-    """Eigenvalues of C on R's eigenbasis: lam - p g lam in the form
-    g (p kappa_t_ut lam + beta), which cancels nothing."""
-    lam, _, g, beta = basis
-    return g * (cfg.p_ut * cfg.imp.kappa_t_ut * lam + beta)
+    if cfg.r.identity_scale is not None and cfg.s.identity_scale is not None:
+        return CovarianceMatrix.identity(cfg.dim).scaled(mse_per_antenna(cfg))
+    return nearly_psd(_solve_m(cfg, cfg.r.matrix).conj().T @ _q(cfg),
+                      scale=cfg.r.max_eigenvalue)
 
 
 def mse_per_antenna(cfg: UplinkConfig) -> float:
-    """tr(C) / N: mean-square estimation error per channel element."""
+    """tr(C) / N: mean-square estimation error per channel element; on
+    ``_eigenbasis``, the mean of C's spectrum lam - p g lam in the form g
+    (p kappa_t_ut lam + beta), which cancels nothing."""
     basis = _eigenbasis(cfg)
     if basis is None:
         return error_covariance(cfg).trace() / cfg.dim
-    # the mean of the spectrum, also of the one value of R = c I
-    return float(np.mean(_error_spectrum(cfg, basis)))
+    lam, g, beta = basis
+    return float(np.mean(g * (cfg.p_ut * cfg.imp.kappa_t_ut * lam + beta)))
+
+
+_SINGULAR_FLOOR = ("high-power bracket is singular "
+                   "(rank-deficient R with kappa_r_bs = 0)")
 
 
 def error_floor(cfg: UplinkConfig) -> CovarianceMatrix:
@@ -257,29 +241,40 @@ def error_floor(cfg: UplinkConfig) -> CovarianceMatrix:
     evaluated as (B^{-1} R)^H (kappa_t_ut R + kappa_r_bs diag(R)), which
     cancels nothing, and symmetrised.
     """
-    singular = ("high-power bracket is singular "
-                "(rank-deficient R with kappa_r_bs = 0)")
+    if cfg.r.identity_scale is not None and cfg.s.identity_scale is not None:
+        return CovarianceMatrix.identity(cfg.dim).scaled(floor_per_antenna(cfg))
     kt, kr = cfg.imp.kappa_t_ut, cfg.imp.kappa_r_bs
+    x = _cho_solve(_mix(cfg.r, 1.0 + kt, kr), cfg.r.matrix, _SINGULAR_FLOOR)
+    return nearly_psd(x.conj().T @ _mix(cfg.r, kt, kr),
+                      scale=cfg.r.max_eigenvalue)
+
+
+def floor_per_antenna(cfg: UplinkConfig) -> float:
+    """tr(C_inf) / N: the error floor per channel element; on
+    ``_eigenbasis``, the mean of C_inf's spectrum lam (kt lam + kr c) /
+    ((1 + kt) lam + kr c), singular where that denominator is 0."""
     basis = _eigenbasis(cfg)
     if basis is None:
-        x = _cho_solve(_mix(cfg.r, 1.0 + kt, kr), cfg.r.matrix, singular)
-        return nearly_psd(x.conj().T @ _mix(cfg.r, kt, kr),
-                          scale=cfg.r.max_eigenvalue)
-    lam, v, _, _ = basis
-    kr_r0 = kr * cfg.r.constant_diagonal
+        return error_floor(cfg).trace() / cfg.dim
+    lam, kt = basis[0], cfg.imp.kappa_t_ut
+    kr_r0 = cfg.imp.kappa_r_bs * cfg.r.constant_diagonal
     den = (1.0 + kt) * lam + kr_r0
     if np.any(den <= 0.0):
-        raise SingularMatrixError(singular)
-    return _on_basis(lam * (kt * lam + kr_r0) / den, v, cfg.dim)
+        raise SingularMatrixError(_SINGULAR_FLOOR)
+    return float(np.mean(lam * (kt * lam + kr_r0) / den))
+
+
+def _check_levels(*kappas: float) -> None:
+    """ValueError unless every impairment level is a nonnegative real."""
+    if not all(k >= 0.0 and math.isfinite(k) for k in kappas):
+        raise ValueError("impairment levels must be nonnegative reals")
 
 
 def error_floor_iid(lam: float, kappa_t_ut: float, kappa_r_bs: float) -> float:
     """Per-antenna error floor for R = lam * I: lam (1 - 1/(1 + kt + kr))."""
     if not (lam > 0.0) or not math.isfinite(lam):
         raise ValueError(f"channel variance must be positive, got {lam}")
-    if not all(k >= 0.0 and math.isfinite(k)
-               for k in (kappa_t_ut, kappa_r_bs)):
-        raise ValueError("impairment levels must be nonnegative reals")
+    _check_levels(kappa_t_ut, kappa_r_bs)
     # kt + kr first: exactly symmetric in the two levels, unlike 1 + kt + kr
     return lam * (1.0 - 1.0 / (1.0 + (kappa_t_ut + kappa_r_bs)))
 
@@ -377,18 +372,18 @@ def _chain_filters(cfgs):
     cfg = cfgs[0]
     if cfg.r.kms_rho is not None and cfg.s.identity_scale is not None:
         return _tridiagonal_solve, [_tridiagonal_filter(c) for c in cfgs]
-    basis = _eigenbasis(cfg)
-    if basis is not None and basis[1] is None:
-        return np.multiply, [np.conj(c.d) * _eigenbasis(c)[2] for c in cfgs]
-    return np.matmul, [lmmse_filter(c).T for c in cfgs]
+    filters = [lmmse_filter(c).T for c in cfgs]
+    return (np.multiply if np.ndim(filters[0]) == 0 else np.matmul), filters
 
 
 _CHUNK = 256
 
 
 def _shared(cfgs) -> list:
-    """cfgs as a list, checked to share R and S (the same objects)."""
+    """cfgs as a list, checked to be non-empty and to share R and S."""
     cfgs = list(cfgs)
+    if not cfgs:
+        raise ValueError("a pilot chain needs at least one config")
     r, s = cfgs[0].r, cfgs[0].s
     if any(cfg.r is not r or cfg.s is not s for cfg in cfgs):
         raise ValueError("the configs of one pilot chain must share R and S")
@@ -424,11 +419,11 @@ def pilot_chain(cfgs, n_samples: int, seed: int):
     bits in any batch, and results do not depend on how work is split.
 
     Each config's filter is formed once, before the first chunk:
-    - R = c I and S = s I: the scalar d* g of ``_eigenbasis``;
     - R = c K_rho (``exponential_correlation``) and S = s I: a tridiagonal
       solve (``_tridiagonal_filter``), with no eigendecomposition and no
       N x N array;
-    - otherwise the N x N ``lmmse_filter(cfg).T``.
+    - otherwise ``lmmse_filter(cfg).T``: the scalar d* g for R = c I and
+      S = s I, else an N x N array.
     """
     cfgs = _shared(cfgs)
     apply, filters = _chain_filters(cfgs)
@@ -446,7 +441,7 @@ def _error_weights(cfg: UplinkConfig, basis) -> np.ndarray:
     """The weights (p g^2, q g, q^2) of ``_eigenbasis``'s gains g and of
     q = (p kappa_t_ut lam + beta) / (alpha lam + beta), the gains of Q
     M^{-1}, as a (3, N) array."""
-    lam, _, g, beta = basis
+    lam, g, beta = basis
     p, kt = cfg.p_ut, cfg.imp.kappa_t_ut
     q = (p * kt * lam + beta) / (p * (1.0 + kt) * lam + beta)
     w = np.empty((3, cfg.dim))
@@ -476,7 +471,7 @@ def _weigh(a: np.ndarray, b: np.ndarray, w: np.ndarray, p: np.ndarray,
     return out
 
 
-def _diagonal_norms(cfgs, basis, n_samples: int, seed: int):
+def _diagonal_norms(cfgs, n_samples: int, seed: int):
     """Each chunk's ||e||^2 per config and row, as a (configs, rows)
     array, for configs on R's eigenbasis (``_eigenbasis``).
 
@@ -495,7 +490,8 @@ def _diagonal_norms(cfgs, basis, n_samples: int, seed: int):
     buffer, and summed with the weights of ``_error_weights``, which are
     formed once per chain.
     """
-    vc = None if basis[1] is None else basis[1].conj()
+    r = cfgs[0].r
+    vc = None if r.identity_scale is not None else r.eigenvectors.conj()
     w = np.array([_error_weights(c, _eigenbasis(c)) for c in cfgs])
     g2, g1 = w[:, :1], w[:, :2]  # p g^2 alone, and with q g
     d = np.array([[c.d] for c in cfgs])
@@ -574,11 +570,9 @@ def empirical_mse_batch(cfgs, n_samples: int,
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     cfgs = _shared(cfgs)
-    basis = _eigenbasis(cfgs[0])
-    norms = (_dense_norms(cfgs, n_samples, seed) if basis is None
-             else _diagonal_norms(cfgs, basis, n_samples, seed))
+    norms = _dense_norms if _eigenbasis(cfgs[0]) is None else _diagonal_norms
     e = [[] for _ in cfgs]
-    for chunk in norms:
+    for chunk in norms(cfgs, n_samples, seed):
         for ei, rows in zip(e, chunk):
             ei.append(rows / cfgs[0].dim)
     out = []

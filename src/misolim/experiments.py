@@ -35,7 +35,7 @@ from .estimation import (
     ImpairmentProfile,
     UplinkConfig,
     empirical_mse_batch,
-    error_floor,
+    floor_per_antenna,
     mse_per_antenna,
 )
 from .randmat import CovarianceMatrix, derive_seed, exponential_correlation
@@ -233,7 +233,7 @@ def run_estimation_error(cfg: ExperimentConfig) -> SweepTable:
         floors, out = {}, {}
         for (k, snr_db), ul, est in zip(points, uls, ests):
             if k not in floors:
-                floors[k] = error_floor(ul).trace() / n
+                floors[k] = floor_per_antenna(ul)
             sub = out[n, k, snr_db] = SweepTable()
             kw = dict(n=n, snr_db=snr_db, kappa_bs=k, kappa_ut=k)
             sub.add(exp, "mse_analytic", mse_per_antenna(ul), **kw)

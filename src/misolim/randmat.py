@@ -247,16 +247,9 @@ def nearly_psd(m: np.ndarray, scale: float) -> CovarianceMatrix:
         raise InvalidMatrixError(
             f"matrix is indefinite beyond roundoff: min eigenvalue {w[0]:.3e}"
         )
-    return _from_spectrum(np.clip(w, 0.0, None), v)
-
-
-def _from_spectrum(w: np.ndarray, v: np.ndarray) -> CovarianceMatrix:
-    """V diag(w) V^H for a nonnegative spectrum w and unitary V, Hermitian
-    by construction and not revalidated. The stored eigenvalues are sorted
-    ascending, their columns of V with them."""
-    if np.any(w[1:] < w[:-1]):
-        order = np.argsort(w, kind="stable")
-        w, v = w[order], v[:, order]
+    # the clipped spectrum stays ascending, as eigh returns it; V diag(w)
+    # V^H is Hermitian by construction and not revalidated
+    w = np.clip(w, 0.0, None)
     out = (v * w) @ v.conj().T
     return CovarianceMatrix._known((out + out.conj().T) / 2.0, w, v)
 

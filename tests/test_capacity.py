@@ -265,6 +265,21 @@ class TestAsymptoticLimits:
             == lower_limit_scaled_power(0.003, 0.01)
         assert lower_limit_scaled_power(0.0, 0.0) == math.inf
 
+    @pytest.mark.parametrize("bad", [-2.0, math.nan, math.inf, -math.inf])
+    def test_levels_must_be_nonnegative_reals(self, bad):
+        for call in (lambda: upper_limit_large_n(bad),
+                     lambda: lower_limit_scaled_power(bad, 0.0),
+                     lambda: lower_limit_scaled_power(0.0, bad),
+                     lambda: upper_limit_high_power(4, bad, 0.0),
+                     lambda: upper_limit_high_power(4, 0.0, bad)):
+            with pytest.raises(ValueError, match="nonnegative reals"):
+                call()
+
+    @pytest.mark.parametrize("n", [0, -1, 2.5, 4.0])
+    def test_antenna_count_must_be_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match="positive integer"):
+            upper_limit_high_power(n, 0.0025, 0.0025)
+
 
 class TestLowerBoundMc:
     def test_rejects_small_sample_count(self):

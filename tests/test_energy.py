@@ -226,3 +226,8 @@ class TestEeSweep:
         with pytest.raises(ValueError):
             ee_sweep(identity_channel, EnergyConfig(t_ut=0.25), [],
                      self.PROFILES, n_samples=1000, seed=0)
+
+    def test_empty_profiles_rejected(self):
+        with pytest.raises(ValueError, match="at least one config"):
+            ee_sweep(identity_channel, EnergyConfig(t_ut=0.25), [2], {},
+                     n_samples=1000, seed=0)

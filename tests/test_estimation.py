@@ -16,6 +16,7 @@ from misolim import estimation
 from misolim.capacity import (
     DownlinkConfig,
     capacity_upper_bound,
+    lower_bound_asymptotic,
     lower_bound_mc,
     lower_bound_mc_batch,
 )
@@ -33,6 +34,7 @@ from misolim.estimation import (
     error_floor,
     error_floor_iid,
     estimate,
+    floor_per_antenna,
     lmmse_filter,
     mse_per_antenna,
     pilot_chain,
@@ -395,6 +397,7 @@ class TestScaledIdentityMatchesDense:
         for fn in (error_covariance, error_floor):
             agree(fn, lambda c: c.matrix, floor=1e-14)
         agree(mse_per_antenna, floor=1e-14)
+        agree(floor_per_antenna, floor=1e-14)
         agree(lambda cfg: capacity_upper_bound(cfg.r, dl))
 
         def value_and_se(est):
@@ -432,13 +435,14 @@ class TestScaledIdentityMatchesDense:
 
 
 class TestEigenbasisMatchesDense:
-    """Exponential R with S = s I takes R's eigenbasis, except in the lower
-    bound's chain, which needs antenna values and takes the tridiagonal
-    solve; the same R with an untagged S = s I takes the Cholesky path. On
+    """Exponential R with S = s I takes R's spectrum for the per-antenna
+    MSE and floor, R's eigenbasis in the MSE chain and the tridiagonal
+    solve in the lower bound's chain, which needs antenna values; the same
+    R with an untagged S = s I takes the Cholesky path for all of them. On
     the same draws (the AR(1) draws of R) the two agree within 1e-12
-    relative; the error covariances, differences of terms of order R, with
-    a 1e-14 absolute floor, and the filter relative to its largest entry,
-    since its far off-diagonal entries are small differences too."""
+    relative; the per-antenna MSE and floor, means of differences of terms
+    of order R, with a 1e-14 absolute floor. The filter, error covariance
+    and error floor of c K_rho take the Cholesky path on both sides."""
 
     @given(n=st.integers(1, 64), rho=st.floats(0.0, 0.95, exclude_max=True),
            s=st.floats(1e-2, 1e2), p_ut=st.floats(1e-3, 1e6),
@@ -474,9 +478,8 @@ class TestEigenbasisMatchesDense:
 
         a, b = lmmse_filter(fast[0]), lmmse_filter(dense[0])
         agree(a, b, floor=1e-12 * np.max(np.abs(b)))
-        for fn in (error_covariance, error_floor):
-            agree(fn(fast[0]).matrix, fn(dense[0]).matrix, floor=1e-14)
-        agree(mse_per_antenna(fast[0]), mse_per_antenna(dense[0]), floor=1e-14)
+        for fn in (mse_per_antenna, floor_per_antenna):
+            agree(fn(fast[0]), fn(dense[0]), floor=1e-14)
         # 1000 rows: one chunk that spans several row blocks
         for x, y in zip(empirical_mse_batch(fast, 1000, 3),
                         empirical_mse_batch(dense, 1000, 3)):
@@ -506,19 +509,52 @@ class TestEigenbasisMatchesDense:
                                    atol=1e-12 * np.max(np.abs(want)))
 
     def test_non_constant_diagonal_takes_dense_path(self):
-        r = CovarianceMatrix(np.diag([1.0, 2.0, 3.0]) + 0.1)
-        s = CovarianceMatrix.identity(3)
-        cfg = UplinkConfig(r=r, s=s, p_ut=2.0, imp=ImpairmentProfile.uniform(0.01))
-        assert r.constant_diagonal is None
-        with mock.patch.object(estimation, "_error_filters",
-                               wraps=estimation._error_filters) as filters:
-            empirical_mse(cfg, 2, 0)
-            assert filters.call_count == 1
-        m = (2.0 * 1.01 * r.matrix + 2.0 * 0.01 * np.diag(r.diagonal())
-             + np.eye(3))
-        np.testing.assert_allclose(lmmse_filter(cfg),
-                                   np.sqrt(2.0) * r.matrix @ np.linalg.inv(m),
-                                   rtol=1e-12)
+        # an untagged R takes the Cholesky path whatever its diagonal: a
+        # constant one included, as a dense copy of K_rho has
+        for r in (CovarianceMatrix(np.diag([1.0, 2.0, 3.0]) + 0.1),
+                  CovarianceMatrix(exponential_correlation(8, 0.7).matrix)):
+            n = r.dim
+            s = CovarianceMatrix.identity(n)
+            cfg = UplinkConfig(r=r, s=s, p_ut=2.0,
+                               imp=ImpairmentProfile.uniform(0.01))
+            assert r.identity_scale is None and r.kms_rho is None
+            with mock.patch.object(estimation, "_error_filters",
+                                   wraps=estimation._error_filters) as filters:
+                empirical_mse(cfg, 2, 0)
+                assert filters.call_count == 1
+            with mock.patch.object(estimation, "_cho_solve",
+                                   wraps=estimation._cho_solve) as solve:
+                next(pilot_chain([cfg], 2, 0))
+                assert solve.call_count == 1
+                assert solve.call_args.args[0].shape == (n, n)
+            m = (2.0 * 1.01 * r.matrix + 2.0 * 0.01 * np.diag(r.diagonal())
+                 + np.eye(n))
+            np.testing.assert_allclose(
+                lmmse_filter(cfg), np.sqrt(2.0) * r.matrix @ np.linalg.inv(m),
+                rtol=1e-12)
+
+    def test_only_the_mse_chain_reads_eigenvectors(self):
+        # c K_rho with S = s I: every closed form and the lower bound's
+        # chain work from R's tags and spectrum, or by Cholesky; only the
+        # MSE chain, whose configs share R's eigenbasis, reads V
+        def no_v(self):
+            raise AssertionError("eigenvectors read")
+
+        n = 6
+        r = exponential_correlation(n, 0.7).scaled(2.0)
+        imp = ImpairmentProfile.uniform(0.01)
+        ul = UplinkConfig(r=r, s=CovarianceMatrix.identity(n).scaled(0.5),
+                          p_ut=3.0, imp=imp)
+        dl = DownlinkConfig(p_bs=3.0, sigma2_ut=0.5, imp=imp)
+        with mock.patch.object(CovarianceMatrix, "eigenvectors",
+                               property(no_v)):
+            for fn in (lmmse_filter, error_covariance, error_floor,
+                       mse_per_antenna, floor_per_antenna):
+                fn(ul)
+            lower_bound_asymptotic(ul, dl, 1000)
+            lower_bound_mc_batch([(ul, dl)], 1000, 0)
+            with pytest.raises(AssertionError, match="eigenvectors read"):
+                empirical_mse_batch([ul], 2, 0)
 
 
 class TestEigenbasisProperties:
@@ -556,7 +592,7 @@ class TestEigenbasisProperties:
         # with b = (1 + kappa) lam + kappa
         cfg = self.config(n, rho, s, p_ut, kappa)
         mse = mse_per_antenna(cfg)
-        gap = mse - error_floor(cfg).trace() / n
+        gap = mse - floor_per_antenna(cfg)
         tol = 1e-14 * mse
         assert -tol <= gap <= s / p_ut + tol
 
@@ -667,3 +703,12 @@ class TestSharedDraws:
             with pytest.raises(ValueError, match="share R and S"):
                 next(pilot_chain(cfgs, 10, seed=0))
         assert len(list(pilot_chain([a, b], 10, seed=0))) == 2
+
+    @pytest.mark.parametrize("run", [
+        lambda: next(pilot_chain([], 10, 1)),
+        lambda: empirical_mse_batch([], 100, 1),
+        lambda: lower_bound_mc_batch([], 1000, 1),
+    ], ids=["pilot_chain", "empirical_mse_batch", "lower_bound_mc_batch"])
+    def test_empty_batch_rejected(self, run):
+        with pytest.raises(ValueError, match="at least one config"):
+            run()

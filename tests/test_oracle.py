@@ -4,12 +4,16 @@ tests/oracle/exp_corr.csv holds mse_analytic and mse_floor for exponential
 correlation R (rho = 0.7) and S = I, evaluated from their definitions in
 80-digit arithmetic by tests/oracle/make_exp_corr.py (CI regenerates the
 file and compares it byte for byte). Both estimation paths must agree
-within REL_TOL relative: R's eigenbasis (S = I tagged as a scaled
-identity) and the dense Cholesky path (the same R with an untagged S =
-I), which forms the error covariance as R M^{-1} (M - p R) so that nothing
-cancels (worst 1.5e-15; R - p R M^{-1} R was off by up to 5.6e-12 at N = 1,
-kappa = 0, 50 dB). The kappa = 0 floors are exact zeros on both paths,
-hence the ABS_TOL floor.
+within REL_TOL relative, each checked as the CSV forms its rows:
+- R's spectrum (S = I tagged as a scaled identity): ``mse_per_antenna``
+  and ``floor_per_antenna``, as ``estimation-error`` prints them;
+- the dense Cholesky path (the same R with an untagged S = I):
+  ``mse_per_antenna`` and ``error_floor(cfg).trace() / n``. It forms the
+  error covariance as R M^{-1} (M - p R) so that nothing cancels (worst
+  1.5e-15; R - p R M^{-1} R was off by up to 5.6e-12 at N = 1, kappa = 0,
+  50 dB).
+The kappa = 0 floors are exact zeros on both paths, hence the ABS_TOL
+floor.
 """
 
 import csv
@@ -22,6 +26,7 @@ from misolim.estimation import (
     ImpairmentProfile,
     UplinkConfig,
     error_floor,
+    floor_per_antenna,
     mse_per_antenna,
 )
 from misolim.experiments import EXP_CORR_RHO, db_to_linear
@@ -48,6 +53,8 @@ def _check(row, s):
                        imp=ImpairmentProfile(kappa_t_ut=kappa, kappa_r_bs=kappa))
     if row["metric"] == "mse_analytic":
         got = mse_per_antenna(cfg)
+    elif s.identity_scale is not None:
+        got = floor_per_antenna(cfg)
     else:
         got = error_floor(cfg).trace() / n
     want = float(row["value"])

@@ -11,7 +11,6 @@ from misolim.randmat import (
     PSD_TOL,
     CovarianceMatrix,
     InvalidMatrixError,
-    _from_spectrum,
     exponential_correlation,
     nearly_psd,
     psd_factor,
@@ -133,18 +132,6 @@ class TestStoredEigendecomposition:
         # scaled copies share V and scale the spectrum
         assert r.scaled(2.0).eigenvectors is v
         assert np.array_equal(r.scaled(2.0).eigenvalues, 2.0 * w)
-
-    def test_spectrum_is_sorted_with_its_columns(self):
-        # error_covariance builds V diag(w) V^H from a spectrum that need
-        # not follow R's order
-        v = exponential_correlation(4, 0.5).eigenvectors
-        w = np.array([3.0, 1.0, 0.0, 2.0])
-        c = _from_spectrum(w, v)
-        assert np.array_equal(c.eigenvalues, [0.0, 1.0, 2.0, 3.0])
-        np.testing.assert_allclose(
-            (c.eigenvectors * c.eigenvalues) @ c.eigenvectors.conj().T,
-            (v * w) @ v.conj().T, atol=1e-14)
-        assert c.min_eigenvalue == 0.0 and c.max_eigenvalue == 3.0
 
 
 class TestKmsTag:
