@@ -174,29 +174,36 @@ def lower_limit_scaled_power(kappa_t_ut: float, kappa_r_ut: float) -> float:
     return math.log2(1.0 + 1.0 / denom)
 
 
+def _row_sums(h: np.ndarray, h_hat: np.ndarray):
+    """(s, n2, t) of each row, as in ``_mrt_stats``."""
+    s = np.einsum("ij,ij->i", h, h_hat.conj())
+    a = h_hat.real ** 2
+    a += h_hat.imag ** 2
+    b = h.real ** 2
+    b += h.imag ** 2
+    return s, a.sum(axis=1), np.einsum("ij,ij->i", a, b)
+
+
 def _mrt_stats(h: np.ndarray, h_hat: np.ndarray) -> np.ndarray:
     """Rows (Re g, Im g, |g|^2, u) of the draws with h_hat != 0, for the
-    beamformer v = conj(h_hat)/||h_hat||: g = h^T v and
-    u = sum_i |h_i|^2 |v_i|^2."""
-    norms = np.linalg.norm(h_hat, axis=1)
-    ok = norms >= _NORM_MIN
-    if not ok.all():
-        # the plain norm underflows: rescale those rows by their largest
-        # modulus, and drop the rows that are zero
-        idx = np.flatnonzero(~ok)
-        peak = np.max(np.abs(h_hat[idx]), axis=1)
-        idx, peak = idx[peak > 0.0], peak[peak > 0.0]
-        h_hat = h_hat.copy()
-        h_hat[idx] /= peak[:, None]
-        norms[idx] = np.linalg.norm(h_hat[idx], axis=1)
-        ok[idx] = True
-        h, h_hat, norms = h[ok], h_hat[ok], norms[ok]
-    v = np.conj(h_hat)
-    v /= norms[:, None]
-    g = np.einsum("ij,ij->i", h, v)
-    q = np.abs(g) ** 2
-    u = np.einsum("ij,ij->i", np.abs(h) ** 2, np.abs(v) ** 2)
-    return np.column_stack([g.real, g.imag, q, u])
+    beamformer v = conj(h_hat)/||h_hat||: g = h^T v = s / sqrt(n2) and
+    u = sum_i |h_i|^2 |v_i|^2 = t / n2, with no array for v, from the row
+    sums s = sum_i h_i conj(h_hat_i), n2 = sum_i |h_hat_i|^2 and
+    t = sum_i |h_i|^2 |h_hat_i|^2."""
+    s, n2, t = _row_sums(h, h_hat)
+    low = np.flatnonzero((n2 < _NORM_MIN) | (t < _NORM_MIN))
+    if low.size:
+        # a sum underflows: rescale those rows by their largest modulus,
+        # part by part (a complex division's 1 / peak can overflow)
+        peak = np.max(np.abs(h_hat[low]), axis=1, keepdims=True)
+        peak[peak == 0.0] = 1.0  # zero rows stay 0, and are dropped
+        unit = h_hat[low]
+        unit.real /= peak
+        unit.imag /= peak
+        s[low], n2[low], t[low] = _row_sums(h[low], unit)
+    ok = n2 > 0.0  # the rows with h_hat != 0
+    g = s[ok] / np.sqrt(n2[ok])
+    return np.column_stack([g.real, g.imag, np.abs(g) ** 2, t[ok] / n2[ok]])
 
 
 def _rate_estimate(x: np.ndarray, dl: DownlinkConfig,
@@ -214,7 +221,9 @@ def _rate_estimate(x: np.ndarray, dl: DownlinkConfig,
     a_re, a_im, q_m, u_m = mean
     sig = a_re ** 2 + a_im ** 2
     kt, kr = dl.imp.kappa_t_bs, dl.imp.kappa_r_ut
-    denom = (1.0 + kr) * q_m - sig + kt * u_m + dl.sigma2_ut / dl.p_bs
+    # (1 + kr) q_m - sig as kr q_m + mean |g - mean g|^2: no cancellation
+    denom = (kr * q_m + np.mean((x[:, 0] - a_re) ** 2 + (x[:, 1] - a_im) ** 2)
+             + kt * u_m + dl.sigma2_ut / dl.p_bs)
     sinr = sig / denom
     value = math.log2(1.0 + sinr)
     grad_sinr = np.array([
@@ -237,10 +246,10 @@ def lower_bound_mc_batch(links, n_samples: int,
         raise ValueError("lower_bound_mc needs at least 1000 samples")
     links = list(links)
     chunks = [[] for _ in links]
-    # u = sum_i |h_i|^2 |v_i|^2 needs antenna values
     for i, h, h_hat in pilot_chain([ul for ul, _ in links], n_samples,
                                    seed):
         chunks[i].append(_mrt_stats(h, h_hat))
+        del h, h_hat  # a tile view keeps its chunk alive: let it go
     return [_rate_estimate(np.vstack(c), dl, n_samples)
             for c, (_, dl) in zip(chunks, links)]
 

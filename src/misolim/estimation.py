@@ -367,16 +367,18 @@ def _tridiagonal_solve(z: np.ndarray, f) -> np.ndarray:
 
 
 def _chain_filters(cfgs):
-    """(apply, filters) of ``pilot_chain``: h_hat = apply(z, filters[i])
-    for config i, on antenna values."""
+    """(apply, filters, rows) of ``pilot_chain``: h_hat = apply(z,
+    filters[i]) for config i, on antenna values, ``rows`` rows at a time."""
     cfg = cfgs[0]
     if cfg.r.kms_rho is not None and cfg.s.identity_scale is not None:
-        return _tridiagonal_solve, [_tridiagonal_filter(c) for c in cfgs]
+        return _tridiagonal_solve, list(map(_tridiagonal_filter, cfgs)), _CHUNK
     filters = [lmmse_filter(c).T for c in cfgs]
-    return (np.multiply if np.ndim(filters[0]) == 0 else np.matmul), filters
+    apply = np.multiply if np.ndim(filters[0]) == 0 else np.matmul
+    return apply, filters, max(1, _TILE // cfg.dim)
 
 
 _CHUNK = 256
+_TILE = 2 ** 14  # complex values in a row tile: 256 KB an array
 
 
 def _shared(cfgs) -> list:
@@ -410,31 +412,34 @@ def _chunks(cfgs, n_samples: int, seed: int):
 def pilot_chain(cfgs, n_samples: int, seed: int):
     """Channel draw, distorted uplink pilot, LMMSE estimate for configs that
     share R and S (the same objects): yields (i, h, h_hat) for config i,
-    antenna values in batches of up to _CHUNK rows, n_samples rows per
+    antenna values in row tiles of up to _CHUNK rows, n_samples rows per
     config in all.
 
     Chunk j draws h and the standard draws of the distortion and noise once
     from ``substream(seed, j)``; every config scales those same draws by its
-    own p and kappa and applies its own filter. So config i gives the same
-    bits in any batch, and results do not depend on how work is split.
+    own p and kappa and applies its own filter, tile by tile. So config i
+    gives the same bits in any batch and with any tile size.
 
     Each config's filter is formed once, before the first chunk:
     - R = c K_rho (``exponential_correlation``) and S = s I: a tridiagonal
       solve (``_tridiagonal_filter``), with no eigendecomposition and no
-      N x N array;
+      N x N array, on whole chunks;
     - otherwise ``lmmse_filter(cfg).T``: the scalar d* g for R = c I and
-      S = s I, else an N x N array.
+      S = s I, else an N x N array, on tiles of _TILE values.
     """
     cfgs = _shared(cfgs)
-    apply, filters = _chain_filters(cfgs)
+    apply, filters, rows = _chain_filters(cfgs)
     for h, w_t, nu, hw_r in _chunks(cfgs, n_samples, seed):
         if apply is _tridiagonal_solve:
             # z already takes the AR(1) h's antenna-leading layout; this
             # gives the two shared addends that layout too, once per chunk,
             # so that every config's adds into z run on matching layouts
             nu, hw_r = np.asfortranarray(nu), np.asfortranarray(hw_r)
-        for i, (cfg, f) in enumerate(zip(cfgs, filters)):
-            yield i, h, apply(_observe(cfg, h, w_t, nu, hw_r), f)
+        for a in range(0, h.shape[0], rows):
+            tile = [x[a:a + rows] for x in (h, w_t, nu, hw_r)]
+            for i, (cfg, f) in enumerate(zip(cfgs, filters)):
+                yield i, tile[0], apply(_observe(cfg, *tile), f)
+        del h, w_t, nu, hw_r, tile  # the tile views too, before the next draw
 
 
 def _error_weights(cfg: UplinkConfig, basis) -> np.ndarray:
@@ -449,13 +454,14 @@ def _error_weights(cfg: UplinkConfig, basis) -> np.ndarray:
     return w
 
 
-def _weigh(a: np.ndarray, b: np.ndarray, w: np.ndarray, p: np.ndarray,
-           t: np.ndarray, imag: bool = False) -> np.ndarray:
+def _weigh(a: np.ndarray, b: np.ndarray, w: np.ndarray, need: np.ndarray,
+           p: np.ndarray, t: np.ndarray, imag: bool = False) -> np.ndarray:
     """<P, w_c> for each config c: P is the real part of a conj(b) (its
     imaginary part when ``imag``), formed in the buffer p with t as
     scratch, and w_c is a (k, N) stack of that config's weights. Returns
     a (configs, k, rows) array, from one fixed-shape product per config
-    and weight, so that a config's bits do not depend on the batch."""
+    and weight, so that a config's bits do not depend on the batch; the
+    products that the (configs, k) mask ``need`` leaves out stay 0."""
     if imag:
         np.multiply(a.imag, b.real, out=p)
         np.multiply(a.real, b.imag, out=t)
@@ -464,10 +470,11 @@ def _weigh(a: np.ndarray, b: np.ndarray, w: np.ndarray, p: np.ndarray,
         np.multiply(a.real, b.real, out=p)
         np.multiply(a.imag, b.imag, out=t)
         p += t
-    out = np.empty((w.shape[0], w.shape[1], p.shape[0]))
-    for wc, oc in zip(w, out):
-        for wj, oj in zip(wc, oc):
-            np.dot(p, wj, out=oj)
+    out = np.zeros((w.shape[0], w.shape[1], p.shape[0]))
+    for wc, nc, oc in zip(w, need, out):
+        for wj, nj, oj in zip(wc, nc, oc):
+            if nj:
+                np.dot(p, wj, out=oj)
     return out
 
 
@@ -488,7 +495,7 @@ def _diagonal_norms(cfgs, n_samples: int, seed: int):
 
     The products P are formed once per chunk, one at a time in one
     buffer, and summed with the weights of ``_error_weights``, which are
-    formed once per chain.
+    formed once per chain; those that an exact zero multiplies are skipped.
     """
     r = cfgs[0].r
     vc = None if r.identity_scale is not None else r.eigenvectors.conj()
@@ -497,25 +504,29 @@ def _diagonal_norms(cfgs, n_samples: int, seed: int):
     d = np.array([[c.d] for c in cfgs])
     eta = np.array([[math.sqrt(c.imp.kappa_t_ut * c.p_ut)] for c in cfgs])
     c_r = np.array([math.sqrt(c.imp.kappa_r_bs * c.p_ut) for c in cfgs])
+    # the sums each config needs, as a (configs, k) mask per weight stack
+    e, c, on = eta[:, 0] != 0.0, c_r != 0.0, np.ones(len(cfgs), bool)
+    hh_on, nn_on, hy_on, xx_on, hx_on = (np.stack(m, axis=1) for m in (
+        (e, e, on), (on,), (e, on), (c,), (e & c, c)))
     c_r = c_r[:, None, None]
     for h, w_t, nu, x in _chunks(cfgs, n_samples, seed):
         p, t = np.empty((2, h.shape[0], cfgs[0].dim))
         # one rotation at a time, each original let go once rotated
         if vc is not None:
             h = h @ vc
-        hh = _weigh(h, h, w, p, t)
+        hh = _weigh(h, h, w, hh_on, p, t)
         if vc is not None:
             nu = nu @ vc
-        nn = _weigh(nu, nu, g2, p, t)
-        hy = (_weigh(h, nu, g1, p, t)
-              + 1j * _weigh(h, nu, g1, p, t, imag=True))
+        nn = _weigh(nu, nu, g2, nn_on, p, t)
+        hy = (_weigh(h, nu, g1, hy_on, p, t)
+              + 1j * _weigh(h, nu, g1, hy_on, p, t, imag=True))
         if vc is not None:
             x = x @ vc
         # with u = nu + c x: hy = <h u*> and xx = <|u|^2> - <|nu|^2>
-        xx = c_r ** 2 * _weigh(x, x, g2, p, t)
-        xx += 2.0 * c_r * _weigh(nu, x, g2, p, t)
-        hy += c_r * (_weigh(h, x, g1, p, t)
-                     + 1j * _weigh(h, x, g1, p, t, imag=True))
+        xx = c_r ** 2 * _weigh(x, x, g2, xx_on, p, t)
+        xx += 2.0 * c_r * _weigh(nu, x, g2, xx_on, p, t)
+        hy += c_r * (_weigh(h, x, g1, hx_on, p, t)
+                     + 1j * _weigh(h, x, g1, hx_on, p, t, imag=True))
         # let the chunk's arrays go before the next chunk is drawn
         del h, nu, x, p, t
         e_t = eta * w_t

@@ -302,12 +302,12 @@ def sample_cn(m, rng: np.random.Generator, size: int | None = None) -> np.ndarra
     n, rho = cov.dim, cov.kms_rho
     shape = (n,) if size is None else (int(size), n)
     out = None if rho is None else np.empty(shape[::-1], dtype=np.complex128).T
-    w = _re_plus_j_im(rng, shape, out)
-    w /= np.sqrt(2.0)
+    w = _re_plus_j_im(rng, shape, out, 1.0 / np.sqrt(2.0))
     if cov.identity_scale is None and rho is None:
         return w @ cov.factor.T
     # the product with sqrt(c) I, one entry at a time, for c I and c K
-    w *= np.sqrt(cov.constant_diagonal)
+    if cov.constant_diagonal != 1.0:
+        w *= np.sqrt(cov.constant_diagonal)
     if rho is not None:
         _ar1(w.T.reshape(n, -1).view(np.float64), rho)
     return w
@@ -328,20 +328,25 @@ def sample_scalar_cn(variance: float, rng: np.random.Generator,
     variance = float(variance)
     if variance < 0.0 or not np.isfinite(variance):
         raise ValueError(f"variance must be nonnegative, got {variance}")
-    x = _re_plus_j_im(rng, () if size is None else size)
-    x *= np.sqrt(variance / 2.0)
+    scale = np.sqrt(variance / 2.0)
+    x = _re_plus_j_im(rng, () if size is None else size, scale=scale or 1.0)
+    if variance == 0.0:
+        x *= scale
     return complex(x) if size is None else x
 
 
-def _re_plus_j_im(rng: np.random.Generator, shape, out=None) -> np.ndarray:
-    """re + 1j * im for a block ``re`` of standard normals and then a block
-    ``im``, written into one complex array (``out``, of that shape, when
-    given): the bits of that expression without its three complex
-    temporaries."""
+def _re_plus_j_im(rng, shape, out=None, scale: float = 1.0) -> np.ndarray:
+    """(re + 1j * im) * scale for a block ``re`` of standard normals and
+    then a block ``im``, in one complex array (``out``, of that shape, when
+    given): each block is scaled before it is copied in, with no complex
+    temporary. For scale > 0 that gives the product's bits, and those of
+    (re + 1j * im) / (1 / scale), which numpy forms as that product."""
     x = np.empty(shape, dtype=np.complex128) if out is None else out
     block = rng.standard_normal(shape)
+    block *= scale
     x.real = block
     rng.standard_normal(out=block)
+    block *= scale
     x.imag = block
     return x
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from misolim import estimation
 from misolim.capacity import (
     DownlinkConfig,
     _mrt_stats,
+    _rate_estimate,
     MonteCarloEstimate,
     capacity_ideal_jensen,
     capacity_upper_bound,
@@ -27,6 +29,7 @@ from misolim.capacity import (
     upper_limit_large_n,
 )
 from misolim.estimation import (
+    _CHUNK,
     ImpairmentProfile,
     UplinkConfig,
     empirical_mse,
@@ -412,6 +415,111 @@ class TestExponentialCorrelationChain:
             tracemalloc.stop()
         assert peak < n * n * 8
         assert 0.0 < rate.value < capacity_upper_bound(r, dl)
+
+
+def beamformer_stats(h, h_hat):
+    """The rows of ``_mrt_stats`` from the beamformer array
+    v = conj(h_hat) / ||h_hat||, each nonzero row of h_hat first scaled by
+    its largest modulus, and the zero rows dropped."""
+    keep = np.any(h_hat != 0.0, axis=1)
+    h, h_hat = h[keep], h_hat[keep]
+    peak = np.max(np.abs(h_hat), axis=1)[:, None]
+    h_hat = h_hat.real / peak + 1j * (h_hat.imag / peak)
+    v = np.conj(h_hat) / np.linalg.norm(h_hat, axis=1)[:, None]
+    g = np.sum(h * v, axis=1)
+    u = np.sum(np.abs(h) ** 2 * np.abs(v) ** 2, axis=1)
+    return np.column_stack([g.real, g.imag, np.abs(g) ** 2, u])
+
+
+class TestMrtRowSums:
+    def test_matches_beamformer_expression(self):
+        # the three row sums give the beamformer's statistics: on plain
+        # rows, on rows whose |h_hat|^2 or |h|^2 |h_hat|^2 underflows, on
+        # a zero channel row and on zero estimate rows (dropped)
+        rng = substream(21)
+        n = 6
+        h = sample_cn(CovarianceMatrix.identity(n), rng, size=40)
+        h_hat = 0.9 * h + 0.3 * sample_cn(CovarianceMatrix.identity(n),
+                                          rng, size=40)
+        h_hat[1:4] *= 1e-300
+        h_hat[4:6] *= 1e-155
+        h_hat[6:8] *= 1e-162
+        h_hat[8] = 0.0
+        h_hat[9, 1:] = 0.0
+        h_hat[10, :] = 5e-324
+        h[11] = 0.0
+        got, want = _mrt_stats(h, h_hat), beamformer_stats(h, h_hat)
+        assert got.shape == want.shape == (39, 4)
+        g = np.abs(want[:, 0] + 1j * want[:, 1])
+        assert np.all(np.abs(got[:, :2] - want[:, :2]) <= 1e-13 * g[:, None])
+        np.testing.assert_allclose(got[:, 2:], want[:, 2:], rtol=1e-13)
+        # row 11 comes after the dropped row 8
+        assert np.all(got[10] == 0.0)
+
+
+class TestRowTiles:
+    @pytest.mark.parametrize("n", [1, 100])
+    def test_bits_do_not_depend_on_tile_size(self, monkeypatch, n):
+        # R = I: one row per tile and a whole chunk per tile give the same
+        # bits, with a partial last chunk
+        r = CovarianceMatrix.identity(n)
+        links = []
+        for p, kappa in ((1.0, 0.0), (100.0, 0.0025), (10.0, 0.02)):
+            imp = ImpairmentProfile.uniform(kappa)
+            links.append((UplinkConfig(r=r, s=r, p_ut=p, imp=imp),
+                          DownlinkConfig(p_bs=p, sigma2_ut=1.0, imp=imp)))
+        rates = []
+        for tile, count in ((1, 1100), (_CHUNK * n, 5)):
+            monkeypatch.setattr(estimation, "_TILE", tile)
+            assert len(list(pilot_chain([links[0][0]], 1100, 4))) == count
+            rates.append(lower_bound_mc_batch(links, 1100, 4))
+        assert rates[0] == rates[1]
+
+
+class TestChainMemory:
+    """The lower bound holds one chunk of draws (h, nu and |h| w_r) and
+    what one tile's estimate and statistics need: at most 4 arrays of
+    _CHUNK x N complex values for R = I, whose tiles are small, and 6 for
+    exponential R, whose solve takes a whole chunk."""
+
+    @pytest.mark.parametrize("kind, arrays", [("identity", 4), ("kms", 6)])
+    def test_peak(self, kind, arrays):
+        n = 4096
+        imp = ImpairmentProfile.uniform(0.0025)
+        if kind == "identity":
+            r = s = CovarianceMatrix.identity(n)
+        else:
+            r = exponential_correlation(n, 0.7)
+            s = CovarianceMatrix.identity(n).scaled(0.01)
+        ul = UplinkConfig(r=r, s=s, p_ut=1.0, imp=imp)
+        dl = DownlinkConfig(p_bs=1.0, sigma2_ut=0.01, imp=imp)
+        tracemalloc.start()
+        try:
+            rate, = lower_bound_mc_batch([(ul, dl)], 1000, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= arrays * _CHUNK * n * 16
+        assert 0.0 < rate.value < capacity_upper_bound(r, dl)
+
+
+class TestRateEstimate:
+    def test_exact_on_its_rows_at_kappa_zero(self):
+        # N = 1024 with ideal hardware: the SINR is about 4e3, so
+        # (1 + kappa_r_ut) E|g|^2 - |E g|^2 would cancel almost four
+        # digits of the denominator; the value matches an exact evaluation
+        # of the same rows
+        ul, dl = make_symmetric(1024, 0.0)
+        x = np.vstack([_mrt_stats(h, h_hat)
+                       for _, h, h_hat in pilot_chain([ul], 1000, 11)])
+        m = [sum(map(Fraction, col.tolist())) / len(col) for col in x.T]
+        sig = m[0] ** 2 + m[1] ** 2
+        denom = m[2] - sig + Fraction(dl.sigma2_ut) / Fraction(dl.p_bs)
+        exact = math.log2(1.0 + float(sig / denom))
+        assert 3e3 < float(sig / denom) < 5e3
+        est = _rate_estimate(x, dl, 1000)
+        assert est.value == pytest.approx(exact, rel=1e-14)
+
 
 class TestLowerBoundAsymptotic:
     def test_consistent_with_mc_when_ut_transmit_ideal(self):

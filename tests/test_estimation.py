@@ -663,6 +663,22 @@ class TestSharedDraws:
         for i, cfg in enumerate(cfgs):
             assert mse[i] == empirical_mse(cfg, 1000, seed=5)
 
+    def test_zero_levels_skip_their_sums(self):
+        # the MSE chain forms 14 weighted sums per config and chunk; an
+        # exact zero multiplies 6 of them without eta_t, 6 without eta_r
+        # and 10 without both, and those are skipped
+        r = exponential_correlation(8, 0.7)
+        counts = []
+        for imp in (ImpairmentProfile(), ImpairmentProfile(kappa_t_ut=0.01),
+                    ImpairmentProfile(kappa_r_bs=0.01),
+                    ImpairmentProfile.uniform(0.01)):
+            cfg = UplinkConfig(r=r, s=CovarianceMatrix.identity(8),
+                               p_ut=2.0, imp=imp)
+            with mock.patch.object(np, "dot", wraps=np.dot) as dot:
+                empirical_mse(cfg, 2, 0)
+            counts.append(dot.call_count)
+        assert counts == [4, 8, 8, 14]
+
     @staticmethod
     def traced_peak(run, n_samples):
         tracemalloc.start()
