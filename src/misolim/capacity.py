@@ -97,16 +97,12 @@ def optimal_beamformer(h: np.ndarray, dl: DownlinkConfig) -> np.ndarray:
 
 def sinr_perfect_csi(h: np.ndarray, dl: DownlinkConfig) -> float:
     """Maximum instantaneous SINR over unit-norm beamformers:
-    h^T (kt diag(|h_i|^2) + kr h* h^T + (sigma^2/p) I)^{-1} h*."""
-    h = np.asarray(h, dtype=np.complex128)
-    if np.linalg.norm(h) == 0.0:
-        return 0.0
-    n = h.shape[0]
-    m = np.diag(dl.imp.kappa_t_bs * np.abs(h) ** 2
-                + dl.sigma2_ut / dl.p_bs).astype(np.complex128)
-    m += dl.imp.kappa_r_ut * np.outer(np.conj(h), h)
-    x = np.linalg.solve(m, np.conj(h))
-    return float((h @ x).real)
+    h^T (D + kr h* h^T)^{-1} h* with D = kt diag(|h_i|^2) + (sigma^2/p) I.
+    By Sherman-Morrison that is a / (1 + kr a), a = h^T D^{-1} h*: no
+    N x N matrix."""
+    g = np.abs(np.asarray(h, dtype=np.complex128)) ** 2
+    a = float(np.sum(g / (dl.imp.kappa_t_bs * g + dl.sigma2_ut / dl.p_bs)))
+    return a / (1.0 + dl.imp.kappa_r_ut * a)
 
 
 def capacity_upper_bound(r: CovarianceMatrix, dl: DownlinkConfig) -> float:

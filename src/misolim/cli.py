@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from functools import partial
 
 from .experiments import (
     EXPERIMENTS,
@@ -27,52 +26,23 @@ from .experiments import (
     write_csv,
 )
 
-_LIST_KEYS = {"n_grid", "snr_db", "kappa", "t"}
-_INT_KEYS = {"seed", "samples", "workers"}
 _LIST_FLAGS = {"--n-grid", "--snr-db", "--kappa", "--t"}
 # A list value that starts with a negative number, e.g. "-10,0,10".
 _NEGATIVE_LIST = re.compile(r"-\.?\d")
 
 
-def _parse_list(key: str, text: str) -> list:
-    cast = int if key == "n_grid" else float
-    values = []
-    for token in text.replace(",", " ").split():
-        try:
-            values.append(cast(token))
-        except ValueError:
-            raise ValueError(
-                f"invalid {cast.__name__} value: {token!r}") from None
-    return values
-
-
-def parse_config_file(path: str) -> dict:
-    """Flat key = value file; lists are comma- or space-separated.
-    Lines starting with '#' are comments."""
-    opts: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key in _LIST_KEYS:
-                parse = partial(_parse_list, key)
-            elif key in _INT_KEYS:
-                parse = int
-            elif key in ("experiment", "out"):
-                parse = str
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
+def _list_of(cast):
+    """argparse type of a comma- or space-separated list of ``cast``."""
+    def parse(text: str) -> list:
+        values = []
+        for token in text.replace(",", " ").split():
             try:
-                opts[key] = parse(value.strip())
-            except ValueError as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: bad {key} value: {exc}") from None
-    return opts
+                values.append(cast(token))
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    f"invalid {cast.__name__} value: {token!r}") from None
+        return values
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,17 +59,49 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--experiment", choices=EXPERIMENTS)
     parser.add_argument("--seed", type=int, help="master 64-bit seed (default 1)")
-    parser.add_argument("--samples", type=int,
+    parser.add_argument("--samples", type=int, dest="n_samples",
                         help="Monte-Carlo samples per grid point "
                              "(default: 10000 for N <= 256, else 1000)")
     parser.add_argument("--out", help="output CSV path (default: stdout)")
-    parser.add_argument("--n-grid", help="antenna counts, e.g. 1,2,4,...,1024")
-    parser.add_argument("--snr-db", help="SNR grid in dB")
-    parser.add_argument("--kappa", help="impairment levels (EVM squared)")
-    parser.add_argument("--t", help="power-scaling exponents")
+    parser.add_argument("--n-grid", type=_list_of(int),
+                        help="antenna counts, e.g. 1,2,4,...,1024")
+    parser.add_argument("--snr-db", type=_list_of(float), help="SNR grid in dB")
+    parser.add_argument("--kappa", type=_list_of(float),
+                        help="impairment levels (EVM squared)")
+    parser.add_argument("--t", type=_list_of(float),
+                        help="power-scaling exponents")
     parser.add_argument("--workers", type=int,
                         help="worker threads (does not affect output values)")
     return parser
+
+
+def _given(args: argparse.Namespace) -> dict:
+    return {key: v for key, v in vars(args).items() if v is not None}
+
+
+def parse_config_file(path: str) -> dict:
+    """Flat key = value file, each line read as the flag --key=value; lists
+    are comma- or space-separated. Lines starting with '#' are comments."""
+    parser = build_parser()
+    parser.allow_abbrev = False  # a key names its option in full
+    opts: dict = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, eq, value = line.partition("=")
+            flag = "--" + key.strip().replace("_", "-")
+            try:
+                if not (eq and key.strip()):
+                    raise ValueError("expected 'key = value'")
+                given = _given(parser.parse_args([f"{flag}={value.strip()}"]))
+                if "config" in given:
+                    raise ValueError("a config file cannot name another")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            opts.update(given)
+    return opts
 
 
 def _attach_negative_lists(argv: list[str]) -> list[str]:
@@ -116,25 +118,11 @@ def _attach_negative_lists(argv: list[str]) -> list[str]:
 
 def config_from_args(argv=None) -> ExperimentConfig:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_attach_negative_lists(argv))
-    opts: dict = {}
-    if args.config:
-        opts.update(parse_config_file(args.config))
-    for key, v in vars(args).items():
-        if v is None or key == "config":
-            continue
-        if key in _LIST_KEYS:
-            try:
-                v = _parse_list(key, v)
-            except ValueError as exc:
-                # the form argparse gives its own flag errors
-                raise ValueError(
-                    f"argument --{key.replace('_', '-')}: {exc}") from None
-        opts[key] = v
+    opts = _given(build_parser().parse_args(_attach_negative_lists(argv)))
+    path = opts.pop("config", None)
+    opts = {**(parse_config_file(path) if path else {}), **opts}
     if "experiment" not in opts:
         raise ValueError("no experiment selected (use --experiment or a config file)")
-    if "samples" in opts:
-        opts["n_samples"] = opts.pop("samples")
     return ExperimentConfig(**opts)
 
 

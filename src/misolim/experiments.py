@@ -40,13 +40,6 @@ from .estimation import (
 )
 from .randmat import CovarianceMatrix, derive_seed, exponential_correlation
 
-EXPERIMENTS = (
-    "estimation-error",
-    "capacity-vs-n",
-    "capacity-vs-kappa",
-    "energy-efficiency",
-)
-
 CSV_COLUMNS = ("experiment", "n", "snr_db", "kappa_bs", "kappa_ut", "t",
                "metric", "value", "std_error")
 
@@ -59,6 +52,22 @@ T_GRID = (0.0, 0.25, 0.5)
 
 EXP_CORR_RHO = 0.7
 SNR_DB_FIXED = 20.0
+EE_KAPPA_IMPAIRED = 0.05 ** 2
+
+# The grids each experiment's runner reads, with their defaults; the
+# capacity sweeps take one SNR. A config resolves every unset grid from
+# here and rejects any other grid.
+GRIDS = {
+    "estimation-error": dict(n_grid=(10, 100), snr_db=SNR_DB_GRID,
+                             kappa=KAPPA_LEVELS),
+    "capacity-vs-n": dict(n_grid=N_GRID_POW2, snr_db=(SNR_DB_FIXED,),
+                          kappa=KAPPA_LEVELS),
+    "capacity-vs-kappa": dict(n_grid=N_GRID_POW2, snr_db=(SNR_DB_FIXED,),
+                              kappa=KAPPA_LEVELS),
+    "energy-efficiency": dict(n_grid=N_GRID_POW2,
+                              kappa=(0.0, EE_KAPPA_IMPAIRED), t=T_GRID),
+}
+EXPERIMENTS = tuple(GRIDS)
 
 
 def db_to_linear(db: float) -> float:
@@ -87,6 +96,7 @@ class ExperimentConfig:
     seed: int = 1
     n_samples: int | None = None  # None: 1e4 per point for N <= 256, else 1e3
     out: str | None = None
+    # grids: None takes the experiment's default from GRIDS
     n_grid: list[int] | None = None
     snr_db: list[float] | None = None
     kappa: list[float] | None = None
@@ -109,13 +119,29 @@ class ExperimentConfig:
             raise ValueError("worker count must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        grids = GRIDS[self.experiment]
         for name, (rule, ok) in _GRID_RULES.items():
             v = getattr(self, name)
-            if v is not None and len(v) == 0:
+            if name not in grids:
+                if v is not None:
+                    raise ValueError(f"{self.experiment} reads no {name} grid")
+                continue
+            if v is None:
+                v = list(grids[name])
+                setattr(self, name, v)
+            if len(v) == 0:
                 raise ValueError(f"{name} grid must be non-empty")
-            for x in v or ():
+            seen = set()
+            for x in v:
                 if not ok(x):
                     raise ValueError(f"{name} values must be {rule}, got {x}")
+                if x in seen:
+                    raise ValueError(f"{name} values must be distinct, "
+                                     f"got {x} twice")
+                seen.add(x)
+        if self.experiment.startswith("capacity-") and len(self.snr_db) > 1:
+            raise ValueError(f"{self.experiment} runs at one snr_db value, "
+                             f"got {len(self.snr_db)}")
         for value, power in self._powers():
             try:
                 p = power()
@@ -125,27 +151,18 @@ class ExperimentConfig:
                 raise ValueError(f"{value} gives a linear power outside "
                                  "(0, inf)")
 
-    def sizes(self) -> list[int]:
-        """The run's array sizes: n_grid, or the experiment's default."""
-        if self.n_grid:
-            return list(self.n_grid)
-        if self.experiment == "estimation-error":
-            return [10, 100]
-        return list(N_GRID_POW2)
-
     def _powers(self):
         """(grid value, power()) for every linear power the grids imply, as
         the runners form it: an SNR point's pilot power, and the
         energy-efficiency powers p_base / N^t. Each falls, or overflows, as
         N grows, so the largest N decides."""
-        n = max(self.sizes())
+        n = max(self.n_grid)
         for snr_db in self.snr_db or ():
             yield (f"snr_db value {snr_db:g}",
                    lambda snr_db=snr_db: _pilot_power(snr_db, n))
-        if self.experiment == "energy-efficiency":
-            for t in T_GRID if self.t is None else self.t:
-                yield (f"t value {t:g} at N = {n}",
-                       lambda t=t: min(_ee_config(t).powers(n)))
+        for t in self.t or ():
+            yield (f"t value {t:g} at N = {n}",
+                   lambda t=t: min(_ee_config(t).powers(n)))
 
     def samples_for(self, n: int) -> int:
         if self.n_samples is not None:
@@ -192,12 +209,11 @@ def _sweep(group_fn, n_grid: list, grid: list, workers: int) -> SweepTable:
     pool size. ``group_fn(n)`` returns {grid point: SweepTable} for every
     point with that n. Callers build covariances before the sweep; an
     exponential correlation forms its arrays where they are first used."""
-    sizes = list(dict.fromkeys(n_grid))
-    if workers <= 1 or len(sizes) <= 1:
-        groups = [group_fn(n) for n in sizes]
+    if workers <= 1 or len(n_grid) <= 1:
+        groups = [group_fn(n) for n in n_grid]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(group_fn, sizes))
+            groups = list(pool.map(group_fn, n_grid))
     tables = {point: sub for group in groups for point, sub in group.items()}
     return SweepTable([row for point in grid for row in tables[point].rows])
 
@@ -212,16 +228,12 @@ def _progress(msg: str) -> None:
 # ---------------------------------------------------------------------------
 
 def run_estimation_error(cfg: ExperimentConfig) -> SweepTable:
-    exp = cfg.experiment
-    n_grid = cfg.sizes()
-    kappas = cfg.kappa if cfg.kappa is not None else list(KAPPA_LEVELS)
-    snrs = cfg.snr_db if cfg.snr_db is not None else list(SNR_DB_GRID)
-
+    exp, n_grid = cfg.experiment, cfg.n_grid
     covs = {n: (exponential_correlation(n, EXP_CORR_RHO),
                 CovarianceMatrix.identity(n)) for n in n_grid}
-    imps = {k: ImpairmentProfile(kappa_t_ut=k, kappa_r_bs=k) for k in kappas}
-    points = list(dict.fromkeys((k, snr_db) for k in kappas
-                                for snr_db in snrs))
+    imps = {k: ImpairmentProfile(kappa_t_ut=k, kappa_r_bs=k)
+            for k in cfg.kappa}
+    points = [(k, snr_db) for k in cfg.kappa for snr_db in cfg.snr_db]
 
     def one_n(n):
         _progress(f"estimation-error: N={n} ({len(points)} points)")
@@ -242,7 +254,7 @@ def run_estimation_error(cfg: ExperimentConfig) -> SweepTable:
                     **kw)
         return out
 
-    grid = [(n, k, snr_db) for n in n_grid for k in kappas for snr_db in snrs]
+    grid = [(n, *point) for n in n_grid for point in points]
     return _sweep(one_n, n_grid, grid, cfg.workers)
 
 
@@ -260,13 +272,10 @@ def run_capacity(cfg: ExperimentConfig) -> SweepTable:
     sweeps the BS level with the terminal level fixed at KAPPA_UT_FIXED."""
     exp = cfg.experiment
     vs_n = exp == "capacity-vs-n"
-    n_grid = cfg.sizes()
-    kappas = cfg.kappa if cfg.kappa is not None else list(KAPPA_LEVELS)
-    snr_db = cfg.snr_db[0] if cfg.snr_db else SNR_DB_FIXED
-
-    covs = {n: CovarianceMatrix.identity(n) for n in n_grid}  # R = S = I
-    ut = {k: k if vs_n else KAPPA_UT_FIXED for k in kappas}
-    imps = {k: ImpairmentProfile(k, k, ut[k], ut[k]) for k in kappas}
+    (snr_db,) = cfg.snr_db
+    covs = {n: CovarianceMatrix.identity(n) for n in cfg.n_grid}  # R = S = I
+    ut = {k: k if vs_n else KAPPA_UT_FIXED for k in cfg.kappa}
+    imps = {k: ImpairmentProfile(k, k, ut[k], ut[k]) for k in cfg.kappa}
 
     def one_n(n):
         _progress(f"{exp}: N={n} ({len(imps)} points)")
@@ -293,8 +302,8 @@ def run_capacity(cfg: ExperimentConfig) -> SweepTable:
                         **kw)
         return out
 
-    grid = [(k, n) for k in kappas for n in n_grid]
-    return _sweep(one_n, n_grid, grid, cfg.workers)
+    grid = [(k, n) for k in cfg.kappa for n in cfg.n_grid]
+    return _sweep(one_n, cfg.n_grid, grid, cfg.workers)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +313,6 @@ def run_capacity(cfg: ExperimentConfig) -> SweepTable:
 
 EE_P_BASE_W = 1.0
 EE_SNR_BASE_DB = 20.0
-EE_KAPPA_IMPAIRED = 0.05 ** 2
 
 
 def _ee_config(t: float) -> EnergyConfig:
@@ -314,29 +322,27 @@ def _ee_config(t: float) -> EnergyConfig:
 
 
 def run_energy_efficiency(cfg: ExperimentConfig) -> SweepTable:
-    n_grid = cfg.sizes()
-    t_grid = cfg.t if cfg.t is not None else list(T_GRID)
-    kappas = cfg.kappa if cfg.kappa is not None else [0.0, EE_KAPPA_IMPAIRED]
-    profiles = {("ideal" if k == 0.0 else f"impaired[{k:g}]"):
-                ImpairmentProfile.uniform(k) for k in kappas}
+    n_grid = cfg.n_grid
+    profiles = {k: ImpairmentProfile.uniform(k) for k in cfg.kappa}
     sigma2 = EE_P_BASE_W / db_to_linear(EE_SNR_BASE_DB)
     channels = {n: (exponential_correlation(n, EXP_CORR_RHO),
                     CovarianceMatrix.identity(n).scaled(sigma2), sigma2)
                 for n in n_grid}
-    ecfgs = {t: _ee_config(t) for t in t_grid}
+    ecfgs = {t: _ee_config(t) for t in cfg.t}
     for ecfg in ecfgs.values():
         warn_if_inadmissible(ecfg)
-    specs = [(ecfg, name, imp) for ecfg in ecfgs.values()
-             for name, imp in profiles.items()]
+    # the hardware name labels EnergyPoint only: points are keyed by kappa
+    specs = [(ecfg, "ideal" if k == 0.0 else f"impaired[{k:g}]", imp)
+             for ecfg in ecfgs.values() for k, imp in profiles.items()]
 
     def one_n(n):
         _progress(f"energy-efficiency: N={n} ({len(specs)} points)")
         pts = ee_points(n, channels[n], specs, cfg.samples_for(n),
                         derive_seed(cfg.seed, n))
         out = {}
-        for (ecfg, name, imp), pt in zip(specs, pts):
+        for (ecfg, _, imp), pt in zip(specs, pts):
             t = ecfg.t_bs
-            sub = out[t, n, name] = SweepTable()
+            sub = out[t, n, imp.kappa_t_bs] = SweepTable()
             kw = dict(n=n, snr_db=EE_SNR_BASE_DB - 10.0 * t * math.log10(n),
                       kappa_bs=imp.kappa_t_bs, kappa_ut=imp.kappa_t_ut, t=t)
             sub.add("energy-efficiency", "ee", pt.ee,
@@ -345,7 +351,7 @@ def run_energy_efficiency(cfg: ExperimentConfig) -> SweepTable:
                     std_error=pt.capacity.std_error, **kw)
         return out
 
-    grid = [(t, n, name) for t in t_grid for n in n_grid for name in profiles]
+    grid = [(t, n, k) for t in cfg.t for n in n_grid for k in profiles]
     return _sweep(one_n, n_grid, grid, cfg.workers)
 
 

@@ -180,6 +180,29 @@ class TestSinrPerfectCsi:
                 for phi in np.linspace(0, 2 * np.pi, 7)]
         np.testing.assert_allclose(vals, vals[0], rtol=1e-12)
 
+    @pytest.mark.parametrize("n, kt, kr", [(1, 0.0, 0.0), (3, 0.01, 0.0025),
+                                           (16, 0.0225, 0.0225),
+                                           (64, 0.0, 0.01)])
+    def test_matches_dense_solve(self, n, kt, kr):
+        # the Sherman-Morrison form against the N x N solve
+        dl = make_dl(p=50.0, kt_bs=kt, kr_ut=kr)
+        hs = sample_cn(exponential_correlation(n, 0.7), substream(8), size=20)
+        np.testing.assert_allclose([sinr_perfect_csi(h, dl) for h in hs],
+                                   batched_max_sinr(hs, dl), rtol=1e-12)
+
+    def test_no_dense_matrix(self):
+        # an N x N complex matrix alone is 268 MB at N = 4096
+        h = sample_cn(CovarianceMatrix.identity(4096), substream(9))
+        dl = make_dl(kt_bs=0.0025, kr_ut=0.0025)
+        tracemalloc.start()
+        try:
+            sinr = sinr_perfect_csi(h, dl)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert 0.0 < sinr < 1.0 / dl.imp.kappa_r_ut
+
 
 class TestCapacityUpperBound:
     def test_ideal_hardware_jensen(self):

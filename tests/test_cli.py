@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from misolim import cli
 from misolim.cli import config_from_args, main, parse_config_file
 
 
@@ -28,7 +29,7 @@ class TestParseConfigFile:
         )
         opts = parse_config_file(str(cfg))
         assert opts == {
-            "experiment": "capacity-vs-n", "seed": 7, "samples": 2000,
+            "experiment": "capacity-vs-n", "seed": 7, "n_samples": 2000,
             "n_grid": [2, 4, 8], "snr_db": [0.0, 20.0], "kappa": [0.0025],
             "t": [0.25, 0.5], "workers": 2, "out": "table.csv"}
 
@@ -38,10 +39,29 @@ class TestParseConfigFile:
         with pytest.raises(ValueError, match="bogus"):
             parse_config_file(str(cfg))
 
+    @pytest.mark.parametrize("key", ["exp", "sample", "n"])
+    def test_rejects_abbreviated_key(self, tmp_path, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = 2\n")
+        with pytest.raises(ValueError, match=f"^{cfg}:1: .*--{key}=2"):
+            parse_config_file(str(cfg))
+
     def test_rejects_missing_equals(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("experiment capacity-vs-n\n")
         with pytest.raises(ValueError, match="key = value"):
+            parse_config_file(str(cfg))
+
+    def test_rejects_missing_key(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("= 3\n")
+        with pytest.raises(ValueError, match="key = value"):
+            parse_config_file(str(cfg))
+
+    def test_rejects_config_key(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("seed = 2\nconfig = other.cfg\n")
+        with pytest.raises(ValueError, match=f"^{cfg}:2: "):
             parse_config_file(str(cfg))
 
     @pytest.mark.parametrize("line", ["seed = abc", "n-grid = 4,x",
@@ -52,6 +72,20 @@ class TestParseConfigFile:
         with pytest.raises(ValueError) as exc:
             parse_config_file(str(cfg))
         assert str(exc.value).startswith(f"{cfg}:3:")
+
+    @pytest.mark.parametrize("line, message", [
+        ("seed = abc", "argument --seed: invalid int value: 'abc'"),
+        ("n-grid = 4,x", "argument --n-grid: invalid int value: 'x'"),
+        ("snr_db = 0 ten", "argument --snr-db: invalid float value: 'ten'"),
+        ("kappa = 0.01,low", "argument --kappa: invalid float value: 'low'"),
+        ("t = 0.5 half", "argument --t: invalid float value: 'half'")])
+    def test_bad_value_names_place_and_flag(self, tmp_path, line, message):
+        # a line is read as the flag --key=value, by the CLI's own parser
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"experiment = capacity-vs-n\n# note\n{line}\n")
+        with pytest.raises(ValueError) as exc:
+            parse_config_file(str(cfg))
+        assert str(exc.value) == f"{cfg}:3: {message}"
 
 
 class TestConfigFromArgs:
@@ -78,11 +112,14 @@ class TestConfigFromArgs:
 
     @pytest.mark.parametrize("flag", ["--n-grid", "--snr-db", "--kappa", "--t"])
     def test_negative_list_after_flag(self, flag):
-        # argparse on its own reads "-1,2" as an unknown option and exits
+        # argparse on its own reads "-1,2" as an unknown option and exits;
+        # each flag runs on an experiment that reads its grid
+        experiment = ("energy-efficiency" if flag == "--t"
+                      else "estimation-error")
+
         def outcome(argv):
             try:
-                return config_from_args(["--experiment", "estimation-error"]
-                                        + argv)
+                return config_from_args(["--experiment", experiment] + argv)
             except ValueError as exc:
                 return str(exc)
 
@@ -153,6 +190,22 @@ class TestMain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert flag in err[0] and token in err[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["--experiment", "capacity-vs-n", "--snr-db", "0,10,20"],
+        ["--experiment", "estimation-error", "--t", "0.3"],
+        ["--experiment", "energy-efficiency", "--snr-db", "10"],
+        ["--experiment", "capacity-vs-n", "--n-grid", "2,2"],
+        ["--experiment", "estimation-error", "--kappa", "0,0"]])
+    def test_grid_the_run_would_not_honour_is_rejected(self, argv, capsys,
+                                                       monkeypatch):
+        def no_run(cfg):
+            raise AssertionError("a grid point ran")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

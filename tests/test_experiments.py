@@ -9,6 +9,7 @@ import pytest
 from misolim.experiments import (
     CSV_COLUMNS,
     EXPERIMENTS,
+    GRIDS,
     ExperimentConfig,
     SweepTable,
     db_to_linear,
@@ -29,10 +30,14 @@ def values(table, metric, **match):
 
 
 def small_config(experiment, seed=1, **kw):
-    defaults = dict(n_samples=1000, n_grid=[2, 4], snr_db=[0.0, 20.0],
-                    kappa=[0.0, 0.0025], t=[0.25, 0.5])
-    defaults.update(kw)
-    return ExperimentConfig(experiment=experiment, seed=seed, **defaults)
+    """A small run of ``experiment``, given only the grids it reads."""
+    grids = dict(n_grid=[2, 4], kappa=[0.0, 0.0025], t=[0.25, 0.5],
+                 snr_db=[0.0] if experiment.startswith("capacity-")
+                 else [0.0, 20.0])
+    grids = {name: v for name, v in grids.items() if name in GRIDS[experiment]}
+    grids.update(kw)
+    return ExperimentConfig(experiment=experiment, seed=seed, n_samples=1000,
+                            **grids)
 
 
 class TestDbConversion:
@@ -66,6 +71,38 @@ class TestExperimentConfig:
     def test_rejects_non_integer_counts(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             ExperimentConfig(experiment="capacity-vs-n", **{field: value})
+
+    @pytest.mark.parametrize("experiment, grid", [
+        (e, g) for e in EXPERIMENTS for g in ("n_grid", "snr_db", "kappa", "t")
+        if g not in GRIDS[e]])
+    def test_rejects_grid_it_does_not_read(self, experiment, grid):
+        with pytest.raises(ValueError, match=f"reads no {grid} grid"):
+            ExperimentConfig(experiment=experiment, **{grid: [1.0]})
+
+    @pytest.mark.parametrize("experiment", ["capacity-vs-n",
+                                            "capacity-vs-kappa"])
+    def test_capacity_sweep_rejects_second_snr(self, experiment):
+        ExperimentConfig(experiment=experiment, snr_db=[10.0])
+        with pytest.raises(ValueError, match="one snr_db value"):
+            ExperimentConfig(experiment=experiment, snr_db=[10.0, 20.0])
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_rejects_repeated_value(self, experiment):
+        for grid, default in GRIDS[experiment].items():
+            if grid == "snr_db" and len(default) == 1:
+                continue  # a capacity sweep takes one SNR
+            repeated = [default[0], default[-1], default[0]]
+            with pytest.raises(ValueError, match=f"{grid} values must be distinct"):
+                ExperimentConfig(experiment=experiment, **{grid: repeated})
+
+    def test_unset_grid_resolves_to_default(self):
+        cfg = ExperimentConfig(experiment="estimation-error")
+        assert cfg.n_grid == [10, 100]
+        assert cfg.t is None
+        for experiment in EXPERIMENTS:
+            cfg = ExperimentConfig(experiment=experiment)
+            for grid, default in GRIDS[experiment].items():
+                assert getattr(cfg, grid) == list(default)
 
     def test_accepts_numpy_integers(self):
         cfg = ExperimentConfig(experiment="capacity-vs-n", seed=np.int64(3),
@@ -245,6 +282,15 @@ class TestEnergyEfficiencyRuns:
                 20.0 - 5.0 * math.log10(rec["n"]))
             assert rec["t"] == 0.5
             assert rec["value"] > 0.0
+
+    def test_near_kappa_levels_are_distinct_points(self):
+        # both levels print as "impaired[0.0025]" with :g
+        kappas = [0.0025, 0.00250000001]
+        cfg = small_config("energy-efficiency", n_grid=[2], kappa=kappas,
+                           t=[0.25])
+        table = run_experiment(cfg)
+        assert [dict(zip(CSV_COLUMNS, row))["kappa_bs"]
+                for row in values(table, "ee")] == kappas
 
     def test_two_metrics_per_point(self):
         cfg = small_config("energy-efficiency", n_grid=[2], kappa=[0.0],
