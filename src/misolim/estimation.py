@@ -216,7 +216,7 @@ def error_covariance(cfg: UplinkConfig) -> CovarianceMatrix:
     if cfg.r.identity_scale is not None and cfg.s.identity_scale is not None:
         return CovarianceMatrix.identity(cfg.dim).scaled(mse_per_antenna(cfg))
     return nearly_psd(_solve_m(cfg, cfg.r.matrix).conj().T @ _q(cfg),
-                      scale=cfg.r.max_eigenvalue)
+                      scale=cfg.r.norm_bound)
 
 
 def mse_per_antenna(cfg: UplinkConfig) -> float:
@@ -246,7 +246,7 @@ def error_floor(cfg: UplinkConfig) -> CovarianceMatrix:
     kt, kr = cfg.imp.kappa_t_ut, cfg.imp.kappa_r_bs
     x = _cho_solve(_mix(cfg.r, 1.0 + kt, kr), cfg.r.matrix, _SINGULAR_FLOOR)
     return nearly_psd(x.conj().T @ _mix(cfg.r, kt, kr),
-                      scale=cfg.r.max_eigenvalue)
+                      scale=cfg.r.norm_bound)
 
 
 def floor_per_antenna(cfg: UplinkConfig) -> float:

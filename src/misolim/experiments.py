@@ -7,12 +7,11 @@ Each experiment reproduces one of the standard performance figures:
 * ``capacity-vs-kappa``  -- capacity bounds vs base-station impairments
 * ``energy-efficiency``  -- bits/Joule under 1/N^t power scaling
 
-Output schema is fixed: experiment,n,snr_db,kappa_bs,kappa_ut,t,metric,
-value,std_error. Analytic metrics leave std_error empty. Tables are
-byte-identical given (config, seed), regardless of worker count: the
-grid points that share an array size N share one Monte-Carlo draw set,
-seeded by derive_seed(seed, N), and output rows follow grid order, not
-completion order.
+Output columns are fixed, in CSV_COLUMNS order; analytic metrics leave
+std_error empty. Tables are byte-identical given (config, seed),
+regardless of worker count: ``_sweep`` runs the grid points that share an
+array size N on one Monte-Carlo draw set, seeded by derive_seed(seed, N),
+and writes rows in grid order, not completion order.
 """
 
 from __future__ import annotations
@@ -176,11 +175,6 @@ class SweepTable:
 
     rows: list[tuple] = field(default_factory=list)
 
-    def add(self, experiment: str, metric: str, value: float, *, n=None,
-            snr_db=None, kappa_bs=None, kappa_ut=None, t=None, std_error=None):
-        self.rows.append((experiment, n, snr_db, kappa_bs, kappa_ut, t,
-                          metric, value, std_error))
-
 
 def _fmt(value) -> str:
     if value is None:
@@ -203,23 +197,38 @@ def write_csv(table: SweepTable, path) -> None:
         fh.write(csv_text(table))
 
 
-def _sweep(group_fn, n_grid: list, grid: list, workers: int) -> SweepTable:
-    """Run ``group_fn(n)`` once per array size on up to ``workers`` threads
-    and join the rows of the grid points in ``grid`` order, whatever the
-    pool size. ``group_fn(n)`` returns {grid point: SweepTable} for every
-    point with that n. Callers build covariances before the sweep; an
-    exponential correlation forms its arrays where they are first used."""
-    if workers <= 1 or len(n_grid) <= 1:
-        groups = [group_fn(n) for n in n_grid]
+def _sweep(cfg: ExperimentConfig, grid: list, one_n) -> SweepTable:
+    """The one per-N step of every experiment. For each array size n of
+    ``cfg.n_grid``, on up to ``cfg.workers`` threads: print a progress line
+    to stderr, then call ``one_n(n, cfg.samples_for(n), derive_seed(cfg.seed,
+    n))``, which runs every point of ``grid`` with that n on one draw set
+    and returns {grid point: (columns, [(metric, value, std_error), ...])},
+    columns mapping CSV column names to values. The rows are laid out by
+    CSV_COLUMNS and joined in ``grid`` order, whatever the pool size.
+    Callers build covariances before the sweep; an exponential correlation
+    forms its arrays where they are first used."""
+    per_n = len(grid) // len(cfg.n_grid)
+
+    def group(n):
+        # one write per line, so lines from two threads cannot interleave
+        sys.stderr.write(f"{cfg.experiment}: N={n} ({per_n} points)\n")
+        sys.stderr.flush()
+        return one_n(n, cfg.samples_for(n), derive_seed(cfg.seed, n))
+
+    if cfg.workers <= 1 or len(cfg.n_grid) <= 1:
+        groups = list(map(group, cfg.n_grid))
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(group_fn, n_grid))
-    tables = {point: sub for group in groups for point, sub in group.items()}
-    return SweepTable([row for point in grid for row in tables[point].rows])
-
-
-def _progress(msg: str) -> None:
-    print(msg, file=sys.stderr, flush=True)
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            groups = list(pool.map(group, cfg.n_grid))
+    points = {point: rec for g in groups for point, rec in g.items()}
+    rows = []
+    for point in grid:
+        columns, metrics = points[point]
+        for metric, value, std_error in metrics:
+            rec = dict(columns, experiment=cfg.experiment, metric=metric,
+                       value=value, std_error=std_error)
+            rows.append(tuple(rec.get(c) for c in CSV_COLUMNS))
+    return SweepTable(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -228,34 +237,30 @@ def _progress(msg: str) -> None:
 # ---------------------------------------------------------------------------
 
 def run_estimation_error(cfg: ExperimentConfig) -> SweepTable:
-    exp, n_grid = cfg.experiment, cfg.n_grid
     covs = {n: (exponential_correlation(n, EXP_CORR_RHO),
-                CovarianceMatrix.identity(n)) for n in n_grid}
+                CovarianceMatrix.identity(n)) for n in cfg.n_grid}
     imps = {k: ImpairmentProfile(kappa_t_ut=k, kappa_r_bs=k)
             for k in cfg.kappa}
     points = [(k, snr_db) for k in cfg.kappa for snr_db in cfg.snr_db]
 
-    def one_n(n):
-        _progress(f"estimation-error: N={n} ({len(points)} points)")
+    def one_n(n, n_samples, seed):
         r, s = covs[n]
         uls = [UplinkConfig(r=r, s=s, p_ut=_pilot_power(snr_db, n),
                             imp=imps[k]) for k, snr_db in points]
-        ests = empirical_mse_batch(uls, cfg.samples_for(n),
-                                   derive_seed(cfg.seed, n))
+        ests = empirical_mse_batch(uls, n_samples, seed)
         floors, out = {}, {}
         for (k, snr_db), ul, est in zip(points, uls, ests):
             if k not in floors:
                 floors[k] = floor_per_antenna(ul)
-            sub = out[n, k, snr_db] = SweepTable()
-            kw = dict(n=n, snr_db=snr_db, kappa_bs=k, kappa_ut=k)
-            sub.add(exp, "mse_analytic", mse_per_antenna(ul), **kw)
-            sub.add(exp, "mse_floor", floors[k], **kw)
-            sub.add(exp, "mse_empirical", est.value, std_error=est.std_error,
-                    **kw)
+            out[n, k, snr_db] = (
+                dict(n=n, snr_db=snr_db, kappa_bs=k, kappa_ut=k),
+                [("mse_analytic", mse_per_antenna(ul), None),
+                 ("mse_floor", floors[k], None),
+                 ("mse_empirical", est.value, est.std_error)])
         return out
 
-    grid = [(n, *point) for n in n_grid for point in points]
-    return _sweep(one_n, n_grid, grid, cfg.workers)
+    return _sweep(cfg, [(n, *point) for n in cfg.n_grid for point in points],
+                  one_n)
 
 
 # ---------------------------------------------------------------------------
@@ -270,40 +275,34 @@ def run_capacity(cfg: ExperimentConfig) -> SweepTable:
     """capacity-vs-n sweeps one kappa at both ends of the link and adds the
     ideal-hardware curve and the large-array ceiling; capacity-vs-kappa
     sweeps the BS level with the terminal level fixed at KAPPA_UT_FIXED."""
-    exp = cfg.experiment
-    vs_n = exp == "capacity-vs-n"
+    vs_n = cfg.experiment == "capacity-vs-n"
     (snr_db,) = cfg.snr_db
     covs = {n: CovarianceMatrix.identity(n) for n in cfg.n_grid}  # R = S = I
     ut = {k: k if vs_n else KAPPA_UT_FIXED for k in cfg.kappa}
     imps = {k: ImpairmentProfile(k, k, ut[k], ut[k]) for k in cfg.kappa}
 
-    def one_n(n):
-        _progress(f"{exp}: N={n} ({len(imps)} points)")
+    def one_n(n, n_samples, seed):
         r = s = covs[n]
         p = _pilot_power(snr_db, n)
         sigma2 = s.trace() / n  # per-antenna noise level
         links = [(UplinkConfig(r=r, s=s, p_ut=p, imp=imps[k]),
                   DownlinkConfig(p_bs=p, sigma2_ut=sigma2, imp=imps[k]))
                  for k in imps]
-        ests = lower_bound_mc_batch(links, cfg.samples_for(n),
-                                    derive_seed(cfg.seed, n))
+        ests = lower_bound_mc_batch(links, n_samples, seed)
         out = {}
         for kappa_bs, (_, dl), est in zip(imps, links, ests):
             kappa_ut = ut[kappa_bs]
-            sub = out[kappa_bs, n] = SweepTable()
-            kw = dict(n=n, snr_db=snr_db, kappa_bs=kappa_bs, kappa_ut=kappa_ut)
-            sub.add(exp, "capacity_upper", capacity_upper_bound(r, dl), **kw)
-            sub.add(exp, "capacity_lower", est.value, std_error=est.std_error,
-                    **kw)
+            metrics = [("capacity_upper", capacity_upper_bound(r, dl), None),
+                       ("capacity_lower", est.value, est.std_error)]
             if vs_n:
-                sub.add(exp, "capacity_ideal", capacity_ideal_jensen(r, dl),
-                        **kw)
-                sub.add(exp, "ceiling_large_n", upper_limit_large_n(kappa_ut),
-                        **kw)
+                metrics += [
+                    ("capacity_ideal", capacity_ideal_jensen(r, dl), None),
+                    ("ceiling_large_n", upper_limit_large_n(kappa_ut), None)]
+            out[kappa_bs, n] = (dict(n=n, snr_db=snr_db, kappa_bs=kappa_bs,
+                                     kappa_ut=kappa_ut), metrics)
         return out
 
-    grid = [(k, n) for k in cfg.kappa for n in cfg.n_grid]
-    return _sweep(one_n, cfg.n_grid, grid, cfg.workers)
+    return _sweep(cfg, [(k, n) for k in cfg.kappa for n in cfg.n_grid], one_n)
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +321,11 @@ def _ee_config(t: float) -> EnergyConfig:
 
 
 def run_energy_efficiency(cfg: ExperimentConfig) -> SweepTable:
-    n_grid = cfg.n_grid
     profiles = {k: ImpairmentProfile.uniform(k) for k in cfg.kappa}
     sigma2 = EE_P_BASE_W / db_to_linear(EE_SNR_BASE_DB)
     channels = {n: (exponential_correlation(n, EXP_CORR_RHO),
                     CovarianceMatrix.identity(n).scaled(sigma2), sigma2)
-                for n in n_grid}
+                for n in cfg.n_grid}
     ecfgs = {t: _ee_config(t) for t in cfg.t}
     for ecfg in ecfgs.values():
         warn_if_inadmissible(ecfg)
@@ -335,24 +333,20 @@ def run_energy_efficiency(cfg: ExperimentConfig) -> SweepTable:
     specs = [(ecfg, "ideal" if k == 0.0 else f"impaired[{k:g}]", imp)
              for ecfg in ecfgs.values() for k, imp in profiles.items()]
 
-    def one_n(n):
-        _progress(f"energy-efficiency: N={n} ({len(specs)} points)")
-        pts = ee_points(n, channels[n], specs, cfg.samples_for(n),
-                        derive_seed(cfg.seed, n))
+    def one_n(n, n_samples, seed):
+        pts = ee_points(n, channels[n], specs, n_samples, seed)
         out = {}
         for (ecfg, _, imp), pt in zip(specs, pts):
             t = ecfg.t_bs
-            sub = out[t, n, imp.kappa_t_bs] = SweepTable()
-            kw = dict(n=n, snr_db=EE_SNR_BASE_DB - 10.0 * t * math.log10(n),
-                      kappa_bs=imp.kappa_t_bs, kappa_ut=imp.kappa_t_ut, t=t)
-            sub.add("energy-efficiency", "ee", pt.ee,
-                    std_error=pt.ee_std_error, **kw)
-            sub.add("energy-efficiency", "capacity_lower", pt.capacity.value,
-                    std_error=pt.capacity.std_error, **kw)
+            out[t, n, imp.kappa_t_bs] = (
+                dict(n=n, snr_db=EE_SNR_BASE_DB - 10.0 * t * math.log10(n),
+                     kappa_bs=imp.kappa_t_bs, kappa_ut=imp.kappa_t_ut, t=t),
+                [("ee", pt.ee, pt.ee_std_error),
+                 ("capacity_lower", pt.capacity.value, pt.capacity.std_error)])
         return out
 
-    grid = [(t, n, k) for t in cfg.t for n in n_grid for k in profiles]
-    return _sweep(one_n, n_grid, grid, cfg.workers)
+    grid = [(t, n, k) for t in cfg.t for n in cfg.n_grid for k in profiles]
+    return _sweep(cfg, grid, one_n)
 
 
 RUNNERS = {

@@ -216,6 +216,19 @@ class TestErrorCovariance:
         assert np.max(np.abs(emp - (r.matrix - c.matrix))) <= 3.0 * se
 
 
+class TestRoundoffScale:
+    @pytest.mark.parametrize("fn", [error_covariance, error_floor])
+    def test_one_eigh_for_exponential_r(self, fn):
+        # nearly_psd's scale for c K is its middle row sum, so R's own
+        # spectrum is not decomposed: nearly_psd's eigh is the only one
+        cfg = make_config(r=exponential_correlation(64, 0.7), p=10.0,
+                          kt_ut=0.01, kr_bs=0.0025)
+        with mock.patch.object(np.linalg, "eigh",
+                               wraps=np.linalg.eigh) as eigh:
+            fn(cfg)
+        assert eigh.call_count == 1
+
+
 class TestMsePerAntenna:
     def test_classical_half(self):
         assert mse_per_antenna(make_config()) == pytest.approx(0.5)

@@ -12,10 +12,17 @@ from misolim.experiments import (
     GRIDS,
     ExperimentConfig,
     SweepTable,
+    _sweep,
     db_to_linear,
     run_experiment,
     write_csv,
 )
+from misolim.randmat import derive_seed
+
+
+def row(**columns):
+    """A table row from its column values, laid out by CSV_COLUMNS."""
+    return tuple(columns.get(c) for c in CSV_COLUMNS)
 
 
 def values(table, metric, **match):
@@ -124,9 +131,10 @@ class TestWriteCsv:
         assert path.read_bytes() == (",".join(CSV_COLUMNS) + "\n").encode()
 
     def test_row_formatting(self, tmp_path):
-        table = SweepTable()
-        table.add("capacity-vs-n", "capacity_upper", 1.0 / 3.0, n=4,
-                  snr_db=20.0, kappa_bs=0.0025, kappa_ut=0.0025)
+        table = SweepTable([row(experiment="capacity-vs-n",
+                                metric="capacity_upper", value=1.0 / 3.0,
+                                n=4, snr_db=20.0, kappa_bs=0.0025,
+                                kappa_ut=0.0025)])
         path = tmp_path / "one.csv"
         write_csv(table, path)
         lines = path.read_text().splitlines()
@@ -135,8 +143,8 @@ class TestWriteCsv:
             "", "capacity_upper", "0.33333333333333331", ""]
 
     def test_lf_line_endings(self, tmp_path):
-        table = SweepTable()
-        table.add("capacity-vs-n", "x", 1.0)
+        table = SweepTable([row(experiment="capacity-vs-n", metric="x",
+                                value=1.0)])
         path = tmp_path / "lf.csv"
         write_csv(table, path)
         raw = path.read_bytes()
@@ -145,12 +153,59 @@ class TestWriteCsv:
 
 class TestSweepTable:
     def test_values_filter(self):
-        t = SweepTable()
-        t.add("e", "m", 1.0, n=2)
-        t.add("e", "m", 2.0, n=4)
-        t.add("e", "other", 3.0, n=2)
+        t = SweepTable([row(experiment="e", metric="m", value=1.0, n=2),
+                        row(experiment="e", metric="m", value=2.0, n=4),
+                        row(experiment="e", metric="other", value=3.0, n=2)])
         rows = values(t, "m", n=2)
         assert len(rows) == 1 and rows[0][7] == 1.0
+
+
+class TestSweep:
+    """``_sweep``, the one per-N step: seed, sample count, progress line
+    and row layout."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_calls_rows_and_progress(self, workers, capsys):
+        cfg = ExperimentConfig(experiment="capacity-vs-n", seed=5,
+                               n_grid=[300, 2, 64], kappa=[0.0, 0.01],
+                               workers=workers)
+        grid = [(k, n) for k in cfg.kappa for n in cfg.n_grid]
+        calls = []
+
+        def one_n(n, n_samples, seed):
+            # points in reverse grid order, columns in no CSV order
+            calls.append((n, n_samples, seed))
+            return {(k, n): (dict(kappa_ut=2 * k, n=n, kappa_bs=k),
+                             [("a", float(n), None), ("b", k, 0.5)])
+                    for k in reversed(cfg.kappa)}
+
+        table = _sweep(cfg, grid, one_n)
+        assert sorted(calls) == sorted(
+            (n, cfg.samples_for(n), derive_seed(cfg.seed, n))
+            for n in cfg.n_grid)
+        assert cfg.samples_for(300) != cfg.samples_for(2)
+        want = []
+        for k, n in grid:
+            want += [row(experiment="capacity-vs-n", n=n, kappa_bs=k,
+                         kappa_ut=2 * k, metric="a", value=float(n)),
+                     row(experiment="capacity-vs-n", n=n, kappa_bs=k,
+                         kappa_ut=2 * k, metric="b", value=k,
+                         std_error=0.5)]
+        assert table.rows == want
+        lines = capsys.readouterr().err.splitlines()
+        assert sorted(lines) == sorted(f"capacity-vs-n: N={n} (2 points)"
+                                       for n in cfg.n_grid)
+
+    @pytest.mark.parametrize("experiment, points", [
+        ("estimation-error", 4), ("capacity-vs-n", 2),
+        ("capacity-vs-kappa", 2), ("energy-efficiency", 4)])
+    def test_one_progress_line_per_n(self, experiment, points, capsys):
+        # points per N: the grids of small_config other than n_grid
+        cfg = small_config(experiment, workers=2)
+        run_experiment(cfg)
+        lines = capsys.readouterr().err.splitlines()
+        assert sorted(lines) == sorted(f"{experiment}: N={n} ({points} points)"
+                                       for n in cfg.n_grid)
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)

@@ -1,0 +1,113 @@
+"""The Monte-Carlo lower bound against its exact expectations.
+
+For R = c I, S = s I and an ideal uplink (kappa_t_ut = kappa_r_bs = 0)
+the LMMSE estimate is the MMSE estimate of a Gaussian channel: h_hat ~
+CN(0, sig2 I) with sig2 = p c^2 / (p c + s), and the error e = h - h_hat
+~ CN(0, c_e I) with c_e = c s / (p c + s) is independent of it. For the
+beamformer v = conj(h_hat) / ||h_hat||, ||h_hat||^2 / sig2 is Gamma(N, 1)
+and independent of the direction, whose |h_hat_i|^2 / ||h_hat||^2 is
+Beta(1, N - 1). So, whatever the downlink levels:
+
+    E{h^T v}                = E||h_hat|| = sqrt(sig2) Gamma(N + 1/2) / Gamma(N)
+    E{|h^T v|^2}            = N sig2 + c_e
+    E{sum_i |h_i|^2 |v_i|^2} = 2 N sig2 / (N + 1) + c_e
+
+and the rate is log2(1 + SINR) with the bound's SINR formula (see
+``capacity._rate_estimate``) on those expectations. Each test compares a
+sample mean, or the estimate, with its exact value within Z standard
+errors, on fixed seeds; Z was fixed before any draw was looked at.
+"""
+
+import csv
+import functools
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from misolim.capacity import DownlinkConfig, _mrt_stats, lower_bound_mc
+from misolim.estimation import ImpairmentProfile, UplinkConfig, pilot_chain
+from misolim.randmat import CovarianceMatrix
+
+Z = 5.0
+SAMPLES = 20_000
+SEED = 31
+# (N, c, s, p) of the uplink
+CASES = [(1, 1.0, 1.0, 100.0), (4, 2.0, 0.5, 3.0), (64, 0.5, 2.0, 1.0)]
+# (p_bs, sigma2_ut, kappa_t_bs, kappa_r_ut) of the downlink, one per case
+DOWNLINKS = [(100.0, 1.0, 0.0025, 0.01), (3.0, 0.5, 0.01, 0.0),
+             (1.0, 2.0, 0.0225, 0.0025)]
+GOLDEN = Path(__file__).parent / "golden" / "capacity-vs-n.csv"
+
+
+def oracle(n, c, s, p):
+    """Exact (E{h^T v}, E{|h^T v|^2}, E{sum_i |h_i|^2 |v_i|^2})."""
+    sig2 = p * c * c / (p * c + s)
+    c_e = c * s / (p * c + s)
+    norm = math.sqrt(sig2) * math.exp(math.lgamma(n + 0.5) - math.lgamma(n))
+    return norm, n * sig2 + c_e, 2.0 * n * sig2 / (n + 1) + c_e
+
+
+def oracle_rate(case, p_bs, sigma2_ut, kappa_t_bs, kappa_r_ut):
+    g, q, u = oracle(*case)
+    denom = ((1.0 + kappa_r_ut) * q - g * g + kappa_t_bs * u
+             + sigma2_ut / p_bs)
+    return math.log2(1.0 + g * g / denom)
+
+
+def uplink(n, c, s, p):
+    return UplinkConfig(r=CovarianceMatrix.identity(n).scaled(c),
+                        s=CovarianceMatrix.identity(n).scaled(s), p_ut=p)
+
+
+@functools.lru_cache(maxsize=None)
+def chain_rows(case):
+    """The ``_mrt_stats`` rows (Re g, Im g, |g|^2, u) of the chain."""
+    return np.vstack([_mrt_stats(h, h_hat) for _, h, h_hat
+                      in pilot_chain([uplink(*case)], SAMPLES, SEED)])
+
+
+def assert_mean(column, want):
+    se = column.std(ddof=1) / math.sqrt(column.size)
+    z = (column.mean() - want) / se
+    assert abs(z) <= Z, f"mean {column.mean()!r} is {z:.2f} SE from {want!r}"
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_mean_gain_is_mean_estimate_norm(case):
+    assert_mean(chain_rows(case)[:, 0], oracle(*case)[0])
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_mean_square_gain(case):
+    assert_mean(chain_rows(case)[:, 2], oracle(*case)[1])
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_mean_distortion_term(case):
+    assert_mean(chain_rows(case)[:, 3], oracle(*case)[2])
+
+
+@pytest.mark.parametrize("case, link", zip(CASES, DOWNLINKS))
+def test_rate(case, link):
+    p_bs, sigma2_ut, kt, kr = link
+    dl = DownlinkConfig(p_bs=p_bs, sigma2_ut=sigma2_ut,
+                        imp=ImpairmentProfile(kappa_t_bs=kt, kappa_r_ut=kr))
+    est = lower_bound_mc(uplink(*case), dl, SAMPLES, SEED + 1)
+    want = oracle_rate(case, *link)
+    assert abs(est.value - want) <= Z * est.std_error, (est, want)
+
+
+def test_golden_ideal_rows():
+    # the kappa = 0 capacity_lower rows of capacity-vs-n: R = S = I and
+    # pilot and data power 100 (20 dB), every level 0
+    with open(GOLDEN, newline="", encoding="utf-8") as fh:
+        rows = [r for r in csv.DictReader(fh)
+                if r["metric"] == "capacity_lower"
+                and float(r["kappa_bs"]) == 0.0]
+    assert [int(r["n"]) for r in rows] == [4, 64]
+    for r in rows:
+        case = (int(r["n"]), 1.0, 1.0, 100.0)
+        want = oracle_rate(case, 100.0, 1.0, 0.0, 0.0)
+        assert abs(float(r["value"]) - want) <= Z * float(r["std_error"]), r

@@ -187,6 +187,17 @@ class TestKmsTag:
         np.testing.assert_allclose(f, np.linalg.cholesky(r.matrix),
                                    rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 0.99])
+    def test_norm_bound(self, n, rho):
+        # the largest row sum bounds the spectral norm, closely for K
+        r = exponential_correlation(n, rho).scaled(3.0)
+        lam = np.linalg.eigvalsh(r.matrix.real)[-1]
+        assert lam * (1.0 - 1e-14) <= r.norm_bound <= 1.12 * lam
+        for m in (CovarianceMatrix.identity(n).scaled(3.0),
+                  CovarianceMatrix(r.matrix)):
+            assert m.norm_bound == m.max_eigenvalue
+
 
 class TestNearlyPsd:
     def test_clips_roundoff_negatives(self):
