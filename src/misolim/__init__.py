@@ -44,6 +44,6 @@ from .capacity import (
     upper_limit_large_n,
 )
 from .energy import EnergyConfig, ee_sweep, energy_efficiency, scaled_power
-from .experiments import ExperimentConfig, SweepTable, run_experiment, write_csv
+from .experiments import ExperimentConfig, run_experiment, write_csv
 
 __version__ = "0.1.0"

@@ -132,12 +132,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    table = run_experiment(cfg)
+    rows = run_experiment(cfg)
     if cfg.out:
-        write_csv(table, cfg.out)
-        print(f"wrote {len(table.rows)} rows to {cfg.out}", file=sys.stderr)
+        write_csv(rows, cfg.out)
+        print(f"wrote {len(rows)} rows to {cfg.out}", file=sys.stderr)
     else:
-        sys.stdout.write(csv_text(table))
+        sys.stdout.write(csv_text(rows))
     return 0
 
 

@@ -20,7 +20,7 @@ import math
 import numbers
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .capacity import (
     DownlinkConfig,
@@ -169,13 +169,6 @@ class ExperimentConfig:
         return 10_000 if n <= 256 else 1_000
 
 
-@dataclass
-class SweepTable:
-    """Result rows in CSV_COLUMNS order."""
-
-    rows: list[tuple] = field(default_factory=list)
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -184,27 +177,28 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def csv_text(table: SweepTable) -> str:
-    """Header and rows, LF endings, round-trip exact 17-digit floats."""
+def csv_text(rows: list[tuple]) -> str:
+    """Header and rows (tuples in CSV_COLUMNS order), LF endings,
+    round-trip exact 17-digit floats."""
     lines = [",".join(CSV_COLUMNS)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in table.rows)
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def write_csv(table: SweepTable, path) -> None:
-    """Write ``csv_text(table)`` to ``path`` as UTF-8."""
+def write_csv(rows: list[tuple], path) -> None:
+    """Write ``csv_text(rows)`` to ``path`` as UTF-8."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(csv_text(table))
+        fh.write(csv_text(rows))
 
 
-def _sweep(cfg: ExperimentConfig, grid: list, one_n) -> SweepTable:
+def _sweep(cfg: ExperimentConfig, grid: list, one_n) -> list[tuple]:
     """The one per-N step of every experiment. For each array size n of
     ``cfg.n_grid``, on up to ``cfg.workers`` threads: print a progress line
     to stderr, then call ``one_n(n, cfg.samples_for(n), derive_seed(cfg.seed,
     n))``, which runs every point of ``grid`` with that n on one draw set
     and returns {grid point: (columns, [(metric, value, std_error), ...])},
-    columns mapping CSV column names to values. The rows are laid out by
-    CSV_COLUMNS and joined in ``grid`` order, whatever the pool size.
+    columns mapping CSV column names to values. Returns the rows, laid out
+    by CSV_COLUMNS and joined in ``grid`` order, whatever the pool size.
     Callers build covariances before the sweep; an exponential correlation
     forms its arrays where they are first used."""
     per_n = len(grid) // len(cfg.n_grid)
@@ -228,7 +222,7 @@ def _sweep(cfg: ExperimentConfig, grid: list, one_n) -> SweepTable:
             rec = dict(columns, experiment=cfg.experiment, metric=metric,
                        value=value, std_error=std_error)
             rows.append(tuple(rec.get(c) for c in CSV_COLUMNS))
-    return SweepTable(rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +230,7 @@ def _sweep(cfg: ExperimentConfig, grid: list, one_n) -> SweepTable:
 # vs uplink SNR, for exponentially correlated R (trace N) and S = I.
 # ---------------------------------------------------------------------------
 
-def run_estimation_error(cfg: ExperimentConfig) -> SweepTable:
+def run_estimation_error(cfg: ExperimentConfig) -> list[tuple]:
     covs = {n: (exponential_correlation(n, EXP_CORR_RHO),
                 CovarianceMatrix.identity(n)) for n in cfg.n_grid}
     imps = {k: ImpairmentProfile(kappa_t_ut=k, kappa_r_bs=k)
@@ -271,7 +265,7 @@ def run_estimation_error(cfg: ExperimentConfig) -> SweepTable:
 KAPPA_UT_FIXED = 0.05 ** 2
 
 
-def run_capacity(cfg: ExperimentConfig) -> SweepTable:
+def run_capacity(cfg: ExperimentConfig) -> list[tuple]:
     """capacity-vs-n sweeps one kappa at both ends of the link and adds the
     ideal-hardware curve and the large-array ceiling; capacity-vs-kappa
     sweeps the BS level with the terminal level fixed at KAPPA_UT_FIXED."""
@@ -320,7 +314,7 @@ def _ee_config(t: float) -> EnergyConfig:
                         t_bs=t, t_ut=t)
 
 
-def run_energy_efficiency(cfg: ExperimentConfig) -> SweepTable:
+def run_energy_efficiency(cfg: ExperimentConfig) -> list[tuple]:
     profiles = {k: ImpairmentProfile.uniform(k) for k in cfg.kappa}
     sigma2 = EE_P_BASE_W / db_to_linear(EE_SNR_BASE_DB)
     channels = {n: (exponential_correlation(n, EXP_CORR_RHO),
@@ -357,5 +351,6 @@ RUNNERS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig) -> SweepTable:
+def run_experiment(cfg: ExperimentConfig) -> list[tuple]:
+    """The experiment's rows, tuples in CSV_COLUMNS order."""
     return RUNNERS[cfg.experiment](cfg)

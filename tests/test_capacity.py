@@ -2,14 +2,16 @@
 
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
-from misolim import estimation
+from misolim import capacity, estimation, randmat
 from misolim.capacity import (
     DownlinkConfig,
     _mrt_stats,
@@ -384,7 +386,7 @@ class TestScaledIdentityBounds:
             err = error_covariance(ul)
             floor = error_floor(ul)
             mse = mse_per_antenna(ul)
-            asym = lower_bound_asymptotic(ul, dl, 1000)
+            asym = lower_bound_asymptotic(ul, dl)
             h_hat = next(pilot_chain([ul], 2, 0))[2]
             emp = empirical_mse(ul, 2, 0)
             _, peak = tracemalloc.get_traced_memory()
@@ -544,6 +546,19 @@ class TestRateEstimate:
         assert est.value == pytest.approx(exact, rel=1e-14)
 
 
+def link(n, kind, p_ut, kappa):
+    """(ul, dl) with R = I ("identity") or K_0.7 ("kms"), S = I, every
+    level kappa, and p_bs = sigma^2 = 1."""
+    r = (CovarianceMatrix.identity(n) if kind == "identity"
+         else exponential_correlation(n, 0.7))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # kappa above the typical range
+        imp = ImpairmentProfile.uniform(kappa)
+    return (UplinkConfig(r=r, s=CovarianceMatrix.identity(n), p_ut=p_ut,
+                         imp=imp),
+            DownlinkConfig(p_bs=1.0, sigma2_ut=1.0, imp=imp))
+
+
 class TestLowerBoundAsymptotic:
     def test_consistent_with_mc_when_ut_transmit_ideal(self):
         n = 256
@@ -553,7 +568,7 @@ class TestLowerBoundAsymptotic:
                           s=CovarianceMatrix.identity(n), p_ut=100.0, imp=imp)
         dl = DownlinkConfig(p_bs=100.0, sigma2_ut=1.0, imp=imp)
         mc = lower_bound_mc(ul, dl, 10_000, seed=3)
-        asym = lower_bound_asymptotic(ul, dl, 100_000, seed=0)
+        asym = lower_bound_asymptotic(ul, dl)
         assert asym >= mc.value - 3.0 * mc.std_error
 
     def test_noise_term_negligible_at_large_n(self):
@@ -570,7 +585,7 @@ class TestLowerBoundAsymptotic:
         imp = ImpairmentProfile.uniform(0.0025)
         dl = DownlinkConfig(p_bs=100.0, sigma2_ut=0.5, imp=imp)
         rates = [lower_bound_asymptotic(
-            UplinkConfig(r=r, s=s, p_ut=100.0, imp=imp), dl, 1000, seed=0)
+            UplinkConfig(r=r, s=s, p_ut=100.0, imp=imp), dl)
             for s in (CovarianceMatrix.identity(n).scaled(0.5),
                       CovarianceMatrix(0.5 * np.eye(n)))]
         assert rates[0] == pytest.approx(rates[1], rel=1e-12)
@@ -586,10 +601,128 @@ class TestLowerBoundAsymptotic:
             ul = UplinkConfig(r=CovarianceMatrix.identity(n),
                               s=CovarianceMatrix.identity(n), p_ut=p, imp=imp)
             dl = DownlinkConfig(p_bs=p, sigma2_ut=1.0, imp=imp)
-            rates.append(lower_bound_asymptotic(ul, dl, 1_000, seed=0))
+            rates.append(lower_bound_asymptotic(ul, dl))
         assert all(math.isfinite(rate) for rate in rates)
         np.testing.assert_allclose(np.diff(rates), math.log2(1e4),
                                    rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("kind", ["identity", "kms"])
+    @pytest.mark.parametrize("n", [4, 256])
+    def test_matches_a_finer_rule(self, monkeypatch, n, kind):
+        # the 40-node rule against 200 nodes per axis: converged for the
+        # typical levels, and close at 0.1
+        for kappa, rel in ((0.0, 1e-14), (0.0025, 1e-14), (0.03, 1e-14),
+                           (0.1, 1e-9)):
+            for p in (1e-3, 1e-1, 1.0, 1e2, 1e4):
+                ul, dl = link(n, kind, p, kappa)
+                got = lower_bound_asymptotic(ul, dl)
+                with monkeypatch.context() as m:
+                    m.setattr(capacity, "_HERMITE_NODES", 200)
+                    want = lower_bound_asymptotic(ul, dl)
+                assert got == pytest.approx(want, rel=rel), (kappa, p)
+
+    def test_draws_nothing(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("substream called")
+
+        monkeypatch.setattr(randmat, "substream", no_draws)
+        monkeypatch.setattr(estimation, "substream", no_draws)
+        ul, dl = link(64, "kms", 100.0, 0.01)
+        assert lower_bound_asymptotic(ul, dl) == lower_bound_asymptotic(ul, dl)
+
+    @pytest.mark.parametrize("dense_s", [False, True])
+    def test_matches_scipy_quadrature(self, dense_s):
+        # tr(R - C) and the two filter traces from dense inverses, and the
+        # expectations over eta ~ CN(0, kappa_t_ut p_ut) by scipy's
+        # adaptive quadrature over Re eta and Im eta (the tails beyond 12
+        # standard deviations are below 1e-30)
+        n, p_ut, p_bs, sigma2 = 8, 3.0, 2.0, 0.5
+        imp = ImpairmentProfile(kappa_t_bs=0.003, kappa_r_bs=0.02,
+                                kappa_t_ut=0.03, kappa_r_ut=0.01)
+        r = exponential_correlation(n, 0.7)
+        s = (CovarianceMatrix(0.5 * np.eye(n)) if dense_s
+             else CovarianceMatrix.identity(n).scaled(0.5))
+        ul = UplinkConfig(r=r, s=s, p_ut=p_ut, imp=imp)
+        dl = DownlinkConfig(p_bs=p_bs, sigma2_ut=sigma2, imp=imp)
+
+        rm, d = r.matrix, math.sqrt(p_ut)
+        psi = p_ut * imp.kappa_r_bs * np.diag(np.diag(rm).real) + 0.5 * np.eye(n)
+        m_inv = np.linalg.inv(p_ut * (1.0 + imp.kappa_t_ut) * rm + psi)
+        a = d * rm @ m_inv
+        tr_rc = np.trace(p_ut * rm @ m_inv @ rm).real
+        t_sig = np.trace(a @ rm @ a.conj().T).real
+        t_psi = np.trace(a @ psi @ a.conj().T).real
+        sd = math.sqrt(imp.kappa_t_ut * p_ut / 2.0)
+
+        def x(u, v):
+            eta = sd * complex(u, v)
+            return ((1.0 + eta / d) * math.sqrt(tr_rc)
+                    / math.sqrt(abs(d + eta) ** 2 * t_sig + t_psi))
+
+        def mean(f):
+            def g(v, u):
+                return f(u, v) * math.exp(-(u * u + v * v) / 2.0) / (2.0 * math.pi)
+            return integrate.dblquad(g, -12.0, 12.0, -12.0, 12.0,
+                                     epsabs=1e-15, epsrel=1e-13)[0]
+
+        ex = complex(mean(lambda u, v: x(u, v).real),
+                     mean(lambda u, v: x(u, v).imag))
+        spread = mean(lambda u, v: abs(x(u, v) - ex) ** 2)
+        num = abs(ex) ** 2
+        want = math.log2(1.0 + num / (
+            imp.kappa_r_ut * (num + spread) + spread
+            + sigma2 / (n * p_ut * p_bs)))
+        assert lower_bound_asymptotic(ul, dl) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("dense_s", [False, True])
+    def test_exact_without_terminal_transmit_distortion(self, dense_s):
+        # at kappa_t_ut = 0, M = p R + Psi, so p tr(B R B^H) + tr(B Psi
+        # B^H) = tr(B R) and x = 1 at every node: the bound is log2(1 +
+        # 1 / (kappa_r_ut + sigma^2 / (N p_ut p_bs))), whatever kappa_r_bs
+        n = 16
+        imp = ImpairmentProfile(kappa_t_bs=0.01, kappa_r_bs=0.02,
+                                kappa_r_ut=0.0025)
+        r = exponential_correlation(n, 0.7).scaled(2.0)
+        s = (CovarianceMatrix(0.5 * np.eye(n)) if dense_s
+             else CovarianceMatrix.identity(n).scaled(0.5))
+        for p in (1e-3, 1.0, 1e4):
+            ul = UplinkConfig(r=r, s=s, p_ut=p, imp=imp)
+            dl = DownlinkConfig(p_bs=2.0, sigma2_ut=0.5, imp=imp)
+            want = math.log2(1.0 + 1.0 / (0.0025 + 0.5 / (n * p * 2.0)))
+            assert lower_bound_asymptotic(ul, dl) == pytest.approx(
+                want, rel=1e-13)
+
+    @pytest.mark.parametrize("p", [1e-16, 1e-20])
+    def test_tiny_pilot_power(self, p):
+        # tr(R - C) as tr R - N mse cancelled to a negative number here
+        ul, dl = link(4, "kms", p, 0.01)
+        rate = lower_bound_asymptotic(ul, dl)
+        assert math.isfinite(rate) and rate >= 0.0
+
+
+class TestZeroPilotPower:
+    """A link with p_ut = 0 estimates nothing: every lower bound rejects
+    it before any draw."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("substream called")
+
+        monkeypatch.setattr(randmat, "substream", boom)
+        monkeypatch.setattr(estimation, "substream", boom)
+
+    @pytest.mark.parametrize("kind", ["identity", "kms"])
+    def test_rejected(self, kind):
+        ul, dl = link(4, kind, 0.0, 0.0025)
+        with pytest.raises(ValueError, match="pilot power"):
+            lower_bound_asymptotic(ul, dl)
+        with pytest.raises(ValueError, match="pilot power"):
+            lower_bound_mc(ul, dl, 1000, 0)
+        # one link without pilot power rejects the whole batch
+        powered = UplinkConfig(r=ul.r, s=ul.s, p_ut=1.0, imp=ul.imp)
+        with pytest.raises(ValueError, match="pilot power"):
+            lower_bound_mc_batch([(powered, dl), (ul, dl)], 1000, 0)
 
 
 class TestCapacityIdealJensen:

@@ -187,7 +187,7 @@ class TestEeSweep:
         # the energy-efficiency experiment's values for the same channel
         cfg = ExperimentConfig(experiment="energy-efficiency", seed=5,
                                n_samples=1000, n_grid=[2, 8], t=[0.25])
-        rows = [row for row in run_experiment(cfg).rows if row[6] == "ee"]
+        rows = [row for row in run_experiment(cfg) if row[6] == "ee"]
         sigma2 = EE_P_BASE_W / db_to_linear(EE_SNR_BASE_DB)
 
         def channel(n):

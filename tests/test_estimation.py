@@ -564,7 +564,7 @@ class TestEigenbasisMatchesDense:
             for fn in (lmmse_filter, error_covariance, error_floor,
                        mse_per_antenna, floor_per_antenna):
                 fn(ul)
-            lower_bound_asymptotic(ul, dl, 1000)
+            lower_bound_asymptotic(ul, dl)
             lower_bound_mc_batch([(ul, dl)], 1000, 0)
             with pytest.raises(AssertionError, match="eigenvectors read"):
                 empirical_mse_batch([ul], 2, 0)

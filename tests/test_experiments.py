@@ -11,7 +11,6 @@ from misolim.experiments import (
     EXPERIMENTS,
     GRIDS,
     ExperimentConfig,
-    SweepTable,
     _sweep,
     db_to_linear,
     run_experiment,
@@ -26,9 +25,10 @@ def row(**columns):
 
 
 def values(table, metric, **match):
-    """Rows of ``table`` for one metric, filtered on exact column values."""
+    """Rows of ``table``, a row list, for one metric, filtered on exact
+    column values."""
     out = []
-    for row in table.rows:
+    for row in table:
         rec = dict(zip(CSV_COLUMNS, row))
         if rec["metric"] == metric and all(rec[k] == v
                                            for k, v in match.items()):
@@ -127,14 +127,14 @@ class TestExperimentConfig:
 class TestWriteCsv:
     def test_header_only_for_empty_table(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_csv(SweepTable(), path)
+        write_csv([], path)
         assert path.read_bytes() == (",".join(CSV_COLUMNS) + "\n").encode()
 
     def test_row_formatting(self, tmp_path):
-        table = SweepTable([row(experiment="capacity-vs-n",
-                                metric="capacity_upper", value=1.0 / 3.0,
-                                n=4, snr_db=20.0, kappa_bs=0.0025,
-                                kappa_ut=0.0025)])
+        table = [row(experiment="capacity-vs-n",
+                     metric="capacity_upper", value=1.0 / 3.0,
+                     n=4, snr_db=20.0, kappa_bs=0.0025,
+                     kappa_ut=0.0025)]
         path = tmp_path / "one.csv"
         write_csv(table, path)
         lines = path.read_text().splitlines()
@@ -143,8 +143,7 @@ class TestWriteCsv:
             "", "capacity_upper", "0.33333333333333331", ""]
 
     def test_lf_line_endings(self, tmp_path):
-        table = SweepTable([row(experiment="capacity-vs-n", metric="x",
-                                value=1.0)])
+        table = [row(experiment="capacity-vs-n", metric="x", value=1.0)]
         path = tmp_path / "lf.csv"
         write_csv(table, path)
         raw = path.read_bytes()
@@ -153,9 +152,9 @@ class TestWriteCsv:
 
 class TestSweepTable:
     def test_values_filter(self):
-        t = SweepTable([row(experiment="e", metric="m", value=1.0, n=2),
-                        row(experiment="e", metric="m", value=2.0, n=4),
-                        row(experiment="e", metric="other", value=3.0, n=2)])
+        t = [row(experiment="e", metric="m", value=1.0, n=2),
+             row(experiment="e", metric="m", value=2.0, n=4),
+             row(experiment="e", metric="other", value=3.0, n=2)]
         rows = values(t, "m", n=2)
         assert len(rows) == 1 and rows[0][7] == 1.0
 
@@ -191,7 +190,7 @@ class TestSweep:
                      row(experiment="capacity-vs-n", n=n, kappa_bs=k,
                          kappa_ut=2 * k, metric="b", value=k,
                          std_error=0.5)]
-        assert table.rows == want
+        assert table == want
         lines = capsys.readouterr().err.splitlines()
         assert sorted(lines) == sorted(f"capacity-vs-n: N={n} (2 points)"
                                        for n in cfg.n_grid)
@@ -232,14 +231,14 @@ class TestDeterminism:
         # one draw set per N, seeded by the value of N
         both = run_experiment(small_config(experiment, n_grid=[8, 32]))
         alone = run_experiment(small_config(experiment, n_grid=[32]))
-        assert [row for row in both.rows if row[1] == 32] == alone.rows
+        assert [row for row in both if row[1] == 32] == alone
 
     def test_seed_change_moves_mc_columns_only(self, experiment):
         t1 = run_experiment(small_config(experiment, seed=1))
         t2 = run_experiment(small_config(experiment, seed=2))
-        assert len(t1.rows) == len(t2.rows)
+        assert len(t1) == len(t2)
         changed = 0
-        for r1, r2 in zip(t1.rows, t2.rows):
+        for r1, r2 in zip(t1, t2):
             rec1 = dict(zip(CSV_COLUMNS, r1))
             rec2 = dict(zip(CSV_COLUMNS, r2))
             assert rec1["metric"] == rec2["metric"]
@@ -284,7 +283,7 @@ class TestEstimationErrorRuns:
                            kappa=[0.0, 0.0025], snr_db=[0.0, 30.0])
         table = run_experiment(cfg)
         # 1 N x 2 kappas x 2 SNRs x 3 metrics
-        assert len(table.rows) == 12
+        assert len(table) == 12
         for row in values(table, "mse_empirical"):
             rec = dict(zip(CSV_COLUMNS, row))
             analytic = values(table, "mse_analytic", n=rec["n"],
@@ -318,7 +317,7 @@ class TestCapacityRuns:
         cfg = small_config("capacity-vs-kappa", n_grid=[4],
                            kappa=[0.0, 0.01])
         table = run_experiment(cfg)
-        for row in table.rows:
+        for row in table:
             rec = dict(zip(CSV_COLUMNS, row))
             assert rec["kappa_ut"] == pytest.approx(0.0025)
         uppers = [dict(zip(CSV_COLUMNS, r))["value"]

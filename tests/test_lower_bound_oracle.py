@@ -13,9 +13,21 @@ Beta(1, N - 1). So, whatever the downlink levels:
     E{sum_i |h_i|^2 |v_i|^2} = 2 N sig2 / (N + 1) + c_e
 
 and the rate is log2(1 + SINR) with the bound's SINR formula (see
-``capacity._rate_estimate``) on those expectations. Each test compares a
-sample mean, or the estimate, with its exact value within Z standard
-errors, on fixed seeds; Z was fixed before any draw was looked at.
+``capacity._rate_estimate``) on those expectations.
+
+For R = c K_rho (exponential correlation) the estimate is CN(0, Sigma),
+whose eigenvalues are mu_k = p lam_k^2 / (p lam_k + s) for R's spectrum
+lam, and the error is still independent of it. So E{h^T v} = E||h_hat||
+still, and with ||h_hat||^2 = sum_k mu_k E_k for iid E_k ~ Exp(1),
+
+    E||h_hat|| = (1 / (2 sqrt(pi))) int_0^inf (1 - prod_k (1 + t mu_k)^-1) t^(-3/2) dt,
+
+from sqrt(q) = (1 / (2 sqrt(pi))) int_0^inf (1 - e^(-t q)) t^(-3/2) dt and
+E e^(-t ||h_hat||^2) = prod_k (1 + t mu_k)^-1.
+
+Each test compares a sample mean, or the estimate, with its exact value
+within Z standard errors, on fixed seeds; Z was fixed before any draw
+was looked at.
 """
 
 import csv
@@ -28,7 +40,7 @@ import pytest
 
 from misolim.capacity import DownlinkConfig, _mrt_stats, lower_bound_mc
 from misolim.estimation import ImpairmentProfile, UplinkConfig, pilot_chain
-from misolim.randmat import CovarianceMatrix
+from misolim.randmat import CovarianceMatrix, exponential_correlation
 
 Z = 5.0
 SAMPLES = 20_000
@@ -39,6 +51,12 @@ CASES = [(1, 1.0, 1.0, 100.0), (4, 2.0, 0.5, 3.0), (64, 0.5, 2.0, 1.0)]
 DOWNLINKS = [(100.0, 1.0, 0.0025, 0.01), (3.0, 0.5, 0.01, 0.0),
              (1.0, 2.0, 0.0225, 0.0025)]
 GOLDEN = Path(__file__).parent / "golden" / "capacity-vs-n.csv"
+RHO = 0.7
+# (N, c, s, p) of R = c K_rho, S = s I: one case with every value off 1,
+# and the energy-efficiency run's kappa = 0 points (R = K_0.7, S = 0.01 I,
+# pilot power 1 / N^t for t = 0, 0.25, 0.5)
+KMS_CASES = [(4, 2.0, 0.5, 3.0)] + [(n, 1.0, 0.01, n ** -t)
+                                    for n in (4, 64) for t in (0.0, 0.25, 0.5)]
 
 
 def oracle(n, c, s, p):
@@ -56,16 +74,38 @@ def oracle_rate(case, p_bs, sigma2_ut, kappa_t_bs, kappa_r_ut):
     return math.log2(1.0 + g * g / denom)
 
 
+def mean_norm(mu):
+    """E||h_hat|| for ||h_hat||^2 = sum_k mu_k E_k: the integral above in
+    t = e^u, by the trapezoid rule, which converges geometrically for an
+    integrand that decays exponentially in u at both ends."""
+    u, du = np.linspace(-60.0, 60.0, 6001, retstep=True)
+    t = np.exp(u)
+    one_minus_prod = -np.expm1(-np.log1p(np.outer(t, mu)).sum(axis=1))
+    return float(np.sum(one_minus_prod / np.sqrt(t)) * du / (2.0 * math.sqrt(math.pi)))
+
+
+def kms_oracle(n, c, s, p):
+    """E{h^T v} for R = c K_rho, from K's spectrum by numpy's eigvalsh."""
+    lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    lam = c * np.linalg.eigvalsh(RHO ** lag.astype(float))
+    return mean_norm(p * lam * lam / (p * lam + s))
+
+
 def uplink(n, c, s, p):
     return UplinkConfig(r=CovarianceMatrix.identity(n).scaled(c),
                         s=CovarianceMatrix.identity(n).scaled(s), p_ut=p)
 
 
+def kms_uplink(n, c, s, p):
+    return UplinkConfig(r=exponential_correlation(n, RHO).scaled(c),
+                        s=CovarianceMatrix.identity(n).scaled(s), p_ut=p)
+
+
 @functools.lru_cache(maxsize=None)
-def chain_rows(case):
+def chain_rows(case, make=uplink):
     """The ``_mrt_stats`` rows (Re g, Im g, |g|^2, u) of the chain."""
     return np.vstack([_mrt_stats(h, h_hat) for _, h, h_hat
-                      in pilot_chain([uplink(*case)], SAMPLES, SEED)])
+                      in pilot_chain([make(*case)], SAMPLES, SEED)])
 
 
 def assert_mean(column, want):
@@ -111,3 +151,21 @@ def test_golden_ideal_rows():
         case = (int(r["n"]), 1.0, 1.0, 100.0)
         want = oracle_rate(case, 100.0, 1.0, 0.0, 0.0)
         assert abs(float(r["value"]) - want) <= Z * float(r["std_error"]), r
+
+
+def test_quadrature_gives_the_gamma_ratio():
+    # equal mu: the closed form of R = c I above
+    for case in CASES:
+        n, c, s, p = case
+        mu = np.full(n, p * c * c / (p * c + s))
+        assert mean_norm(mu) == pytest.approx(oracle(*case)[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("case", KMS_CASES)
+def test_kms_mean_gain_is_mean_estimate_norm(case):
+    assert_mean(chain_rows(case, kms_uplink)[:, 0], kms_oracle(*case))
+
+
+@pytest.mark.parametrize("case", KMS_CASES)
+def test_kms_mean_gain_is_real(case):
+    assert_mean(chain_rows(case, kms_uplink)[:, 1], 0.0)
