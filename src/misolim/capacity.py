@@ -24,6 +24,7 @@ from .estimation import (
     _check_levels,
     _eigenbasis,
     _solve_m,
+    _squared_moduli,
     pilot_chain,
 )
 from .randmat import CovarianceMatrix, sample_scalar_cn
@@ -174,23 +175,25 @@ def lower_limit_scaled_power(kappa_t_ut: float, kappa_r_ut: float) -> float:
     return math.log2(1.0 + 1.0 / denom)
 
 
-def _row_sums(h: np.ndarray, h_hat: np.ndarray):
+def _row_sums(h: np.ndarray, h_hat: np.ndarray, h2: np.ndarray):
     """(s, n2, t) of each row, as in ``_mrt_stats``."""
     s = np.einsum("ij,ij->i", h, h_hat.conj())
     a = h_hat.real ** 2
     a += h_hat.imag ** 2
-    b = h.real ** 2
-    b += h.imag ** 2
-    return s, a.sum(axis=1), np.einsum("ij,ij->i", a, b)
+    return s, a.sum(axis=1), np.einsum("ij,ij->i", a, h2)
 
 
-def _mrt_stats(h: np.ndarray, h_hat: np.ndarray) -> np.ndarray:
+def _mrt_stats(h: np.ndarray, h_hat: np.ndarray,
+               h2: np.ndarray | None = None) -> np.ndarray:
     """Rows (Re g, Im g, |g|^2, u) of the draws with h_hat != 0, for the
     beamformer v = conj(h_hat)/||h_hat||: g = h^T v = s / sqrt(n2) and
     u = sum_i |h_i|^2 |v_i|^2 = t / n2, with no array for v, from the row
     sums s = sum_i h_i conj(h_hat_i), n2 = sum_i |h_hat_i|^2 and
-    t = sum_i |h_i|^2 |h_hat_i|^2."""
-    s, n2, t = _row_sums(h, h_hat)
+    t = sum_i |h_i|^2 |h_hat_i|^2. h2 is |h|^2 (``_squared_moduli``),
+    formed here when not given."""
+    if h2 is None:
+        h2 = _squared_moduli(h)
+    s, n2, t = _row_sums(h, h_hat, h2)
     low = np.flatnonzero((n2 < _NORM_MIN) | (t < _NORM_MIN))
     if low.size:
         # a sum underflows: rescale those rows by their largest modulus,
@@ -200,7 +203,7 @@ def _mrt_stats(h: np.ndarray, h_hat: np.ndarray) -> np.ndarray:
         unit = h_hat[low]
         unit.real /= peak
         unit.imag /= peak
-        s[low], n2[low], t[low] = _row_sums(h[low], unit)
+        s[low], n2[low], t[low] = _row_sums(h[low], unit, h2[low])
     ok = n2 > 0.0  # the rows with h_hat != 0
     g = s[ok] / np.sqrt(n2[ok])
     return np.column_stack([g.real, g.imag, np.abs(g) ** 2, t[ok] / n2[ok]])
@@ -248,10 +251,17 @@ def lower_bound_mc_batch(links, n_samples: int,
     if any(ul.p_ut == 0.0 for ul, _ in links):
         raise ValueError("the lower bound needs pilot power p_ut > 0")
     chunks = [[] for _ in links]
+    last = len(links) - 1
     for i, h, h_hat in pilot_chain([ul for ul, _ in links], n_samples,
                                    seed):
-        chunks[i].append(_mrt_stats(h, h_hat))
+        # the chain yields each row tile to configs 0 to last in turn:
+        # |h|^2 is formed once per tile, and let go with it
+        if i == 0:
+            h2 = _squared_moduli(h)
+        chunks[i].append(_mrt_stats(h, h_hat, h2))
         del h, h_hat  # a tile view keeps its chunk alive: let it go
+        if i == last:
+            del h2
     return [_rate_estimate(np.vstack(c), dl, n_samples)
             for c, (_, dl) in zip(chunks, links)]
 

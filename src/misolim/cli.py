@@ -15,6 +15,7 @@ omitted).
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -116,6 +117,14 @@ def _attach_negative_lists(argv: list[str]) -> list[str]:
     return out
 
 
+def _check_out(path: str) -> None:
+    """OSError unless ``path`` is no folder and goes in a writable one."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.access(folder, os.W_OK):
+        raise OSError(f"cannot write --out {path}: not a file in a "
+                      "writable folder")
+
+
 def config_from_args(argv=None) -> ExperimentConfig:
     argv = sys.argv[1:] if argv is None else list(argv)
     opts = _given(build_parser().parse_args(_attach_negative_lists(argv)))
@@ -123,7 +132,10 @@ def config_from_args(argv=None) -> ExperimentConfig:
     opts = {**(parse_config_file(path) if path else {}), **opts}
     if "experiment" not in opts:
         raise ValueError("no experiment selected (use --experiment or a config file)")
-    return ExperimentConfig(**opts)
+    cfg = ExperimentConfig(**opts)
+    if cfg.out:
+        _check_out(cfg.out)  # before any grid point runs
+    return cfg
 
 
 def main(argv=None) -> int:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .randmat import (
     CovarianceMatrix,
+    _re_plus_j_im,
     nearly_psd,
     sample_cn,
     sample_scalar_cn,
@@ -283,7 +284,9 @@ def _standard_draws(s: CovarianceMatrix, h: np.ndarray,
                     rng: np.random.Generator):
     """What the uplink distortion and noise of a (count, N) batch of channels
     are made of, drawn in this order: w_t ~ CN(0, 1) per row, nu ~ CN(0, S),
-    and |h| w_r with w_r ~ CN(0, 1) per entry."""
+    and |h| w_r with w_r ~ CN(0, 1) per entry. ``simulate_uplink`` and the
+    MSE chain draw these for any S, the lower bound's chain only for an S
+    that is not diagonal (see ``_diagonal_draws``)."""
     count, n = h.shape
     w_t = sample_scalar_cn(1.0, rng, size=count)
     nu = sample_cn(s, rng, size=count)
@@ -299,6 +302,48 @@ def _observe(cfg: UplinkConfig, h: np.ndarray, w_t: np.ndarray,
     z = h * (cfg.d + math.sqrt(cfg.imp.kappa_t_ut * cfg.p_ut) * w_t)[:, None]
     z += nu
     z += math.sqrt(cfg.imp.kappa_r_bs * cfg.p_ut) * hw_r
+    return z
+
+
+def _squared_moduli(h: np.ndarray) -> np.ndarray:
+    """|h_i|^2 of each entry, without the square root of np.abs."""
+    return h.real ** 2 + h.imag ** 2
+
+
+def _diagonal_draws(r: CovarianceMatrix, s: CovarianceMatrix, count: int,
+                    rng: np.random.Generator):
+    """(h, w_t, |h|^2, u) for a diagonal S, drawn in this order: h ~ CN(0,
+    R) of count rows, w_t ~ CN(0, 1) per row and u ~ CN(0, 1) per entry,
+    in h's memory layout. Given h, nu + eta_r is CN(0, S + kappa_r_bs p
+    diag(|h_i|^2)), independent across antennas when S is diagonal, so
+    ``_observe_diagonal`` forms it from u alone: one draw per antenna in
+    place of the two of ``_standard_draws``. S itself is read per config;
+    it is a parameter for the draw signature of ``_chunks``."""
+    h = sample_cn(r, rng, size=count)
+    w_t = sample_scalar_cn(1.0, rng, size=count)
+    # u takes h's layout, whose antenna axis leads in memory for the AR(1)
+    # h of c K_rho, so that each config's z takes it too, as the
+    # tridiagonal solve wants. Drawn straight into it: the same bits as
+    # a C-order draw copied by np.asfortranarray, and in 8 alternating
+    # ee-scaling-mt pairs (seeds 771-778, 6 s each, 2 vCPUs) sweep_s
+    # medians of 0.145 s against the copy's 0.143 s (the copy faster in
+    # 5 of 8) with peak RSS 45.5 MB against 46.1 MB
+    u = _re_plus_j_im(rng, h.shape, np.empty_like(h), np.sqrt(0.5))
+    return h, w_t, _squared_moduli(h), u
+
+
+def _observe_diagonal(cfg: UplinkConfig, h: np.ndarray, w_t: np.ndarray,
+                      h2: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """z = h (d + eta_t) + sqrt(s_i + kappa_r_bs p |h_i|^2) u, from
+    ``_diagonal_draws``, with s_i the diagonal of S."""
+    # a scalar when the diagonal is constant: an N-vector per config and
+    # tile moved ee-scaling-mt's peak RSS from 45.7 to 46.2 MB
+    s = cfg.s.constant_diagonal
+    if s is None:
+        s = cfg.s.diagonal()
+    kr_p = cfg.imp.kappa_r_bs * cfg.p_ut
+    z = u * np.sqrt(s if kr_p == 0.0 else kr_p * h2 + s)
+    z += h * (cfg.d + math.sqrt(cfg.imp.kappa_t_ut * cfg.p_ut) * w_t)[:, None]
     return z
 
 
@@ -399,14 +444,15 @@ def _draw_chunk(r: CovarianceMatrix, s: CovarianceMatrix, count: int,
     return (h, *_standard_draws(s, h, rng))
 
 
-def _chunks(cfgs, n_samples: int, seed: int):
-    """(h, w_t, nu, |h| w_r) of each chunk of up to _CHUNK rows,
-    n_samples rows in all: chunk j draws h ~ CN(0, R) and then the
-    ``_standard_draws`` from ``substream(seed, j)``. Only the caller holds
-    the arrays, so it can let each one go once it is used."""
+def _chunks(cfgs, n_samples: int, seed: int, draw=_draw_chunk):
+    """``draw(R, S, count, rng)`` of each chunk of up to _CHUNK rows,
+    n_samples rows in all, chunk j from ``substream(seed, j)``: by default
+    (h, w_t, nu, |h| w_r), h ~ CN(0, R) and then its ``_standard_draws``.
+    Only the caller holds the arrays, so it can let each one go once it is
+    used."""
     for j, start in enumerate(range(0, n_samples, _CHUNK)):
-        yield _draw_chunk(cfgs[0].r, cfgs[0].s,
-                          min(_CHUNK, n_samples - start), substream(seed, j))
+        yield draw(cfgs[0].r, cfgs[0].s, min(_CHUNK, n_samples - start),
+                   substream(seed, j))
 
 
 def pilot_chain(cfgs, n_samples: int, seed: int):
@@ -415,10 +461,14 @@ def pilot_chain(cfgs, n_samples: int, seed: int):
     antenna values in row tiles of up to _CHUNK rows, n_samples rows per
     config in all.
 
-    Chunk j draws h and the standard draws of the distortion and noise once
-    from ``substream(seed, j)``; every config scales those same draws by its
+    Chunk j draws h, w_t and the noise and array distortion once from
+    ``substream(seed, j)``; every config scales those same draws by its
     own p and kappa and applies its own filter, tile by tile. So config i
-    gives the same bits in any batch and with any tile size.
+    gives the same bits in any batch and with any tile size. For a
+    diagonal S (``CovarianceMatrix.is_diagonal``) the noise and array
+    distortion are one draw u per antenna (``_diagonal_draws``), else nu
+    and |h| w_r (``_standard_draws``), as in ``empirical_mse_batch``; the
+    two chains share h and w_t only.
 
     Each config's filter is formed once, before the first chunk:
     - R = c K_rho (``exponential_correlation``) and S = s I: a tridiagonal
@@ -429,21 +479,16 @@ def pilot_chain(cfgs, n_samples: int, seed: int):
     """
     cfgs = _shared(cfgs)
     apply, filters, rows = _chain_filters(cfgs)
-    for h, w_t, nu, hw_r in _chunks(cfgs, n_samples, seed):
-        if apply is _tridiagonal_solve:
-            # z already takes the AR(1) h's antenna-leading layout; this
-            # gives the two shared addends that layout too, once per chunk,
-            # so that every config's adds into z run on matching layouts.
-            # Drawing them into that layout instead (_re_plus_j_im with
-            # out=np.empty_like(h)) gives the same bytes but was slower in
-            # 6 of 6 alternating ee-scaling-mt pairs (seeds 701-706, 6 s
-            # each, 2 vCPUs): sweep_s medians 0.150 s against 0.135 s
-            nu, hw_r = np.asfortranarray(nu), np.asfortranarray(hw_r)
-        for a in range(0, h.shape[0], rows):
-            tile = [x[a:a + rows] for x in (h, w_t, nu, hw_r)]
+    if cfgs[0].s.is_diagonal:
+        draw, observe = _diagonal_draws, _observe_diagonal
+    else:
+        draw, observe = _draw_chunk, _observe
+    for chunk in _chunks(cfgs, n_samples, seed, draw):
+        for a in range(0, chunk[0].shape[0], rows):
+            tile = [x[a:a + rows] for x in chunk]
             for i, (cfg, f) in enumerate(zip(cfgs, filters)):
-                yield i, tile[0], apply(_observe(cfg, *tile), f)
-        del h, w_t, nu, hw_r, tile  # the tile views too, before the next draw
+                yield i, tile[0], apply(observe(cfg, *tile), f)
+        del chunk, tile  # the tile views too, before the next draw
 
 
 def _error_weights(cfg: UplinkConfig, basis) -> np.ndarray:

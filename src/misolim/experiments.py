@@ -79,10 +79,15 @@ def _pilot_power(snr_db: float, n: int) -> float:
     return db_to_linear(snr_db) * n / n
 
 
+def _is_int(v) -> bool:
+    """An integer, numpy's included, and not a bool (which numbers.Integral
+    admits)."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 # Grid field -> (what each of its values must be, the test).
 _GRID_RULES = {
-    "n_grid": ("integers >= 1",
-               lambda n: isinstance(n, numbers.Integral) and n >= 1),
+    "n_grid": ("integers >= 1", lambda n: _is_int(n) and n >= 1),
     "snr_db": ("finite", math.isfinite),
     "kappa": ("finite and >= 0", lambda k: math.isfinite(k) and k >= 0.0),
     "t": ("finite and >= 0", lambda t: math.isfinite(t) and t >= 0.0),
@@ -109,8 +114,7 @@ class ExperimentConfig:
             )
         for name in ("seed", "n_samples", "workers"):
             v = getattr(self, name)
-            if not (isinstance(v, numbers.Integral)
-                    or (v is None and name == "n_samples")):
+            if not (_is_int(v) or (v is None and name == "n_samples")):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.n_samples is not None and self.n_samples < 1000:
             raise ValueError("sample count must be at least 1000")

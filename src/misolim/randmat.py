@@ -35,7 +35,8 @@ class CovarianceMatrix:
     paired with the columns of ``eigenvectors`` V. ``factor`` =
     V sqrt(max(w, 0)), formed on first use, so factor @ factor^H = M even
     for singular M. ``constant_diagonal`` is r0 when every diagonal entry
-    equals r0, else None. All arrays are read-only.
+    equals r0, else None; ``is_diagonal`` says whether every off-diagonal
+    entry is exactly 0. All arrays are read-only.
 
     Two structured kinds store parameters, not arrays:
 
@@ -81,6 +82,7 @@ class CovarianceMatrix:
         self._m = m
         self._eigh = eig, v
         self._diag0 = float(diag[0]) if np.all(diag == diag[0]) else None
+        self._diagonal = bool(np.count_nonzero(m) == np.count_nonzero(diag))
         return self
 
     @classmethod
@@ -117,6 +119,14 @@ class CovarianceMatrix:
         """rho when the matrix is c K_rho (``exponential_correlation`` and
         its scaled copies), None otherwise; c is ``constant_diagonal``."""
         return self._rho
+
+    @property
+    def is_diagonal(self) -> bool:
+        """Whether every off-diagonal entry is exactly 0: c I, c K_rho
+        with rho = 0, or a dense matrix that is so."""
+        if self._scale is not None:
+            return True
+        return self._diagonal if self._rho is None else self._rho == 0.0
 
     @property
     def constant_diagonal(self) -> float | None:

@@ -162,6 +162,17 @@ class TestMain:
     def test_bad_config_path(self, capsys):
         assert main(["--config", "/nonexistent/run.cfg"]) == 2
 
+    @pytest.mark.parametrize("out", ["missing/t.csv", "."],
+                             ids=["no-folder", "a-folder"])
+    def test_unwritable_out_rejected_before_work(self, out, tmp_path,
+                                                 capsys):
+        # one error line and no progress line: no grid point has run
+        assert main(self.ARGS + ["--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "--out" in err[0]
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_sample_count(self, capsys):
         assert main(self.ARGS[:2] + ["--samples", "10"]) == 2
 

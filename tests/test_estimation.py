@@ -610,6 +610,52 @@ class TestEigenbasisProperties:
         assert -tol <= gap <= s / p_ut + tol
 
 
+class TestOneDisturbanceDraw:
+    """With a diagonal S the lower bound's chain draws nu + eta_r as one
+    CN(0, s_i + kappa_r_bs p |h_i|^2) value per antenna; any other S, and
+    the MSE chain, draw nu and |h| w_r."""
+
+    def test_moments_given_h(self):
+        # seed chosen before looking at the draws; S's entries differ
+        n, rows = 4, 100_000
+        r = CovarianceMatrix.identity(n)
+        s = CovarianceMatrix(np.diag([0.5, 1.0, 1.5, 2.0]))
+        cfg = UplinkConfig(r=r, s=s, p_ut=4.0, d=2.0 * np.exp(0.4j),
+                           imp=ImpairmentProfile(kappa_r_bs=0.02))
+        assert s.is_diagonal and s.constant_diagonal is None
+        _, w_t, _, u = estimation._diagonal_draws(r, s, rows, substream(18))
+        h = np.tile(np.array([0.2, 1.0 - 1.0j, 3.0j, -2.5]), (rows, 1))
+        h2 = np.abs(h) ** 2
+        noise = estimation._observe_diagonal(cfg, h, w_t, h2, u) - cfg.d * h
+        want = np.diag(s.matrix).real + 0.02 * 4.0 * h2[0]
+        power = np.abs(noise) ** 2
+        for x, mean in ((power, want), (noise.real * noise.imag, 0.0),
+                        (noise.real ** 2 - noise.imag ** 2, 0.0)):
+            se = np.std(x, axis=0, ddof=1) / np.sqrt(rows)
+            assert np.all(np.abs(np.mean(x, axis=0) - mean) <= 5.0 * se)
+
+    @pytest.mark.parametrize("s, diagonal", [
+        (CovarianceMatrix(np.diag([0.5, 1.0, 2.0])), True),
+        (exponential_correlation(3, 0.0).scaled(0.5), True),
+        (CovarianceMatrix.identity(3).scaled(0.5), True),
+        (CovarianceMatrix(np.eye(3) + 0.1), False),
+    ], ids=["dense-diagonal", "kms-rho-0", "scaled-identity", "dense"])
+    def test_draws_taken(self, s, diagonal):
+        cfg = UplinkConfig(r=exponential_correlation(3, 0.7), s=s, p_ut=2.0,
+                           imp=ImpairmentProfile.uniform(0.01))
+        assert s.is_diagonal is diagonal
+        with mock.patch.object(estimation, "_diagonal_draws",
+                               wraps=estimation._diagonal_draws) as one, \
+                mock.patch.object(estimation, "_standard_draws",
+                                  wraps=estimation._standard_draws) as two:
+            list(pilot_chain([cfg], 2 * _CHUNK + 1, 0))
+            assert (one.call_count, two.call_count) == (
+                (3, 0) if diagonal else (0, 3))
+            empirical_mse(cfg, 2 * _CHUNK + 1, 0)
+            assert one.call_count == (3 if diagonal else 0)
+            assert two.call_count == (3 if diagonal else 6)
+
+
 class TestSharedDraws:
     """Configs that share R and S share one draw set: config i of a batch
     gives the bits of a batch of that config alone."""

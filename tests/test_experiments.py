@@ -79,6 +79,16 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             ExperimentConfig(experiment="capacity-vs-n", **{field: value})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("workers", True, "workers must be an integer"),
+        ("seed", False, "seed must be an integer"),
+        ("n_samples", True, "n_samples must be an integer"),
+        ("n_grid", [4, True], "n_grid values must be integers")])
+    def test_rejects_bools(self, field, value, message):
+        # bool is a numbers.Integral, but True is no count or seed
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(experiment="capacity-vs-n", **{field: value})
+
     @pytest.mark.parametrize("experiment, grid", [
         (e, g) for e in EXPERIMENTS for g in ("n_grid", "snr_db", "kappa", "t")
         if g not in GRIDS[e]])
