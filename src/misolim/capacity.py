@@ -12,7 +12,6 @@ terminal-side impairment levels as the array grows.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,10 +23,9 @@ from .estimation import (
     _check_levels,
     _eigenbasis,
     _solve_m,
-    _squared_moduli,
     pilot_chain,
 )
-from .randmat import CovarianceMatrix, sample_scalar_cn
+from .randmat import CovarianceMatrix, _dimension, sample_scalar_cn
 from .specfun import one_minus_x_ex_e1
 
 LOG2 = math.log(2.0)
@@ -145,8 +143,7 @@ def upper_limit_high_power(n: int, kappa_t_bs: float, kappa_r_ut: float) -> floa
 
     Returns +inf when both impairment levels are zero (no ceiling).
     """
-    if not (isinstance(n, numbers.Integral) and n >= 1):
-        raise ValueError("antenna count must be a positive integer")
+    n = _dimension(n)
     _check_levels(kappa_t_bs, kappa_r_ut)
     denom = kappa_t_bs + kappa_r_ut * n
     if denom == 0.0:
@@ -183,16 +180,13 @@ def _row_sums(h: np.ndarray, h_hat: np.ndarray, h2: np.ndarray):
     return s, a.sum(axis=1), np.einsum("ij,ij->i", a, h2)
 
 
-def _mrt_stats(h: np.ndarray, h_hat: np.ndarray,
-               h2: np.ndarray | None = None) -> np.ndarray:
+def _mrt_stats(h: np.ndarray, h_hat: np.ndarray, h2: np.ndarray) -> np.ndarray:
     """Rows (Re g, Im g, |g|^2, u) of the draws with h_hat != 0, for the
     beamformer v = conj(h_hat)/||h_hat||: g = h^T v = s / sqrt(n2) and
     u = sum_i |h_i|^2 |v_i|^2 = t / n2, with no array for v, from the row
     sums s = sum_i h_i conj(h_hat_i), n2 = sum_i |h_hat_i|^2 and
-    t = sum_i |h_i|^2 |h_hat_i|^2. h2 is |h|^2 (``_squared_moduli``),
-    formed here when not given."""
-    if h2 is None:
-        h2 = _squared_moduli(h)
+    t = sum_i |h_i|^2 |h_hat_i|^2, with h2 = |h|^2 (the ``stat`` of
+    ``pilot_chain``)."""
     s, n2, t = _row_sums(h, h_hat, h2)
     low = np.flatnonzero((n2 < _NORM_MIN) | (t < _NORM_MIN))
     if low.size:
@@ -250,20 +244,9 @@ def lower_bound_mc_batch(links, n_samples: int,
     links = list(links)
     if any(ul.p_ut == 0.0 for ul, _ in links):
         raise ValueError("the lower bound needs pilot power p_ut > 0")
-    chunks = [[] for _ in links]
-    last = len(links) - 1
-    for i, h, h_hat in pilot_chain([ul for ul, _ in links], n_samples,
-                                   seed):
-        # the chain yields each row tile to configs 0 to last in turn:
-        # |h|^2 is formed once per tile, and let go with it
-        if i == 0:
-            h2 = _squared_moduli(h)
-        chunks[i].append(_mrt_stats(h, h_hat, h2))
-        del h, h_hat  # a tile view keeps its chunk alive: let it go
-        if i == last:
-            del h2
-    return [_rate_estimate(np.vstack(c), dl, n_samples)
-            for c, (_, dl) in zip(chunks, links)]
+    rows = pilot_chain([ul for ul, _ in links], n_samples, seed, _mrt_stats)
+    return [_rate_estimate(x, dl, n_samples)
+            for x, (_, dl) in zip(rows, links)]
 
 
 def lower_bound_mc(ul: UplinkConfig, dl: DownlinkConfig, n_samples: int,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .capacity import DownlinkConfig, MonteCarloEstimate, lower_bound_mc_batch
 from .estimation import ImpairmentProfile, UplinkConfig
-from .randmat import derive_seed
+from .randmat import _dimension, derive_seed
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,7 @@ def scaled_power(p_base: float, n: int, t: float) -> float:
     """Power at array size n under 1/n^t scaling: p_base / n**t."""
     if not (p_base > 0.0) or not math.isfinite(p_base):
         raise ValueError("base power must be positive and finite")
-    if n < 1:
-        raise ValueError("array size must be a positive integer")
+    n = _dimension(n)
     if not (t >= 0.0) or not math.isfinite(t):
         raise ValueError("scaling exponent must be nonnegative and finite")
     return p_base / n ** t

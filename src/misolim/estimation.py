@@ -318,7 +318,8 @@ def _diagonal_draws(r: CovarianceMatrix, s: CovarianceMatrix, count: int,
     diag(|h_i|^2)), independent across antennas when S is diagonal, so
     ``_observe_diagonal`` forms it from u alone: one draw per antenna in
     place of the two of ``_standard_draws``. S itself is read per config;
-    it is a parameter for the draw signature of ``_chunks``."""
+    it is a parameter for the draw signature that ``pilot_chain`` shares
+    with ``_draw_chunk``."""
     h = sample_cn(r, rng, size=count)
     w_t = sample_scalar_cn(1.0, rng, size=count)
     # u takes h's layout, whose antenna axis leads in memory for the AR(1)
@@ -444,31 +445,35 @@ def _draw_chunk(r: CovarianceMatrix, s: CovarianceMatrix, count: int,
     return (h, *_standard_draws(s, h, rng))
 
 
-def _chunks(cfgs, n_samples: int, seed: int, draw=_draw_chunk):
-    """``draw(R, S, count, rng)`` of each chunk of up to _CHUNK rows,
-    n_samples rows in all, chunk j from ``substream(seed, j)``: by default
-    (h, w_t, nu, |h| w_r), h ~ CN(0, R) and then its ``_standard_draws``.
-    Only the caller holds the arrays, so it can let each one go once it is
-    used."""
-    for j, start in enumerate(range(0, n_samples, _CHUNK)):
-        yield draw(cfgs[0].r, cfgs[0].s, min(_CHUNK, n_samples - start),
-                   substream(seed, j))
+def _map_chunks(rows, n_samples: int, seed: int) -> list:
+    """The chunk driver of both Monte-Carlo chains: one map over the chunk
+    indices j, each chunk of up to _CHUNK rows, n_samples rows in all.
+    ``rows(count, rng)``, with rng = ``substream(seed, j)``, returns one
+    array per config, and each config's arrays are joined in j order.
+    A chunk's draws live only within its call."""
+    def chunk(j):
+        return rows(min(_CHUNK, n_samples - j * _CHUNK), substream(seed, j))
+
+    return [np.concatenate(c)
+            for c in zip(*map(chunk, range(-(-n_samples // _CHUNK))))]
 
 
-def pilot_chain(cfgs, n_samples: int, seed: int):
-    """Channel draw, distorted uplink pilot, LMMSE estimate for configs that
-    share R and S (the same objects): yields (i, h, h_hat) for config i,
-    antenna values in row tiles of up to _CHUNK rows, n_samples rows per
-    config in all.
+def pilot_chain(cfgs, n_samples: int, seed: int, stat) -> list:
+    """Channel draw, distorted uplink pilot and LMMSE estimate for configs
+    that share R and S (the same objects), reduced by ``stat``: returns one
+    array per config, ``stat(h, h_hat, h2)`` of each of its row tiles
+    stacked in order, where h2 = |h|^2 and the tiles hold n_samples rows of
+    antenna values in all. Each config's h_hat is a fresh array.
 
     Chunk j draws h, w_t and the noise and array distortion once from
-    ``substream(seed, j)``; every config scales those same draws by its
-    own p and kappa and applies its own filter, tile by tile. So config i
-    gives the same bits in any batch and with any tile size. For a
-    diagonal S (``CovarianceMatrix.is_diagonal``) the noise and array
-    distortion are one draw u per antenna (``_diagonal_draws``), else nu
-    and |h| w_r (``_standard_draws``), as in ``empirical_mse_batch``; the
-    two chains share h and w_t only.
+    ``substream(seed, j)`` (``_map_chunks``), and forms h2 once; every
+    config scales those same draws by its own p and kappa and applies its
+    own filter, tile by tile. So config i gives the same bits in any batch
+    and with any tile size. For a diagonal S
+    (``CovarianceMatrix.is_diagonal``) the noise and array distortion are
+    one draw u per antenna (``_diagonal_draws``), else nu and |h| w_r
+    (``_standard_draws``), as in ``empirical_mse_batch``; the two chains
+    share h and w_t only.
 
     Each config's filter is formed once, before the first chunk:
     - R = c K_rho (``exponential_correlation``) and S = s I: a tridiagonal
@@ -478,17 +483,27 @@ def pilot_chain(cfgs, n_samples: int, seed: int):
       S = s I, else an N x N array, on tiles of _TILE values.
     """
     cfgs = _shared(cfgs)
-    apply, filters, rows = _chain_filters(cfgs)
-    if cfgs[0].s.is_diagonal:
+    if n_samples < 1:
+        raise ValueError("a pilot chain needs at least one sample")
+    apply, filters, step = _chain_filters(cfgs)
+    r, s = cfgs[0].r, cfgs[0].s
+    if s.is_diagonal:
         draw, observe = _diagonal_draws, _observe_diagonal
     else:
         draw, observe = _draw_chunk, _observe
-    for chunk in _chunks(cfgs, n_samples, seed, draw):
-        for a in range(0, chunk[0].shape[0], rows):
-            tile = [x[a:a + rows] for x in chunk]
-            for i, (cfg, f) in enumerate(zip(cfgs, filters)):
-                yield i, tile[0], apply(observe(cfg, *tile), f)
-        del chunk, tile  # the tile views too, before the next draw
+
+    def rows(count, rng):
+        chunk = draw(r, s, count, rng)
+        h2 = chunk[2] if s.is_diagonal else _squared_moduli(chunk[0])
+        out = [[] for _ in cfgs]
+        for a in range(0, count, step):
+            tile = [x[a:a + step] for x in chunk]
+            for o, cfg, f in zip(out, cfgs, filters):
+                o.append(stat(tile[0], apply(observe(cfg, *tile), f),
+                              h2[a:a + step]))
+        return [np.concatenate(o) for o in out]
+
+    return _map_chunks(rows, n_samples, seed)
 
 
 def _error_weights(cfg: UplinkConfig, basis) -> np.ndarray:
@@ -527,9 +542,10 @@ def _weigh(a: np.ndarray, b: np.ndarray, w: np.ndarray, need: np.ndarray,
     return out
 
 
-def _diagonal_norms(cfgs, n_samples: int, seed: int):
-    """Each chunk's ||e||^2 per config and row, as a (configs, rows)
-    array, for configs on R's eigenbasis (``_eigenbasis``).
+def _diagonal_norms(cfgs):
+    """The chunk function (see ``_map_chunks``) of configs on R's
+    eigenbasis (``_eigenbasis``): a chunk's ||e||^2 per config and row, as
+    a (configs, rows) array.
 
     There A = V diag(d* g) V^H and Q M^{-1} = V diag(q) V^H. With x = |h|
     w_r, eta_t = sqrt(kappa_t_ut p) w_t, c = sqrt(kappa_r_bs p), the
@@ -546,7 +562,7 @@ def _diagonal_norms(cfgs, n_samples: int, seed: int):
     buffer, and summed with the weights of ``_error_weights``, which are
     formed once per chain; those that an exact zero multiplies are skipped.
     """
-    r = cfgs[0].r
+    r, s = cfgs[0].r, cfgs[0].s
     vc = None if r.identity_scale is not None else r.eigenvectors.conj()
     w = np.array([_error_weights(c, _eigenbasis(c)) for c in cfgs])
     g2, g1 = w[:, :1], w[:, :2]  # p g^2 alone, and with q g
@@ -558,8 +574,10 @@ def _diagonal_norms(cfgs, n_samples: int, seed: int):
     hh_on, nn_on, hy_on, xx_on, hx_on = (np.stack(m, axis=1) for m in (
         (e, e, on), (on,), (e, on), (c,), (e & c, c)))
     c_r = c_r[:, None, None]
-    for h, w_t, nu, x in _chunks(cfgs, n_samples, seed):
-        p, t = np.empty((2, h.shape[0], cfgs[0].dim))
+
+    def rows(count, rng):
+        h, w_t, nu, x = _draw_chunk(r, s, count, rng)
+        p, t = np.empty((2, count, r.dim))
         # one rotation at a time, each original let go once rotated
         if vc is not None:
             h = h @ vc
@@ -576,13 +594,13 @@ def _diagonal_norms(cfgs, n_samples: int, seed: int):
         xx += 2.0 * c_r * _weigh(nu, x, g2, xx_on, p, t)
         hy += c_r * (_weigh(h, x, g1, hx_on, p, t)
                      + 1j * _weigh(h, x, g1, hx_on, p, t, imag=True))
-        # let the chunk's arrays go before the next chunk is drawn
-        del h, nu, x, p, t
         e_t = eta * w_t
-        yield ((e_t.real ** 2 + e_t.imag ** 2) * hh[:, 0]
-               - 2.0 * (d.conj() * e_t).real * hh[:, 1] + hh[:, 2]
-               + nn[:, 0] + xx[:, 0]
-               + 2.0 * (e_t * hy[:, 0]).real - 2.0 * (d * hy[:, 1]).real)
+        return ((e_t.real ** 2 + e_t.imag ** 2) * hh[:, 0]
+                - 2.0 * (d.conj() * e_t).real * hh[:, 1] + hh[:, 2]
+                + nn[:, 0] + xx[:, 0]
+                + 2.0 * (e_t * hy[:, 0]).real - 2.0 * (d * hy[:, 1]).real)
+
+    return rows
 
 
 def _error_filters(cfg: UplinkConfig):
@@ -593,14 +611,20 @@ def _error_filters(cfg: UplinkConfig):
     return np.conj(cfg.d) * x[:, :cfg.dim], x[:, cfg.dim:]
 
 
-def _dense_norms(cfgs, n_samples: int, seed: int):
-    """Each chunk's ||e||^2 per config and row, as a list over configs,
-    with e = y A^T - h (Q M^{-1})^T formed per config from its two N x N
-    filters."""
+def _dense_norms(cfgs):
+    """The chunk function (see ``_map_chunks``) off R's eigenbasis: a
+    chunk's ||e||^2 per config and row, as a list over configs, with e =
+    y A^T - h (Q M^{-1})^T formed per config from its two N x N filters,
+    which are formed once."""
     filters = [_error_filters(c) for c in cfgs]
-    for h, w_t, nu, x in _chunks(cfgs, n_samples, seed):
-        yield [_dense_norm(cfg, f, h, w_t, nu, x)
-               for cfg, f in zip(cfgs, filters)]
+    r, s = cfgs[0].r, cfgs[0].s
+
+    def rows(count, rng):
+        h, w_t, nu, x = _draw_chunk(r, s, count, rng)
+        return [_dense_norm(cfg, f, h, w_t, nu, x)
+                for cfg, f in zip(cfgs, filters)]
+
+    return rows
 
 
 def _dense_norm(cfg: UplinkConfig, f, h: np.ndarray, w_t: np.ndarray,
@@ -631,16 +655,13 @@ def empirical_mse_batch(cfgs, n_samples: int,
         raise ValueError("need at least 2 samples")
     cfgs = _shared(cfgs)
     norms = _dense_norms if _eigenbasis(cfgs[0]) is None else _diagonal_norms
-    e = [[] for _ in cfgs]
-    for chunk in norms(cfgs, n_samples, seed):
-        for ei, rows in zip(e, chunk):
-            ei.append(rows / cfgs[0].dim)
     out = []
-    for ei in map(np.concatenate, e):
+    for e in _map_chunks(norms(cfgs), n_samples, seed):
+        e /= cfgs[0].dim
         out.append(MonteCarloEstimate(
-            value=float(np.mean(ei)),
-            std_error=float(np.std(ei, ddof=1) / math.sqrt(len(ei))),
-            n_samples=len(ei)))
+            value=float(np.mean(e)),
+            std_error=float(np.std(e, ddof=1) / math.sqrt(len(e))),
+            n_samples=len(e)))
     return out
 
 

@@ -240,7 +240,10 @@ class CovarianceMatrix:
 
 
 def _dimension(n) -> int:
-    if not (isinstance(n, numbers.Integral) and n >= 1):
+    """n as an int; InvalidMatrixError (a ValueError) unless n is a
+    positive integer, numpy's included, and not a bool."""
+    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool)
+            and n >= 1):
         raise InvalidMatrixError(f"dimension must be a positive integer, got {n!r}")
     return int(n)
 

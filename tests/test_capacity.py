@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from misolim.capacity import (
 )
 from misolim.estimation import (
     _CHUNK,
+    _squared_moduli,
     ImpairmentProfile,
     UplinkConfig,
     empirical_mse,
@@ -303,7 +305,8 @@ class TestAsymptoticLimits:
             with pytest.raises(ValueError, match="nonnegative reals"):
                 call()
 
-    @pytest.mark.parametrize("n", [0, -1, 2.5, 4.0])
+    @pytest.mark.parametrize("n", [0, -1, 2.5, 4.0, True, math.nan,
+                                   math.inf])
     def test_antenna_count_must_be_a_positive_integer(self, n):
         with pytest.raises(ValueError, match="positive integer"):
             upper_limit_high_power(n, 0.0025, 0.0025)
@@ -366,8 +369,9 @@ class TestLowerBoundMc:
         tiny[1:4] *= 1e-300
         tiny[4] = 0.0
         keep = [0, 1, 2, 3, 5]
-        np.testing.assert_allclose(_mrt_stats(h, tiny),
-                                   _mrt_stats(h[keep], h_hat[keep]),
+        h2 = _squared_moduli(h)
+        np.testing.assert_allclose(_mrt_stats(h, tiny, h2),
+                                   _mrt_stats(h[keep], h_hat[keep], h2[keep]),
                                    rtol=1e-14)
 
 
@@ -389,7 +393,8 @@ class TestScaledIdentityBounds:
             floor = error_floor(ul)
             mse = mse_per_antenna(ul)
             asym = lower_bound_asymptotic(ul, dl)
-            h_hat = next(pilot_chain([ul], 2, 0))[2]
+            h_hat, = pilot_chain([ul], 2, 0,
+                                 lambda h, h_hat, h2: h_hat.copy())
             emp = empirical_mse(ul, 2, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -475,7 +480,8 @@ class TestMrtRowSums:
         h_hat[9, 1:] = 0.0
         h_hat[10, :] = 5e-324
         h[11] = 0.0
-        got, want = _mrt_stats(h, h_hat), beamformer_stats(h, h_hat)
+        got = _mrt_stats(h, h_hat, _squared_moduli(h))
+        want = beamformer_stats(h, h_hat)
         assert got.shape == want.shape == (39, 4)
         g = np.abs(want[:, 0] + 1j * want[:, 1])
         assert np.all(np.abs(got[:, :2] - want[:, :2]) <= 1e-13 * g[:, None])
@@ -498,9 +504,29 @@ class TestRowTiles:
         rates = []
         for tile, count in ((1, 1100), (_CHUNK * n, 5)):
             monkeypatch.setattr(estimation, "_TILE", tile)
-            assert len(list(pilot_chain([links[0][0]], 1100, 4))) == count
+            stat = mock.Mock(side_effect=_mrt_stats)
+            pilot_chain([links[0][0]], 1100, 4, stat)
+            assert stat.call_count == count
             rates.append(lower_bound_mc_batch(links, 1100, 4))
         assert rates[0] == rates[1]
+
+    @pytest.mark.parametrize("s", [CovarianceMatrix.identity(100),
+                                   CovarianceMatrix(np.eye(100) + 0.01)],
+                             ids=["diagonal", "dense"])
+    def test_squared_moduli_once_per_chunk(self, monkeypatch, s):
+        # 1000 rows in 3 chunks of up to 334 rows, each of 3 row tiles
+        # at N = 100: |h|^2 is formed once per chunk, not per tile
+        monkeypatch.setattr(estimation, "_CHUNK", 334)
+        r = CovarianceMatrix.identity(100)
+        imp = ImpairmentProfile.uniform(0.0025)
+        links = [(UplinkConfig(r=r, s=s, p_ut=p, imp=imp),
+                  DownlinkConfig(p_bs=p, sigma2_ut=1.0, imp=imp))
+                 for p in (1.0, 100.0)]
+        assert not hasattr(capacity, "_squared_moduli")
+        with mock.patch.object(estimation, "_squared_moduli",
+                               wraps=_squared_moduli) as squares:
+            lower_bound_mc_batch(links, 1000, 4)
+        assert squares.call_count == 3
 
 
 class TestChainMemory:
@@ -537,8 +563,7 @@ class TestRateEstimate:
         # digits of the denominator; the value matches an exact evaluation
         # of the same rows
         ul, dl = make_symmetric(1024, 0.0)
-        x = np.vstack([_mrt_stats(h, h_hat)
-                       for _, h, h_hat in pilot_chain([ul], 1000, 11)])
+        x, = pilot_chain([ul], 1000, 11, _mrt_stats)
         m = [sum(map(Fraction, col.tolist())) / len(col) for col in x.T]
         sig = m[0] ** 2 + m[1] ** 2
         denom = m[2] - sig + Fraction(dl.sigma2_ut) / Fraction(dl.p_bs)

@@ -79,8 +79,9 @@ class TestScaledPower:
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             scaled_power(0.0, 4, 0.5)
-        with pytest.raises(ValueError):
-            scaled_power(1.0, 0, 0.5)
+        for n in (0, True, 2.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                scaled_power(1.0, n, 0.5)
         with pytest.raises(ValueError):
             scaled_power(1.0, 4, -0.1)
 

@@ -48,6 +48,11 @@ from misolim.randmat import (
 )
 
 
+def estimates(h, h_hat, h2):
+    """The ``stat`` of ``pilot_chain`` that keeps the estimates."""
+    return h_hat.copy()
+
+
 def make_config(n=4, lam=1.0, sig2=1.0, p=1.0, kt_ut=0.0, kr_bs=0.0, r=None):
     r = r if r is not None else CovarianceMatrix(lam * np.eye(n))
     s = CovarianceMatrix(sig2 * np.eye(r.dim))
@@ -474,9 +479,9 @@ class TestEigenbasisMatchesDense:
         assert r.constant_diagonal == 1.0 and r.kms_rho == rho
         with mock.patch.object(estimation, "_tridiagonal_solve",
                                wraps=_tridiagonal_solve) as solve:
-            next(pilot_chain(fast, 2, 0))
+            pilot_chain(fast[:1], 2, 0, estimates)
             assert solve.call_count == 1
-            next(pilot_chain(dense, 2, 0))
+            pilot_chain(dense[:1], 2, 0, estimates)
             assert solve.call_count == 1
         # the MSE chain forms N x N error filters on the dense path only
         with mock.patch.object(estimation, "_error_filters",
@@ -537,7 +542,7 @@ class TestEigenbasisMatchesDense:
                 assert filters.call_count == 1
             with mock.patch.object(estimation, "_cho_solve",
                                    wraps=estimation._cho_solve) as solve:
-                next(pilot_chain([cfg], 2, 0))
+                pilot_chain([cfg], 2, 0, estimates)
                 assert solve.call_count == 1
                 assert solve.call_args.args[0].shape == (n, n)
             m = (2.0 * 1.01 * r.matrix + 2.0 * 0.01 * np.diag(r.diagonal())
@@ -648,7 +653,7 @@ class TestOneDisturbanceDraw:
                                wraps=estimation._diagonal_draws) as one, \
                 mock.patch.object(estimation, "_standard_draws",
                                   wraps=estimation._standard_draws) as two:
-            list(pilot_chain([cfg], 2 * _CHUNK + 1, 0))
+            pilot_chain([cfg], 2 * _CHUNK + 1, 0, estimates)
             assert (one.call_count, two.call_count) == (
                 (3, 0) if diagonal else (0, 3))
             empirical_mse(cfg, 2 * _CHUNK + 1, 0)
@@ -674,11 +679,46 @@ class TestSharedDraws:
 
     @staticmethod
     def chain(cfgs, n_samples, seed):
-        out = [([], []) for _ in cfgs]
-        for i, h, h_hat in pilot_chain(cfgs, n_samples, seed):
-            out[i][0].append(h)
-            out[i][1].append(h_hat)
-        return [(np.concatenate(h), np.concatenate(h_hat)) for h, h_hat in out]
+        """(h, h_hat) of each config, from one ``stat`` that keeps both."""
+        n = cfgs[0].dim
+        rows = pilot_chain(cfgs, n_samples, seed,
+                           lambda h, h_hat, h2: np.hstack([h, h_hat]))
+        return [(x[:, :n], x[:, n:]) for x in rows]
+
+    @pytest.mark.parametrize(
+        "s", [CovarianceMatrix.identity(3).scaled(0.5),
+              CovarianceMatrix(np.eye(3) + 0.1)], ids=["diagonal", "dense"])
+    def test_rows_join_chunks_in_order(self, s):
+        # the chunk driver stacks each config's rows over chunk j, whose
+        # h is the first draw of substream(seed, j); the last chunk is
+        # partial
+        r = exponential_correlation(3, 0.7)
+        cfgs = [UplinkConfig(r=r, s=s, p_ut=p) for p in (1.0, 10.0)]
+        n_samples = 2 * _CHUNK + 7
+        rows = pilot_chain(cfgs, n_samples, 5,
+                           lambda h, h_hat, h2: h.copy())
+        want = np.concatenate([
+            sample_cn(r, substream(5, j), size=count)
+            for j, count in enumerate((_CHUNK, _CHUNK, 7))])
+        assert len(rows) == 2
+        for x in rows:
+            np.testing.assert_array_equal(x, want)
+
+    @pytest.mark.parametrize(
+        "r", [exponential_correlation(3, 0.7),
+              CovarianceMatrix.identity(3).scaled(2.0),
+              CovarianceMatrix(np.diag([0.5, 1.0, 2.0]) + 0.1)],
+        ids=["tridiagonal", "scaled-identity", "cholesky"])
+    def test_stat_may_return_h_hat(self, r):
+        # each config's h_hat is its own array: a stat that returns it
+        # uncopied gives the rows of a stat that copies it
+        cfgs = self.batch(r)
+        n_samples = 2 * _CHUNK + 7
+        rows = pilot_chain(cfgs, n_samples, 5, lambda h, h_hat, h2: h_hat)
+        want = self.chain(cfgs, n_samples, 5)
+        for x, (_, h_hat) in zip(rows, want):
+            np.testing.assert_array_equal(x, h_hat)
+        assert not np.array_equal(rows[0], rows[1])
 
     # a partial last chunk, whole chunks, and a one-row last chunk
     @pytest.mark.parametrize("n_samples", [1000, 4 * _CHUNK, 4 * _CHUNK + 1])
@@ -776,11 +816,17 @@ class TestSharedDraws:
                                p_ut=1.0)
         for cfgs in ([a, other_s], [a, other_r]):
             with pytest.raises(ValueError, match="share R and S"):
-                next(pilot_chain(cfgs, 10, seed=0))
-        assert len(list(pilot_chain([a, b], 10, seed=0))) == 2
+                pilot_chain(cfgs, 10, 0, estimates)
+        assert len(pilot_chain([a, b], 10, 0, estimates)) == 2
+
+    def test_chain_needs_a_sample(self):
+        # with no chunk to join, the chain would return no array at all
+        cfg = self.batch(exponential_correlation(3, 0.7))[0]
+        with pytest.raises(ValueError, match="at least one sample"):
+            pilot_chain([cfg], 0, 0, estimates)
 
     @pytest.mark.parametrize("run", [
-        lambda: next(pilot_chain([], 10, 1)),
+        lambda: pilot_chain([], 10, 1, estimates),
         lambda: empirical_mse_batch([], 100, 1),
         lambda: lower_bound_mc_batch([], 1000, 1),
     ], ids=["pilot_chain", "empirical_mse_batch", "lower_bound_mc_batch"])

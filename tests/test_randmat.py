@@ -49,7 +49,7 @@ class TestCovarianceMatrix:
         with pytest.raises(InvalidMatrixError):
             exponential_correlation(3, 0.5).scaled(c)
 
-    @pytest.mark.parametrize("n", [2.5, 0, -1])
+    @pytest.mark.parametrize("n", [2.5, 0, -1, True, np.nan, np.inf])
     @pytest.mark.parametrize("make", [
         CovarianceMatrix.identity,
         lambda n: exponential_correlation(n, 0.5),
