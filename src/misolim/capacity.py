@@ -235,16 +235,18 @@ def _rate_estimate(x: np.ndarray, dl: DownlinkConfig,
                               n_samples=n_eff)
 
 
-def lower_bound_mc_batch(links, n_samples: int,
-                         seed: int) -> list[MonteCarloEstimate]:
+def lower_bound_mc_batch(links, n_samples: int, seed: int,
+                         workers: int = 1) -> list[MonteCarloEstimate]:
     """``lower_bound_mc`` of each (ul, dl) pair in ``links`` over one shared
-    pilot chain: the uplink configs share R and S (see ``pilot_chain``)."""
+    pilot chain, on up to ``workers`` processes: the uplink configs share
+    R and S (see ``pilot_chain``)."""
     if n_samples < 1000:
         raise ValueError("lower_bound_mc needs at least 1000 samples")
     links = list(links)
     if any(ul.p_ut == 0.0 for ul, _ in links):
         raise ValueError("the lower bound needs pilot power p_ut > 0")
-    rows = pilot_chain([ul for ul, _ in links], n_samples, seed, _mrt_stats)
+    rows = pilot_chain([ul for ul, _ in links], n_samples, seed, _mrt_stats,
+                       workers)
     return [_rate_estimate(x, dl, n_samples)
             for x, (_, dl) in zip(rows, links)]
 

@@ -72,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--t", type=_list_of(float),
                         help="power-scaling exponents")
     parser.add_argument("--workers", type=int,
-                        help="worker threads (does not affect output values)")
+                        help="worker processes for the Monte-Carlo chunks "
+                             "(does not affect output values)")
     return parser
 
 

@@ -107,19 +107,20 @@ def warn_if_inadmissible(ecfg: EnergyConfig) -> None:
             "not apply", stacklevel=3)
 
 
-def ee_points(n: int, channel, specs, n_samples: int,
-              seed: int) -> list[EnergyPoint]:
+def ee_points(n: int, channel, specs, n_samples: int, seed: int,
+              workers: int = 1) -> list[EnergyPoint]:
     """Sweep points of an n-antenna array on one shared pilot chain:
     ``channel`` is its (R, S, sigma2_ut), ``specs`` lists one
     (EnergyConfig, hardware name, ImpairmentProfile) per point, and each
-    rate is the Monte-Carlo lower bound at that point's scaled powers."""
+    rate is the Monte-Carlo lower bound at that point's scaled powers, on
+    up to ``workers`` processes."""
     r, s, sigma2 = channel
     links = []
     for ecfg, _, imp in specs:
         p_bs, p_ut = ecfg.powers(n)
         links.append((UplinkConfig(r=r, s=s, p_ut=p_ut, imp=imp),
                       DownlinkConfig(p_bs=p_bs, sigma2_ut=sigma2, imp=imp)))
-    caps = lower_bound_mc_batch(links, n_samples, seed)
+    caps = lower_bound_mc_batch(links, n_samples, seed, workers)
     points = []
     for (ecfg, hardware, imp), (ul, dl), cap in zip(specs, links, caps):
         points.append(EnergyPoint(

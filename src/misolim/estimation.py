@@ -12,6 +12,10 @@ computed in closed form here, together with their high-power limits
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -445,25 +449,163 @@ def _draw_chunk(r: CovarianceMatrix, s: CovarianceMatrix, count: int,
     return (h, *_standard_draws(s, h, rng))
 
 
-def _map_chunks(rows, n_samples: int, seed: int) -> list:
+def _process_count(workers: int, n_chunks: int, blas: bool = False) -> int:
+    """How many processes ``_map_chunks`` runs n_chunks chunks on: at most
+    ``workers``, one per chunk and one per usable core, and 1 where the
+    platform has no ``os.fork``. Each process runs its own BLAS thread
+    pool, so for chunks that call the BLAS (``blas``) the processes times
+    ``_blas_threads`` stay within the cores."""
+    if workers <= 1 or not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    if blas:
+        cores //= _blas_threads(cores)
+    return max(1, min(workers, n_chunks, cores))
+
+
+def _blas_threads(cores: int) -> int:
+    """The BLAS's threads per process: the first positive integer among
+    the variables OpenBLAS reads at load, else one per core, its default.
+    Pools that together outnumber the cores slow every process down: on 2
+    cores the default estimation-error run's MSE chain took longer on two
+    processes than on one at 2 OpenBLAS threads each, and about half as
+    long at 1."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                 "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return cores
+
+
+def _map_chunks(rows, n_samples: int, seed: int, workers: int = 1,
+                blas: bool = False) -> list:
     """The chunk driver of both Monte-Carlo chains: one map over the chunk
     indices j, each chunk of up to _CHUNK rows, n_samples rows in all.
     ``rows(count, rng)``, with rng = ``substream(seed, j)``, returns one
     array per config, and each config's arrays are joined in j order.
-    A chunk's draws live only within its call."""
+    A chunk's draws live only within its call.
+
+    With ``workers`` > 1 the chunks are shared among ``_process_count``
+    processes forked from this one (``_fork_map``), fewer when ``rows``
+    calls the BLAS (``blas``); chunk j draws from substream(seed, j) in
+    any process, so the bytes are the serial map's."""
+    n_chunks = -(-n_samples // _CHUNK)
+
     def chunk(j):
         return rows(min(_CHUNK, n_samples - j * _CHUNK), substream(seed, j))
 
-    return [np.concatenate(c)
-            for c in zip(*map(chunk, range(-(-n_samples // _CHUNK))))]
+    k = _process_count(workers, n_chunks, blas)
+    if k == 1:
+        done = map(chunk, range(n_chunks))
+    else:
+        done = _fork_map(chunk, n_chunks, k)
+    return [np.concatenate(c) for c in zip(*done)]
 
 
-def pilot_chain(cfgs, n_samples: int, seed: int, stat) -> list:
+# The warning Python 3.12 gives when a process with more than one OS thread
+# forks (see ``_fork_map``).
+_THREADED_FORK = r"This process \(pid=\d+\) is multi-threaded"
+
+
+def _fork_map(chunk, n_chunks: int, k: int) -> list:
+    """[chunk(j) for j in range(n_chunks)] on k processes: this one and k - 1
+    children forked from it, chunk j on process j mod k. Each child sends
+    its results back pickled through a pipe; an exception raised in a
+    child is raised here. Every child is reaped before this returns or
+    raises, and killed first unless it has sent its results."""
+    # what is buffered would otherwise be written again by a child
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []
+    try:
+        for i in range(1, k):
+            r, w = os.pipe()
+            children.append([None, r])
+            pid = None
+            try:
+                with warnings.catch_warnings():
+                    # OpenBLAS's thread pool makes this process
+                    # multi-threaded; its pthread_atfork handler stops the
+                    # pool for the fork, so the child inherits no lock that
+                    # one of its threads holds
+                    warnings.filterwarnings("ignore", _THREADED_FORK,
+                                            DeprecationWarning)
+                    pid = os.fork()
+            finally:
+                if pid != 0:
+                    os.close(w)
+            if pid == 0:
+                os.close(r)
+                _child(chunk, range(i, n_chunks, k), w)
+            children[-1][0] = pid
+        shares = [[chunk(j) for j in range(0, n_chunks, k)]]
+        for child in children:
+            shares.append(_receive(child))
+    finally:
+        for pid, r in children:
+            if r is not None:
+                os.close(r)
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return [shares[j % k][j // k] for j in range(n_chunks)]
+
+
+def _child(chunk, js, w: int) -> None:
+    """A child of ``_fork_map``: writes (True, [chunk(j) for j in js]), or
+    (False, the exception raised, or a RuntimeError naming it when it does
+    not survive pickling), pickled to the pipe end w, and exits without
+    returning or running the parent's exit handlers."""
+    status = 1
+    try:
+        try:
+            reply = (True, [chunk(j) for j in js])
+        except BaseException as exc:
+            # KeyboardInterrupt included: the parent raises it again
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                name = type(exc).__name__
+                exc = RuntimeError(f"a worker process raised {name}: {exc}")
+            reply = (False, exc)
+        with open(w, "wb") as fh:
+            pickle.dump(reply, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(child: list) -> list:
+    """The results of a ``_fork_map`` child [pid, read end], which is
+    reaped and its entries set to None; raises what the child raised."""
+    pid, r = child
+    with open(r, "rb") as fh:
+        child[1] = None
+        data = fh.read()
+    _, status = os.waitpid(pid, 0)
+    child[0] = None
+    try:
+        ok, value = pickle.loads(data)
+    except (pickle.UnpicklingError, EOFError):
+        raise RuntimeError(f"worker process {pid} sent no result "
+                           f"(wait status {status})") from None
+    if not ok:
+        raise value
+    return value
+
+
+def pilot_chain(cfgs, n_samples: int, seed: int, stat,
+                workers: int = 1) -> list:
     """Channel draw, distorted uplink pilot and LMMSE estimate for configs
     that share R and S (the same objects), reduced by ``stat``: returns one
     array per config, ``stat(h, h_hat, h2)`` of each of its row tiles
     stacked in order, where h2 = |h|^2 and the tiles hold n_samples rows of
-    antenna values in all. Each config's h_hat is a fresh array.
+    antenna values in all. Each config's h_hat is a fresh array. The
+    chunks run on up to ``workers`` processes (``_map_chunks``).
 
     Chunk j draws h, w_t and the noise and array distortion once from
     ``substream(seed, j)`` (``_map_chunks``), and forms h2 once; every
@@ -503,7 +645,7 @@ def pilot_chain(cfgs, n_samples: int, seed: int, stat) -> list:
                               h2[a:a + step]))
         return [np.concatenate(o) for o in out]
 
-    return _map_chunks(rows, n_samples, seed)
+    return _map_chunks(rows, n_samples, seed, workers, apply is np.matmul)
 
 
 def _error_weights(cfg: UplinkConfig, basis) -> np.ndarray:
@@ -638,8 +780,8 @@ def _dense_norm(cfg: UplinkConfig, f, h: np.ndarray, w_t: np.ndarray,
     return np.sum(np.abs(e) ** 2, axis=1)
 
 
-def empirical_mse_batch(cfgs, n_samples: int,
-                        seed: int) -> list[MonteCarloEstimate]:
+def empirical_mse_batch(cfgs, n_samples: int, seed: int,
+                        workers: int = 1) -> list[MonteCarloEstimate]:
     """Monte-Carlo per-antenna MSE of each config over the draws of one
     shared pilot chain (see ``pilot_chain``).
 
@@ -649,14 +791,15 @@ def empirical_mse_batch(cfgs, n_samples: int,
     kappa_r_bs diag(R) + S. Nothing in it cancels at high SNR, where h_hat
     - h would: ||e||^2 comes from weighted row sums on R's eigenbasis
     (``_diagonal_norms``), and otherwise from the two N x N filters
-    (``_dense_norms``).
+    (``_dense_norms``). The chunks run on up to ``workers`` processes
+    (``_map_chunks``).
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     cfgs = _shared(cfgs)
     norms = _dense_norms if _eigenbasis(cfgs[0]) is None else _diagonal_norms
     out = []
-    for e in _map_chunks(norms(cfgs), n_samples, seed):
+    for e in _map_chunks(norms(cfgs), n_samples, seed, workers, blas=True):
         e /= cfgs[0].dim
         out.append(MonteCarloEstimate(
             value=float(np.mean(e)),

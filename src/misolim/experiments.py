@@ -11,7 +11,9 @@ Output columns are fixed, in CSV_COLUMNS order; analytic metrics leave
 std_error empty. Tables are byte-identical given (config, seed),
 regardless of worker count: ``_sweep`` runs the grid points that share an
 array size N on one Monte-Carlo draw set, seeded by derive_seed(seed, N),
-and writes rows in grid order, not completion order.
+and writes rows in grid order. The workers are processes that share the
+Monte-Carlo chunks of each draw set, chunk j drawn from its own substream
+whatever process runs it (``estimation._map_chunks``).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .capacity import (
@@ -197,28 +198,21 @@ def write_csv(rows: list[tuple], path) -> None:
 
 def _sweep(cfg: ExperimentConfig, grid: list, one_n) -> list[tuple]:
     """The one per-N step of every experiment. For each array size n of
-    ``cfg.n_grid``, on up to ``cfg.workers`` threads: print a progress line
-    to stderr, then call ``one_n(n, cfg.samples_for(n), derive_seed(cfg.seed,
-    n))``, which runs every point of ``grid`` with that n on one draw set
-    and returns {grid point: (columns, [(metric, value, std_error), ...])},
-    columns mapping CSV column names to values. Returns the rows, laid out
-    by CSV_COLUMNS and joined in ``grid`` order, whatever the pool size.
-    Callers build covariances before the sweep; an exponential correlation
-    forms its arrays where they are first used."""
+    ``cfg.n_grid``, in order: print a progress line to stderr, then call
+    ``one_n(n, cfg.samples_for(n), derive_seed(cfg.seed, n))``, which runs
+    every point of ``grid`` with that n on one draw set, its Monte-Carlo
+    chunks on up to ``cfg.workers`` processes, and returns {grid point:
+    (columns, [(metric, value, std_error), ...])}, columns mapping CSV
+    column names to values. Returns the rows, laid out by CSV_COLUMNS and
+    joined in ``grid`` order. Callers build covariances before the sweep;
+    an exponential correlation forms its arrays where they are first
+    used."""
     per_n = len(grid) // len(cfg.n_grid)
-
-    def group(n):
-        # one write per line, so lines from two threads cannot interleave
+    points = {}
+    for n in cfg.n_grid:
         sys.stderr.write(f"{cfg.experiment}: N={n} ({per_n} points)\n")
         sys.stderr.flush()
-        return one_n(n, cfg.samples_for(n), derive_seed(cfg.seed, n))
-
-    if cfg.workers <= 1 or len(cfg.n_grid) <= 1:
-        groups = list(map(group, cfg.n_grid))
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            groups = list(pool.map(group, cfg.n_grid))
-    points = {point: rec for g in groups for point, rec in g.items()}
+        points.update(one_n(n, cfg.samples_for(n), derive_seed(cfg.seed, n)))
     rows = []
     for point in grid:
         columns, metrics = points[point]
@@ -245,7 +239,7 @@ def run_estimation_error(cfg: ExperimentConfig) -> list[tuple]:
         r, s = covs[n]
         uls = [UplinkConfig(r=r, s=s, p_ut=_pilot_power(snr_db, n),
                             imp=imps[k]) for k, snr_db in points]
-        ests = empirical_mse_batch(uls, n_samples, seed)
+        ests = empirical_mse_batch(uls, n_samples, seed, cfg.workers)
         floors, out = {}, {}
         for (k, snr_db), ul, est in zip(points, uls, ests):
             if k not in floors:
@@ -286,7 +280,7 @@ def run_capacity(cfg: ExperimentConfig) -> list[tuple]:
         links = [(UplinkConfig(r=r, s=s, p_ut=p, imp=imps[k]),
                   DownlinkConfig(p_bs=p, sigma2_ut=sigma2, imp=imps[k]))
                  for k in imps]
-        ests = lower_bound_mc_batch(links, n_samples, seed)
+        ests = lower_bound_mc_batch(links, n_samples, seed, cfg.workers)
         out = {}
         for kappa_bs, (_, dl), est in zip(imps, links, ests):
             kappa_ut = ut[kappa_bs]
@@ -332,7 +326,7 @@ def run_energy_efficiency(cfg: ExperimentConfig) -> list[tuple]:
              for ecfg in ecfgs.values() for k, imp in profiles.items()]
 
     def one_n(n, n_samples, seed):
-        pts = ee_points(n, channels[n], specs, n_samples, seed)
+        pts = ee_points(n, channels[n], specs, n_samples, seed, cfg.workers)
         out = {}
         for (ecfg, _, imp), pt in zip(specs, pts):
             t = ecfg.t_bs

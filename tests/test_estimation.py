@@ -4,7 +4,14 @@ Monte-Carlo oracles (sample-covariance regression, orthogonality checks,
 law of total covariance) validate the closed forms end to end.
 """
 
+import contextlib
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -833,3 +840,267 @@ class TestSharedDraws:
     def test_empty_batch_rejected(self, run):
         with pytest.raises(ValueError, match="at least one config"):
             run()
+
+
+def _cores(count):
+    """Patch the usable-core count of the chunk map to ``count``."""
+    return mock.patch.object(os, "sched_getaffinity", create=True,
+                             return_value=set(range(count)))
+
+
+def _no_child_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class _TwoArgError(Exception):
+    """Pickles, but does not unpickle: its one pickled arg is one short."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+@pytest.fixture
+def one_blas_thread(monkeypatch):
+    """The environment of a one-thread BLAS, so that chains that call the
+    BLAS fork as many processes as the others."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+
+
+class TestProcessCount:
+    """How many processes the chunk map forks, checked without forking."""
+
+    @pytest.mark.parametrize("env, cores, want", [
+        ({}, 4, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 4),
+        ({"OMP_NUM_THREADS": "1"}, 4, 4),
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x",
+          "OMP_NUM_THREADS": "2"}, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "3"}, 8, 2)])
+    def test_blas_pools_within_cores(self, env, cores, want, monkeypatch):
+        # each process runs its own BLAS pool, whose size OpenBLAS reads
+        # from the environment at load, else one thread per core
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                     "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        with _cores(cores):
+            assert estimation._process_count(8, 40, blas=True) == want
+            assert estimation._process_count(8, 40) == min(8, cores)
+
+    @pytest.mark.parametrize("workers, chunks, cores, want", [
+        (1, 40, 8, 1), (2, 40, 8, 2), (3, 40, 2, 2), (8, 3, 16, 3),
+        (10 ** 6, 40, 2, 2), (10 ** 6, 1, 64, 1), (4, 40, 1, 1)])
+    def test_bound(self, workers, chunks, cores, want):
+        with _cores(cores):
+            assert estimation._process_count(workers, chunks) == want
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert estimation._process_count(8, 40) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert estimation._process_count(8, 40) == 1
+
+    def test_serial_without_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork", raising=False)
+        with _cores(8):
+            assert estimation._process_count(8, 40) == 1
+            cfg = TestSharedDraws.batch(exponential_correlation(3, 0.7))[0]
+            rows, = pilot_chain([cfg], 3 * _CHUNK, 0, estimates, workers=8)
+        assert rows.shape == (3 * _CHUNK, 3)
+
+    def test_forks_no_more_than_chunks(self):
+        # 8 workers asked for, 3 chunks and 64 cores: 2 children
+        cfg = TestSharedDraws.batch(exponential_correlation(3, 0.7))[0]
+        with _cores(64), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            pilot_chain([cfg], 2 * _CHUNK + 1, 0, estimates, workers=8)
+        assert fork.call_count == 2
+        assert _no_child_left()
+
+
+@pytest.mark.usefixtures("one_blas_thread")
+class TestProcessMap:
+    """The chunk map over forked processes: the serial map's bytes at any
+    worker count, and no child left behind on success or failure."""
+
+    R = {"tridiagonal": exponential_correlation(3, 0.7),
+         "scaled-identity": CovarianceMatrix.identity(3).scaled(2.0),
+         "cholesky": CovarianceMatrix(np.diag([0.5, 1.0, 2.0]) + 0.1)}
+
+    @staticmethod
+    @contextlib.contextmanager
+    def forks(n_samples, calls):
+        """Checks that ``calls`` chains at each of workers 1, 2 and 3 fork
+        min(workers, chunks) - 1 children each."""
+        chunks = -(-n_samples // _CHUNK)
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            yield
+        assert fork.call_count == calls * sum(min(w, chunks) - 1
+                                              for w in (1, 2, 3))
+
+    # a partial last chunk, and more workers (3) than chunks (2)
+    @pytest.mark.parametrize("n_samples", [3 * _CHUNK + 7, _CHUNK + 1])
+    @pytest.mark.parametrize("path", list(R))
+    def test_pilot_chain_bytes(self, path, n_samples):
+        cfgs = TestSharedDraws.batch(self.R[path])
+
+        def stat(h, h_hat, h2):
+            return np.hstack([h, h_hat, h2])
+
+        with _cores(3), self.forks(n_samples, calls=1):
+            runs = [pilot_chain(cfgs, n_samples, 5, stat, workers=w)
+                    for w in (1, 2, 3)]
+        for rows in runs[1:]:
+            assert len(rows) == len(runs[0])
+            for x, want in zip(rows, runs[0]):
+                assert np.array_equal(x, want)
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("n_samples", [3 * _CHUNK + 7, _CHUNK + 1])
+    @pytest.mark.parametrize("r", [exponential_correlation(16, 0.7),
+                                   CovarianceMatrix(np.eye(16) + 0.1)],
+                             ids=["eigenbasis", "dense"])
+    def test_empirical_mse_bytes(self, r, n_samples):
+        cfgs = TestSharedDraws.batch(r)
+        assert (estimation._eigenbasis(cfgs[0]) is None) is (r.kms_rho is None)
+        norms = (estimation._dense_norms if r.kms_rho is None
+                 else estimation._diagonal_norms)
+        with _cores(3), self.forks(n_samples, calls=2):
+            arrays = [estimation._map_chunks(norms(cfgs), n_samples, 5, w)
+                      for w in (1, 2, 3)]
+            ests = [empirical_mse_batch(cfgs, n_samples, 5, workers=w)
+                    for w in (1, 2, 3)]
+        for got in arrays[1:]:
+            for x, want in zip(got, arrays[0]):
+                assert np.array_equal(x, want)
+        assert ests[1] == ests[0] and ests[2] == ests[0]
+        assert _no_child_left()
+
+    def test_workers_run_the_chunks(self):
+        # chunk j on process j mod 3: the parent runs chunks 0 and 3
+        cfg = TestSharedDraws.batch(self.R["tridiagonal"])[0]
+        parent = os.getpid()
+
+        def stat(h, h_hat, h2):
+            return np.full(len(h), os.getpid())
+
+        with _cores(3):
+            rows, = pilot_chain([cfg], 4 * _CHUNK, 0, stat, workers=3)
+        pids = [int(rows[j * _CHUNK]) for j in range(4)]
+        assert pids[0] == pids[3] == parent
+        assert len({pids[0], pids[1], pids[2]}) == 3
+
+    @staticmethod
+    def raising(where, exc):
+        """A ``stat`` that raises exc in the parent or in the children."""
+        parent = os.getpid()
+
+        def stat(h, h_hat, h2):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise exc
+            return h2
+
+        return stat
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_error_is_raised_and_children_reaped(self, where):
+        cfg = TestSharedDraws.batch(self.R["tridiagonal"])[0]
+        stat = self.raising(where, ZeroDivisionError(f"boom in {where}"))
+        with _cores(3), pytest.raises(ZeroDivisionError,
+                                      match=f"^boom in {where}$"):
+            pilot_chain([cfg], 3 * _CHUNK, 0, stat, workers=3)
+        assert _no_child_left()
+
+    def test_unpicklable_error_named(self):
+        cfg = TestSharedDraws.batch(self.R["tridiagonal"])[0]
+        stat = self.raising("child", _TwoArgError(1, 2))
+        with _cores(2), pytest.raises(RuntimeError,
+                                      match="_TwoArgError: 1 and 2"):
+            pilot_chain([cfg], 2 * _CHUNK, 0, stat, workers=2)
+        assert _no_child_left()
+
+    def test_child_without_result(self):
+        cfg = TestSharedDraws.batch(self.R["tridiagonal"])[0]
+        parent = os.getpid()
+
+        def stat(h, h_hat, h2):
+            if os.getpid() != parent:
+                os._exit(3)
+            return h2
+
+        with _cores(2), pytest.raises(RuntimeError, match="sent no result"):
+            pilot_chain([cfg], 2 * _CHUNK, 0, stat, workers=2)
+        assert _no_child_left()
+
+    def test_interrupt_kills_and_reaps(self):
+        # the parent is interrupted in its own share while its child works
+        cfg = TestSharedDraws.batch(self.R["tridiagonal"])[0]
+        stat = self.raising("parent", KeyboardInterrupt())
+        with _cores(2), pytest.raises(KeyboardInterrupt):
+            pilot_chain([cfg], 2 * _CHUNK, 0, stat, workers=2)
+        assert _no_child_left()
+
+    def test_buffered_output_flushed_before_fork(self):
+        # stdout to a pipe is block-buffered: unflushed at the fork, what
+        # this process had written would also go out with a child's output
+        code = textwrap.dedent("""
+            import os, sys
+            from unittest import mock
+            from misolim.estimation import UplinkConfig, pilot_chain
+            from misolim.randmat import CovarianceMatrix
+            from misolim.randmat import exponential_correlation as kms
+            cfg = UplinkConfig(r=kms(3, 0.7), s=CovarianceMatrix.identity(3),
+                               p_ut=1.0)
+            parent = os.getpid()
+            def stat(h, h_hat, h2):
+                if os.getpid() != parent:
+                    print("child")
+                    sys.stdout.flush()
+                return h2
+            print("parent")
+            with mock.patch.object(os, "sched_getaffinity", create=True,
+                                   return_value={0, 1}):
+                pilot_chain([cfg], 512, 0, stat, workers=2)
+            """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(estimation.__file__).parents[1])]
+            + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert sorted(out.stdout.split()) == ["child", "parent"]
+
+    def test_no_warning_at_fork(self):
+        # Python 3.12 warns when a multi-threaded process forks, and
+        # OpenBLAS's idle pool counts; a chain must run under -W error.
+        # The fork is wrapped to give 3.12's warning on any version
+        r = exponential_correlation(64, 0.7)
+        cfgs = TestSharedDraws.batch(r)
+        np.dot(np.ones((64, 64)), np.ones((64, 64)))  # starts the pool
+        fork = os.fork
+
+        def fork_that_warns():
+            pid = fork()
+            if pid:
+                warnings.warn(f"This process (pid={os.getpid()}) "
+                              "is multi-threaded, use of fork() may lead to "
+                              "deadlocks in the child.", DeprecationWarning,
+                              stacklevel=2)
+            return pid
+
+        with warnings.catch_warnings(), _cores(2), mock.patch.object(
+                os, "fork", fork_that_warns):
+            warnings.simplefilter("error")
+            rates = lower_bound_mc_batch(
+                [(c, DownlinkConfig(p_bs=1.0, sigma2_ut=0.5, imp=c.imp))
+                 for c in cfgs], 1000, 0, workers=2)
+        assert len(rates) == 3
+        assert _no_child_left()

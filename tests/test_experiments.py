@@ -1,11 +1,17 @@
 """Experiment driver and CSV determinism tests."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import misolim
 from misolim.experiments import (
     CSV_COLUMNS,
     EXPERIMENTS,
@@ -217,6 +223,25 @@ class TestSweep:
                                        for n in cfg.n_grid)
 
 
+class TestNoThreads:
+    """``--workers`` forks processes; the package starts no thread."""
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_run_starts_no_thread(self, experiment):
+        with mock.patch.object(threading.Thread, "start",
+                               side_effect=AssertionError("thread started")):
+            run_experiment(small_config(experiment, workers=2))
+
+    def test_no_executor_imported(self):
+        code = ("import sys, misolim.cli; "
+                "sys.exit('concurrent.futures' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(misolim.__file__))]
+            + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        assert subprocess.run([sys.executable, "-c", code],
+                              env=env).returncode == 0
+
+
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 class TestDeterminism:
     def test_same_seed_byte_identical(self, experiment, tmp_path):
@@ -231,7 +256,7 @@ class TestDeterminism:
     def test_worker_count_does_not_change_bytes(self, experiment, tmp_path):
         a = tmp_path / "w1.csv"
         write_csv(run_experiment(small_config(experiment, workers=1)), a)
-        for workers in (2, 4):
+        for workers in (2, 3, 4):
             b = tmp_path / f"w{workers}.csv"
             write_csv(run_experiment(small_config(experiment,
                                                   workers=workers)), b)
