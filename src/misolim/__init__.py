@@ -21,12 +21,10 @@ from .estimation import (
     error_covariance,
     error_floor,
     error_floor_iid,
-    estimate,
     floor_per_antenna,
     lmmse_filter,
     mse_per_antenna,
     pilot_chain,
-    simulate_uplink,
 )
 from .capacity import (
     DownlinkConfig,
@@ -37,7 +35,6 @@ from .capacity import (
     lower_bound_mc_batch,
     lower_limit_scaled_power,
     optimal_beamformer,
-    simulate_downlink,
     sinr_of_beamformer,
     sinr_perfect_csi,
     upper_limit_high_power,

@@ -25,7 +25,7 @@ from .estimation import (
     _solve_m,
     pilot_chain,
 )
-from .randmat import CovarianceMatrix, _dimension, sample_scalar_cn
+from .randmat import CovarianceMatrix, _dimension
 from .specfun import one_minus_x_ex_e1
 
 LOG2 = math.log(2.0)
@@ -57,22 +57,6 @@ class DownlinkConfig:
             raise ValueError(f"signal power must be positive, got {self.p_bs}")
         if not (self.sigma2_ut > 0.0) or not math.isfinite(self.sigma2_ut):
             raise ValueError(f"noise variance must be positive, got {self.sigma2_ut}")
-
-
-def simulate_downlink(dl: DownlinkConfig, h: np.ndarray, w: np.ndarray,
-                      s: complex, rng: np.random.Generator) -> complex:
-    """One draw of the received downlink symbol for fixed (h, w, s)."""
-    h = np.asarray(h, dtype=np.complex128)
-    w = np.asarray(w, dtype=np.complex128)
-    if abs(np.linalg.norm(w) - 1.0) > 1e-12:
-        raise ValueError("beamformer must have unit norm")
-    kt, kr = dl.imp.kappa_t_bs, dl.imp.kappa_r_ut
-    eta_t = (np.sqrt(kt * dl.p_bs) * np.abs(w)
-             * sample_scalar_cn(1.0, rng, size=w.shape[0]))
-    gain = h @ w
-    n = sample_scalar_cn(dl.sigma2_ut, rng)
-    eta_r = sample_scalar_cn(kr * dl.p_bs * abs(gain) ** 2, rng)
-    return complex(h @ (w * s + eta_t) + n + eta_r)
 
 
 def sinr_of_beamformer(h: np.ndarray, w: np.ndarray, dl: DownlinkConfig) -> float:

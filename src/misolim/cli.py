@@ -82,12 +82,13 @@ def _given(args: argparse.Namespace) -> dict:
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat key = value file, each line read as the flag --key=value; lists
-    are comma- or space-separated. Lines starting with '#' are comments."""
+    """Flat key = value file in UTF-8, with or without a byte-order mark,
+    each line read as the flag --key=value; lists are comma- or
+    space-separated. Lines starting with '#' are comments."""
     parser = build_parser()
     parser.allow_abbrev = False  # a key names its option in full
     opts: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -99,10 +99,6 @@ class UplinkConfig:
     def dim(self) -> int:
         return self.r.dim
 
-    def snr(self) -> float:
-        """Average uplink SNR, p_ut * tr(R) / tr(S)."""
-        return self.p_ut * self.r.trace() / self.s.trace()
-
 
 @dataclass(frozen=True)
 class MonteCarloEstimate:
@@ -199,15 +195,6 @@ def lmmse_filter(cfg: UplinkConfig) -> np.ndarray | complex:
     return np.conj(cfg.d) * _solve_m(cfg, cfg.r.matrix).conj().T
 
 
-def estimate(cfg: UplinkConfig, z: np.ndarray) -> np.ndarray:
-    """LMMSE channel estimate h_hat = A z for one uplink observation."""
-    z = np.asarray(z, dtype=np.complex128)
-    if z.shape != (cfg.dim,):
-        raise ValueError(f"observation must have shape ({cfg.dim},), got {z.shape}")
-    a = lmmse_filter(cfg)
-    return a * z if np.ndim(a) == 0 else a @ z
-
-
 def error_covariance(cfg: UplinkConfig) -> CovarianceMatrix:
     """Covariance C of the estimation error h - h_hat.
 
@@ -288,9 +275,9 @@ def _standard_draws(s: CovarianceMatrix, h: np.ndarray,
                     rng: np.random.Generator):
     """What the uplink distortion and noise of a (count, N) batch of channels
     are made of, drawn in this order: w_t ~ CN(0, 1) per row, nu ~ CN(0, S),
-    and |h| w_r with w_r ~ CN(0, 1) per entry. ``simulate_uplink`` and the
-    MSE chain draw these for any S, the lower bound's chain only for an S
-    that is not diagonal (see ``_diagonal_draws``)."""
+    and |h| w_r with w_r ~ CN(0, 1) per entry. The MSE chain draws these
+    for any S, the lower bound's chain only for an S that is not diagonal
+    (see ``_diagonal_draws``)."""
     count, n = h.shape
     w_t = sample_scalar_cn(1.0, rng, size=count)
     nu = sample_cn(s, rng, size=count)
@@ -350,27 +337,6 @@ def _observe_diagonal(cfg: UplinkConfig, h: np.ndarray, w_t: np.ndarray,
     z = u * np.sqrt(s if kr_p == 0.0 else kr_p * h2 + s)
     z += h * (cfg.d + math.sqrt(cfg.imp.kappa_t_ut * cfg.p_ut) * w_t)[:, None]
     return z
-
-
-def _simulate_uplink_batch(cfg: UplinkConfig, h: np.ndarray,
-                           rng: np.random.Generator) -> np.ndarray:
-    """Vectorized uplink draws for a (count, N) batch of channels."""
-    return _observe(cfg, h, *_standard_draws(cfg.s, h, rng))
-
-
-def simulate_uplink(cfg: UplinkConfig, h: np.ndarray,
-                    rng: np.random.Generator) -> np.ndarray:
-    """One draw of the uplink observation z for a fixed channel h.
-
-    z = h (d + eta_t) + nu + eta_r, with eta_t ~ CN(0, kappa_t_ut * p),
-    nu ~ CN(0, S), and eta_r ~ CN(0, kappa_r_bs * p * diag(|h_i|^2)),
-    all independent given h.
-    """
-    h = np.asarray(h, dtype=np.complex128)
-    if h.shape != (cfg.dim,):
-        raise ValueError(f"channel must have shape ({cfg.dim},), got {h.shape}")
-    z = _simulate_uplink_batch(cfg, h[None, :], rng)
-    return z[0]
 
 
 def _tridiagonal_filter(cfg: UplinkConfig):
@@ -489,20 +455,16 @@ def _map_chunks(rows, n_samples: int, seed: int, workers: int = 1,
     array per config, and each config's arrays are joined in j order.
     A chunk's draws live only within its call.
 
-    With ``workers`` > 1 the chunks are shared among ``_process_count``
-    processes forked from this one (``_fork_map``), fewer when ``rows``
-    calls the BLAS (``blas``); chunk j draws from substream(seed, j) in
-    any process, so the bytes are the serial map's."""
+    The chunks are shared among ``_process_count`` processes, this one and
+    children forked from it (``_fork_map``), fewer when ``rows`` calls the
+    BLAS (``blas``); chunk j draws from substream(seed, j) in any process,
+    so the bytes are the one-process map's."""
     n_chunks = -(-n_samples // _CHUNK)
 
     def chunk(j):
         return rows(min(_CHUNK, n_samples - j * _CHUNK), substream(seed, j))
 
-    k = _process_count(workers, n_chunks, blas)
-    if k == 1:
-        done = map(chunk, range(n_chunks))
-    else:
-        done = _fork_map(chunk, n_chunks, k)
+    done = _fork_map(chunk, n_chunks, _process_count(workers, n_chunks, blas))
     return [np.concatenate(c) for c in zip(*done)]
 
 

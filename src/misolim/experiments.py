@@ -19,7 +19,6 @@ whatever process runs it (``estimation._map_chunks``).
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
@@ -38,7 +37,12 @@ from .estimation import (
     floor_per_antenna,
     mse_per_antenna,
 )
-from .randmat import CovarianceMatrix, derive_seed, exponential_correlation
+from .randmat import (
+    CovarianceMatrix,
+    _is_int,
+    derive_seed,
+    exponential_correlation,
+)
 
 CSV_COLUMNS = ("experiment", "n", "snr_db", "kappa_bs", "kappa_ut", "t",
                "metric", "value", "std_error")
@@ -78,12 +82,6 @@ def _pilot_power(snr_db: float, n: int) -> float:
     """Pilot power p at uplink SNR snr_db = p tr R / tr S, for the runners'
     R and S: both have trace n."""
     return db_to_linear(snr_db) * n / n
-
-
-def _is_int(v) -> bool:
-    """An integer, numpy's included, and not a bool (which numbers.Integral
-    admits)."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 # Grid field -> (what each of its values must be, the test).

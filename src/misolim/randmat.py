@@ -239,11 +239,16 @@ class CovarianceMatrix:
         return f"CovarianceMatrix(dim={self.dim})"
 
 
+def _is_int(v) -> bool:
+    """An integer, numpy's included, and not a bool (which numbers.Integral
+    admits)."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def _dimension(n) -> int:
     """n as an int; InvalidMatrixError (a ValueError) unless n is a
-    positive integer, numpy's included, and not a bool."""
-    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool)
-            and n >= 1):
+    positive integer (``_is_int``)."""
+    if not (_is_int(n) and n >= 1):
         raise InvalidMatrixError(f"dimension must be a positive integer, got {n!r}")
     return int(n)
 

@@ -25,7 +25,6 @@ from misolim.capacity import (
     lower_bound_mc_batch,
     lower_limit_scaled_power,
     optimal_beamformer,
-    simulate_downlink,
     sinr_of_beamformer,
     sinr_perfect_csi,
     upper_limit_high_power,
@@ -78,6 +77,24 @@ def batched_max_sinr(h_batch, dl):
     return np.real(np.einsum("ki,ki->k", h_batch, x))
 
 
+def simulate_downlink(dl: DownlinkConfig, h: np.ndarray, w: np.ndarray,
+                      s: complex, rng: np.random.Generator) -> complex:
+    """One draw of the received downlink symbol y = h^T (w s + eta_t) + n
+    + eta_r for fixed (h, w, s): the per-symbol model that the bounds
+    average over."""
+    h = np.asarray(h, dtype=np.complex128)
+    w = np.asarray(w, dtype=np.complex128)
+    if abs(np.linalg.norm(w) - 1.0) > 1e-12:
+        raise ValueError("beamformer must have unit norm")
+    kt, kr = dl.imp.kappa_t_bs, dl.imp.kappa_r_ut
+    eta_t = (np.sqrt(kt * dl.p_bs) * np.abs(w)
+             * sample_scalar_cn(1.0, rng, size=w.shape[0]))
+    gain = h @ w
+    n = sample_scalar_cn(dl.sigma2_ut, rng)
+    eta_r = sample_scalar_cn(kr * dl.p_bs * abs(gain) ** 2, rng)
+    return complex(h @ (w * s + eta_t) + n + eta_r)
+
+
 class TestSimulateDownlink:
     def test_noiseless_ideal(self):
         dl = make_dl(p=1.0, sig2=1e-30)
@@ -109,10 +126,9 @@ class TestSimulateDownlink:
         s = sample_scalar_cn(dl.p_bs, rng, size=n_draws)
         ys = np.array([simulate_downlink(dl, h, w, s[k], rng)
                        for k in range(n_draws)])
+        # signal plus what the SINR divides it by: p gain (1 + 1/SINR)
         gain = abs(h @ w) ** 2
-        expected = (dl.p_bs * gain * (1 + 0.02)
-                    + 0.01 * dl.p_bs * float(np.sum(np.abs(h * w) ** 2))
-                    + dl.sigma2_ut)
+        expected = dl.p_bs * gain * (1 + 1 / sinr_of_beamformer(h, w, dl))
         emp = float(np.mean(np.abs(ys) ** 2))
         se = float(np.std(np.abs(ys) ** 2, ddof=1)) / math.sqrt(n_draws)
         assert abs(emp - expected) <= 3.0 * se

@@ -33,6 +33,15 @@ class TestParseConfigFile:
             "n_grid": [2, 4, 8], "snr_db": [0.0, 20.0], "kappa": [0.0025],
             "t": [0.25, 0.5], "workers": 2, "out": "table.csv"}
 
+    def test_byte_order_mark(self, tmp_path):
+        # editors that save "UTF-8 with BOM" put U+FEFF before the first key
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("experiment = capacity-vs-n\nseed = 7\n",
+                       encoding="utf-8-sig")
+        assert cfg.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert parse_config_file(str(cfg)) == {
+            "experiment": "capacity-vs-n", "seed": 7}
+
     def test_rejects_unknown_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("experiment = capacity-vs-n\nbogus = 1\n")

@@ -32,7 +32,9 @@ from misolim.estimation import (
     ImpairmentProfile,
     SingularMatrixError,
     UplinkConfig,
-    _simulate_uplink_batch,
+    _draw_chunk,
+    _observe,
+    _standard_draws,
     _tridiagonal_filter,
     _tridiagonal_solve,
     empirical_mse,
@@ -40,12 +42,10 @@ from misolim.estimation import (
     error_covariance,
     error_floor,
     error_floor_iid,
-    estimate,
     floor_per_antenna,
     lmmse_filter,
     mse_per_antenna,
     pilot_chain,
-    simulate_uplink,
 )
 from misolim.randmat import (
     CovarianceMatrix,
@@ -119,9 +119,8 @@ class TestLmmseFilter:
         r = exponential_correlation(4, 0.7)
         cfg = make_config(r=r, p=10.0, kt_ut=0.0025, kr_bs=0.0025)
         n_draws = 1_000_000
-        rng = substream(100)
-        h = sample_cn(r, rng, size=n_draws)
-        z = _simulate_uplink_batch(cfg, h, rng)
+        h, *draws = _draw_chunk(r, cfg.s, n_draws, substream(100))
+        z = _observe(cfg, h, *draws)
         cov_hz = np.einsum("ki,kj->ij", h, np.conj(z)) / n_draws  # E{h z^H}
         cov_zz = np.einsum("ki,kj->ij", z, np.conj(z)) / n_draws
         a_emp = cov_hz @ np.linalg.inv(cov_zz)
@@ -129,30 +128,14 @@ class TestLmmseFilter:
 
 
 class TestEstimate:
-    def test_zero_observation(self):
-        cfg = make_config()
-        np.testing.assert_array_equal(estimate(cfg, np.zeros(4)), np.zeros(4))
-
-    def test_linearity(self):
-        cfg = make_config(n=3, p=2.0, kt_ut=0.01)
-        z = substream(5).standard_normal(3) + 1j * substream(6).standard_normal(3)
-        c = 2.0 + 1.0j
-        np.testing.assert_allclose(estimate(cfg, c * z),
-                                   c * estimate(cfg, z), atol=1e-14)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            estimate(make_config(), np.zeros(5))
-
     def test_estimate_error_uncorrelated(self):
         # orthogonality principle: E{h_hat eps^H} = 0
         r = exponential_correlation(4, 0.7)
         cfg = make_config(r=r, p=5.0, kt_ut=0.0025, kr_bs=0.0025)
         a = lmmse_filter(cfg)
         n_draws = 100_000
-        rng = substream(101)
-        h = sample_cn(r, rng, size=n_draws)
-        z = _simulate_uplink_batch(cfg, h, rng)
+        h, *draws = _draw_chunk(r, cfg.s, n_draws, substream(101))
+        z = _observe(cfg, h, *draws)
         h_hat = z @ a.T
         eps = h - h_hat
         cross = np.einsum("ki,kj->ij", h_hat, np.conj(eps)) / n_draws
@@ -219,9 +202,8 @@ class TestErrorCovariance:
         a = lmmse_filter(cfg)
         c = error_covariance(cfg)
         n_draws = 100_000
-        rng = substream(102)
-        h = sample_cn(r, rng, size=n_draws)
-        z = _simulate_uplink_batch(cfg, h, rng)
+        h, *draws = _draw_chunk(r, cfg.s, n_draws, substream(102))
+        z = _observe(cfg, h, *draws)
         h_hat = z @ a.T
         emp = np.einsum("ki,kj->ij", h_hat, np.conj(h_hat)) / n_draws
         se = 3.0 / np.sqrt(n_draws)
@@ -341,14 +323,15 @@ class TestSimulateUplink:
         r = CovarianceMatrix.identity(n)
         s = CovarianceMatrix(1e-20 * np.eye(n))
         cfg = UplinkConfig(r=r, s=s, p_ut=4.0)
-        h = np.array([1.0 + 1j, -0.5, 2.0j])
-        z = simulate_uplink(cfg, h, substream(1))
+        h = np.array([[1.0 + 1j, -0.5, 2.0j]])
+        z = _observe(cfg, h, *_standard_draws(s, h, substream(1)))
         np.testing.assert_allclose(z, h * 2.0, atol=1e-9)
 
     def test_zero_channel_leaves_pure_noise(self):
         cfg = make_config(n=2, sig2=0.5, p=1.0, kt_ut=0.01, kr_bs=0.01)
         rng = substream(2)
-        draws = np.array([simulate_uplink(cfg, np.zeros(2), rng)
+        h = np.zeros((1, 2))
+        draws = np.array([_observe(cfg, h, *_standard_draws(cfg.s, h, rng))[0]
                           for _ in range(20_000)])
         emp = np.einsum("ki,kj->ij", draws, np.conj(draws)) / draws.shape[0]
         se = 0.5 / np.sqrt(draws.shape[0])
@@ -359,9 +342,8 @@ class TestSimulateUplink:
         r = exponential_correlation(4, 0.7)
         cfg = make_config(r=r, p=2.0, kt_ut=0.01, kr_bs=0.02)
         n_draws = 100_000
-        rng = substream(3)
-        h = sample_cn(r, rng, size=n_draws)
-        z = _simulate_uplink_batch(cfg, h, rng)
+        h, *draws = _draw_chunk(r, cfg.s, n_draws, substream(3))
+        z = _observe(cfg, h, *draws)
         emp = np.einsum("ki,kj->ij", z, np.conj(z)) / n_draws
         expected = (cfg.p_ut * (1 + 0.01) * r.matrix
                     + cfg.p_ut * 0.02 * np.diag(r.diagonal())
@@ -369,10 +351,6 @@ class TestSimulateUplink:
         # dominant entry scale is p * (1 + kt) ~ 2; generous 3-se band
         se = 3.0 * cfg.p_ut / np.sqrt(n_draws)
         assert np.max(np.abs(emp - expected)) <= 3.0 * se
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            simulate_uplink(make_config(), np.zeros(5), substream(0))
 
 
 class TestScaledIdentityMatchesDense:
@@ -940,12 +918,15 @@ class TestProcessMap:
     @contextlib.contextmanager
     def forks(n_samples, calls):
         """Checks that ``calls`` chains at each of workers 1, 2 and 3 fork
-        min(workers, chunks) - 1 children each."""
+        min(workers, chunks) - 1 children each, with one pipe per child:
+        none at one worker."""
         chunks = -(-n_samples // _CHUNK)
         with mock.patch.object(os, "fork", wraps=os.fork) as fork:
-            yield
+            with mock.patch.object(os, "pipe", wraps=os.pipe) as pipe:
+                yield
         assert fork.call_count == calls * sum(min(w, chunks) - 1
                                               for w in (1, 2, 3))
+        assert pipe.call_count == fork.call_count
 
     # a partial last chunk, and more workers (3) than chunks (2)
     @pytest.mark.parametrize("n_samples", [3 * _CHUNK + 7, _CHUNK + 1])
