@@ -111,6 +111,10 @@ class MonteCarloEstimate:
     def __post_init__(self):
         if self.n_samples < 2:
             raise ValueError("a Monte-Carlo estimate needs at least 2 samples")
+        if not (math.isfinite(self.value) and math.isfinite(self.std_error)):
+            raise ValueError(f"a Monte-Carlo estimate must be finite, got "
+                             f"{self.value} with standard error "
+                             f"{self.std_error}")
         if self.std_error < 0.0:
             raise ValueError("standard error must be nonnegative")
 
@@ -763,9 +767,14 @@ def empirical_mse_batch(cfgs, n_samples: int, seed: int,
     out = []
     for e in _map_chunks(norms(cfgs), n_samples, seed, workers, blas=True):
         e /= cfgs[0].dim
+        # the spread of e scaled by 2^-k, so that no squared deviation
+        # falls below the normal range, and scaled back: exact, and the
+        # same bits wherever the squares of e itself are normal
+        k = int(np.frexp(np.max(e))[1])
+        std = np.ldexp(np.std(np.ldexp(e, -k), ddof=1), k)
         out.append(MonteCarloEstimate(
             value=float(np.mean(e)),
-            std_error=float(np.std(e, ddof=1) / math.sqrt(len(e))),
+            std_error=float(std / math.sqrt(len(e))),
             n_samples=len(e)))
     return out
 

@@ -19,6 +19,7 @@ whatever process runs it (``estimation._map_chunks``).
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -84,12 +85,19 @@ def _pilot_power(snr_db: float, n: int) -> float:
     return db_to_linear(snr_db) * n / n
 
 
-# Grid field -> (what each of its values must be, the test).
+def _is_finite(x) -> bool:
+    """A finite real, and not a bool (which math.isfinite admits)."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
+# Grid field -> (what each of its values must be, the test). kappa > 1 is an
+# EVM above 100 %: more distortion than signal.
 _GRID_RULES = {
     "n_grid": ("integers >= 1", lambda n: _is_int(n) and n >= 1),
-    "snr_db": ("finite", math.isfinite),
-    "kappa": ("finite and >= 0", lambda k: math.isfinite(k) and k >= 0.0),
-    "t": ("finite and >= 0", lambda t: math.isfinite(t) and t >= 0.0),
+    "snr_db": ("finite", _is_finite),
+    "kappa": ("in [0, 1]", lambda k: _is_finite(k) and 0.0 <= k <= 1.0),
+    "t": ("finite and >= 0", lambda t: _is_finite(t) and t >= 0.0),
 }
 
 
@@ -202,9 +210,7 @@ def _sweep(cfg: ExperimentConfig, grid: list, one_n) -> list[tuple]:
     chunks on up to ``cfg.workers`` processes, and returns {grid point:
     (columns, [(metric, value, std_error), ...])}, columns mapping CSV
     column names to values. Returns the rows, laid out by CSV_COLUMNS and
-    joined in ``grid`` order. Callers build covariances before the sweep;
-    an exponential correlation forms its arrays where they are first
-    used."""
+    joined in ``grid`` order."""
     per_n = len(grid) // len(cfg.n_grid)
     points = {}
     for n in cfg.n_grid:
@@ -227,14 +233,13 @@ def _sweep(cfg: ExperimentConfig, grid: list, one_n) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 def run_estimation_error(cfg: ExperimentConfig) -> list[tuple]:
-    covs = {n: (exponential_correlation(n, EXP_CORR_RHO),
-                CovarianceMatrix.identity(n)) for n in cfg.n_grid}
     imps = {k: ImpairmentProfile(kappa_t_ut=k, kappa_r_bs=k)
             for k in cfg.kappa}
     points = [(k, snr_db) for k in cfg.kappa for snr_db in cfg.snr_db]
 
     def one_n(n, n_samples, seed):
-        r, s = covs[n]
+        r = exponential_correlation(n, EXP_CORR_RHO)
+        s = CovarianceMatrix.identity(n)
         uls = [UplinkConfig(r=r, s=s, p_ut=_pilot_power(snr_db, n),
                             imp=imps[k]) for k, snr_db in points]
         ests = empirical_mse_batch(uls, n_samples, seed, cfg.workers)
@@ -267,12 +272,11 @@ def run_capacity(cfg: ExperimentConfig) -> list[tuple]:
     sweeps the BS level with the terminal level fixed at KAPPA_UT_FIXED."""
     vs_n = cfg.experiment == "capacity-vs-n"
     (snr_db,) = cfg.snr_db
-    covs = {n: CovarianceMatrix.identity(n) for n in cfg.n_grid}  # R = S = I
     ut = {k: k if vs_n else KAPPA_UT_FIXED for k in cfg.kappa}
     imps = {k: ImpairmentProfile(k, k, ut[k], ut[k]) for k in cfg.kappa}
 
     def one_n(n, n_samples, seed):
-        r = s = covs[n]
+        r = s = CovarianceMatrix.identity(n)
         p = _pilot_power(snr_db, n)
         sigma2 = s.trace() / n  # per-antenna noise level
         links = [(UplinkConfig(r=r, s=s, p_ut=p, imp=imps[k]),
@@ -313,9 +317,6 @@ def _ee_config(t: float) -> EnergyConfig:
 def run_energy_efficiency(cfg: ExperimentConfig) -> list[tuple]:
     profiles = {k: ImpairmentProfile.uniform(k) for k in cfg.kappa}
     sigma2 = EE_P_BASE_W / db_to_linear(EE_SNR_BASE_DB)
-    channels = {n: (exponential_correlation(n, EXP_CORR_RHO),
-                    CovarianceMatrix.identity(n).scaled(sigma2), sigma2)
-                for n in cfg.n_grid}
     ecfgs = {t: _ee_config(t) for t in cfg.t}
     for ecfg in ecfgs.values():
         warn_if_inadmissible(ecfg)
@@ -324,7 +325,9 @@ def run_energy_efficiency(cfg: ExperimentConfig) -> list[tuple]:
              for ecfg in ecfgs.values() for k, imp in profiles.items()]
 
     def one_n(n, n_samples, seed):
-        pts = ee_points(n, channels[n], specs, n_samples, seed, cfg.workers)
+        channel = (exponential_correlation(n, EXP_CORR_RHO),
+                   CovarianceMatrix.identity(n).scaled(sigma2), sigma2)
+        pts = ee_points(n, channel, specs, n_samples, seed, cfg.workers)
         out = {}
         for (ecfg, _, imp), pt in zip(specs, pts):
             t = ecfg.t_bs

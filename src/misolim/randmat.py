@@ -45,10 +45,10 @@ class CovarianceMatrix:
     * ``exponential_correlation(n, rho)`` and its ``scaled`` copies are
       c K with K_ij = rho^|i-j|, the Kac-Murdock-Szego matrix, and store
       (n, rho, c): ``kms_rho`` is rho. K is positive definite for
-      0 <= rho < 1, so nothing is validated. ``matrix`` is built on first
-      use and its eigendecomposition on the first use of the spectrum; both
-      are kept, and shared with the scaled copies as dense ones share V.
-      ``factor`` is the lower Cholesky factor of c K in closed form.
+      0 <= rho < 1, so nothing is validated. It is a dense matrix built
+      late: ``matrix`` on first use and its eigendecomposition on the first
+      use of the spectrum, each kept on the instance, with ``factor`` formed
+      from them as for any dense matrix.
     """
 
     _scale = None
@@ -98,11 +98,9 @@ class CovarianceMatrix:
         return cov
 
     @classmethod
-    def _kms(cls, n: int, rho: float, c: float, unit=None) -> "CovarianceMatrix":
-        """c K_rho; ``unit`` is the c = 1 instance that keeps K's arrays."""
+    def _kms(cls, n: int, rho: float, c: float) -> "CovarianceMatrix":
         cov = cls.__new__(cls)
         cov._n, cov._rho, cov._diag0 = n, rho, c
-        cov._unit = cov if unit is None else unit
         return cov
 
     @classmethod
@@ -146,27 +144,17 @@ class CovarianceMatrix:
         if self._scale is not None:
             return self._eye(self._scale)
         if self._m is None:  # c K, built once
-            unit = self._unit
-            if unit._m is None:
-                idx = np.arange(self._n)
-                lag = np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
-                unit._m = _frozen((self._rho ** lag).astype(np.complex128))
-            self._m = (unit._m if unit is self
-                       else _frozen(self._diag0 * unit._m))
+            idx = np.arange(self._n)
+            k = np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
+            np.power(self._rho, k, out=k)
+            k *= self._diag0
+            self._m = _frozen(k.astype(np.complex128))
         return self._m
 
     def _spectrum(self):
-        """(w, V), computed for c K on first use: K's decomposition, with
-        w scaled by c."""
+        """(w, V); for c K, decomposed on first use."""
         if self._eigh is None:
-            unit = self._unit
-            if unit._eigh is None:
-                eig, v = np.linalg.eigh(unit.matrix)
-                unit._eigh = _frozen(eig), _frozen(v)
-            eig, v = unit._eigh
-            if unit is not self:
-                eig = _frozen(self._diag0 * eig)
-            self._eigh = eig, v
+            self._eigh = tuple(_frozen(a) for a in np.linalg.eigh(self.matrix))
         return self._eigh
 
     @property
@@ -174,12 +162,8 @@ class CovarianceMatrix:
         if self._scale is not None:
             return self._eye(np.sqrt(self._scale))
         if self._factor is None:
-            if self._rho is None:
-                eig, v = self._eigh
-                self._factor = _frozen(v * np.sqrt(np.clip(eig, 0.0, None)))
-            else:
-                self._factor = _frozen(_kms_cholesky(self._n, self._rho)
-                                       * np.sqrt(self._diag0))
+            eig, v = self._spectrum()
+            self._factor = _frozen(v * np.sqrt(np.clip(eig, 0.0, None)))
         return self._factor
 
     @property
@@ -229,7 +213,7 @@ class CovarianceMatrix:
         if self._scale is not None:
             return self._scaled_identity(self._n, c * self._scale)
         if self._rho is not None:
-            return self._kms(self._n, self._rho, c * self._diag0, self._unit)
+            return self._kms(self._n, self._rho, c * self._diag0)
         # c M has eigenvalues c w and the same eigenvectors: nothing to
         # revalidate
         eig, v = self._eigh
@@ -299,16 +283,6 @@ def _innovation(rho: float) -> float:
     return math.sqrt((1.0 - rho) * (1.0 + rho))
 
 
-def _kms_cholesky(n: int, rho: float) -> np.ndarray:
-    """Lower Cholesky factor L of K_rho: L_i0 = rho^i and
-    L_ij = sqrt(1 - rho^2) rho^(i-j) for 1 <= j <= i."""
-    idx = np.arange(n)
-    lag = idx[:, None] - idx[None, :]
-    f = np.where(lag >= 0, rho ** np.abs(lag).astype(np.float64), 0.0)
-    f[:, 1:] *= _innovation(rho)
-    return f.astype(np.complex128)
-
-
 def psd_factor(m) -> np.ndarray:
     """Read-only factor L with L @ L^H = m (see ``CovarianceMatrix.factor``)."""
     return _as_cov(m).factor
@@ -323,7 +297,7 @@ def sample_cn(m, rng: np.random.Generator, size: int | None = None) -> np.ndarra
     formed once per CovarianceMatrix; an array ``m`` is validated and
     factored on every call. A scaled identity c I scales w by sqrt(c)
     instead of a matrix product. c K_rho scales w by sqrt(c) and runs it
-    through the AR(1) recursion of its Cholesky factor, x_0 = w_0 and
+    through the AR(1) recursion of K's Cholesky factor, x_0 = w_0 and
     x_i = rho x_(i-1) + sqrt(1 - rho^2) w_i: O(N) per draw, with the
     antenna axis leading in memory, so that each step reads one contiguous
     row (the result is a transposed view).

@@ -793,3 +793,7 @@ class TestMonteCarloEstimate:
             MonteCarloEstimate(1.0, -0.1, 10)
         with pytest.raises(ValueError):
             MonteCarloEstimate(1.0, 0.1, 1)
+        for value, std_error in ((math.inf, 0.0), (math.nan, 0.0),
+                                 (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(ValueError, match="must be finite"):
+                MonteCarloEstimate(value, std_error, 10)

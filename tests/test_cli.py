@@ -216,7 +216,13 @@ class TestMain:
         ["--experiment", "estimation-error", "--t", "0.3"],
         ["--experiment", "energy-efficiency", "--snr-db", "10"],
         ["--experiment", "capacity-vs-n", "--n-grid", "2,2"],
-        ["--experiment", "estimation-error", "--kappa", "0,0"]])
+        ["--experiment", "estimation-error", "--kappa", "0,0"],
+        # kappa > 1, an EVM above 100 %: these ran and wrote nan, or
+        # failed once the sweep had started
+        ["--experiment", "estimation-error", "--n-grid", "2", "--kappa",
+         "1e304", "--snr-db", "50", "--samples", "1000"],
+        ["--experiment", "capacity-vs-kappa", "--n-grid", "2", "--kappa",
+         "1e308", "--samples", "1000"]])
     def test_grid_the_run_would_not_honour_is_rejected(self, argv, capsys,
                                                        monkeypatch):
         def no_run(cfg):

@@ -410,10 +410,14 @@ class TestScaledIdentityMatchesDense:
         agree(lambda cfg: lower_bound_mc(cfg, dl, 1000, 3), value_and_se)
 
     @pytest.mark.parametrize("c_r, c_s, p_ut", [(1.0, 1e-140, 1.0),
-                                               (915.0, 1e-3, 197.0)])
+                                               (915.0, 1e-3, 197.0),
+                                               (1.0, 1e-160, 1.0),
+                                               (1.0, 1e-200, 1.0)])
     def test_mse_matches_extended_precision(self, c_r, c_s, p_ut):
         # h_hat - h cancels at these points: it rounds to 0 at the first,
-        # and its standard error is 7e-13 off at the second. The chain's
+        # and its standard error is 7e-13 off at the second. At the last
+        # two the squared deviations of the errors fall below the normal
+        # range, where a plain spread loses digits or reads 0. The chain's
         # own draws give e = d* g nu - q h (kappa = 0) in extended
         # precision, with g = c_r / m, q = c_s / m and m = p c_r + c_s
         for r, s in ((CovarianceMatrix.identity(1).scaled(c_r),

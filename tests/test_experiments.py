@@ -89,11 +89,16 @@ class TestExperimentConfig:
         ("workers", True, "workers must be an integer"),
         ("seed", False, "seed must be an integer"),
         ("n_samples", True, "n_samples must be an integer"),
-        ("n_grid", [4, True], "n_grid values must be integers")])
+        ("n_grid", [4, True], "n_grid values must be integers"),
+        ("snr_db", [True], "snr_db values must be finite"),
+        ("kappa", [True], "kappa values must be in"),
+        ("kappa", [0.0, np.False_], "kappa values must be in"),
+        ("t", [False], "t values must be finite")])
     def test_rejects_bools(self, field, value, message):
-        # bool is a numbers.Integral, but True is no count or seed
+        # bool is a numbers.Integral, but True is no count, seed or grid value
+        experiment = "energy-efficiency" if field == "t" else "capacity-vs-n"
         with pytest.raises(ValueError, match=message):
-            ExperimentConfig(experiment="capacity-vs-n", **{field: value})
+            ExperimentConfig(experiment=experiment, **{field: value})
 
     @pytest.mark.parametrize("experiment, grid", [
         (e, g) for e in EXPERIMENTS for g in ("n_grid", "snr_db", "kappa", "t")
@@ -117,6 +122,17 @@ class TestExperimentConfig:
             repeated = [default[0], default[-1], default[0]]
             with pytest.raises(ValueError, match=f"{grid} values must be distinct"):
                 ExperimentConfig(experiment=experiment, **{grid: repeated})
+
+    def test_pilot_power_near_float_limit_raises(self):
+        # p = 10^307.5 at kappa = 1: the empirical MSE overflows, and the
+        # estimate refuses it rather than write inf into the table
+        cfg = small_config("estimation-error", n_grid=[2], kappa=[1.0],
+                           snr_db=[3075.0])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # kappa above 0.03
+            with pytest.raises(ValueError, match="must be finite"):
+                run_experiment(cfg)
 
     def test_unset_grid_resolves_to_default(self):
         cfg = ExperimentConfig(experiment="estimation-error")

@@ -112,6 +112,19 @@ class TestPsdFactor:
         L = psd_factor(CovarianceMatrix(m))
         np.testing.assert_allclose(L @ L.conj().T, m, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_reconstructs_every_kind(self, n):
+        kms = exponential_correlation(n, 0.95)
+        for cov in (CovarianceMatrix.identity(n),
+                    CovarianceMatrix.identity(n).scaled(3.0),
+                    kms, kms.scaled(3.0), kms.scaled(1e-3),
+                    CovarianceMatrix(kms.matrix).scaled(3.0),
+                    nearly_psd(np.ones((n, n)), scale=n)):
+            f = cov.factor
+            np.testing.assert_allclose(
+                f @ f.conj().T, cov.matrix, rtol=0.0,
+                atol=1e-13 * n * cov.max_eigenvalue)
+
 
 class TestStoredEigendecomposition:
     def test_constant_diagonal(self):
@@ -173,34 +186,56 @@ class TestKmsTag:
         assert CovarianceMatrix.identity(3).kms_rho is None
         assert CovarianceMatrix(np.eye(3)).kms_rho is None
 
-    @pytest.mark.parametrize("n", [1, 2, 7])
-    @pytest.mark.parametrize("rho", [0.0, 0.7])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    @pytest.mark.parametrize("rho", [0.0, 0.7, 0.95])
     def test_arrays_are_the_dense_ones(self, n, rho):
-        # the bits of the dense matrix built from the same expression, and
-        # of its eigendecomposition; scaled copies share V and scale w
-        r = exponential_correlation(n, rho)
+        # c K is a dense matrix built late: the bits of the dense matrix
+        # built from the same expression, of its eigendecomposition and of
+        # its factor V sqrt(w), each kept once formed
         idx = np.arange(n)
-        m = rho ** np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
-        dense = CovarianceMatrix(m)
-        assert r.matrix is r.matrix and not r.matrix.flags.writeable
-        assert _same_bits(r.matrix, dense.matrix)
-        assert _same_bits(r.eigenvalues, dense.eigenvalues)
-        assert _same_bits(r.eigenvectors, dense.eigenvectors)
-        c = r.scaled(3.0)
-        assert c.eigenvectors is r.eigenvectors
-        assert _same_bits(c.eigenvalues, 3.0 * r.eigenvalues)
-        assert _same_bits(c.matrix, 3.0 * r.matrix)
-        assert c.max_eigenvalue == 3.0 * r.max_eigenvalue
+        k = rho ** np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
+        for c in (1.0, 3.0, 1e-3):
+            r = exponential_correlation(n, rho).scaled(c)
+            dense = CovarianceMatrix(c * k)
+            for name in ("matrix", "eigenvalues", "eigenvectors", "factor"):
+                a = getattr(r, name)
+                assert a is getattr(r, name) and not a.flags.writeable
+                assert _same_bits(a, getattr(dense, name))
+            assert r.max_eigenvalue == dense.max_eigenvalue
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64])
     @pytest.mark.parametrize("rho", [0.0, 0.7, 0.95])
     def test_factor_is_cholesky(self, n, rho):
+        # c K's ``factor`` is V sqrt(w); the factor sample_cn applies to
+        # its unit draws is the lower Cholesky factor, run as a recursion.
+        # Fed re = I and im = 0, it returns that factor's transpose / sqrt(2)
+        class UnitDraws:
+            def standard_normal(self, shape=None, out=None):
+                if out is None:
+                    return np.eye(n)
+                out[...] = 0.0
+                return out
+
         r = exponential_correlation(n, rho).scaled(2.0)
-        f = r.factor
-        assert not f.flags.writeable
+        f = sample_cn(r, UnitDraws(), n).T
+        assert np.array_equal(f.imag, np.zeros((n, n)))
         assert np.array_equal(f, np.tril(f))
-        np.testing.assert_allclose(f, np.linalg.cholesky(r.matrix),
+        np.testing.assert_allclose(f * np.sqrt(2.0),
+                                   np.linalg.cholesky(r.matrix),
                                    rtol=0.0, atol=1e-14)
+
+    def test_scaled_copy_keeps_its_own_arrays(self):
+        # after first use, c K holds its matrix, V and factor and nothing
+        # else: no copy of K's arrays rides along
+        n = 512
+        tracemalloc.start()
+        try:
+            r = exponential_correlation(n, 0.7).scaled(2.0)
+            r.matrix, r.eigenvectors, r.factor
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained <= 3 * n * n * 16 + 100_000
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64])
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 0.99])
