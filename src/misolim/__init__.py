@@ -31,6 +31,7 @@ from .capacity import (
     capacity_ideal_jensen,
     capacity_upper_bound,
     lower_bound_asymptotic,
+    lower_bound_iid,
     lower_bound_mc,
     lower_bound_mc_batch,
     lower_limit_scaled_power,

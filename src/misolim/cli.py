@@ -61,8 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--experiment", choices=EXPERIMENTS)
     parser.add_argument("--seed", type=int, help="master 64-bit seed (default 1)")
     parser.add_argument("--samples", type=int, dest="n_samples",
-                        help="Monte-Carlo samples per grid point "
-                             "(default: 10000 for N <= 256, else 1000)")
+                        help="Monte-Carlo samples per grid point of the "
+                             "experiments that sample (default: 10000 for "
+                             "N <= 256, else 1000); the capacity "
+                             "experiments draw nothing")
     parser.add_argument("--out", help="output CSV path (default: stdout)")
     parser.add_argument("--n-grid", type=_list_of(int),
                         help="antenna counts, e.g. 1,2,4,...,1024")
@@ -146,7 +148,13 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rows = run_experiment(cfg)
+    try:
+        rows = run_experiment(cfg)
+    except ValueError as exc:
+        # a value that only the sweep finds out of range, such as an
+        # estimate that overflows: one line, as for a rejected config
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if cfg.out:
         write_csv(rows, cfg.out)
         print(f"wrote {len(rows)} rows to {cfg.out}", file=sys.stderr)

@@ -7,13 +7,16 @@ Each experiment reproduces one of the standard performance figures:
 * ``capacity-vs-kappa``  -- capacity bounds vs base-station impairments
 * ``energy-efficiency``  -- bits/Joule under 1/N^t power scaling
 
-Output columns are fixed, in CSV_COLUMNS order; analytic metrics leave
-std_error empty. Tables are byte-identical given (config, seed),
-regardless of worker count: ``_sweep`` runs the grid points that share an
-array size N on one Monte-Carlo draw set, seeded by derive_seed(seed, N),
-and writes rows in grid order. The workers are processes that share the
-Monte-Carlo chunks of each draw set, chunk j drawn from its own substream
-whatever process runs it (``estimation._map_chunks``).
+Output columns are fixed, in CSV_COLUMNS order; closed-form metrics leave
+std_error empty, and the capacity experiments' capacity_lower, a
+quadrature, writes 0: those two experiments draw nothing, so their rows
+depend on neither the seed nor the sample count. Tables are
+byte-identical given (config, seed), regardless of worker count:
+``_sweep`` runs the grid points that share an array size N on one
+Monte-Carlo draw set, seeded by derive_seed(seed, N), and writes rows in
+grid order. The workers are processes that share the Monte-Carlo chunks
+of each draw set, chunk j drawn from its own substream whatever process
+runs it (``estimation._map_chunks``).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .capacity import (
     DownlinkConfig,
     capacity_ideal_jensen,
     capacity_upper_bound,
-    lower_bound_mc_batch,
+    lower_bound_iid,
     upper_limit_large_n,
 )
 from .energy import EnergyConfig, ee_points, warn_if_inadmissible
@@ -269,25 +272,26 @@ KAPPA_UT_FIXED = 0.05 ** 2
 def run_capacity(cfg: ExperimentConfig) -> list[tuple]:
     """capacity-vs-n sweeps one kappa at both ends of the link and adds the
     ideal-hardware curve and the large-array ceiling; capacity-vs-kappa
-    sweeps the BS level with the terminal level fixed at KAPPA_UT_FIXED."""
+    sweeps the BS level with the terminal level fixed at KAPPA_UT_FIXED.
+    Every metric is exact, the lower bound by ``lower_bound_iid``."""
     vs_n = cfg.experiment == "capacity-vs-n"
     (snr_db,) = cfg.snr_db
     ut = {k: k if vs_n else KAPPA_UT_FIXED for k in cfg.kappa}
     imps = {k: ImpairmentProfile(k, k, ut[k], ut[k]) for k in cfg.kappa}
 
     def one_n(n, n_samples, seed):
+        # the lower bound is computed, not sampled: n_samples and seed
+        # go unused, and its standard error is 0
         r = s = CovarianceMatrix.identity(n)
         p = _pilot_power(snr_db, n)
         sigma2 = s.trace() / n  # per-antenna noise level
-        links = [(UplinkConfig(r=r, s=s, p_ut=p, imp=imps[k]),
-                  DownlinkConfig(p_bs=p, sigma2_ut=sigma2, imp=imps[k]))
-                 for k in imps]
-        ests = lower_bound_mc_batch(links, n_samples, seed, cfg.workers)
         out = {}
-        for kappa_bs, (_, dl), est in zip(imps, links, ests):
+        for kappa_bs, imp in imps.items():
             kappa_ut = ut[kappa_bs]
+            ul = UplinkConfig(r=r, s=s, p_ut=p, imp=imp)
+            dl = DownlinkConfig(p_bs=p, sigma2_ut=sigma2, imp=imp)
             metrics = [("capacity_upper", capacity_upper_bound(r, dl), None),
-                       ("capacity_lower", est.value, est.std_error)]
+                       ("capacity_lower", lower_bound_iid(ul, dl), 0.0)]
             if vs_n:
                 metrics += [
                     ("capacity_ideal", capacity_ideal_jensen(r, dl), None),

@@ -1,6 +1,9 @@
 """Downlink simulation, beamforming, and capacity-bound tests."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -10,6 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.laguerre import laggauss
 from scipy import integrate
 
 from misolim import capacity, estimation, randmat
@@ -21,6 +26,7 @@ from misolim.capacity import (
     capacity_ideal_jensen,
     capacity_upper_bound,
     lower_bound_asymptotic,
+    lower_bound_iid,
     lower_bound_mc,
     lower_bound_mc_batch,
     lower_limit_scaled_power,
@@ -741,6 +747,147 @@ class TestLowerBoundAsymptotic:
         ul, dl = link(4, "kms", p, 0.01)
         rate = lower_bound_asymptotic(ul, dl)
         assert math.isfinite(rate) and rate >= 0.0
+
+
+def iid_link(n, p, kappas, c=1.0, s=1.0, d=None, p_bs=None, sigma2=1.0):
+    """(ul, dl) with R = c I and S = s I, both tagged, pilot power p, the
+    levels kappas = (kt_bs, kr_bs, kt_ut, kr_ut) and p_bs = p unless
+    given."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # kappa above the typical range
+        imp = ImpairmentProfile(*kappas)
+    ul = UplinkConfig(r=CovarianceMatrix.identity(n).scaled(c),
+                      s=CovarianceMatrix.identity(n).scaled(s), p_ut=p,
+                      imp=imp, d=d)
+    return ul, DownlinkConfig(p_bs=p if p_bs is None else p_bs,
+                              sigma2_ut=sigma2, imp=imp)
+
+
+class TestGaussRule:
+    @pytest.mark.parametrize("family, n", [("hermite", 8), ("hermite", 40),
+                                           ("laguerre", 24),
+                                           ("laguerre", 64)])
+    def test_matches_numpy(self, family, n):
+        x, w = capacity._gauss_rule(family, n)
+        want_x, want_w = (hermgauss(n) if family == "hermite"
+                          else laggauss(n))
+        if family == "hermite":
+            want_w = want_w / math.sqrt(math.pi)
+        np.testing.assert_allclose(x, want_x, rtol=1e-12, atol=1e-13)
+        # relative to each weight, the smallest included
+        np.testing.assert_allclose(w, want_w, rtol=1e-10, atol=0.0)
+
+    def test_built_once_and_read_only(self):
+        x, w = capacity._gauss_rule("laguerre", 24)
+        assert capacity._gauss_rule("laguerre", 24)[0] is x
+        assert not (x.flags.writeable or w.flags.writeable)
+        with pytest.raises(ValueError, match="unknown"):
+            capacity._gauss_rule("legendre", 4)
+
+    def test_no_rule_built_at_import(self):
+        code = ("import sys, misolim, misolim.cli; "
+                "from misolim.capacity import _gauss_rule; "
+                "sys.exit(_gauss_rule.cache_info().currsize)")
+        src = os.path.dirname(os.path.dirname(capacity.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + path
+                   if path else src)
+        assert subprocess.run([sys.executable, "-c", code], env=env,
+                              timeout=120).returncode == 0
+
+
+# Rules finer than ``lower_bound_iid``'s along every axis
+_FINER_IID = dict(_IID_HERMITE_NODES=16, _LAGUERRE_NODES=48,
+                  _LOG_T_NODES=400, _LOG_T_WINDOW=(-35.0, 25.0))
+
+
+def _finer_iid(monkeypatch, ul, dl, **rules):
+    with monkeypatch.context() as m:
+        for name, value in {**_FINER_IID, **rules}.items():
+            m.setattr(capacity, name, value)
+        return lower_bound_iid(ul, dl)
+
+
+class TestLowerBoundIid:
+    """The exact lower bound for R = c I and S = s I; its kappa = 0 closed
+    forms are in tests/test_lower_bound_oracle.py."""
+
+    @pytest.mark.parametrize("vs_kappa", [False, True])
+    @pytest.mark.parametrize("kappa", [0.0025, 0.0225])
+    @pytest.mark.parametrize("n", [1, 4, 64, 1024])
+    def test_matches_a_finer_rule(self, monkeypatch, n, kappa, vs_kappa):
+        # the two capacity runs' links at 20 dB: every level kappa, or the
+        # BS levels kappa with the terminal's at 0.0025
+        ut = 0.0025 if vs_kappa else kappa
+        ul, dl = iid_link(n, 100.0, (kappa, kappa, ut, ut))
+        got = lower_bound_iid(ul, dl)
+        assert abs(got - _finer_iid(monkeypatch, ul, dl)) <= 1e-6
+
+    @pytest.mark.parametrize("n", [1, 4, 64, 1024])
+    def test_error_at_kappa_one(self, monkeypatch, n):
+        # E[g | zeta] turns sharply near zeta = -1, which the 8-node rule
+        # resolves to within 1e-3 bits (measured: at most 9.6e-4)
+        ul, dl = iid_link(n, 100.0, (1.0,) * 4)
+        want = _finer_iid(monkeypatch, ul, dl, _IID_HERMITE_NODES=24)
+        assert abs(lower_bound_iid(ul, dl) - want) <= 2e-3
+
+    @pytest.mark.parametrize("case", [
+        # (n, c, s, p, kappas, p_bs, sigma2, d)
+        (1, 1.0, 1.0, 100.0, (0.0025, 0.01, 0.0225, 0.01), 100.0, 1.0,
+         None),
+        (4, 2.0, 0.5, 3.0, (0.01, 0.0225, 0.01, 0.0), 3.0, 0.5,
+         math.sqrt(3.0) * complex(math.cos(1.1), math.sin(1.1))),
+        (64, 0.5, 2.0, 1.0, (0.0225, 0.0225, 0.0225, 0.0025), 1.0, 2.0,
+         None),
+        (256, 1.0, 1.0, 100.0, (0.0025,) * 4, 100.0, 1.0, None),
+    ])
+    def test_matches_monte_carlo(self, case):
+        # within Z = 5 standard errors on a fixed seed, Z fixed before
+        # any draw was looked at
+        n, c, s, p, kappas, p_bs, sigma2, d = case
+        ul, dl = iid_link(n, p, kappas, c=c, s=s, d=d, p_bs=p_bs,
+                          sigma2=sigma2)
+        mc = lower_bound_mc(ul, dl, 20_000, seed=17)
+        assert abs(lower_bound_iid(ul, dl) - mc.value) <= 5.0 * mc.std_error
+
+    def test_depends_on_d_only_through_its_modulus(self):
+        kappas = (0.01, 0.0225, 0.01, 0.0025)
+        real = lower_bound_iid(*iid_link(4, 3.0, kappas))
+        for phase in (0.5, math.pi / 2, 3.0):
+            d = math.sqrt(3.0) * complex(math.cos(phase), math.sin(phase))
+            assert lower_bound_iid(*iid_link(4, 3.0, kappas, d=d)) == real
+
+    def test_draws_nothing(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("substream called")
+
+        monkeypatch.setattr(randmat, "substream", no_draws)
+        monkeypatch.setattr(estimation, "substream", no_draws)
+        ul, dl = iid_link(64, 100.0, (0.0025,) * 4)
+        assert lower_bound_iid(ul, dl) == lower_bound_iid(ul, dl)
+
+    @pytest.mark.parametrize("p", [1e-300, 1e300])
+    @pytest.mark.parametrize("kappa", [0.0, 0.0225, 1.0])
+    def test_extreme_powers_give_finite_rates(self, p, kappa):
+        for n in (1, 1024):
+            rate = lower_bound_iid(*iid_link(n, p, (kappa,) * 4))
+            assert math.isfinite(rate) and rate >= 0.0
+
+    def test_rejects_other_links(self):
+        n, imp = 4, ImpairmentProfile.uniform(0.0025)
+        dl = DownlinkConfig(p_bs=1.0, sigma2_ut=1.0, imp=imp)
+        eye = CovarianceMatrix.identity(n)
+        for r, s in ((exponential_correlation(n, 0.7), eye),
+                     (eye, CovarianceMatrix(np.eye(n))),
+                     (CovarianceMatrix(np.eye(n)), eye)):
+            ul = UplinkConfig(r=r, s=s, p_ut=1.0, imp=imp)
+            with pytest.raises(ValueError, match="c I"):
+                lower_bound_iid(ul, dl)
+        with pytest.raises(ValueError, match="pilot power"):
+            lower_bound_iid(UplinkConfig(r=eye, s=eye, p_ut=0.0), dl)
+        with pytest.raises(ValueError, match="R is 0"):
+            lower_bound_iid(UplinkConfig(r=eye.scaled(0.0), s=eye, p_ut=1.0),
+                            dl)
 
 
 class TestZeroPilotPower:

@@ -263,6 +263,22 @@ def test_out_of_range_power_rejected_before_work(argv):
     assert "Traceback" not in done.stderr and done.stdout == ""
 
 
+def test_value_error_in_sweep_ends_in_one_line():
+    # every grid value is valid, but the estimate of the N = 2 point
+    # overflows: one error line after that point's progress line, no
+    # traceback, and nothing written to stdout
+    argv = ["--experiment", "estimation-error", "--n-grid", "2", "--kappa",
+            "1", "--snr-db", "3075", "--samples", "1000"]
+    done = subprocess.run([sys.executable, "-W", "ignore", "-m",
+                           "misolim.cli", *argv], env=_env_with_src(),
+                          capture_output=True, text=True, timeout=120)
+    err = done.stderr.splitlines()
+    assert done.returncode == 2
+    assert err == ["estimation-error: N=2 (1 points)", err[-1]]
+    assert err[-1].startswith("error: ") and "finite" in err[-1]
+    assert done.stdout == ""
+
+
 # Runs one tiny point of each experiment through cli.main in a fresh
 # interpreter and prints, as JSON, the modules each run_experiment call
 # imported and whether scipy was ever loaded.

@@ -1,5 +1,6 @@
 """Experiment driver and CSV determinism tests."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -12,12 +13,14 @@ import numpy as np
 import pytest
 
 import misolim
+from misolim import estimation
 from misolim.experiments import (
     CSV_COLUMNS,
     EXPERIMENTS,
     GRIDS,
     ExperimentConfig,
     _sweep,
+    csv_text,
     db_to_linear,
     run_experiment,
     write_csv,
@@ -287,6 +290,10 @@ class TestDeterminism:
     def test_seed_change_moves_mc_columns_only(self, experiment):
         t1 = run_experiment(small_config(experiment, seed=1))
         t2 = run_experiment(small_config(experiment, seed=2))
+        if experiment.startswith("capacity-"):
+            # every row is exact: the capacity runs draw nothing
+            assert csv_text(t1) == csv_text(t2)
+            return
         assert len(t1) == len(t2)
         changed = 0
         for r1, r2 in zip(t1, t2):
@@ -363,6 +370,23 @@ class TestCapacityRuns:
             assert rec["value"] <= upper + 3 * rec["std_error"]
             ceiling = values(table, "ceiling_large_n", n=rec["n"])[0][7]
             assert upper <= ceiling + 1e-9
+
+    @pytest.mark.parametrize("experiment", ["capacity-vs-n",
+                                            "capacity-vs-kappa"])
+    def test_draws_nothing(self, experiment, monkeypatch):
+        # the lower bound is a quadrature with standard error 0: no
+        # Monte-Carlo chunk runs, and the sample count reaches no row
+        def no_chunks(*args, **kwargs):
+            raise AssertionError("a Monte-Carlo chunk map ran")
+
+        monkeypatch.setattr(estimation, "_map_chunks", no_chunks)
+        cfg = small_config(experiment, n_grid=[1, 16])
+        table = run_experiment(cfg)
+        more = run_experiment(dataclasses.replace(cfg, n_samples=5000))
+        assert csv_text(table) == csv_text(more)
+        lower = values(table, "capacity_lower")
+        assert lower and all(r[CSV_COLUMNS.index("std_error")] == 0.0
+                             for r in lower)
 
     def test_vs_kappa_fixed_terminal_level(self):
         cfg = small_config("capacity-vs-kappa", n_grid=[4],

@@ -25,9 +25,10 @@ still, and with ||h_hat||^2 = sum_k mu_k E_k for iid E_k ~ Exp(1),
 from sqrt(q) = (1 / (2 sqrt(pi))) int_0^inf (1 - e^(-t q)) t^(-3/2) dt and
 E e^(-t ||h_hat||^2) = prod_k (1 + t mu_k)^-1.
 
-Each test compares a sample mean, or the estimate, with its exact value
-within Z standard errors, on fixed seeds; Z was fixed before any draw
-was looked at.
+Each Monte-Carlo test compares a sample mean, or the estimate, with its
+exact value within Z standard errors, on fixed seeds; Z was fixed before
+any draw was looked at. The same closed forms check the quadrature of
+``capacity.lower_bound_iid``, which the capacity runs write.
 """
 
 import csv
@@ -38,8 +39,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from misolim.capacity import DownlinkConfig, _mrt_stats, lower_bound_mc
+from misolim.capacity import (
+    DownlinkConfig,
+    _iid_moments,
+    _mrt_stats,
+    lower_bound_iid,
+    lower_bound_mc,
+)
 from misolim.estimation import ImpairmentProfile, UplinkConfig, pilot_chain
+from misolim.experiments import N_GRID_POW2
 from misolim.randmat import CovarianceMatrix, exponential_correlation
 
 Z = 5.0
@@ -138,9 +146,29 @@ def test_rate(case, link):
     assert abs(est.value - want) <= Z * est.std_error, (est, want)
 
 
+# Relative tolerance of the quadrature against the closed forms, fixed
+# before any output was looked at. The moments: each rule is exact or
+# converges geometrically, so only roundoff is left, a few hundred ulps
+# over the 160 log-t nodes. The rate: its SINR denominator E|g|^2 - |E g|^2
+# cancels up to about 4N of the moments' roundoff at 20 dB, 2.6e-12
+# relative on a 7-bit rate at N = 64.
+QUAD_REL = 1e-8
+RATE_REL = 1e-9
+
+
+@pytest.mark.parametrize("n", N_GRID_POW2 + (8192,))
+@pytest.mark.parametrize("c, s, p", [(1.0, 1.0, 100.0), (2.0, 0.5, 3.0),
+                                     (0.5, 2.0, 1.0)])
+def test_quadrature_gives_the_closed_forms(n, c, s, p):
+    got = _iid_moments(uplink(n, c, s, p))
+    np.testing.assert_allclose(got, oracle(n, c, s, p), rtol=QUAD_REL,
+                               atol=0.0)
+
+
 def test_golden_ideal_rows():
     # the kappa = 0 capacity_lower rows of capacity-vs-n: R = S = I and
-    # pilot and data power 100 (20 dB), every level 0
+    # pilot and data power 100 (20 dB), every level 0; exact, so their
+    # standard error is 0
     with open(GOLDEN, newline="", encoding="utf-8") as fh:
         rows = [r for r in csv.DictReader(fh)
                 if r["metric"] == "capacity_lower"
@@ -149,7 +177,17 @@ def test_golden_ideal_rows():
     for r in rows:
         case = (int(r["n"]), 1.0, 1.0, 100.0)
         want = oracle_rate(case, 100.0, 1.0, 0.0, 0.0)
-        assert abs(float(r["value"]) - want) <= Z * float(r["std_error"]), r
+        assert float(r["value"]) == pytest.approx(want, rel=RATE_REL), r
+        assert r["std_error"] == "0", r
+
+
+@pytest.mark.parametrize("case, link", zip(CASES, DOWNLINKS))
+def test_exact_rate(case, link):
+    p_bs, sigma2_ut, kt, kr = link
+    dl = DownlinkConfig(p_bs=p_bs, sigma2_ut=sigma2_ut,
+                        imp=ImpairmentProfile(kappa_t_bs=kt, kappa_r_ut=kr))
+    assert lower_bound_iid(uplink(*case), dl) == pytest.approx(
+        oracle_rate(case, *link), rel=RATE_REL)
 
 
 def test_quadrature_gives_the_gamma_ratio():
