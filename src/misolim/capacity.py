@@ -153,10 +153,10 @@ def capacity_upper_bound(r: CovarianceMatrix, dl: DownlinkConfig) -> float:
     bits per channel use.
 
     G sums one antenna term per diagonal entry of R; at kappa_t_bs = 0 it
-    collapses to the analytic limit p * tr(R) / sigma^2. A scaled identity
-    R = c I has one term, counted N times.
+    collapses to the analytic limit p * tr(R) / sigma^2. R = c I and
+    R = c K_rho (by their tags) have one term, counted N times.
     """
-    scale = r.identity_scale
+    scale = r.constant_diagonal
     diag = r.diagonal() if scale is None else np.float64(scale)
     if np.any(diag <= 0.0):
         raise ValueError("channel covariance has a zero diagonal entry")

@@ -80,6 +80,13 @@ class UplinkConfig:
     def __post_init__(self):
         if not (self.p_ut >= 0.0) or not math.isfinite(self.p_ut):
             raise ValueError(f"pilot power must be a nonnegative real, got {self.p_ut}")
+        # M = p (1 + kappa_t_ut) R + p kappa_r_bs diag(R) + S is formed
+        # from these two products; an infinite one gives a nan MSE or a 0
+        # filter on the tagged paths, not an error
+        if not (math.isfinite(self.p_ut * (1.0 + self.imp.kappa_t_ut))
+                and math.isfinite(self.p_ut * self.imp.kappa_r_bs)):
+            raise ValueError("pilot power times (1 + kappa_t_ut) and times "
+                             "kappa_r_bs must be finite")
         if self.r.dim != self.s.dim:
             raise ValueError(
                 f"covariance dimensions differ: R is {self.r.dim}, S is {self.s.dim}"
@@ -280,8 +287,8 @@ def _standard_draws(s: CovarianceMatrix, h: np.ndarray,
     """What the uplink distortion and noise of a (count, N) batch of channels
     are made of, drawn in this order: w_t ~ CN(0, 1) per row, nu ~ CN(0, S),
     and |h| w_r with w_r ~ CN(0, 1) per entry. The MSE chain draws these
-    for any S, the lower bound's chain only for an S that is not diagonal
-    (see ``_diagonal_draws``)."""
+    for any S, the lower bound's chain for any S not tagged s I (see
+    ``_diagonal_draws``)."""
     count, n = h.shape
     w_t = sample_scalar_cn(1.0, rng, size=count)
     nu = sample_cn(s, rng, size=count)
@@ -307,12 +314,12 @@ def _squared_moduli(h: np.ndarray) -> np.ndarray:
 
 def _diagonal_draws(r: CovarianceMatrix, s: CovarianceMatrix, count: int,
                     rng: np.random.Generator):
-    """(h, w_t, |h|^2, u) for a diagonal S, drawn in this order: h ~ CN(0,
-    R) of count rows, w_t ~ CN(0, 1) per row and u ~ CN(0, 1) per entry,
-    in h's memory layout. Given h, nu + eta_r is CN(0, S + kappa_r_bs p
-    diag(|h_i|^2)), independent across antennas when S is diagonal, so
+    """(h, w_t, |h|^2, u) for S = s I (by its tag), drawn in this order:
+    h ~ CN(0, R) of count rows, w_t ~ CN(0, 1) per row and u ~ CN(0, 1)
+    per entry, in h's memory layout. Given h, nu + eta_r is CN(0, s I +
+    kappa_r_bs p diag(|h_i|^2)), independent across antennas, so
     ``_observe_diagonal`` forms it from u alone: one draw per antenna in
-    place of the two of ``_standard_draws``. S itself is read per config;
+    place of the two of ``_standard_draws``. s itself is read per config;
     it is a parameter for the draw signature that ``pilot_chain`` shares
     with ``_draw_chunk``."""
     h = sample_cn(r, rng, size=count)
@@ -330,13 +337,9 @@ def _diagonal_draws(r: CovarianceMatrix, s: CovarianceMatrix, count: int,
 
 def _observe_diagonal(cfg: UplinkConfig, h: np.ndarray, w_t: np.ndarray,
                       h2: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """z = h (d + eta_t) + sqrt(s_i + kappa_r_bs p |h_i|^2) u, from
-    ``_diagonal_draws``, with s_i the diagonal of S."""
-    # a scalar when the diagonal is constant: an N-vector per config and
-    # tile moved ee-scaling-mt's peak RSS from 45.7 to 46.2 MB
-    s = cfg.s.constant_diagonal
-    if s is None:
-        s = cfg.s.diagonal()
+    """z = h (d + eta_t) + sqrt(s + kappa_r_bs p |h_i|^2) u, from
+    ``_diagonal_draws``, for S = s I."""
+    s = cfg.s.identity_scale
     kr_p = cfg.imp.kappa_r_bs * cfg.p_ut
     z = u * np.sqrt(s if kr_p == 0.0 else kr_p * h2 + s)
     z += h * (cfg.d + math.sqrt(cfg.imp.kappa_t_ut * cfg.p_ut) * w_t)[:, None]
@@ -577,11 +580,11 @@ def pilot_chain(cfgs, n_samples: int, seed: int, stat,
     ``substream(seed, j)`` (``_map_chunks``), and forms h2 once; every
     config scales those same draws by its own p and kappa and applies its
     own filter, tile by tile. So config i gives the same bits in any batch
-    and with any tile size. For a diagonal S
-    (``CovarianceMatrix.is_diagonal``) the noise and array distortion are
-    one draw u per antenna (``_diagonal_draws``), else nu and |h| w_r
-    (``_standard_draws``), as in ``empirical_mse_batch``; the two chains
-    share h and w_t only.
+    and with any tile size. When S is tagged s I (``identity_scale``), the
+    noise and array distortion are one draw u per antenna
+    (``_diagonal_draws``), else nu and |h| w_r (``_standard_draws``), as in
+    ``empirical_mse_batch``; the two chains share h and w_t only. A dense
+    S takes the standard draws, diagonal or not.
 
     Each config's filter is formed once, before the first chunk:
     - R = c K_rho (``exponential_correlation``) and S = s I: a tridiagonal
@@ -595,14 +598,15 @@ def pilot_chain(cfgs, n_samples: int, seed: int, stat,
         raise ValueError("a pilot chain needs at least one sample")
     apply, filters, step = _chain_filters(cfgs)
     r, s = cfgs[0].r, cfgs[0].s
-    if s.is_diagonal:
+    one_draw = s.identity_scale is not None
+    if one_draw:
         draw, observe = _diagonal_draws, _observe_diagonal
     else:
         draw, observe = _draw_chunk, _observe
 
     def rows(count, rng):
         chunk = draw(r, s, count, rng)
-        h2 = chunk[2] if s.is_diagonal else _squared_moduli(chunk[0])
+        h2 = chunk[2] if one_draw else _squared_moduli(chunk[0])
         out = [[] for _ in cfgs]
         for a in range(0, count, step):
             tile = [x[a:a + step] for x in chunk]

@@ -34,11 +34,12 @@ class CovarianceMatrix:
     that eigendecomposition M = V diag(w) V^H: ``eigenvalues`` w ascending,
     paired with the columns of ``eigenvectors`` V. ``factor`` =
     V sqrt(max(w, 0)), formed on first use, so factor @ factor^H = M even
-    for singular M. ``constant_diagonal`` is r0 when every diagonal entry
-    equals r0, else None; ``is_diagonal`` says whether every off-diagonal
-    entry is exactly 0. All arrays are read-only.
+    for singular M. All arrays are read-only. A matrix built from entries
+    is dense: nothing reads its entries for structure.
 
-    Two structured kinds store parameters, not arrays:
+    Two structured kinds store parameters, not arrays, and their tags are
+    the only source of structure; ``constant_diagonal`` is their c, and
+    None for a dense matrix:
 
     * ``identity(n)`` and its ``scaled`` copies are c I and store (n, c):
       ``identity_scale`` is c. Their arrays are built on each access.
@@ -51,8 +52,7 @@ class CovarianceMatrix:
       from them as for any dense matrix.
     """
 
-    _scale = None
-    _rho = None
+    _scale = _rho = _diag0 = None
     _m = _eigh = _factor = None
 
     def __init__(self, matrix) -> None:
@@ -77,12 +77,9 @@ class CovarianceMatrix:
     def _store(self, m, eig, v) -> "CovarianceMatrix":
         for a in (m, eig, v):
             a.flags.writeable = False
-        diag = np.diagonal(m).real
         self._n = m.shape[0]
         self._m = m
         self._eigh = eig, v
-        self._diag0 = float(diag[0]) if np.all(diag == diag[0]) else None
-        self._diagonal = bool(np.count_nonzero(m) == np.count_nonzero(diag))
         return self
 
     @classmethod
@@ -119,16 +116,8 @@ class CovarianceMatrix:
         return self._rho
 
     @property
-    def is_diagonal(self) -> bool:
-        """Whether every off-diagonal entry is exactly 0: c I, c K_rho
-        with rho = 0, or a dense matrix that is so."""
-        if self._scale is not None:
-            return True
-        return self._diagonal if self._rho is None else self._rho == 0.0
-
-    @property
     def constant_diagonal(self) -> float | None:
-        """r0 when every diagonal entry equals r0, None otherwise."""
+        """c for c I and c K_rho, by their tags; None for a dense matrix."""
         return self._scale if self._scale is not None else self._diag0
 
     @property

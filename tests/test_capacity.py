@@ -268,6 +268,19 @@ class TestCapacityUpperBound:
         b = capacity_upper_bound(r, make_dl(kt_bs=1e-10, kr_ut=0.0025))
         assert abs(a - b) <= 1e-6
 
+    @pytest.mark.parametrize("kt", [0.0, 0.0025])
+    def test_tagged_r_has_one_term(self, kt):
+        # c K_rho, like c I, has one antenna term counted N times by its
+        # tag; its dense copy sorts N equal terms to the same rate
+        r = exponential_correlation(64, 0.7).scaled(2.5)
+        dl = make_dl(p=100.0, sig2=1.0, kt_bs=kt, kr_ut=0.0025)
+        with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            fast = capacity_upper_bound(r, dl)
+            assert unique.call_count == 0
+            dense = capacity_upper_bound(CovarianceMatrix(r.matrix), dl)
+            assert unique.call_count == (1 if kt else 0)
+        assert fast == pytest.approx(dense, rel=1e-12)
+
     def test_monotone_and_capped_in_n(self):
         kappa = 0.0025
         ceiling = upper_limit_large_n(kappa)

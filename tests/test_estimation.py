@@ -102,6 +102,30 @@ class TestUplinkConfig:
             UplinkConfig(r=CovarianceMatrix.identity(2),
                          s=CovarianceMatrix.identity(3), p_ut=1.0)
 
+    @pytest.mark.parametrize("r", [exponential_correlation(2, 0.7),
+                                   CovarianceMatrix.identity(2),
+                                   CovarianceMatrix(np.eye(2))],
+                             ids=["kms", "identity", "dense"])
+    @pytest.mark.parametrize("levels", [(1e304, 1e304), (1e304, 0.0),
+                                        (0.0, 1e304)],
+                             ids=["both", "kappa_t_ut", "kappa_r_bs"])
+    def test_rejects_infinite_observation_powers(self, r, levels):
+        # p (1 + kappa_t_ut) or p kappa_r_bs overflows: the spectral path
+        # would return a nan MSE and the scalar one a 0 filter
+        with pytest.warns(UserWarning):
+            imp = ImpairmentProfile(kappa_t_ut=levels[0], kappa_r_bs=levels[1])
+        with pytest.raises(ValueError, match="must be finite"):
+            UplinkConfig(r=r, s=CovarianceMatrix.identity(2), p_ut=1e5, imp=imp)
+
+    def test_accepts_the_largest_finite_observation_powers(self):
+        # p = 10^307.5 with both levels 1: p (1 + kappa) = 6.3e307
+        with pytest.warns(UserWarning):
+            imp = ImpairmentProfile.uniform(1.0)
+        cfg = UplinkConfig(r=CovarianceMatrix.identity(2),
+                           s=CovarianceMatrix.identity(2), p_ut=10 ** 307.5,
+                           imp=imp)
+        assert np.isfinite(cfg.p_ut * (1.0 + cfg.imp.kappa_t_ut))
+
 
 class TestLmmseFilter:
     def test_classical_scalar_filter(self):
@@ -372,8 +396,10 @@ class TestScaledIdentityMatchesDense:
         fast = UplinkConfig(r=CovarianceMatrix.identity(n).scaled(c_r),
                             s=CovarianceMatrix.identity(n).scaled(c_s),
                             p_ut=p_ut, imp=imp)
-        dense = UplinkConfig(r=CovarianceMatrix(c_r * np.eye(n)),
-                             s=CovarianceMatrix(c_s * np.eye(n)),
+        # the dense twin keeps the tagged S, so that both lower bounds take
+        # the same one-draw disturbance; its dense R alone forces every
+        # Cholesky path
+        dense = UplinkConfig(r=CovarianceMatrix(c_r * np.eye(n)), s=fast.s,
                              p_ut=p_ut, imp=imp)
         dl = DownlinkConfig(p_bs=p_ut, sigma2_ut=c_s, imp=imp)
         assert fast.r.identity_scale == c_r and dense.r.identity_scale is None
@@ -449,7 +475,9 @@ class TestEigenbasisMatchesDense:
     the same draws (the AR(1) draws of R) the two agree within 1e-12
     relative; the per-antenna MSE and floor, means of differences of terms
     of order R, with a 1e-14 absolute floor. The filter, error covariance
-    and error floor of c K_rho take the Cholesky path on both sides."""
+    and error floor of c K_rho take the Cholesky path on both sides. The
+    untagged S takes the standard draws in the lower bound's chain, so its
+    estimates are compared on the tagged S's one-draw observations."""
 
     @given(n=st.integers(1, 64), rho=st.floats(0.0, 0.95, exclude_max=True),
            s=st.floats(1e-2, 1e2), p_ut=st.floats(1e-3, 1e6),
@@ -464,7 +492,6 @@ class TestEigenbasisMatchesDense:
         fast, dense = ([UplinkConfig(r=r, s=s_, p_ut=p, imp=imp_)
                         for p, imp_ in ((p_ut, imp), (10.0, ImpairmentProfile()))]
                        for s_ in (fast_s, dense_s))
-        dl = DownlinkConfig(p_bs=p_ut, sigma2_ut=s, imp=imp)
         assert r.constant_diagonal == 1.0 and r.kms_rho == rho
         with mock.patch.object(estimation, "_tridiagonal_solve",
                                wraps=_tridiagonal_solve) as solve:
@@ -491,9 +518,15 @@ class TestEigenbasisMatchesDense:
         for x, y in zip(empirical_mse_batch(fast, 1000, 3),
                         empirical_mse_batch(dense, 1000, 3)):
             agree((x.value, x.std_error), (y.value, y.std_error))
-        for x, y in zip(lower_bound_mc_batch([(c, dl) for c in fast], 1000, 3),
-                        lower_bound_mc_batch([(c, dl) for c in dense], 1000, 3)):
-            agree((x.value, x.std_error), (y.value, y.std_error))
+        # the tridiagonal estimates against the dense filter's, on the same
+        # observations; entries of h_hat cancel, so with the filter's floor
+        h, w_t, h2, u = estimation._diagonal_draws(r, fast_s, 1000,
+                                                   substream(3, 0))
+        for f, d in zip(fast, dense):
+            z = estimation._observe_diagonal(f, h, w_t, h2, u)
+            want = z @ lmmse_filter(d).T
+            agree(_tridiagonal_solve(z, _tridiagonal_filter(f)), want,
+                  floor=1e-12 * np.max(np.abs(want)))
 
     @given(n=st.integers(1, 64), rho=st.floats(0.0, 0.95, exclude_max=True),
            c=st.floats(1e-3, 1e3), s=st.floats(1e-2, 1e2),
@@ -605,23 +638,23 @@ class TestEigenbasisProperties:
 
 
 class TestOneDisturbanceDraw:
-    """With a diagonal S the lower bound's chain draws nu + eta_r as one
-    CN(0, s_i + kappa_r_bs p |h_i|^2) value per antenna; any other S, and
+    """With S tagged s I the lower bound's chain draws nu + eta_r as one
+    CN(0, s + kappa_r_bs p |h_i|^2) value per antenna; any other S, and
     the MSE chain, draw nu and |h| w_r."""
 
     def test_moments_given_h(self):
-        # seed chosen before looking at the draws; S's entries differ
+        # seed chosen before looking at the draws; |h_i| differ, so the
+        # per-antenna variances do
         n, rows = 4, 100_000
         r = CovarianceMatrix.identity(n)
-        s = CovarianceMatrix(np.diag([0.5, 1.0, 1.5, 2.0]))
+        s = CovarianceMatrix.identity(n).scaled(1.5)
         cfg = UplinkConfig(r=r, s=s, p_ut=4.0, d=2.0 * np.exp(0.4j),
                            imp=ImpairmentProfile(kappa_r_bs=0.02))
-        assert s.is_diagonal and s.constant_diagonal is None
         _, w_t, _, u = estimation._diagonal_draws(r, s, rows, substream(18))
         h = np.tile(np.array([0.2, 1.0 - 1.0j, 3.0j, -2.5]), (rows, 1))
         h2 = np.abs(h) ** 2
         noise = estimation._observe_diagonal(cfg, h, w_t, h2, u) - cfg.d * h
-        want = np.diag(s.matrix).real + 0.02 * 4.0 * h2[0]
+        want = 1.5 + 0.02 * 4.0 * h2[0]
         power = np.abs(noise) ** 2
         for x, mean in ((power, want), (noise.real * noise.imag, 0.0),
                         (noise.real ** 2 - noise.imag ** 2, 0.0)):
@@ -629,15 +662,16 @@ class TestOneDisturbanceDraw:
             assert np.all(np.abs(np.mean(x, axis=0) - mean) <= 5.0 * se)
 
     @pytest.mark.parametrize("s, diagonal", [
-        (CovarianceMatrix(np.diag([0.5, 1.0, 2.0])), True),
-        (exponential_correlation(3, 0.0).scaled(0.5), True),
+        (CovarianceMatrix(np.diag([0.5, 1.0, 2.0])), False),
+        (exponential_correlation(3, 0.0).scaled(0.5), False),
         (CovarianceMatrix.identity(3).scaled(0.5), True),
         (CovarianceMatrix(np.eye(3) + 0.1), False),
     ], ids=["dense-diagonal", "kms-rho-0", "scaled-identity", "dense"])
     def test_draws_taken(self, s, diagonal):
+        # the tag decides, not the entries: a dense diagonal S and c K_0
+        # take the standard draws
         cfg = UplinkConfig(r=exponential_correlation(3, 0.7), s=s, p_ut=2.0,
                            imp=ImpairmentProfile.uniform(0.01))
-        assert s.is_diagonal is diagonal
         with mock.patch.object(estimation, "_diagonal_draws",
                                wraps=estimation._diagonal_draws) as one, \
                 mock.patch.object(estimation, "_standard_draws",

@@ -261,6 +261,18 @@ class TestNoThreads:
                               env=env).returncode == 0
 
 
+class TestTaggedCovariances:
+    """Every covariance a run uses is tagged c I or c K_rho: no run builds
+    a matrix from entries, whose N x N arrays the fast paths avoid."""
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_run_builds_no_untagged_covariance(self, experiment):
+        with mock.patch.object(misolim.CovarianceMatrix, "_store",
+                               side_effect=AssertionError("untagged")) as store:
+            run_experiment(small_config(experiment, n_grid=[1, 8]))
+        assert store.call_count == 0
+
+
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 class TestDeterminism:
     def test_same_seed_byte_identical(self, experiment, tmp_path):
