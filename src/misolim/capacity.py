@@ -27,7 +27,7 @@ from .estimation import (
     _solve_m,
     pilot_chain,
 )
-from .randmat import CovarianceMatrix, _dimension
+from .randmat import CovarianceMatrix, _check_real, _dimension
 from .specfun import one_minus_x_ex_e1
 
 LOG2 = math.log(2.0)
@@ -101,18 +101,16 @@ def _gauss_rule(family: str, n: int):
 
 @dataclass(frozen=True)
 class DownlinkConfig:
-    """Data-phase scenario: signal power, receiver noise variance, and the
-    impairment profile (only the BS transmit / UT receive levels enter)."""
+    """Data-phase scenario: signal power and UT noise variance, both > 0, and
+    the impairment profile (only the BS transmit / UT receive levels enter)."""
 
     p_bs: float
     sigma2_ut: float
     imp: ImpairmentProfile = field(default_factory=ImpairmentProfile)
 
     def __post_init__(self):
-        if not (self.p_bs > 0.0) or not math.isfinite(self.p_bs):
-            raise ValueError(f"signal power must be positive, got {self.p_bs}")
-        if not (self.sigma2_ut > 0.0) or not math.isfinite(self.sigma2_ut):
-            raise ValueError(f"noise variance must be positive, got {self.sigma2_ut}")
+        _check_real(self.p_bs, "p_bs", positive=True)
+        _check_real(self.sigma2_ut, "sigma2_ut", positive=True)
 
 
 def sinr_of_beamformer(h: np.ndarray, w: np.ndarray, dl: DownlinkConfig) -> float:

@@ -10,19 +10,19 @@ from zero, so the efficiency can grow without bound.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 from .capacity import DownlinkConfig, MonteCarloEstimate, lower_bound_mc_batch
 from .estimation import ImpairmentProfile, UplinkConfig
-from .randmat import _dimension, derive_seed
+from .randmat import _check_real, _dimension, derive_seed
 
 
 @dataclass(frozen=True)
 class EnergyConfig:
     """Overhead multipliers, base powers at N = 1 (watts), power-scaling
-    exponents, bandwidth, and optional per-antenna circuit power."""
+    exponents, bandwidth, and optional per-antenna circuit power: finite
+    reals >= 0, the base powers and the bandwidth > 0."""
 
     alpha1: float = 0.0
     alpha2: float = 0.0
@@ -35,18 +35,7 @@ class EnergyConfig:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.alpha1 < 0.0 or self.alpha2 < 0.0:
-            raise ValueError("overhead multipliers must be nonnegative")
-        if not (self.p_bs_base > 0.0 and self.p_ut_base > 0.0):
-            raise ValueError("base powers must be positive")
-        if self.t_bs < 0.0 or self.t_ut < 0.0:
-            raise ValueError("scaling exponents must be nonnegative")
-        if not (self.bandwidth_hz > 0.0):
-            raise ValueError("bandwidth must be positive")
-        if self.circuit_power < 0.0:
-            raise ValueError("circuit power must be nonnegative")
+            _check_real(value, name, name in ("p_bs_base", "p_ut_base", "bandwidth_hz"))
 
     def powers(self, n: int) -> tuple[float, float]:
         """(p_bs, p_ut) at array size n: the base powers scaled by 1/n^t."""
@@ -55,18 +44,15 @@ class EnergyConfig:
 
     def exponents_admissible(self) -> bool:
         """Whether the asymptotic non-zero-rate guarantee applies:
-        t_bs >= 0, 0 < t_ut < 1/2, t_bs + t_ut < 1."""
-        return (self.t_bs >= 0.0 and 0.0 < self.t_ut < 0.5
-                and self.t_bs + self.t_ut < 1.0)
+        0 < t_ut < 1/2 and t_bs + t_ut < 1."""
+        return 0.0 < self.t_ut < 0.5 and self.t_bs + self.t_ut < 1.0
 
 
 def scaled_power(p_base: float, n: int, t: float) -> float:
-    """Power at array size n under 1/n^t scaling: p_base / n**t."""
-    if not (p_base > 0.0) or not math.isfinite(p_base):
-        raise ValueError("base power must be positive and finite")
+    """Power p_base / n**t at array size n, for p_base > 0 and t >= 0."""
+    _check_real(p_base, "base power", positive=True)
     n = _dimension(n)
-    if not (t >= 0.0) or not math.isfinite(t):
-        raise ValueError("scaling exponent must be nonnegative and finite")
+    _check_real(t, "scaling exponent")
     return p_base / n ** t
 
 
@@ -75,14 +61,12 @@ def energy_efficiency(capacity_bits: float, p_bs: float, p_ut: float,
     """Bits/Joule: capacity * bandwidth / total radiated (+ circuit) power.
 
     The optional per-antenna circuit power adds n * circuit_power to the
-    denominator; it defaults to zero.
+    denominator (default 0). Needs capacity >= 0 and total power > 0.
     """
-    if not (capacity_bits >= 0.0) or not math.isfinite(capacity_bits):
-        raise ValueError("capacity must be nonnegative and finite")
+    _check_real(capacity_bits, "capacity")
     total = ((1.0 + cfg.alpha1) * p_bs + cfg.alpha2 * p_ut
              + n * cfg.circuit_power)
-    if not (total > 0.0) or not math.isfinite(total):
-        raise ValueError("total power must be positive and finite")
+    _check_real(total, "total power", positive=True)
     return capacity_bits * cfg.bandwidth_hz / total
 
 

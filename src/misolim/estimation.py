@@ -23,6 +23,8 @@ import numpy as np
 
 from .randmat import (
     CovarianceMatrix,
+    _check_real,
+    _is_int,
     _re_plus_j_im,
     nearly_psd,
     sample_cn,
@@ -41,7 +43,7 @@ class SingularMatrixError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class ImpairmentProfile:
-    """The four distortion levels (dimensionless EVM-squared values)."""
+    """The four distortion levels (EVM-squared values), finite reals >= 0."""
 
     kappa_t_bs: float = 0.0
     kappa_r_bs: float = 0.0
@@ -49,11 +51,9 @@ class ImpairmentProfile:
     kappa_r_ut: float = 0.0
 
     def __post_init__(self):
-        for name in ("kappa_t_bs", "kappa_r_bs", "kappa_t_ut", "kappa_r_ut"):
-            v = getattr(self, name)
-            if not (v >= 0.0) or not math.isfinite(v):
-                raise ValueError(f"{name} must be a nonnegative real, got {v}")
-        worst = max(self.kappa_t_bs, self.kappa_r_bs, self.kappa_t_ut, self.kappa_r_ut)
+        for name, v in vars(self).items():
+            _check_real(v, name)
+        worst = max(vars(self).values())
         if worst > TYPICAL_KAPPA_MAX:
             warnings.warn(
                 f"impairment level {worst:g} exceeds the typical range "
@@ -69,7 +69,10 @@ class ImpairmentProfile:
 @dataclass(frozen=True)
 class UplinkConfig:
     """Pilot-phase scenario: channel covariance R, noise covariance S,
-    pilot power (linear scale), pilot symbol d with |d|^2 = p_ut."""
+    pilot power p_ut >= 0 (linear scale), pilot symbol d with |d|^2 =
+    p_ut. p_ut (1 + kappa_t_ut + kappa_r_bs) ||R|| + ||S|| bounds the
+    entries of M (``_mix``) and must be finite, or the tagged paths give
+    a nan MSE or a 0 filter, not an error."""
 
     r: CovarianceMatrix
     s: CovarianceMatrix
@@ -78,15 +81,14 @@ class UplinkConfig:
     d: complex | None = None
 
     def __post_init__(self):
-        if not (self.p_ut >= 0.0) or not math.isfinite(self.p_ut):
-            raise ValueError(f"pilot power must be a nonnegative real, got {self.p_ut}")
-        # M = p (1 + kappa_t_ut) R + p kappa_r_bs diag(R) + S is formed
-        # from these two products; an infinite one gives a nan MSE or a 0
-        # filter on the tagged paths, not an error
-        if not (math.isfinite(self.p_ut * (1.0 + self.imp.kappa_t_ut))
-                and math.isfinite(self.p_ut * self.imp.kappa_r_bs)):
-            raise ValueError("pilot power times (1 + kappa_t_ut) and times "
-                             "kappa_r_bs must be finite")
+        _check_real(self.p_ut, "p_ut")
+        # the norms by norm_bound; an inf product times a 0 norm is nan
+        r = self.r.norm_bound
+        if not math.isfinite(self.p_ut * (1.0 + self.imp.kappa_t_ut) * r
+                             + self.p_ut * self.imp.kappa_r_bs * r
+                             + self.s.norm_bound):
+            raise ValueError("p_ut (1 + kappa_t_ut + kappa_r_bs) ||R|| + "
+                             "||S|| must be finite")
         if self.r.dim != self.s.dim:
             raise ValueError(
                 f"covariance dimensions differ: R is {self.r.dim}, S is {self.s.dim}"
@@ -268,15 +270,14 @@ def floor_per_antenna(cfg: UplinkConfig) -> float:
 
 
 def _check_levels(*kappas: float) -> None:
-    """ValueError unless every impairment level is a nonnegative real."""
-    if not all(k >= 0.0 and math.isfinite(k) for k in kappas):
-        raise ValueError("impairment levels must be nonnegative reals")
+    """ValueError unless every level is a finite real >= 0."""
+    for k in kappas:
+        _check_real(k, "impairment level")
 
 
 def error_floor_iid(lam: float, kappa_t_ut: float, kappa_r_bs: float) -> float:
-    """Per-antenna error floor for R = lam * I: lam (1 - 1/(1 + kt + kr))."""
-    if not (lam > 0.0) or not math.isfinite(lam):
-        raise ValueError(f"channel variance must be positive, got {lam}")
+    """Per-antenna error floor for R = lam * I, lam > 0: lam (1 - 1/(1 + kt + kr))."""
+    _check_real(lam, "channel variance", positive=True)
     _check_levels(kappa_t_ut, kappa_r_bs)
     # kt + kr first: exactly symmetric in the two levels, unlike 1 + kt + kr
     return lam * (1.0 - 1.0 / (1.0 + (kappa_t_ut + kappa_r_bs)))
@@ -465,7 +466,10 @@ def _map_chunks(rows, n_samples: int, seed: int, workers: int = 1,
     The chunks are shared among ``_process_count`` processes, this one and
     children forked from it (``_fork_map``), fewer when ``rows`` calls the
     BLAS (``blas``); chunk j draws from substream(seed, j) in any process,
-    so the bytes are the one-process map's."""
+    so the bytes are the one-process map's. n_samples and the seed must
+    be integers (``randmat._is_int``)."""
+    if not _is_int(n_samples):
+        raise ValueError(f"sample count must be an integer, got {n_samples!r}")
     n_chunks = -(-n_samples // _CHUNK)
 
     def chunk(j):

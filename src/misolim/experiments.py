@@ -22,7 +22,6 @@ runs it (``estimation._map_chunks``).
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
@@ -43,6 +42,7 @@ from .estimation import (
 )
 from .randmat import (
     CovarianceMatrix,
+    _is_finite,
     _is_int,
     derive_seed,
     exponential_correlation,
@@ -86,12 +86,6 @@ def _pilot_power(snr_db: float, n: int) -> float:
     """Pilot power p at uplink SNR snr_db = p tr R / tr S, for the runners'
     R and S: both have trace n."""
     return db_to_linear(snr_db) * n / n
-
-
-def _is_finite(x) -> bool:
-    """A finite real, and not a bool (which math.isfinite admits)."""
-    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
-            and math.isfinite(x))
 
 
 # Grid field -> (what each of its values must be, the test). kappa > 1 is an

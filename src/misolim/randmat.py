@@ -197,8 +197,9 @@ class CovarianceMatrix:
         return np.full(self._n, self.constant_diagonal)
 
     def scaled(self, c: float) -> "CovarianceMatrix":
-        if not (0.0 <= c < np.inf):
-            raise InvalidMatrixError(f"scale factor must be finite and >= 0, got {c}")
+        """c times this matrix, for a finite real c >= 0."""
+        if not (_is_finite(c) and c >= 0.0):
+            raise InvalidMatrixError(f"scale factor must be finite and >= 0, got {c!r}")
         if self._scale is not None:
             return self._scaled_identity(self._n, c * self._scale)
         if self._rho is not None:
@@ -216,6 +217,22 @@ def _is_int(v) -> bool:
     """An integer, numpy's included, and not a bool (which numbers.Integral
     admits)."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_finite(x) -> bool:
+    """A finite real, numpy's included, and not a bool (which numbers.Real
+    admits), a string or an array, even a 0-d one."""
+    if type(x) is float:  # 0.08 us a call; the isinstance test takes 0.56
+        return math.isfinite(x)
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
+def _check_real(x, name: str, positive: bool = False) -> None:
+    """ValueError unless _is_finite(x) and x >= 0 (x > 0 when positive)."""
+    if not (_is_finite(x) and (x > 0.0 if positive else x >= 0.0)):
+        kind = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be a {kind} finite real, got {x!r}")
 
 
 def _dimension(n) -> int:
@@ -259,12 +276,11 @@ def nearly_psd(m: np.ndarray, scale: float) -> CovarianceMatrix:
 
 def exponential_correlation(n: int, rho: float) -> CovarianceMatrix:
     """Exponential correlation model: entry (i, j) = rho^|i-j|, the
-    Kac-Murdock-Szego matrix K (see ``CovarianceMatrix``)."""
+    Kac-Murdock-Szego matrix K (see ``CovarianceMatrix``), rho in [0, 1)."""
     n = _dimension(n)
-    rho = float(rho)
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"correlation coefficient must lie in [0, 1), got {rho}")
-    return CovarianceMatrix._kms(n, rho, 1.0)
+    if not (_is_finite(rho) and 0.0 <= rho < 1.0):
+        raise ValueError(f"correlation coefficient must lie in [0, 1), got {rho!r}")
+    return CovarianceMatrix._kms(n, float(rho), 1.0)
 
 
 def _innovation(rho: float) -> float:
@@ -317,10 +333,9 @@ def _ar1(x: np.ndarray, rho: float) -> None:
 
 def sample_scalar_cn(variance: float, rng: np.random.Generator,
                      size=None) -> complex | np.ndarray:
-    """Draw zero-mean complex Gaussian scalar(s) with E{|x|^2} = variance."""
+    """Draw zero-mean complex Gaussian scalar(s) with E{|x|^2} = variance >= 0."""
+    _check_real(variance, "variance")
     variance = float(variance)
-    if variance < 0.0 or not np.isfinite(variance):
-        raise ValueError(f"variance must be nonnegative, got {variance}")
     scale = np.sqrt(variance / 2.0)
     x = _re_plus_j_im(rng, () if size is None else size, scale=scale or 1.0)
     if variance == 0.0:
@@ -345,6 +360,9 @@ def _re_plus_j_im(rng, shape, out=None, scale: float = 1.0) -> np.ndarray:
 
 
 def _seed_sequence(seed: int, key) -> np.random.SeedSequence:
+    """The SeedSequence of (seed, key), which must be integers."""
+    if not all(map(_is_int, (seed, *key))):
+        raise ValueError(f"seed and key must be integers, got {(seed, *key)!r}")
     return np.random.SeedSequence(entropy=int(seed),
                                   spawn_key=tuple(int(k) for k in key))
 

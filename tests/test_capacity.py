@@ -337,7 +337,8 @@ class TestAsymptoticLimits:
                      lambda: lower_limit_scaled_power(0.0, bad),
                      lambda: upper_limit_high_power(4, bad, 0.0),
                      lambda: upper_limit_high_power(4, 0.0, bad)):
-            with pytest.raises(ValueError, match="nonnegative reals"):
+            with pytest.raises(ValueError, match="impairment level must be "
+                               "a nonnegative finite real"):
                 call()
 
     @pytest.mark.parametrize("n", [0, -1, 2.5, 4.0, True, math.nan,

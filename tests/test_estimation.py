@@ -32,6 +32,7 @@ from misolim.estimation import (
     ImpairmentProfile,
     SingularMatrixError,
     UplinkConfig,
+    _cho_solve,
     _draw_chunk,
     _observe,
     _standard_draws,
@@ -125,6 +126,22 @@ class TestUplinkConfig:
                            s=CovarianceMatrix.identity(2), p_ut=10 ** 307.5,
                            imp=imp)
         assert np.isfinite(cfg.p_ut * (1.0 + cfg.imp.kappa_t_ut))
+
+    @pytest.mark.parametrize("r", [CovarianceMatrix.identity(3).scaled(2.0),
+                                   exponential_correlation(3, 0.7).scaled(2.0),
+                                   CovarianceMatrix(2.0 * np.eye(3))],
+                             ids=["identity", "kms", "dense"])
+    def test_rejects_observation_covariance_overflowing_through_r(self, r):
+        # p and p (1 + kappa) are finite, but 2 p is not: the tagged
+        # filter came out 0 and the MSE 0.0, with no error
+        with pytest.raises(ValueError, match="must be finite"):
+            UplinkConfig(r=r, s=CovarianceMatrix.identity(3), p_ut=1e308)
+
+    def test_rejects_observation_covariance_overflowing_through_s(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            UplinkConfig(r=CovarianceMatrix.identity(2),
+                         s=CovarianceMatrix.identity(2).scaled(1e308),
+                         p_ut=1e308)
 
 
 class TestLmmseFilter:
@@ -302,13 +319,15 @@ class TestDenseCholeskyPath:
             error_floor(cfg)
 
     def test_non_finite_observation_covariance_raises_value_error(self):
-        # p (1 + kappa) overflows, and M = inf R + S has inf and nan entries
+        # p (1 + kappa) R overflows: the config is refused at construction,
+        # and the solve's own guard refuses an M with inf and nan entries
         r = CovarianceMatrix(np.diag([1.0, 2.0]))
-        cfg = UplinkConfig(r=r, s=CovarianceMatrix.identity(2), p_ut=1e308,
-                           imp=ImpairmentProfile.uniform(0.03))
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValueError, match="infs or NaNs"):
-            lmmse_filter(cfg)
+        with pytest.raises(ValueError, match="must be finite"):
+            UplinkConfig(r=r, s=CovarianceMatrix.identity(2), p_ut=1e308,
+                         imp=ImpairmentProfile.uniform(0.03))
+        m = np.array([[np.inf, 0.0], [0.0, np.nan]], dtype=complex)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _cho_solve(m, np.eye(2), "unused")
 
 
 class TestErrorFloorIid:
