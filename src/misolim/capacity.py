@@ -27,7 +27,7 @@ from .estimation import (
     _solve_m,
     pilot_chain,
 )
-from .randmat import CovarianceMatrix, _check_real, _dimension
+from .randmat import CovarianceMatrix, _check_real, _dimension, _is_int
 from .specfun import one_minus_x_ex_e1
 
 LOG2 = math.log(2.0)
@@ -278,8 +278,8 @@ def lower_bound_mc_batch(links, n_samples: int, seed: int,
     """``lower_bound_mc`` of each (ul, dl) pair in ``links`` over one shared
     pilot chain, on up to ``workers`` processes: the uplink configs share
     R and S (see ``pilot_chain``)."""
-    if n_samples < 1000:
-        raise ValueError("lower_bound_mc needs at least 1000 samples")
+    if not (_is_int(n_samples) and n_samples >= 1000):
+        raise ValueError(f"need an integer n_samples >= 1000, got {n_samples!r}")
     links = list(links)
     if any(ul.p_ut == 0.0 for ul, _ in links):
         raise ValueError("the lower bound needs pilot power p_ut > 0")

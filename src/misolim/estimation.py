@@ -466,10 +466,7 @@ def _map_chunks(rows, n_samples: int, seed: int, workers: int = 1,
     The chunks are shared among ``_process_count`` processes, this one and
     children forked from it (``_fork_map``), fewer when ``rows`` calls the
     BLAS (``blas``); chunk j draws from substream(seed, j) in any process,
-    so the bytes are the one-process map's. n_samples and the seed must
-    be integers (``randmat._is_int``)."""
-    if not _is_int(n_samples):
-        raise ValueError(f"sample count must be an integer, got {n_samples!r}")
+    so the bytes are the one-process map's."""
     n_chunks = -(-n_samples // _CHUNK)
 
     def chunk(j):
@@ -598,8 +595,9 @@ def pilot_chain(cfgs, n_samples: int, seed: int, stat,
       S = s I, else an N x N array, on tiles of _TILE values.
     """
     cfgs = _shared(cfgs)
-    if n_samples < 1:
-        raise ValueError("a pilot chain needs at least one sample")
+    if not (_is_int(n_samples) and n_samples >= 1):
+        raise ValueError("a pilot chain needs at least one sample, an "
+                         f"integer, got {n_samples!r}")
     apply, filters, step = _chain_filters(cfgs)
     r, s = cfgs[0].r, cfgs[0].s
     one_draw = s.identity_scale is not None
@@ -768,8 +766,8 @@ def empirical_mse_batch(cfgs, n_samples: int, seed: int,
     (``_dense_norms``). The chunks run on up to ``workers`` processes
     (``_map_chunks``).
     """
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
+    if not (_is_int(n_samples) and n_samples >= 2):
+        raise ValueError(f"need an integer n_samples >= 2, got {n_samples!r}")
     cfgs = _shared(cfgs)
     norms = _dense_norms if _eigenbasis(cfgs[0]) is None else _diagonal_norms
     out = []

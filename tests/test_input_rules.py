@@ -14,6 +14,7 @@ from misolim.capacity import (
     upper_limit_high_power,
     upper_limit_large_n,
 )
+from misolim import estimation
 from misolim.energy import EnergyConfig, energy_efficiency, scaled_power
 from misolim.estimation import (
     ImpairmentProfile,
@@ -64,13 +65,16 @@ REAL_SITES = {
                                 False),
 }
 
+HUGE = 10 ** 400  # an int too large for a float: OverflowError in isfinite
+
 NOT_REAL = [True, np.True_, "0.5", np.array(1.0), math.nan, math.inf,
-            -math.inf, -1.0]
+            -math.inf, -1.0, HUGE]
 
 
 @pytest.mark.parametrize("site, value", [
     (site, value) for site, (_, positive) in REAL_SITES.items()
-    for value in NOT_REAL + [0.0] * positive], ids=repr)
+    for value in NOT_REAL + [0.0] * positive],
+    ids=lambda v: "10**400" if v is HUGE else repr(v))
 def test_real_inputs_are_rejected(site, value):
     call = REAL_SITES[site][0]
     error = InvalidMatrixError if site == "CovarianceMatrix.scaled" \
@@ -122,14 +126,18 @@ class TestIntegerInputs:
             with pytest.raises(ValueError, match="must be integers"):
                 call()
 
-    @pytest.mark.parametrize("count", [2.5e3, 1000.0, True, np.True_],
-                             ids=repr)
-    def test_sample_counts(self, count):
-        ul, _ = iid_link()
+    @pytest.mark.parametrize("count", [2.5e3, 1000.0, True, np.True_,
+                                       "1000"], ids=repr)
+    def test_sample_counts(self, count, monkeypatch):
+        ul, dl = iid_link()
+        # refused before any filter is formed
+        for former in ("_chain_filters", "_diagonal_norms", "_dense_norms"):
+            monkeypatch.setattr(estimation, former, None)
         for call in (lambda: empirical_mse(ul, count, 0),
+                     lambda: lower_bound_mc(ul, dl, count, 0),
                      lambda: pilot_chain([ul], count, 0,
                                          lambda h, h_hat, h2: h2)):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="integer"):
                 call()
 
     def test_numpy_integers_draw_as_ints(self):
