@@ -32,8 +32,10 @@ from .capacity import (
     capacity_upper_bound,
     lower_bound_asymptotic,
     lower_bound_iid,
+    lower_bound_is_exact,
     lower_bound_mc,
     lower_bound_mc_batch,
+    lower_bound_rates,
     lower_limit_scaled_power,
     optimal_beamformer,
     sinr_of_beamformer,

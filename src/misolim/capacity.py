@@ -5,8 +5,12 @@ distortion variances proportional to the signal power. The closed-form
 upper bound assumes perfect channel knowledge and optimal beamforming;
 the Monte-Carlo lower bound uses the LMMSE channel estimate with
 approximate maximum ratio transmission and only statistical channel
-knowledge at the receiver; for R = c I and S = s I it is computed by
-quadrature instead. Both converge to finite ceilings set by the
+knowledge at the receiver. Wherever the antennas decouple it is computed
+by quadrature over R's spectrum instead, with standard error 0
+(``lower_bound_is_exact``, the one place that decides): S = s I, and
+R = c I at any levels, or R = c K_rho with kappa_r_bs = kappa_t_bs = 0,
+the ideal-hardware links of the energy-efficiency run. Every other link
+is sampled. Both bounds converge to finite ceilings set by the
 terminal-side impairment levels as the array grows.
 """
 
@@ -27,7 +31,13 @@ from .estimation import (
     _solve_m,
     pilot_chain,
 )
-from .randmat import CovarianceMatrix, _check_real, _dimension, _is_int
+from .randmat import (
+    CovarianceMatrix,
+    _check_real,
+    _check_seed,
+    _dimension,
+    _is_int,
+)
 from .specfun import one_minus_x_ex_e1
 
 LOG2 = math.log(2.0)
@@ -55,10 +65,11 @@ _IID_HERMITE_NODES = 8
 _LAGUERRE_NODES = 24
 _LOG_T_NODES = 160
 _LOG_T_WINDOW = (-25.0, 16.0)
-# Values per (zeta, t, r) array of ``lower_bound_iid``, at most: 4 zeta
-# nodes of the default rules, 123 KB an array. Best of 30 calls at N = 1024
-# on 2 vCPUs: 4.8 ms, against 8.0 ms for all 32 zeta nodes in one 983 KB
-# array, whose fresh pages fault in, and 6.3 ms one node at a time.
+# Values per (coordinate, (zeta, t) node, r) array of ``lower_bound_iid``,
+# about: 128 KB an array. Best of 30 calls on 2 vCPUs, at 2^12, 2^14 and
+# 2^16 values: 6.8, 3.2 and 4.9 ms for R = K_0.7 at N = 1024 and kappa =
+# 0, and 6.1, 5.8 and 7.8 ms for R = I at N = 1024 and kappa = 0.0025;
+# larger arrays' fresh pages fault in.
 _QUAD_TILE = 2 ** 14
 
 
@@ -273,13 +284,20 @@ def _rate_estimate(x: np.ndarray, dl: DownlinkConfig,
                               n_samples=n_eff)
 
 
+def _check_draws(n_samples: int, seed: int) -> None:
+    """ValueError unless n_samples is an integer >= 1000 and seed an
+    integer >= 0."""
+    if not (_is_int(n_samples) and n_samples >= 1000):
+        raise ValueError(f"need an integer n_samples >= 1000, got {n_samples!r}")
+    _check_seed(seed)
+
+
 def lower_bound_mc_batch(links, n_samples: int, seed: int,
                          workers: int = 1) -> list[MonteCarloEstimate]:
     """``lower_bound_mc`` of each (ul, dl) pair in ``links`` over one shared
     pilot chain, on up to ``workers`` processes: the uplink configs share
     R and S (see ``pilot_chain``)."""
-    if not (_is_int(n_samples) and n_samples >= 1000):
-        raise ValueError(f"need an integer n_samples >= 1000, got {n_samples!r}")
+    _check_draws(n_samples, seed)
     links = list(links)
     if any(ul.p_ut == 0.0 for ul, _ in links):
         raise ValueError("the lower bound needs pilot power p_ut > 0")
@@ -317,16 +335,26 @@ def _trapezoid(f: np.ndarray, h: float, lo: float, hi: float) -> np.ndarray:
                 + f[..., -1] * tail(hi))
 
 
-def _r_moments(d2: np.ndarray, t: np.ndarray, q: float, kr: float):
-    """(log phi, A / conj(D), C) of ``lower_bound_iid`` at each |D|^2 of
-    d2 and t of t, as (d2, t) arrays, by the Gauss-Laguerre rule in r."""
-    ts1 = 1.0 + t * q
-    a = t * d2[:, None] / ts1  # the exponent's slope in r at 0
+def _r_moments(d2: np.ndarray, tau: np.ndarray, q: np.ndarray, kr: float):
+    """(log phi, A / (conj(D) phi), C / phi) of ``lower_bound_iid`` at
+    nodes of |D|^2, d2, with each coordinate's t at those nodes in tau, a
+    (coordinates, nodes) array, and its q in q, as (coordinates, nodes)
+    arrays. At kappa_r_bs = 0, v = q does not depend on r, and they are
+    the closed forms phi = 1 / (1 + t (q + |D|^2)), A = conj(D) phi^2 and
+    C = (q + 2 |D|^2 phi) phi^2; otherwise the Gauss-Laguerre rule in r
+    takes them."""
+    q = q[:, None]
+    if kr == 0.0:
+        x = tau * (q + d2)
+        phi = 1.0 / (1.0 + x)
+        return -np.log1p(x), phi, phi * (q + 2.0 * d2 * phi)
+    ts1 = 1.0 + tau * q
+    a = tau * d2 / ts1  # the exponent's slope in r at 0
     b = (1.0 + a)[..., None]
     x, wx = _gauss_rule("laguerre", _LAGUERRE_NODES)
-    r = x / b  # (d2, t, r)
-    tkr = (t * kr)[:, None] * r
-    tv1 = ts1[:, None] + tkr  # 1 + t v
+    r = x / b  # (coordinate, node, r)
+    tkr = (tau * kr)[..., None] * r
+    tv1 = ts1[..., None] + tkr  # 1 + tau v
     ar = a[..., None] * r
     # e^(-r) e against the rule's weight e^(-b r) is e^(a r tkr / (1 + tv))
     # / (1 + tv), formed without the cancelling exponent -r - a r + b r;
@@ -338,29 +366,33 @@ def _r_moments(d2: np.ndarray, t: np.ndarray, q: float, kr: float):
     # log phi is log1p(-E_r[1 - e]) instead, by the same rule: E_r f is
     # the sum of wx e^(a r) f / b. 1 - e = (t q + tkr - expm1(-t |D|^2 r
     # / (1 + tv))) / (1 + tv) is a sum of terms >= 0
-    one_minus_e = (t[:, None] * q + tkr
-                   - np.expm1(-ar * ts1[:, None] / tv1)) / tv1
+    one_minus_e = ((tau * q)[..., None] + tkr
+                   - np.expm1(-ar * ts1[..., None] / tv1)) / tv1
     log_phi = np.log(phi)
     near = phi > 0.5
     log_phi[near] = np.log1p(-(wx * np.exp(ar) / b * one_minus_e)
                              .sum(axis=-1)[near])
     e *= r / tv1
     big_a = e.sum(axis=-1)
-    e *= q + kr * r + d2[:, None, None] * r / tv1
-    return log_phi, big_a, e.sum(axis=-1)
+    e *= q[..., None] + kr * r + d2[..., None] * r / tv1
+    return log_phi, big_a / phi, e.sum(axis=-1) / phi
 
 
 def _iid_moments(ul: UplinkConfig):
-    """(E g, E|g|^2, E u) of the beamformer of ``lower_bound_iid``."""
-    c, s = ul.r.identity_scale, ul.s.identity_scale
-    if c is None or s is None:
-        raise ValueError("lower_bound_iid needs R = c I and S = s I")
-    if ul.p_ut == 0.0:
-        raise ValueError("the lower bound needs pilot power p_ut > 0")
-    if c == 0.0:
-        raise ValueError("the lower bound needs a channel: R is 0")
+    """(E g, E|g|^2, E u) of the beamformer of ``lower_bound_iid``, for a
+    link on its domain, with u taken on R's eigen-coordinates: the bound's
+    u for R = c I."""
     n, kt, kr = ul.dim, ul.imp.kappa_t_ut, ul.imp.kappa_r_bs
-    q = s / (ul.p_ut * c)
+    lam, g, _ = _eigenbasis(ul)
+    # one value counted m = N times (c I), or N values counted once (c K)
+    lam, g = np.atleast_1d(lam), np.atleast_1d(g)
+    m = n / lam.size
+    # omega^2 = g^2 lam and a^2 = lam omega^2, relative to the largest
+    # eigenvalue's (the last), which sets the scale: 1 for R = c I
+    rel = lam / lam[-1]
+    w2 = (g / g[-1]) ** 2 * rel
+    a2 = (w2 * rel)[:, None]
+    q = ul.s.identity_scale / (ul.p_ut * lam)
     if kt == 0.0:
         zeta, wz = np.zeros(1), np.ones(1)
     else:
@@ -369,59 +401,104 @@ def _iid_moments(ul: UplinkConfig):
         zeta = (math.sqrt(kt) * (z[:, None] + 1j * z[up])).ravel()
         wz = np.outer(w, 2.0 * w[up]).ravel()
     d2 = (1.0 + zeta.real) ** 2 + zeta.imag ** 2  # |D|^2
-    # t about 1 / E||z||^2 = 1 / (N (1 + kt + kr + q)), in log t
-    x0 = -math.log(n) - math.log1p(kt + kr + q)
+    # t about 1 / E Q, in log t: Q weighs coordinate k's |z_k|^2, of mean
+    # 1 + kt + kr + q_k, by w2_k, and q is taken at the largest
+    # eigenvalue's, the smallest (for R = c I, 1 / (N (1 + kt + kr + q)))
+    x0 = -math.log(m * np.sum(w2)) - math.log1p(kt + kr + q[-1])
     lo, hi = _LOG_T_WINDOW
     log_t, h = np.linspace(x0 + lo, x0 + hi, _LOG_T_NODES, retstep=True)
     t = np.exp(log_t)
-    # a few zeta nodes at a time, _QUAD_TILE values in each (zeta, t, r)
-    # array
-    step = max(1, _QUAD_TILE // (t.size * _LAGUERRE_NODES))
-    log_phi, big_a, big_c = (np.concatenate(m) for m in zip(*(
-        _r_moments(d2[i:i + step], t, q, kr)
-        for i in range(0, d2.size, step))))
-    phi_n1 = np.exp((n - 1) * log_phi)
+    # the (zeta, t) nodes on one axis, in tiles of about _QUAD_TILE values
+    # in each (coordinate, node, r) array; coordinate k's t is w2_k t
+    d2n, tn = np.repeat(d2, t.size), np.tile(t, d2.size)
+    step = max(1, _QUAD_TILE // (lam.size * (_LAGUERRE_NODES if kr else 1)))
+    w2, a = w2[:, None], np.sqrt(a2)
+    f_g, f_u, f_pair = np.concatenate([
+        _coordinate_sums(d2n[i:i + step], w2 * tn[i:i + step], q, kr, m, a,
+                         a2)
+        for i in range(0, tn.size, step)], axis=1).reshape(3, d2.size, -1)
     # each integrand times t, for d log t: t^(1/2) and t at t -> 0, and
     # at t -> inf t^(-N-1/2), t^-N and t^(-N-1)
-    eg = _trapezoid(np.sqrt(t) * big_a * phi_n1, h, 0.5, n + 0.5)
-    eu = n * _trapezoid(t * big_c * phi_n1, h, 1.0, n)
-    eg2 = eu.copy()
-    if n > 1:
-        pair = t * big_a * big_a * np.exp((n - 2) * log_phi)
-        eg2 += n * (n - 1) * d2 * _trapezoid(pair, h, 1.0, n + 1.0)
-    eg *= n / math.sqrt(math.pi) * (1.0 + zeta.real)
-    return (math.sqrt(c) * float(wz @ eg), c * float(wz @ eg2),
-            c * float(wz @ eu))
+    eg = _trapezoid(np.sqrt(t) * f_g, h, 0.5, n + 0.5)
+    eg *= (1.0 + zeta.real) / math.sqrt(math.pi)
+    eu = _trapezoid(t * f_u, h, 1.0, n)
+    eg2 = eu + d2 * _trapezoid(t * f_pair, h, 1.0, n + 1.0)
+    ref = lam[-1]
+    return (math.sqrt(ref) * float(wz @ eg), ref * float(wz @ eg2),
+            ref * float(wz @ eu))
+
+
+def _coordinate_sums(d2, tau, q, kr, m, a, a2) -> np.ndarray:
+    """E[S e^(-tQ)] / conj(D), E[T e^(-tQ)] and the pairs' part of
+    E[|S|^2 e^(-tQ)] / |D|^2 of ``lower_bound_iid`` at nodes of |D|^2 and
+    t, each coordinate's t in tau (coordinates, nodes) and a and a^2 in
+    columns, as a (3, nodes) array: with G_k = a_k A_k / (conj(D) phi_k),
+    Phi m sum_k G_k, Phi m sum_k a_k^2 C_k / phi_k and Phi ((m sum_k
+    G_k)^2 - m sum_k G_k^2), sums over the distinct values k, each counted
+    m times."""
+    log_phi, big_g, big_c = _r_moments(d2, tau, q, kr)
+    big_g *= a
+    s1 = m * big_g.sum(axis=0)
+    big_c *= a2
+    big_g *= big_g
+    phi_all = np.exp(m * log_phi.sum(axis=0))  # Phi
+    return phi_all * np.stack([s1, m * big_c.sum(axis=0),
+                               s1 * s1 - m * big_g.sum(axis=0)])
+
+
+def lower_bound_is_exact(ul: UplinkConfig, dl: DownlinkConfig) -> bool:
+    """Whether ``lower_bound_iid`` computes the link's lower bound, by the
+    tags and the levels alone: S = s I, and R = c I at any levels, or
+    R = c K_rho with kappa_r_bs = kappa_t_bs = 0. Elsewhere the bound is
+    sampled (``lower_bound_mc_batch``): a kappa_r_bs > 0 couples the
+    eigen-coordinates of a correlated R, and u is not a function of them."""
+    if ul.s.identity_scale is None:
+        return False
+    if ul.r.identity_scale is not None:
+        return True
+    return (ul.r.kms_rho is not None and ul.imp.kappa_r_bs == 0.0
+            and dl.imp.kappa_t_bs == 0.0)
 
 
 def lower_bound_iid(ul: UplinkConfig, dl: DownlinkConfig) -> float:
-    """The lower bound of ``lower_bound_mc`` for R = c I and S = s I (by
-    their tags), computed, not sampled: two calls give the same float.
+    """The lower bound of ``lower_bound_mc`` wherever the antennas decouple
+    (``lower_bound_is_exact``), computed, not sampled: two calls give the
+    same float.
 
     Given zeta = eta / d ~ CN(0, kappa_t_ut), the terminal's transmit
-    distortion, the antennas are independent: with D = d (1 + zeta),
-    r = |h_i|^2 ~ Exp(c) and v = s + kappa_r_bs p_ut r, z_i given h_i is
-    CN(D h_i, v). The estimate is a scalar times z, so with Q = ||z||^2,
-    S = sum_i h_i conj(z_i) and T = sum_i |h_i|^2 |z_i|^2 the beamformer
-    gives g = (d / |d|) S / sqrt(Q), |g|^2 = |S|^2 / Q and u = T / Q.
-    By 1/sqrt(Q) = pi^(-1/2) int t^(-1/2) e^(-tQ) dt and 1/Q = int
-    e^(-tQ) dt, and complex-Gaussian tilting (E z e^(-t|z|^2) = D h_i
+    distortion, the coordinates of h and z on R's eigenbasis (the
+    antennas, for R = c I) are independent, and h^T conj(h_hat) and
+    ||h_hat|| do not change under that rotation. Coordinate k has h_k ~
+    CN(0, lam_k), and given h_k, z_k is CN(D h_k, v) with D = d (1 +
+    zeta), v = s + kappa_r_bs p_ut |h_k|^2; h_hat_k = d* g_k z_k
+    (``_eigenbasis``). In its own units, where h_k / sqrt(lam_k) has r =
+    |.|^2 ~ Exp(1) and z_k / (d sqrt(lam_k)) has D = 1 + zeta and v = q_k
+    + kappa_r_bs r, q_k = s / (p_ut lam_k), the estimate is omega_k times
+    z_k, omega_k^2 = g_k^2 lam_k. With Q = ||h_hat||^2, S = sum_k h_k
+    conj(h_hat_k) and T = sum_k |h_k|^2 |h_hat_k|^2 the beamformer gives
+    g = (d / |d|) S / sqrt(Q), |g|^2 = |S|^2 / Q, and for R = c I, u = T /
+    Q. By 1/sqrt(Q) = pi^(-1/2) int t^(-1/2) e^(-tQ) dt and 1/Q = int
+    e^(-tQ) dt, and complex-Gaussian tilting (E z e^(-t|z|^2) = D h_k
     / (1 + tv) E e^(-t|z|^2)),
 
-      E[S e^(-tQ)]     = N A phi^(N-1),
-      E[|S|^2 e^(-tQ)] = N C phi^(N-1) + N (N-1) |A|^2 phi^(N-2),
-      E[T e^(-tQ)]     = N C phi^(N-1),
+      E[S e^(-tQ)]     = Phi sum_k a_k conj(D) A_k / phi_k,
+      E[|S|^2 e^(-tQ)] = Phi (sum_k a_k^2 C_k / phi_k
+                              + |D|^2 sum_(k != l) a_k a_l A_k A_l
+                                                   / (phi_k phi_l)),
+      E[T e^(-tQ)]     = Phi sum_k a_k^2 C_k / phi_k,
 
-    where, with e = exp(-t |D|^2 r / (1 + tv)) / (1 + tv), phi = E_r e,
-    A = conj(D) E_r[r e / (1 + tv)] and C = E_r[r e (v / (1 + tv)
-    + |D|^2 r / (1 + tv)^2)]. g / sqrt(c), |g|^2 / c and u / c do not
-    change when h and z are scaled, so everything runs in units where
-    D = 1 + zeta, r ~ Exp(1) and v = q + kappa_r_bs r, q = s / (p_ut c);
-    the bound depends on d only through |d|^2 = p_ut.
+    sums and products over the N coordinates, Phi = prod_k phi_k and a_k^2
+    = lam_k omega_k^2, where, with e = exp(-t |D|^2 r / (1 + tv)) / (1 +
+    tv), phi = E_r e, A = E_r[r e / (1 + tv)] and C = E_r[r e (v / (1 +
+    tv) + |D|^2 r / (1 + tv)^2)], taken at t omega_k^2 and q_k. R = c I
+    is one value counted N times, and c K_rho N values (its
+    ``eigenvalues``, from the KMS equation) counted once, so its pairs are
+    (sum G)^2 - sum G^2 for G_k = a_k A_k / phi_k; omega and a are
+    relative to the largest eigenvalue's, which sets the scale.
 
     Three rules take the integrals:
-    - r: Gauss-Laguerre in b r, with b = 1 + t |D|^2 / (1 + tq) the decay
-      rate of e^(-r) e at r = 0, exact in r for kappa_r_bs = 0;
+    - r: closed forms at kappa_r_bs = 0; otherwise Gauss-Laguerre in b r,
+      with b = 1 + t |D|^2 / (1 + tq) the decay rate of e^(-r) e at r = 0;
     - log t: the trapezoid rule on _LOG_T_NODES nodes of _LOG_T_WINDOW
       about -log E||z||^2, with the power-law tails (``_trapezoid``);
     - zeta: the product Gauss-Hermite rule of _IID_HERMITE_NODES nodes
@@ -429,9 +506,16 @@ def lower_bound_iid(ul: UplinkConfig, dl: DownlinkConfig) -> float:
       conjugate E[g | zeta] and equal E[|g|^2 | zeta] and E[u | zeta];
       one node, zeta = 0, when kappa_t_ut = 0.
 
-    A link with p_ut = 0 or R = 0, or whose R or S is not tagged c I,
-    raises ValueError, and so does a SINR that is not a number.
+    A link with p_ut = 0 or R = 0, or off that domain, raises
+    ValueError, and so does a SINR that is not a number.
     """
+    if not lower_bound_is_exact(ul, dl):
+        raise ValueError("lower_bound_iid needs S = s I, and R = c I, or "
+                         "R = c K_rho with kappa_r_bs = kappa_t_bs = 0")
+    if ul.p_ut == 0.0:
+        raise ValueError("the lower bound needs pilot power p_ut > 0")
+    if ul.r.constant_diagonal == 0.0:
+        raise ValueError("the lower bound needs a channel: R is 0")
     g, g2, u = _iid_moments(ul)
     sig = g * g
     denom = (dl.imp.kappa_r_ut * g2 + (g2 - sig) + dl.imp.kappa_t_bs * u
@@ -440,6 +524,29 @@ def lower_bound_iid(ul: UplinkConfig, dl: DownlinkConfig) -> float:
         raise ValueError(f"the lower bound's moments are out of range: "
                          f"|E g|^2 = {sig!r}, SINR denominator {denom!r}")
     return math.log2(1.0 + sig / denom)
+
+
+def lower_bound_rates(links, n_samples: int, seed: int,
+                      workers: int = 1) -> list[tuple[float, float]]:
+    """(value, standard error) of the lower bound of each (ul, dl) pair in
+    ``links``: ``lower_bound_iid``, with standard error 0, where
+    ``lower_bound_is_exact``, and ``lower_bound_mc_batch`` of the others,
+    on one pilot chain. A batch whose every link is exact draws nothing,
+    and forks no process."""
+    _check_draws(n_samples, seed)
+    links = list(links)
+    if not links:
+        raise ValueError("a lower-bound batch needs at least one config")
+    rates = {i: (lower_bound_iid(ul, dl), 0.0)
+             for i, (ul, dl) in enumerate(links)
+             if lower_bound_is_exact(ul, dl)}
+    sampled = [i for i in range(len(links)) if i not in rates]
+    if sampled:
+        ests = lower_bound_mc_batch([links[i] for i in sampled], n_samples,
+                                    seed, workers)
+        rates.update((i, (est.value, est.std_error))
+                     for i, est in zip(sampled, ests))
+    return [rates[i] for i in range(len(links))]
 
 
 def lower_bound_asymptotic(ul: UplinkConfig, dl: DownlinkConfig) -> float:

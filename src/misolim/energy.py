@@ -13,7 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .capacity import DownlinkConfig, MonteCarloEstimate, lower_bound_mc_batch
+from .capacity import DownlinkConfig, lower_bound_rates
 from .estimation import ImpairmentProfile, UplinkConfig
 from .randmat import _check_real, _dimension, derive_seed
 
@@ -77,7 +77,8 @@ class EnergyPoint:
     imp: ImpairmentProfile
     p_bs: float
     p_ut: float
-    capacity: MonteCarloEstimate
+    capacity: float
+    capacity_std_error: float
     ee: float
     ee_std_error: float
 
@@ -93,27 +94,28 @@ def warn_if_inadmissible(ecfg: EnergyConfig) -> None:
 
 def ee_points(n: int, channel, specs, n_samples: int, seed: int,
               workers: int = 1) -> list[EnergyPoint]:
-    """Sweep points of an n-antenna array on one shared pilot chain:
-    ``channel`` is its (R, S, sigma2_ut), ``specs`` lists one
-    (EnergyConfig, hardware name, ImpairmentProfile) per point, and each
-    rate is the Monte-Carlo lower bound at that point's scaled powers, on
-    up to ``workers`` processes."""
+    """Sweep points of an n-antenna array: ``channel`` is its (R, S,
+    sigma2_ut), ``specs`` lists one (EnergyConfig, hardware name,
+    ImpairmentProfile) per point, and each rate is the lower bound at that
+    point's scaled powers (``lower_bound_rates``): exact, with standard
+    error 0, where the antennas decouple, and otherwise sampled on one
+    shared pilot chain, on up to ``workers`` processes."""
     r, s, sigma2 = channel
     links = []
     for ecfg, _, imp in specs:
         p_bs, p_ut = ecfg.powers(n)
         links.append((UplinkConfig(r=r, s=s, p_ut=p_ut, imp=imp),
                       DownlinkConfig(p_bs=p_bs, sigma2_ut=sigma2, imp=imp)))
-    caps = lower_bound_mc_batch(links, n_samples, seed, workers)
+    rates = lower_bound_rates(links, n_samples, seed, workers)
     points = []
-    for (ecfg, hardware, imp), (ul, dl), cap in zip(specs, links, caps):
+    for (ecfg, hardware, imp), (ul, dl), (rate, se) in zip(specs, links,
+                                                           rates):
         points.append(EnergyPoint(
             n=n, hardware=hardware, imp=imp, p_bs=dl.p_bs, p_ut=ul.p_ut,
-            capacity=cap,
-            ee=energy_efficiency(cap.value, dl.p_bs, ul.p_ut, ecfg, n=n),
+            capacity=rate, capacity_std_error=se,
+            ee=energy_efficiency(rate, dl.p_bs, ul.p_ut, ecfg, n=n),
             # the efficiency is linear in the rate, so it scales the SE alike
-            ee_std_error=energy_efficiency(cap.std_error, dl.p_bs, ul.p_ut,
-                                           ecfg, n=n)))
+            ee_std_error=energy_efficiency(se, dl.p_bs, ul.p_ut, ecfg, n=n)))
     return points
 
 

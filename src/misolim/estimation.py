@@ -24,6 +24,7 @@ import numpy as np
 from .randmat import (
     CovarianceMatrix,
     _check_real,
+    _check_seed,
     _is_int,
     _re_plus_j_im,
     nearly_psd,
@@ -598,6 +599,7 @@ def pilot_chain(cfgs, n_samples: int, seed: int, stat,
     if not (_is_int(n_samples) and n_samples >= 1):
         raise ValueError("a pilot chain needs at least one sample, an "
                          f"integer, got {n_samples!r}")
+    _check_seed(seed)
     apply, filters, step = _chain_filters(cfgs)
     r, s = cfgs[0].r, cfgs[0].s
     one_draw = s.identity_scale is not None
@@ -768,6 +770,7 @@ def empirical_mse_batch(cfgs, n_samples: int, seed: int,
     """
     if not (_is_int(n_samples) and n_samples >= 2):
         raise ValueError(f"need an integer n_samples >= 2, got {n_samples!r}")
+    _check_seed(seed)
     cfgs = _shared(cfgs)
     norms = _dense_norms if _eigenbasis(cfgs[0]) is None else _diagonal_norms
     out = []

@@ -8,9 +8,12 @@ Each experiment reproduces one of the standard performance figures:
 * ``energy-efficiency``  -- bits/Joule under 1/N^t power scaling
 
 Output columns are fixed, in CSV_COLUMNS order; closed-form metrics leave
-std_error empty, and the capacity experiments' capacity_lower, a
-quadrature, writes 0: those two experiments draw nothing, so their rows
-depend on neither the seed nor the sample count. Tables are
+std_error empty, and an exact capacity_lower, a quadrature, writes 0
+(``capacity.lower_bound_is_exact``): every one of the capacity
+experiments, which draw nothing, and the kappa = 0 rows of
+energy-efficiency (their ee too). Those rows depend on neither the seed
+nor the sample count; only energy-efficiency's impaired rows and
+estimation-error's mse_empirical rows are sampled. Tables are
 byte-identical given (config, seed), regardless of worker count:
 ``_sweep`` runs the grid points that share an array size N on one
 Monte-Carlo draw set, seeded by derive_seed(seed, N), and writes rows in
@@ -333,7 +336,7 @@ def run_energy_efficiency(cfg: ExperimentConfig) -> list[tuple]:
                 dict(n=n, snr_db=EE_SNR_BASE_DB - 10.0 * t * math.log10(n),
                      kappa_bs=imp.kappa_t_bs, kappa_ut=imp.kappa_t_ut, t=t),
                 [("ee", pt.ee, pt.ee_std_error),
-                 ("capacity_lower", pt.capacity.value, pt.capacity.std_error)])
+                 ("capacity_lower", pt.capacity, pt.capacity_std_error)])
         return out
 
     grid = [(t, n, k) for t in cfg.t for n in cfg.n_grid for k in profiles]

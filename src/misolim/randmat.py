@@ -46,14 +46,17 @@ class CovarianceMatrix:
     * ``exponential_correlation(n, rho)`` and its ``scaled`` copies are
       c K with K_ij = rho^|i-j|, the Kac-Murdock-Szego matrix, and store
       (n, rho, c): ``kms_rho`` is rho. K is positive definite for
-      0 <= rho < 1, so nothing is validated. It is a dense matrix built
-      late: ``matrix`` on first use and its eigendecomposition on the first
-      use of the spectrum, each kept on the instance, with ``factor`` formed
-      from them as for any dense matrix.
+      0 <= rho < 1, so nothing is validated. Its ``eigenvalues`` are c
+      times K's, from the KMS equation (``_kms_eigenvalues``), with no
+      eigendecomposition and no N x N array. Otherwise it is a dense
+      matrix built late: ``matrix`` on first use and its eigendecomposition
+      on the first use of ``eigenvectors`` or ``factor``, each kept on the
+      instance, with ``factor`` formed from that decomposition as for any
+      dense matrix.
     """
 
     _scale = _rho = _diag0 = None
-    _m = _eigh = _factor = None
+    _m = _eigh = _factor = _w = None
 
     def __init__(self, matrix) -> None:
         m = np.array(matrix, dtype=np.complex128)
@@ -157,9 +160,14 @@ class CovarianceMatrix:
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        if self._scale is None:
+        if self._scale is not None:
+            return _frozen(np.full(self._n, self._scale))
+        if self._rho is None:
             return self._spectrum()[0]
-        return _frozen(np.full(self._n, self._scale))
+        if self._w is None:  # c K, solved once
+            self._w = _frozen(self._diag0
+                              * _kms_eigenvalues(self._n, self._rho))
+        return self._w
 
     @property
     def eigenvectors(self) -> np.ndarray:
@@ -238,6 +246,13 @@ def _check_real(x, name: str, positive: bool = False) -> None:
         raise ValueError(f"{name} must be a {kind} finite real, got {x!r}")
 
 
+def _check_seed(seed) -> None:
+    """ValueError unless seed is an integer >= 0 (``_is_int``), as a
+    master seed of ``substream`` must be."""
+    if not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"seeds must be integers >= 0, got {seed!r}")
+
+
 def _dimension(n) -> int:
     """n as an int; InvalidMatrixError (a ValueError) unless n is a
     positive integer (``_is_int``)."""
@@ -284,6 +299,57 @@ def exponential_correlation(n: int, rho: float) -> CovarianceMatrix:
     if not (_is_finite(rho) and 0.0 <= rho < 1.0):
         raise ValueError(f"correlation coefficient must lie in [0, 1), got {rho!r}")
     return CovarianceMatrix._kms(n, float(rho), 1.0)
+
+
+# Steps per root of ``_kms_eigenvalues``: bisection from a bracket of
+# width pi / N leaves each root within 3e-6 / N, and each Newton step
+# about squares that error, to the roundoff of the equation in 2
+_KMS_BISECTIONS = 20
+_KMS_NEWTON = 3
+
+
+def _kms_eigenvalues(n: int, rho: float) -> np.ndarray:
+    """The eigenvalues of the n x n K_rho, ascending, from the equation of
+    Kac, Murdock and Szego ("On the eigenvalues of certain Hermitian
+    forms", J. Rational Mech. Anal. 2, 1953): they are
+
+      lam(theta) = (1 - rho^2) / ((1 - rho)^2 + 4 rho sin^2(theta / 2))
+
+    at the n roots in (0, pi) of sin((n+1) theta) - 2 rho sin(n theta) +
+    rho^2 sin((n-1) theta), one in each (k pi / n, (k+1) pi / n). That
+    function is f = sin(n theta) a + cos(n theta) b, with a = (1 - rho)^2
+    - 2 (1 + rho^2) sin^2(theta / 2) and b = (1 - rho^2) sin(theta), in
+    which no terms cancel, and has the sign (-1)^k just right of k pi /
+    n: each root is bisected, all at once and without evaluating the
+    ends, then polished by Newton steps kept in its bracket. lam falls as
+    theta grows, so the largest root gives the smallest eigenvalue. O(n)
+    memory and time; rho = 0 gives exactly 1."""
+    k = np.arange(n)
+    lo, hi = k * (math.pi / n), (k + 1) * (math.pi / n)
+    sign = np.where(k % 2 == 0, 1.0, -1.0)
+    one_minus, inner = (1.0 - rho) ** 2, _innovation(rho) ** 2
+    b2 = 2.0 * (1.0 + rho * rho)
+    for _ in range(_KMS_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        f = (np.sin(n * mid) * (one_minus - b2 * np.sin(0.5 * mid) ** 2)
+             + np.cos(n * mid) * inner * np.sin(mid))
+        right = f * sign > 0.0  # the root lies right of mid
+        lo = np.where(right, mid, lo)
+        hi = np.where(right, hi, mid)
+    theta = 0.5 * (lo + hi)
+    for _ in range(_KMS_NEWTON):
+        s2 = np.sin(0.5 * theta) ** 2
+        sin_t = np.sin(theta)
+        sn, cn = np.sin(n * theta), np.cos(n * theta)
+        a, b = one_minus - b2 * s2, inner * sin_t
+        # f' = n (cos(n theta) a - sin(n theta) b) + sin(n theta) a'
+        # + cos(n theta) b', a' = -(1 + rho^2) sin(theta) and b' = (1 -
+        # rho^2) cos(theta)
+        df = (n * (cn * a - sn * b) - sn * (0.5 * b2) * sin_t
+              + cn * inner * (1.0 - 2.0 * s2))
+        theta = np.clip(theta - (sn * a + cn * b) / df, lo, hi)
+    half = np.sin(0.5 * theta) ** 2
+    return (inner / (one_minus + 4.0 * rho * half))[::-1]
 
 
 def _innovation(rho: float) -> float:

@@ -904,6 +904,140 @@ class TestLowerBoundIid:
                             dl)
 
 
+def kms_link(n, p, kappas, c=1.0, s=0.01):
+    """(ul, dl) with R = c K_0.7 and S = s I, pilot and data power p, the
+    levels kappas = (kt_bs, kr_bs, kt_ut, kr_ut) and sigma^2 = s."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # kappa above the typical range
+        imp = ImpairmentProfile(*kappas)
+    ul = UplinkConfig(r=exponential_correlation(n, 0.7).scaled(c),
+                      s=CovarianceMatrix.identity(n).scaled(s), p_ut=p,
+                      imp=imp)
+    return ul, DownlinkConfig(p_bs=p, sigma2_ut=s, imp=imp)
+
+
+class TestExactDomain:
+    """``lower_bound_iid`` also covers R = c K_rho with kappa_r_bs =
+    kappa_t_bs = 0, on R's eigenbasis; its kappa = 0 values are checked
+    against 40-digit ones in tests/test_kms_oracle.py."""
+
+    def test_decided_by_tags_and_levels(self):
+        eye = CovarianceMatrix.identity(4)
+        kms = exponential_correlation(4, 0.7)
+        dense = CovarianceMatrix(kms.matrix)
+        cases = [
+            (eye, eye, (0.01, 0.01, 0.01, 0.01), True),
+            (kms, eye, (0.0, 0.0, 0.0225, 0.01), True),
+            (kms.scaled(2.0), eye.scaled(0.5), (0.0,) * 4, True),
+            (kms, eye, (0.0025, 0.0, 0.0, 0.0), False),  # u has weight
+            (kms, eye, (0.0, 0.0025, 0.0, 0.0), False),  # couples coordinates
+            (dense, eye, (0.0,) * 4, False),  # untagged
+            (kms, CovarianceMatrix(np.eye(4)), (0.0,) * 4, False),
+        ]
+        for r, s, kappas, exact in cases:
+            imp = ImpairmentProfile(*kappas)
+            ul = UplinkConfig(r=r, s=s, p_ut=1.0, imp=imp)
+            dl = DownlinkConfig(p_bs=1.0, sigma2_ut=1.0, imp=imp)
+            assert capacity.lower_bound_is_exact(ul, dl) is exact
+            if not exact:
+                with pytest.raises(ValueError, match="c K_rho"):
+                    lower_bound_iid(ul, dl)
+
+    @pytest.mark.parametrize("kappas", [(0.0,) * 4,
+                                        (0.0, 0.0, 0.0225, 0.01)])
+    @pytest.mark.parametrize("n", [1, 4, 64, 256])
+    def test_matches_a_finer_rule(self, monkeypatch, n, kappas):
+        ul, dl = kms_link(n, n ** -0.25, kappas)
+        assert abs(lower_bound_iid(ul, dl)
+                   - _finer_iid(monkeypatch, ul, dl)) <= 1e-6
+
+    @pytest.mark.parametrize("case", [
+        # (n, p, kappas, c, s)
+        (4, 3.0, (0.0, 0.0, 0.0225, 0.01), 2.0, 0.5),
+        (64, 1.0, (0.0, 0.0, 0.0025, 0.0025), 1.0, 0.01),
+    ])
+    def test_matches_monte_carlo(self, case):
+        # within Z = 5 standard errors on a fixed seed, Z fixed before
+        # any draw was looked at
+        n, p, kappas, c, s = case
+        ul, dl = kms_link(n, p, kappas, c=c, s=s)
+        mc = lower_bound_mc(ul, dl, 20_000, seed=23)
+        assert abs(lower_bound_iid(ul, dl) - mc.value) <= 5.0 * mc.std_error
+
+    @pytest.mark.parametrize("p", [1e-300, 1e300])
+    @pytest.mark.parametrize("kt_ut", [0.0, 0.0225, 1.0])
+    def test_extreme_powers_give_finite_rates(self, p, kt_ut):
+        for n in (1, 1024):
+            rate = lower_bound_iid(*kms_link(n, p, (0.0, 0.0, kt_ut, 0.01)))
+            assert math.isfinite(rate) and rate >= 0.0
+
+    def test_draws_nothing_and_no_dense_decomposition(self, monkeypatch):
+        def no_call(*args, **kwargs):
+            raise AssertionError("called")
+
+        for module in (randmat, estimation):
+            monkeypatch.setattr(module, "substream", no_call)
+        monkeypatch.setattr(np.linalg, "eigh", no_call)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_call)
+        n = 4096  # a dense n x n complex matrix alone is 268 MB
+        tracemalloc.start()
+        try:
+            ul, dl = kms_link(n, 1.0, (0.0,) * 4)
+            rate = lower_bound_iid(ul, dl)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+        assert 0.0 < rate < capacity_upper_bound(ul.r, dl)
+        assert lower_bound_iid(ul, dl) == rate
+
+
+class TestLowerBoundRates:
+    """Exact where ``lower_bound_is_exact``, sampled elsewhere, on one
+    chain of the sampled links alone."""
+
+    def test_mixed_batch(self):
+        # one pilot chain: the links share R and S
+        r = exponential_correlation(16, 0.7)
+        s = CovarianceMatrix.identity(16).scaled(0.01)
+        links = []
+        for kappas in ((0.0,) * 4, (0.0025,) * 4, (0.0, 0.0, 0.01, 0.0),
+                       (0.01,) * 4):
+            imp = ImpairmentProfile(*kappas)
+            links.append((UplinkConfig(r=r, s=s, p_ut=1.0, imp=imp),
+                          DownlinkConfig(p_bs=1.0, sigma2_ut=0.01, imp=imp)))
+        rates = capacity.lower_bound_rates(links, 1000, 7)
+        sampled = lower_bound_mc_batch([links[1], links[3]], 1000, 7)
+        assert rates[0] == (lower_bound_iid(*links[0]), 0.0)
+        assert rates[2] == (lower_bound_iid(*links[2]), 0.0)
+        assert [rates[1], rates[3]] == [(e.value, e.std_error)
+                                        for e in sampled]
+
+    def test_all_exact_draws_nothing(self, monkeypatch):
+        def no_call(*args, **kwargs):
+            raise AssertionError("called")
+
+        for module in (randmat, estimation):
+            monkeypatch.setattr(module, "substream", no_call)
+        monkeypatch.setattr(os, "fork", no_call)
+        links = [kms_link(8, p, (0.0,) * 4) for p in (1.0, 0.5)]
+        links.append(iid_link(8, 10.0, (0.0025,) * 4))
+        rates = capacity.lower_bound_rates(links, 1000, 3, workers=2)
+        assert rates == [(lower_bound_iid(*link), 0.0) for link in links]
+
+    @pytest.mark.parametrize("n_samples, seed", [
+        (999, 0), (1000.0, 0), (1000, -1), (1000, 1.5), (1000, True)])
+    def test_counts_and_seeds_checked_when_nothing_is_drawn(self, n_samples,
+                                                            seed):
+        with pytest.raises(ValueError, match="integer"):
+            capacity.lower_bound_rates([kms_link(4, 1.0, (0.0,) * 4)],
+                                       n_samples, seed)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="at least one config"):
+            capacity.lower_bound_rates([], 1000, 0)
+
+
 class TestZeroPilotPower:
     """A link with p_ut = 0 estimates nothing: every lower bound rejects
     it before any draw."""

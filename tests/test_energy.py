@@ -1,15 +1,19 @@
 """Energy-efficiency metric and power-scaling sweep tests."""
 
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from misolim import estimation, randmat
 from misolim.energy import (
     EnergyConfig,
     EnergyPoint,
+    ee_points,
     ee_sweep,
     energy_efficiency,
     scaled_power,
@@ -232,3 +236,38 @@ class TestEeSweep:
         with pytest.raises(ValueError, match="at least one config"):
             ee_sweep(identity_channel, EnergyConfig(t_ut=0.25), [2], {},
                      n_samples=1000, seed=0)
+
+
+class TestNothingToSample:
+    """A point whose every config is exact (``lower_bound_is_exact``)
+    draws nothing and forks no process: the energy-efficiency run at
+    kappa = 0 writes every rate with standard error 0."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("substream or fork called")
+
+        monkeypatch.setattr(randmat, "substream", boom)
+        monkeypatch.setattr(estimation, "substream", boom)
+        monkeypatch.setattr(os, "fork", boom)
+
+    def test_run_at_kappa_zero(self):
+        cfg = ExperimentConfig(experiment="energy-efficiency", seed=5,
+                               n_samples=1000, n_grid=[1, 8, 64],
+                               kappa=[0.0], workers=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # t outside the admissible region
+            rows = run_experiment(cfg)
+        assert len(rows) == 3 * 3 * 2
+        assert all(row[8] == 0.0 and row[7] > 0.0 for row in rows)
+
+    def test_ee_points(self):
+        specs = [(EnergyConfig(t_bs=t, t_ut=t), "ideal", ImpairmentProfile())
+                 for t in (0.25, 0.5)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pts = ee_points(16, identity_channel(16), specs, 1000, 0,
+                            workers=2)
+        assert [p.capacity_std_error for p in pts] == [0.0, 0.0]
+        assert [p.ee_std_error for p in pts] == [0.0, 0.0]

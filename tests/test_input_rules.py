@@ -140,6 +140,24 @@ class TestIntegerInputs:
             with pytest.raises(ValueError, match="integer"):
                 call()
 
+    @pytest.mark.parametrize("seed", [1.5, -3, True, "1"], ids=repr)
+    def test_seed_checked_before_any_filter(self, seed, monkeypatch):
+        # a negative seed would reach numpy's SeedSequence, and the others
+        # substream, only after every filter was formed
+        def never(*args):
+            raise AssertionError("a filter was formed")
+
+        monkeypatch.setattr(estimation, "_chain_filters", never)
+        monkeypatch.setattr(estimation, "_error_filters", never)
+        ul, dl = iid_link()
+        dense = UplinkConfig(r=CovarianceMatrix(np.eye(2)), s=EYE, p_ut=1.0)
+        for call in (lambda: pilot_chain([ul], 1000, seed,
+                                         lambda h, h_hat, h2: h2),
+                     lambda: empirical_mse(dense, 1000, seed),
+                     lambda: lower_bound_mc(ul, dl, 1000, seed)):
+            with pytest.raises(ValueError, match="must be integers"):
+                call()
+
     def test_numpy_integers_draw_as_ints(self):
         ul, dl = iid_link()
         assert empirical_mse(ul, np.int64(1000), np.int64(3)) \

@@ -1,6 +1,8 @@
 """Covariance construction and complex Gaussian sampling tests."""
 
+import csv
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,8 +185,10 @@ class TestKmsTag:
     @pytest.mark.parametrize("rho", [0.0, 0.7, 0.95])
     def test_arrays_are_the_dense_ones(self, n, rho):
         # c K is a dense matrix built late: the bits of the dense matrix
-        # built from the same expression, of its eigendecomposition and of
-        # its factor V sqrt(w), each kept once formed
+        # built from the same expression, of its eigenvectors and of its
+        # factor V sqrt(w), each kept once formed. Its eigenvalues come
+        # from the KMS equation instead, within 1e-12 relative of the
+        # dense ones (see TestKmsEigenvalues)
         idx = np.arange(n)
         k = rho ** np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
         for c in (1.0, 3.0, 1e-3):
@@ -193,8 +197,13 @@ class TestKmsTag:
             for name in ("matrix", "eigenvalues", "eigenvectors", "factor"):
                 a = getattr(r, name)
                 assert a is getattr(r, name) and not a.flags.writeable
-                assert _same_bits(a, getattr(dense, name))
-            assert r.max_eigenvalue == dense.max_eigenvalue
+                if name == "eigenvalues":
+                    np.testing.assert_allclose(a, dense.eigenvalues,
+                                               rtol=1e-12, atol=0.0)
+                else:
+                    assert _same_bits(a, getattr(dense, name))
+            assert r.max_eigenvalue == pytest.approx(dense.max_eigenvalue,
+                                                     rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64])
     @pytest.mark.parametrize("rho", [0.0, 0.7, 0.95])
@@ -240,6 +249,76 @@ class TestKmsTag:
         for m in (CovarianceMatrix.identity(n).scaled(3.0),
                   CovarianceMatrix(r.matrix)):
             assert m.norm_bound == m.max_eigenvalue
+
+
+KMS_ORACLE = Path(__file__).parent / "oracle" / "kms.csv"
+
+
+class TestKmsEigenvalues:
+    """c K_rho's eigenvalues come from the KMS equation, not from eigh.
+
+    The agreement rule, fixed before any output was looked at: within
+    1e-12 relative of the dense path (numpy's eigvalsh) for rho <= 0.95;
+    and near rho = 1, where eigvalsh itself is off by more than that (by
+    about 3e-13 at rho = 0.99 and 4e-12 at 0.999 for N = 64), within 1e-11
+    relative of 40-digit eigenvalues from mpmath's dense solver, which
+    judges between the two."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 100, 1024])
+    @pytest.mark.parametrize("rho", [0.0, 0.7, 0.95])
+    def test_match_eigvalsh(self, n, rho):
+        idx = np.arange(n)
+        k = rho ** np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
+        got = exponential_correlation(n, rho).eigenvalues
+        np.testing.assert_allclose(got, np.linalg.eigvalsh(k), rtol=1e-12,
+                                   atol=0.0)
+
+    @pytest.mark.parametrize("rho", [0.99, 0.999])
+    def test_match_extended_precision(self, rho):
+        with open(KMS_ORACLE, newline="", encoding="utf-8") as fh:
+            rows = [r for r in csv.DictReader(fh)
+                    if r["metric"] == "eigenvalue"
+                    and float(r["rho"]) == rho]
+        n = int(rows[0]["n"])
+        assert [int(r["k"]) for r in rows] == list(range(n))
+        want = np.array([float(r["value"]) for r in rows])
+        got = exponential_correlation(n, rho).eigenvalues
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 1024])
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.7, 0.99, 0.999])
+    def test_ascending(self, n, rho):
+        w = exponential_correlation(n, rho).scaled(2.0).eigenvalues
+        assert w.shape == (n,) and not w.flags.writeable
+        assert np.all(np.diff(w) >= 0.0) and w[0] > 0.0
+
+    def test_no_dense_decomposition(self, monkeypatch):
+        # eigenvalues, min_eigenvalue and max_eigenvalue of c K solve the
+        # equation: no eigh, no eigvalsh and no N x N array
+        def no_call(*args, **kwargs):
+            raise AssertionError("dense decomposition called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_call)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_call)
+        n = 4096  # a dense n x n complex matrix alone is 268 MB
+        tracemalloc.start()
+        try:
+            r = exponential_correlation(n, 0.7).scaled(3.0)
+            w = r.eigenvalues
+            lo, hi = r.min_eigenvalue, r.max_eigenvalue
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert (lo, hi) == (w[0], w[-1])
+        # the spectrum of 3 K_0.7 lies in 3 ((1 - rho) / (1 + rho), (1 +
+        # rho) / (1 - rho))
+        assert 3.0 * 0.3 / 1.7 < lo < hi < 3.0 * 1.7 / 0.3
+        assert r.eigenvalues is w
+
+    def test_zero_correlation_is_exactly_one(self):
+        assert np.array_equal(exponential_correlation(5, 0.0).eigenvalues,
+                              np.ones(5))
 
 
 class TestNearlyPsd:
