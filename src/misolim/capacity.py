@@ -26,18 +26,14 @@ from .estimation import (
     ImpairmentProfile,
     MonteCarloEstimate,
     UplinkConfig,
+    _check_draws,
     _check_levels,
     _eigenbasis,
     _solve_m,
+    _standard_error,
     pilot_chain,
 )
-from .randmat import (
-    CovarianceMatrix,
-    _check_real,
-    _check_seed,
-    _dimension,
-    _is_int,
-)
+from .randmat import CovarianceMatrix, _check_real, _dimension
 from .specfun import one_minus_x_ex_e1
 
 LOG2 = math.log(2.0)
@@ -255,23 +251,22 @@ def _mrt_stats(h: np.ndarray, h_hat: np.ndarray, h2: np.ndarray) -> np.ndarray:
 def _rate_estimate(x: np.ndarray, dl: DownlinkConfig,
                    n_samples: int) -> MonteCarloEstimate:
     """log2(1 + SINR) of the approximate-MRT bound from the rows of
-    ``_mrt_stats``, with its delta-method standard error."""
+    ``_mrt_stats``, with its delta-method standard error: the value is a
+    function of the rows' means, so grad^T Cov grad / n, the delta
+    method's variance, is the squared standard error of the rows'
+    projections on the gradient (``_standard_error``)."""
     dropped = n_samples - x.shape[0]
     if dropped > 0.001 * n_samples:
         raise RuntimeError(
             f"{dropped} of {n_samples} draws produced a zero channel estimate"
         )
-    n_eff = x.shape[0]
-    mean = x.mean(axis=0)
-    cov = np.cov(x, rowvar=False)
-    a_re, a_im, q_m, u_m = mean
+    a_re, a_im, q_m, u_m = x.mean(axis=0)
     sig = a_re ** 2 + a_im ** 2
     kt, kr = dl.imp.kappa_t_bs, dl.imp.kappa_r_ut
     # (1 + kr) q_m - sig as kr q_m + mean |g - mean g|^2: no cancellation
     denom = (kr * q_m + np.mean((x[:, 0] - a_re) ** 2 + (x[:, 1] - a_im) ** 2)
              + kt * u_m + dl.sigma2_ut / dl.p_bs)
     sinr = sig / denom
-    value = math.log2(1.0 + sinr)
     grad_sinr = np.array([
         2.0 * a_re * (denom + sig) / denom ** 2,
         2.0 * a_im * (denom + sig) / denom ** 2,
@@ -279,17 +274,9 @@ def _rate_estimate(x: np.ndarray, dl: DownlinkConfig,
         -sig * kt / denom ** 2,
     ])
     grad = grad_sinr / (LOG2 * (1.0 + sinr))
-    var = float(grad @ cov @ grad) / n_eff
-    return MonteCarloEstimate(value=value, std_error=math.sqrt(max(var, 0.0)),
-                              n_samples=n_eff)
-
-
-def _check_draws(n_samples: int, seed: int) -> None:
-    """ValueError unless n_samples is an integer >= 1000 and seed an
-    integer >= 0."""
-    if not (_is_int(n_samples) and n_samples >= 1000):
-        raise ValueError(f"need an integer n_samples >= 1000, got {n_samples!r}")
-    _check_seed(seed)
+    se = _standard_error((x * grad).sum(axis=1))
+    return MonteCarloEstimate(value=math.log2(1.0 + sinr), std_error=se,
+                              n_samples=x.shape[0])
 
 
 def lower_bound_mc_batch(links, n_samples: int, seed: int,
@@ -297,7 +284,7 @@ def lower_bound_mc_batch(links, n_samples: int, seed: int,
     """``lower_bound_mc`` of each (ul, dl) pair in ``links`` over one shared
     pilot chain, on up to ``workers`` processes: the uplink configs share
     R and S (see ``pilot_chain``)."""
-    _check_draws(n_samples, seed)
+    _check_draws(n_samples, seed, 1000)
     links = list(links)
     if any(ul.p_ut == 0.0 for ul, _ in links):
         raise ValueError("the lower bound needs pilot power p_ut > 0")
@@ -315,10 +302,10 @@ def lower_bound_mc(ul: UplinkConfig, dl: DownlinkConfig, n_samples: int,
     LMMSE estimate), then the beamformer v = conj(h_hat)/||h_hat||. The
     three expectations E{h^T v}, E{|h^T v|^2}, sum_i E{|h_i|^2 |v_i|^2} are
     estimated jointly from the common sample stream; the standard error of
-    log2(1 + SINR) follows by the delta method. Draws whose estimate is
-    exactly zero are dropped; more than 0.1 % of them raise RuntimeError.
-    A link without pilot power (p_ut = 0) raises ValueError before any
-    draw.
+    log2(1 + SINR) follows by the delta method (``_rate_estimate``). Draws
+    whose estimate is exactly zero are dropped; more than 0.1 % of them
+    raise RuntimeError. A link without pilot power (p_ut = 0) raises
+    ValueError before any draw.
     """
     return lower_bound_mc_batch([(ul, dl)], n_samples, seed)[0]
 
@@ -424,8 +411,9 @@ def _iid_moments(ul: UplinkConfig):
     eu = _trapezoid(t * f_u, h, 1.0, n)
     eg2 = eu + d2 * _trapezoid(t * f_pair, h, 1.0, n + 1.0)
     ref = lam[-1]
-    return (math.sqrt(ref) * float(wz @ eg), ref * float(wz @ eg2),
-            ref * float(wz @ eu))
+    # numpy's sums, not a BLAS dot, so the bytes do not depend on its kernel
+    return (math.sqrt(ref) * float(np.sum(wz * eg)),
+            ref * float(np.sum(wz * eg2)), ref * float(np.sum(wz * eu)))
 
 
 def _coordinate_sums(d2, tau, q, kr, m, a, a2) -> np.ndarray:
@@ -533,7 +521,7 @@ def lower_bound_rates(links, n_samples: int, seed: int,
     ``lower_bound_is_exact``, and ``lower_bound_mc_batch`` of the others,
     on one pilot chain. A batch whose every link is exact draws nothing,
     and forks no process."""
-    _check_draws(n_samples, seed)
+    _check_draws(n_samples, seed, 1000)
     links = list(links)
     if not links:
         raise ValueError("a lower-bound batch needs at least one config")

@@ -7,6 +7,11 @@ the distortion depends on the unknown channel, the classical MMSE results
 do not apply; the best *linear* estimator and its error covariance are
 computed in closed form here, together with their high-power limits
 (the error floors).
+
+The Monte-Carlo bookkeeping of both estimators, this module's MSE and
+the capacity lower bound, lives here too: one check of the sample count
+and seed (``_check_draws``), one chunk map (``_map_chunks``) and one
+standard-error rule (``_standard_error``).
 """
 
 from __future__ import annotations
@@ -83,11 +88,11 @@ class UplinkConfig:
 
     def __post_init__(self):
         _check_real(self.p_ut, "p_ut")
-        # the norms by norm_bound; an inf product times a 0 norm is nan
-        r = self.r.norm_bound
+        # the norms by max_eigenvalue; an inf product times a 0 norm is nan
+        r = self.r.max_eigenvalue
         if not math.isfinite(self.p_ut * (1.0 + self.imp.kappa_t_ut) * r
                              + self.p_ut * self.imp.kappa_r_bs * r
-                             + self.s.norm_bound):
+                             + self.s.max_eigenvalue):
             raise ValueError("p_ut (1 + kappa_t_ut + kappa_r_bs) ||R|| + "
                              "||S|| must be finite")
         if self.r.dim != self.s.dim:
@@ -127,6 +132,27 @@ class MonteCarloEstimate:
                              f"{self.std_error}")
         if self.std_error < 0.0:
             raise ValueError("standard error must be nonnegative")
+
+
+def _check_draws(n_samples: int, seed: int, minimum: int) -> None:
+    """ValueError unless n_samples is an integer >= minimum and seed an
+    integer >= 0: the one check of every Monte-Carlo entry point, made
+    before any filter is formed."""
+    if not (_is_int(n_samples) and n_samples >= minimum):
+        raise ValueError(f"need an integer n_samples >= {minimum}, "
+                         f"got {n_samples!r}")
+    _check_seed(seed)
+
+
+def _standard_error(v: np.ndarray) -> float:
+    """The standard error of the mean of the draws v: their sample
+    standard deviation over sqrt(len(v)), taken on v scaled by 2^-k, k
+    the exponent of max |v|, so that no squared deviation falls below the
+    normal range, and scaled back: exact, and the same bits wherever the
+    squares of v itself are normal. numpy's reductions, no BLAS call."""
+    k = int(np.frexp(np.max(np.abs(v)))[1])
+    std = np.ldexp(np.std(np.ldexp(v, -k), ddof=1), k)
+    return float(std / math.sqrt(len(v)))
 
 
 def _cho_solve(m: np.ndarray, b: np.ndarray, singular: str) -> np.ndarray:
@@ -222,7 +248,7 @@ def error_covariance(cfg: UplinkConfig) -> CovarianceMatrix:
     if cfg.r.identity_scale is not None and cfg.s.identity_scale is not None:
         return CovarianceMatrix.identity(cfg.dim).scaled(mse_per_antenna(cfg))
     return nearly_psd(_solve_m(cfg, cfg.r.matrix).conj().T @ _q(cfg),
-                      scale=cfg.r.norm_bound)
+                      scale=cfg.r.max_eigenvalue)
 
 
 def mse_per_antenna(cfg: UplinkConfig) -> float:
@@ -252,7 +278,7 @@ def error_floor(cfg: UplinkConfig) -> CovarianceMatrix:
     kt, kr = cfg.imp.kappa_t_ut, cfg.imp.kappa_r_bs
     x = _cho_solve(_mix(cfg.r, 1.0 + kt, kr), cfg.r.matrix, _SINGULAR_FLOOR)
     return nearly_psd(x.conj().T @ _mix(cfg.r, kt, kr),
-                      scale=cfg.r.norm_bound)
+                      scale=cfg.r.max_eigenvalue)
 
 
 def floor_per_antenna(cfg: UplinkConfig) -> float:
@@ -596,10 +622,7 @@ def pilot_chain(cfgs, n_samples: int, seed: int, stat,
       S = s I, else an N x N array, on tiles of _TILE values.
     """
     cfgs = _shared(cfgs)
-    if not (_is_int(n_samples) and n_samples >= 1):
-        raise ValueError("a pilot chain needs at least one sample, an "
-                         f"integer, got {n_samples!r}")
-    _check_seed(seed)
+    _check_draws(n_samples, seed, 1)
     apply, filters, step = _chain_filters(cfgs)
     r, s = cfgs[0].r, cfgs[0].s
     one_draw = s.identity_scale is not None
@@ -766,25 +789,18 @@ def empirical_mse_batch(cfgs, n_samples: int, seed: int,
     - h would: ||e||^2 comes from weighted row sums on R's eigenbasis
     (``_diagonal_norms``), and otherwise from the two N x N filters
     (``_dense_norms``). The chunks run on up to ``workers`` processes
-    (``_map_chunks``).
+    (``_map_chunks``). The standard error is ``_standard_error`` of the
+    draws' ||e||^2 / N.
     """
-    if not (_is_int(n_samples) and n_samples >= 2):
-        raise ValueError(f"need an integer n_samples >= 2, got {n_samples!r}")
-    _check_seed(seed)
+    _check_draws(n_samples, seed, 2)
     cfgs = _shared(cfgs)
     norms = _dense_norms if _eigenbasis(cfgs[0]) is None else _diagonal_norms
     out = []
     for e in _map_chunks(norms(cfgs), n_samples, seed, workers, blas=True):
         e /= cfgs[0].dim
-        # the spread of e scaled by 2^-k, so that no squared deviation
-        # falls below the normal range, and scaled back: exact, and the
-        # same bits wherever the squares of e itself are normal
-        k = int(np.frexp(np.max(e))[1])
-        std = np.ldexp(np.std(np.ldexp(e, -k), ddof=1), k)
-        out.append(MonteCarloEstimate(
-            value=float(np.mean(e)),
-            std_error=float(std / math.sqrt(len(e))),
-            n_samples=len(e)))
+        out.append(MonteCarloEstimate(value=float(np.mean(e)),
+                                      std_error=_standard_error(e),
+                                      n_samples=len(e)))
     return out
 
 

@@ -181,18 +181,6 @@ class CovarianceMatrix:
     def max_eigenvalue(self) -> float:
         return float(self.eigenvalues[-1]) if self._scale is None else self._scale
 
-    @property
-    def norm_bound(self) -> float:
-        """An upper bound on the spectral norm, for roundoff scales:
-        ``max_eigenvalue``, except for c K_rho, where it is c times K's
-        largest row sum (its middle row's), in O(N) with no
-        eigendecomposition; within 12 % of the largest eigenvalue for N
-        up to 1024 and rho up to 0.99."""
-        if self._rho is None:
-            return self.max_eigenvalue
-        lag = np.abs(np.arange(self._n) - (self._n - 1) // 2)
-        return self._diag0 * float(np.sum(self._rho ** lag))
-
     def trace(self) -> float:
         if self._scale is None and self._rho is None:
             return float(np.trace(self._m).real)

@@ -608,6 +608,61 @@ class TestRateEstimate:
         est = _rate_estimate(x, dl, 1000)
         assert est.value == pytest.approx(exact, rel=1e-14)
 
+    @staticmethod
+    def delta_method_se(x, dl):
+        """sqrt(grad^T Cov grad / n) in exact arithmetic on the float rows
+        x, Cov their sample covariance and grad the gradient of log2(1 +
+        SINR) in the four means, with the denominator that _rate_estimate
+        forms: kr E|g|^2 + E|g - E g|^2 + kt E u + sigma^2 / p."""
+        n = len(x)
+        cols = [list(map(Fraction, c.tolist())) for c in x.T]
+        sums = [sum(c) for c in cols]
+        m = [t / n for t in sums]
+        cov = [[(sum(a * b for a, b in zip(cols[j], cols[k]))
+                 - sums[j] * sums[k] / n) / (n - 1) for k in range(4)]
+               for j in range(4)]
+        kt, kr = Fraction(dl.imp.kappa_t_bs), Fraction(dl.imp.kappa_r_ut)
+        sig = m[0] ** 2 + m[1] ** 2
+        spread = sum((a - m[0]) ** 2 + (b - m[1]) ** 2
+                     for a, b in zip(cols[0], cols[1])) / n
+        denom = (kr * m[2] + spread + kt * m[3]
+                 + Fraction(dl.sigma2_ut) / Fraction(dl.p_bs))
+        grad = [2 * m[0] * (denom + sig), 2 * m[1] * (denom + sig),
+                -sig * (1 + kr), -sig * kt]  # times 1 / denom^2
+        var = sum(grad[j] * cov[j][k] * grad[k]
+                  for j in range(4) for k in range(4)) / denom ** 4 / n
+        sinr = sig / denom
+        return math.sqrt(float(var)) / (math.log(2.0) * float(1 + sinr))
+
+    @pytest.mark.parametrize("case", ["ideal-identity-1024",
+                                      "impaired-kms-64"])
+    def test_std_error_is_the_delta_method(self, case):
+        # the standard error is the spread of the rows' projections on the
+        # gradient; at SINR 4e3 the projections' terms are 6e3 times their
+        # spread, so they agree with the exact quadratic form within 1e-10
+        if case == "ideal-identity-1024":
+            ul, dl = make_symmetric(1024, 0.0)
+        else:
+            ul, dl = link(64, "kms", 100.0, 0.0025)
+        x, = pilot_chain([ul], 1000, 11, _mrt_stats)
+        est = _rate_estimate(x, dl, 1000)
+        assert est.std_error == pytest.approx(self.delta_method_se(x, dl),
+                                              rel=1e-10)
+
+    def test_equal_projections_give_zero_error(self):
+        # a spread of equal values is exactly 0, with no negative variance
+        # to clamp: g = 0 on every row, so the gradient and every
+        # projection are 0 while |g|^2 and u still spread, and two copies
+        # of one row of a chain
+        ul, dl = link(64, "kms", 100.0, 0.0025)
+        x = np.zeros((1000, 4))
+        x[:, 2:] = np.random.default_rng(5).exponential(size=(1000, 2))
+        est = _rate_estimate(x, dl, 1000)
+        assert (est.value, est.std_error) == (0.0, 0.0)
+        row = pilot_chain([ul], 1, 11, _mrt_stats)[0]
+        est = _rate_estimate(np.repeat(row, 2, axis=0), dl, 2)
+        assert est.value > 0.0 and est.std_error == 0.0
+
 
 def link(n, kind, p_ut, kappa):
     """(ul, dl) with R = I ("identity") or K_0.7 ("kms"), S = I, every

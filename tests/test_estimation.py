@@ -864,7 +864,7 @@ class TestSharedDraws:
     def test_chain_needs_a_sample(self):
         # with no chunk to join, the chain would return no array at all
         cfg = self.batch(exponential_correlation(3, 0.7))[0]
-        with pytest.raises(ValueError, match="at least one sample"):
+        with pytest.raises(ValueError, match="n_samples >= 1,"):
             pilot_chain([cfg], 0, 0, estimates)
 
     @pytest.mark.parametrize("run", [

@@ -45,6 +45,13 @@ def values(table, metric, **match):
     return out
 
 
+def src_env():
+    """os.environ with the tested package first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(misolim.__file__))]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def small_config(experiment, seed=1, **kw):
     """A small run of ``experiment``, given only the grids it reads."""
     grids = dict(n_grid=[2, 4], kappa=[0.0, 0.0025], t=[0.25, 0.5],
@@ -254,11 +261,33 @@ class TestNoThreads:
     def test_no_executor_imported(self):
         code = ("import sys, misolim.cli; "
                 "sys.exit('concurrent.futures' in sys.modules)")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [os.path.dirname(os.path.dirname(misolim.__file__))]
-            + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         assert subprocess.run([sys.executable, "-c", code],
-                              env=env).returncode == 0
+                              env=src_env()).returncode == 0
+
+
+class TestBlasKernel:
+    """The lower bound's statistics call no BLAS routine: its sums and its
+    standard errors are numpy reductions, so a run writes the same bytes
+    on any OpenBLAS kernel. OPENBLAS_CORETYPE picks the kernel of a
+    DYNAMIC_ARCH build at load, so each run has its own process."""
+
+    @staticmethod
+    def csv(experiment, coretype):
+        env = src_env()
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype is not None:
+            env["OPENBLAS_CORETYPE"] = coretype
+        done = subprocess.run(
+            [sys.executable, "-m", "misolim.cli", "--experiment", experiment,
+             "--n-grid", "4,16", "--samples", "1000"],
+            env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    @pytest.mark.parametrize("experiment", ["capacity-vs-kappa",
+                                            "energy-efficiency"])
+    def test_same_bytes_on_an_older_kernel(self, experiment):
+        assert self.csv(experiment, "Prescott") == self.csv(experiment, None)
 
 
 class TestTaggedCovariances:
