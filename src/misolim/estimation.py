@@ -10,8 +10,11 @@ computed in closed form here, together with their high-power limits
 
 The Monte-Carlo bookkeeping of both estimators, this module's MSE and
 the capacity lower bound, lives here too: one check of the sample count
-and seed (``_check_draws``), one chunk map (``_map_chunks``) and one
-standard-error rule (``_standard_error``).
+and seed (``_check_draws``), one chunk map (``_map_chunks``), one
+standard-error rule (``_standard_error``), and the draws of h and w_t
+that begin every chunk (``_channel_draws``). The MSE chain draws nothing
+else: given h and w_t, it integrates the noise and array distortion out
+in closed form (``empirical_mse_batch``).
 """
 
 from __future__ import annotations
@@ -178,8 +181,7 @@ def _eigenbasis(cfg: UplinkConfig):
     """(lam, g, beta) when R is c I or c K_rho and S is s I by their tags,
     else None. Then M = alpha R + beta I, with alpha = p (1 + kappa_t_ut)
     and beta = p kappa_r_bs c + s, has R's eigenvectors, and M^{-1} R has
-    the gains g on them. lam is R's spectrum clipped at 0, as its factor
-    is (the scalar c for R = c I).
+    the gains g on them. lam is R's spectrum (the scalar c for R = c I).
 
     g = lam inv inv with inv = 1 / sqrt(alpha lam + beta): the Cholesky
     path's operations on a diagonal M, whose factor is sqrt(M) and whose
@@ -190,7 +192,7 @@ def _eigenbasis(cfg: UplinkConfig):
     if s is None or (lam is None and cfg.r.kms_rho is None):
         return None
     if lam is None:
-        lam = np.clip(cfg.r.eigenvalues, 0.0, None)
+        lam = cfg.r.eigenvalues
     alpha = cfg.p_ut * (1.0 + cfg.imp.kappa_t_ut)
     kr_r0 = cfg.p_ut * cfg.imp.kappa_r_bs * cfg.r.constant_diagonal
     # M's eigenvalues summed in the dense path's order: alpha R + S first
@@ -310,19 +312,33 @@ def error_floor_iid(lam: float, kappa_t_ut: float, kappa_r_bs: float) -> float:
     return lam * (1.0 - 1.0 / (1.0 + (kappa_t_ut + kappa_r_bs)))
 
 
+def _channel_draws(r: CovarianceMatrix, count: int,
+                   rng: np.random.Generator):
+    """h ~ CN(0, R) of count rows, then w_t ~ CN(0, 1) per row: the first
+    draws of every chunk of both chains (``_draw_chunk``,
+    ``_diagonal_draws``), and the only draws of the MSE chain
+    (``empirical_mse_batch``)."""
+    h = sample_cn(r, rng, size=count)
+    return h, sample_scalar_cn(1.0, rng, size=count)
+
+
+def _noise_draws(s: CovarianceMatrix, h: np.ndarray,
+                 rng: np.random.Generator):
+    """nu ~ CN(0, S) per row, then |h| w_r with w_r ~ CN(0, 1) per entry,
+    for a (count, N) batch of channels h."""
+    nu = sample_cn(s, rng, size=len(h))
+    hw_r = sample_scalar_cn(1.0, rng, size=h.shape)
+    hw_r *= np.abs(h)
+    return nu, hw_r
+
+
 def _standard_draws(s: CovarianceMatrix, h: np.ndarray,
                     rng: np.random.Generator):
-    """What the uplink distortion and noise of a (count, N) batch of channels
-    are made of, drawn in this order: w_t ~ CN(0, 1) per row, nu ~ CN(0, S),
-    and |h| w_r with w_r ~ CN(0, 1) per entry. The MSE chain draws these
-    for any S, the lower bound's chain for any S not tagged s I (see
-    ``_diagonal_draws``)."""
-    count, n = h.shape
-    w_t = sample_scalar_cn(1.0, rng, size=count)
-    nu = sample_cn(s, rng, size=count)
-    hw_r = sample_scalar_cn(1.0, rng, size=(count, n))
-    hw_r *= np.abs(h)
-    return w_t, nu, hw_r
+    """What the uplink distortion and noise of a given (count, N) batch of
+    channels are made of, drawn in this order: w_t ~ CN(0, 1) per row,
+    then ``_noise_draws``; the draws of ``_draw_chunk`` after h."""
+    w_t = sample_scalar_cn(1.0, rng, size=len(h))
+    return (w_t, *_noise_draws(s, h, rng))
 
 
 def _observe(cfg: UplinkConfig, h: np.ndarray, w_t: np.ndarray,
@@ -343,15 +359,13 @@ def _squared_moduli(h: np.ndarray) -> np.ndarray:
 def _diagonal_draws(r: CovarianceMatrix, s: CovarianceMatrix, count: int,
                     rng: np.random.Generator):
     """(h, w_t, |h|^2, u) for S = s I (by its tag), drawn in this order:
-    h ~ CN(0, R) of count rows, w_t ~ CN(0, 1) per row and u ~ CN(0, 1)
-    per entry, in h's memory layout. Given h, nu + eta_r is CN(0, s I +
-    kappa_r_bs p diag(|h_i|^2)), independent across antennas, so
-    ``_observe_diagonal`` forms it from u alone: one draw per antenna in
-    place of the two of ``_standard_draws``. s itself is read per config;
-    it is a parameter for the draw signature that ``pilot_chain`` shares
-    with ``_draw_chunk``."""
-    h = sample_cn(r, rng, size=count)
-    w_t = sample_scalar_cn(1.0, rng, size=count)
+    h and w_t (``_channel_draws``), then u ~ CN(0, 1) per entry, in h's
+    memory layout. Given h, nu + eta_r is CN(0, s I + kappa_r_bs p
+    diag(|h_i|^2)), independent across antennas, so ``_observe_diagonal``
+    forms it from u alone: one draw per antenna in place of the two of
+    ``_noise_draws``. s itself is read per config; it is a parameter for
+    the draw signature that ``pilot_chain`` shares with ``_draw_chunk``."""
+    h, w_t = _channel_draws(r, count, rng)
     # u takes h's layout, whose antenna axis leads in memory for the AR(1)
     # h of c K_rho, so that each config's z takes it too, as the
     # tridiagonal solve wants. Drawn straight into it: the same bits as
@@ -445,9 +459,10 @@ def _shared(cfgs) -> list:
 
 def _draw_chunk(r: CovarianceMatrix, s: CovarianceMatrix, count: int,
                 rng: np.random.Generator):
-    """h ~ CN(0, R) of count rows, then its ``_standard_draws``."""
-    h = sample_cn(r, rng, size=count)
-    return (h, *_standard_draws(s, h, rng))
+    """h and w_t (``_channel_draws``), then nu and |h| w_r
+    (``_noise_draws``)."""
+    h, w_t = _channel_draws(r, count, rng)
+    return (h, w_t, *_noise_draws(s, h, rng))
 
 
 def _process_count(workers: int, n_chunks: int, blas: bool = False) -> int:
@@ -610,9 +625,10 @@ def pilot_chain(cfgs, n_samples: int, seed: int, stat,
     own filter, tile by tile. So config i gives the same bits in any batch
     and with any tile size. When S is tagged s I (``identity_scale``), the
     noise and array distortion are one draw u per antenna
-    (``_diagonal_draws``), else nu and |h| w_r (``_standard_draws``), as in
-    ``empirical_mse_batch``; the two chains share h and w_t only. A dense
-    S takes the standard draws, diagonal or not.
+    (``_diagonal_draws``), else nu and |h| w_r (``_draw_chunk``). A dense
+    S takes the standard draws, diagonal or not. ``empirical_mse_batch``
+    draws only h and w_t, as every chunk here begins with
+    (``_channel_draws``).
 
     Each config's filter is formed once, before the first chunk:
     - R = c K_rho (``exponential_correlation``) and S = s I: a tridiagonal
@@ -645,100 +661,53 @@ def pilot_chain(cfgs, n_samples: int, seed: int, stat,
     return _map_chunks(rows, n_samples, seed, workers, apply is np.matmul)
 
 
-def _error_weights(cfg: UplinkConfig, basis) -> np.ndarray:
-    """The weights (p g^2, q g, q^2) of ``_eigenbasis``'s gains g and of
-    q = (p kappa_t_ut lam + beta) / (alpha lam + beta), the gains of Q
-    M^{-1}, as a (3, N) array."""
-    lam, g, beta = basis
-    p, kt = cfg.p_ut, cfg.imp.kappa_t_ut
-    q = (p * kt * lam + beta) / (p * (1.0 + kt) * lam + beta)
-    w = np.empty((3, cfg.dim))
-    w[0], w[1], w[2] = p * g * g, q * g, q * q
-    return w
-
-
-def _weigh(a: np.ndarray, b: np.ndarray, w: np.ndarray, need: np.ndarray,
-           p: np.ndarray, t: np.ndarray, imag: bool = False) -> np.ndarray:
-    """<P, w_c> for each config c: P is the real part of a conj(b) (its
-    imaginary part when ``imag``), formed in the buffer p with t as
-    scratch, and w_c is a (k, N) stack of that config's weights. Returns
-    a (configs, k, rows) array, from one fixed-shape product per config
-    and weight, so that a config's bits do not depend on the batch; the
-    products that the (configs, k) mask ``need`` leaves out stay 0."""
-    if imag:
-        np.multiply(a.imag, b.real, out=p)
-        np.multiply(a.real, b.imag, out=t)
-        p -= t
-    else:
-        np.multiply(a.real, b.real, out=p)
-        np.multiply(a.imag, b.imag, out=t)
-        p += t
-    out = np.zeros((w.shape[0], w.shape[1], p.shape[0]))
-    for wc, nc, oc in zip(w, need, out):
-        for wj, nj, oj in zip(wc, nc, oc):
-            if nj:
-                np.dot(p, wj, out=oj)
-    return out
-
-
 def _diagonal_norms(cfgs):
     """The chunk function (see ``_map_chunks``) of configs on R's
-    eigenbasis (``_eigenbasis``): a chunk's ||e||^2 per config and row, as
-    a (configs, rows) array.
+    eigenbasis (``_eigenbasis``): a chunk's E[||e||^2 | h, w_t] less its
+    constant tr(A S A^H) per config and row, as a (configs, rows) array.
+    The function's ``trace`` holds that constant per config.
 
-    There A = V diag(d* g) V^H and Q M^{-1} = V diag(q) V^H. With x = |h|
-    w_r, eta_t = sqrt(kappa_t_ut p) w_t, c = sqrt(kappa_r_bs p), the
-    draws h, nu and x rotated by conj(V), and <P, w> = sum_k w_k P_k over
-    a row,
+    There A = V diag(d* g) V^H and Q M^{-1} = V diag(q) V^H with q = (p
+    kappa_t_ut lam + beta) / (alpha lam + beta). With h' = V^H h, eta_t =
+    sqrt(kappa_t_ut p) w_t and <x, w> = sum_k w_k x_k over a row,
 
-      ||e||^2 = |eta_t|^2 <|h|^2, p g^2> - 2 Re(d* eta_t) <|h|^2, q g>
-              + <|h|^2, q^2> + <|nu|^2, p g^2> + c^2 <|x|^2, p g^2>
-              + 2 c <Re(nu x*), p g^2>
-              + 2 Re(eta_t (<h nu*, p g^2> + c <h x*, p g^2>))
-              - 2 Re(d (<h nu*, q g> + c <h x*, q g>)).
+      E[||e||^2 | h, w_t] = |eta_t|^2 <|h'|^2, p g^2>
+              - 2 Re(d* eta_t) <|h'|^2, q g> + <|h'|^2, q^2>
+              + kappa_r_bs p <|h|^2, |V|^2 p g^2> + s p sum_k g_k^2,
 
-    The products P are formed once per chunk, one at a time in one
-    buffer, and summed with the weights of ``_error_weights``, which are
-    formed once per chain; those that an exact zero multiplies are skipped.
+    the last two terms being kappa_r_bs p sum_i |h_i|^2 ||A e_i||^2 and
+    tr(A S A^H). h is rotated once per chunk, and each config's sums are
+    one fixed-shape product per weight stack, so that its bits do not
+    depend on the batch.
     """
-    r, s = cfgs[0].r, cfgs[0].s
+    r = cfgs[0].r
     vc = None if r.identity_scale is not None else r.eigenvectors.conj()
-    w = np.array([_error_weights(c, _eigenbasis(c)) for c in cfgs])
-    g2, g1 = w[:, :1], w[:, :2]  # p g^2 alone, and with q g
+    v2 = None if vc is None else _squared_moduli(vc)
+    w, u, trace = [], [], []
+    for c in cfgs:
+        lam, g, beta = _eigenbasis(c)
+        p, kt = c.p_ut, c.imp.kappa_t_ut
+        q = (p * kt * lam + beta) / (p * (1.0 + kt) * lam + beta)
+        wc = np.empty((c.dim, 3))
+        wc[:, 0], wc[:, 1], wc[:, 2] = p * g * g, q * g, q * q
+        w.append(wc)
+        u.append(wc[:, 0] if vc is None else v2 @ wc[:, 0])
+        trace.append(c.s.identity_scale * float(np.sum(wc[:, 0])))
     d = np.array([[c.d] for c in cfgs])
     eta = np.array([[math.sqrt(c.imp.kappa_t_ut * c.p_ut)] for c in cfgs])
-    c_r = np.array([math.sqrt(c.imp.kappa_r_bs * c.p_ut) for c in cfgs])
-    # the sums each config needs, as a (configs, k) mask per weight stack
-    e, c, on = eta[:, 0] != 0.0, c_r != 0.0, np.ones(len(cfgs), bool)
-    hh_on, nn_on, hy_on, xx_on, hx_on = (np.stack(m, axis=1) for m in (
-        (e, e, on), (on,), (e, on), (c,), (e & c, c)))
-    c_r = c_r[:, None, None]
+    kr_p = np.array([[c.imp.kappa_r_bs * c.p_ut] for c in cfgs])
 
     def rows(count, rng):
-        h, w_t, nu, x = _draw_chunk(r, s, count, rng)
-        p, t = np.empty((2, count, r.dim))
-        # one rotation at a time, each original let go once rotated
-        if vc is not None:
-            h = h @ vc
-        hh = _weigh(h, h, w, hh_on, p, t)
-        if vc is not None:
-            nu = nu @ vc
-        nn = _weigh(nu, nu, g2, nn_on, p, t)
-        hy = (_weigh(h, nu, g1, hy_on, p, t)
-              + 1j * _weigh(h, nu, g1, hy_on, p, t, imag=True))
-        if vc is not None:
-            x = x @ vc
-        # with u = nu + c x: hy = <h u*> and xx = <|u|^2> - <|nu|^2>
-        xx = c_r ** 2 * _weigh(x, x, g2, xx_on, p, t)
-        xx += 2.0 * c_r * _weigh(nu, x, g2, xx_on, p, t)
-        hy += c_r * (_weigh(h, x, g1, hx_on, p, t)
-                     + 1j * _weigh(h, x, g1, hx_on, p, t, imag=True))
+        h, w_t = _channel_draws(r, count, rng)
+        h2 = _squared_moduli(h)
+        h2v = h2 if vc is None else _squared_moduli(np.dot(h, vc))
+        hh = np.array([np.dot(h2v, wc) for wc in w])
         e_t = eta * w_t
-        return ((e_t.real ** 2 + e_t.imag ** 2) * hh[:, 0]
-                - 2.0 * (d.conj() * e_t).real * hh[:, 1] + hh[:, 2]
-                + nn[:, 0] + xx[:, 0]
-                + 2.0 * (e_t * hy[:, 0]).real - 2.0 * (d * hy[:, 1]).real)
+        return ((e_t.real ** 2 + e_t.imag ** 2) * hh[:, :, 0]
+                - 2.0 * (d.conj() * e_t).real * hh[:, :, 1] + hh[:, :, 2]
+                + kr_p * np.array([np.dot(h2, uc) for uc in u]))
 
+    rows.trace = trace
     return rows
 
 
@@ -752,53 +721,73 @@ def _error_filters(cfg: UplinkConfig):
 
 def _dense_norms(cfgs):
     """The chunk function (see ``_map_chunks``) off R's eigenbasis: a
-    chunk's ||e||^2 per config and row, as a list over configs, with e =
-    y A^T - h (Q M^{-1})^T formed per config from its two N x N filters,
-    which are formed once."""
-    filters = [_error_filters(c) for c in cfgs]
-    r, s = cfgs[0].r, cfgs[0].s
+    chunk's E[||e||^2 | h, w_t] less its constant tr(A S A^H) per config
+    and row, as a list over configs; the function's ``trace`` holds that
+    constant per config. Each config's two N x N filters
+    (``_error_filters``), the column norms ||A e_i||^2 and the constant
+    are formed once."""
+    r = cfgs[0].r
+    filters, trace = [], []
+    for c in cfgs:
+        at, qt = _error_filters(c)
+        filters.append((at, qt, np.sum(np.abs(at) ** 2, axis=1)))
+        trace.append(float(np.vdot(at.T, at.T @ c.s.matrix).real))
 
     def rows(count, rng):
-        h, w_t, nu, x = _draw_chunk(r, s, count, rng)
-        return [_dense_norm(cfg, f, h, w_t, nu, x)
+        h, w_t = _channel_draws(r, count, rng)
+        h2 = _squared_moduli(h)
+        return [_dense_norm(cfg, f, h, w_t, h2)
                 for cfg, f in zip(cfgs, filters)]
 
+    rows.trace = trace
     return rows
 
 
 def _dense_norm(cfg: UplinkConfig, f, h: np.ndarray, w_t: np.ndarray,
-                nu: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """||e||^2 per row of one chunk, with f = ``_error_filters(cfg)``."""
-    y = h * (math.sqrt(cfg.imp.kappa_t_ut * cfg.p_ut) * w_t)[:, None]
-    y += nu
-    y += math.sqrt(cfg.imp.kappa_r_bs * cfg.p_ut) * x
-    e = y @ f[0]
+                h2: np.ndarray) -> np.ndarray:
+    """E[||e||^2 | h, w_t] - tr(A S A^H) per row of one chunk, with f =
+    (A^T, (Q M^{-1})^T, ||A e_i||^2) from ``_dense_norms``: given h and
+    w_t, e = (eta_t A - Q M^{-1}) h + A (nu + eta_r), whose second part
+    has mean 0 and covariance A (S + kappa_r_bs p diag(|h_i|^2)) A^H."""
+    e = (h * (math.sqrt(cfg.imp.kappa_t_ut * cfg.p_ut) * w_t)[:, None]) @ f[0]
     e -= h @ f[1]
-    return np.sum(np.abs(e) ** 2, axis=1)
+    out = np.sum(np.abs(e) ** 2, axis=1)
+    out += cfg.imp.kappa_r_bs * cfg.p_ut * (h2 @ f[2])
+    return out
 
 
 def empirical_mse_batch(cfgs, n_samples: int, seed: int,
                         workers: int = 1) -> list[MonteCarloEstimate]:
-    """Monte-Carlo per-antenna MSE of each config over the draws of one
-    shared pilot chain (see ``pilot_chain``).
+    """Monte-Carlo per-antenna MSE of each config over one shared set of
+    draws of h and w_t (``_channel_draws``), those that begin every chunk
+    of ``pilot_chain``.
 
     No estimate is formed: the error e = h_hat - h is taken in the closed
     form e = A y - Q M^{-1} h, where z = d h + y, y = eta_t h + nu +
     eta_r, A is the LMMSE filter and Q = M - p R = p kappa_t_ut R + p
-    kappa_r_bs diag(R) + S. Nothing in it cancels at high SNR, where h_hat
-    - h would: ||e||^2 comes from weighted row sums on R's eigenbasis
-    (``_diagonal_norms``), and otherwise from the two N x N filters
-    (``_dense_norms``). The chunks run on up to ``workers`` processes
-    (``_map_chunks``). The standard error is ``_standard_error`` of the
-    draws' ||e||^2 / N.
+    kappa_r_bs diag(R) + S. Given h and w_t, A (nu + eta_r) has mean 0 and
+    is linear in draws that would only be averaged away, so it is
+    integrated out: each draw gives E[||e||^2 | h, w_t] (Rao-Blackwell),
+    whose mean is the same and whose variance is no larger. Nothing in it
+    cancels at high SNR, where h_hat - h would: it comes from weighted row
+    sums on R's eigenbasis (``_diagonal_norms``), and otherwise from the
+    two N x N filters (``_dense_norms``). The chunks run on up to
+    ``workers`` processes (``_map_chunks``).
+
+    The draws' constant part, tr(A S A^H), is added to the mean only: the
+    standard error is ``_standard_error`` of the parts that vary, divided
+    by N, which a constant added first could round away.
     """
     _check_draws(n_samples, seed, 2)
     cfgs = _shared(cfgs)
-    norms = _dense_norms if _eigenbasis(cfgs[0]) is None else _diagonal_norms
+    n = cfgs[0].dim
+    rows = (_dense_norms if _eigenbasis(cfgs[0]) is None
+            else _diagonal_norms)(cfgs)
     out = []
-    for e in _map_chunks(norms(cfgs), n_samples, seed, workers, blas=True):
-        e /= cfgs[0].dim
-        out.append(MonteCarloEstimate(value=float(np.mean(e)),
+    for e, t in zip(_map_chunks(rows, n_samples, seed, workers, blas=True),
+                    rows.trace):
+        e /= n
+        out.append(MonteCarloEstimate(value=float(np.mean(e) + t / n),
                                       std_error=_standard_error(e),
                                       n_samples=len(e)))
     return out

@@ -254,8 +254,9 @@ class TestErrorCovariance:
 class TestRoundoffScale:
     @pytest.mark.parametrize("fn", [error_covariance, error_floor])
     def test_one_eigh_for_exponential_r(self, fn):
-        # nearly_psd's scale for c K is its middle row sum, so R's own
-        # spectrum is not decomposed: nearly_psd's eigh is the only one
+        # nearly_psd's scale for c K is its max_eigenvalue, from the KMS
+        # equation, so R's own spectrum is not decomposed: nearly_psd's
+        # eigh is the only one
         cfg = make_config(r=exponential_correlation(64, 0.7), p=10.0,
                           kt_ut=0.01, kr_bs=0.0025)
         with mock.patch.object(np.linalg, "eigh",
@@ -460,26 +461,25 @@ class TestScaledIdentityMatchesDense:
                                                (1.0, 1e-200, 1.0)])
     def test_mse_matches_extended_precision(self, c_r, c_s, p_ut):
         # h_hat - h cancels at these points: it rounds to 0 at the first,
-        # and its standard error is 7e-13 off at the second. At the last
-        # two the squared deviations of the errors fall below the normal
-        # range, where a plain spread loses digits or reads 0. The chain's
-        # own draws give e = d* g nu - q h (kappa = 0) in extended
-        # precision, with g = c_r / m, q = c_s / m and m = p c_r + c_s
+        # and its standard error is 7e-13 off at the second. The chain
+        # takes E[|e|^2 | h] = q^2 |h|^2 + s p g^2 (kappa = 0), with g =
+        # c_r / m, q = c_s / m and m = p c_r + c_s, and adds the constant
+        # to the mean alone: added to the rows at the first point, it
+        # would round their spread away. At the last two the rows' squared
+        # deviations fall below the normal range, where a plain spread
+        # loses digits or reads 0. Here the rows of the chain's own h in
+        # extended precision
         for r, s in ((CovarianceMatrix.identity(1).scaled(c_r),
                       CovarianceMatrix.identity(1).scaled(c_s)),
                      (CovarianceMatrix(np.array([[c_r]])),
                       CovarianceMatrix(np.array([[c_s]])))):
             cfg = UplinkConfig(r=r, s=s, p_ut=p_ut)
-            rng = substream(3, 0)
-            h = sample_cn(r, rng, size=100)
-            _, nu, _ = estimation._standard_draws(s, h, rng)
+            h = sample_cn(r, substream(3, 0), size=100)
             ld = np.longdouble
             m = ld(p_ut) * ld(c_r) + ld(c_s)
-            e = (np.conj(np.clongdouble(cfg.d)) * (ld(c_r) / m)
-                 * nu.astype(np.clongdouble)
-                 - (ld(c_s) / m) * h.astype(np.clongdouble))
-            rows = np.abs(e[:, 0]) ** 2
-            want = (np.mean(rows), np.std(rows, ddof=1) / np.sqrt(ld(100)))
+            rows = (ld(c_s) / m * np.abs(h[:, 0].astype(np.clongdouble))) ** 2
+            want = (np.mean(rows) + ld(c_s) * ld(p_ut) * (ld(c_r) / m) ** 2,
+                    np.std(rows, ddof=1) / np.sqrt(ld(100)))
             got = empirical_mse(cfg, 100, 3)
             np.testing.assert_allclose((got.value, got.std_error),
                                        np.array(want, dtype=np.float64),
@@ -658,8 +658,8 @@ class TestEigenbasisProperties:
 
 class TestOneDisturbanceDraw:
     """With S tagged s I the lower bound's chain draws nu + eta_r as one
-    CN(0, s + kappa_r_bs p |h_i|^2) value per antenna; any other S, and
-    the MSE chain, draw nu and |h| w_r."""
+    CN(0, s + kappa_r_bs p |h_i|^2) value per antenna; any other S draws
+    nu and |h| w_r. The MSE chain draws neither: it integrates them out."""
 
     def test_moments_given_h(self):
         # seed chosen before looking at the draws; |h_i| differ, so the
@@ -688,19 +688,70 @@ class TestOneDisturbanceDraw:
     ], ids=["dense-diagonal", "kms-rho-0", "scaled-identity", "dense"])
     def test_draws_taken(self, s, diagonal):
         # the tag decides, not the entries: a dense diagonal S and c K_0
-        # take the standard draws
+        # take the standard draws; the MSE chain takes neither
         cfg = UplinkConfig(r=exponential_correlation(3, 0.7), s=s, p_ut=2.0,
                            imp=ImpairmentProfile.uniform(0.01))
         with mock.patch.object(estimation, "_diagonal_draws",
                                wraps=estimation._diagonal_draws) as one, \
-                mock.patch.object(estimation, "_standard_draws",
-                                  wraps=estimation._standard_draws) as two:
+                mock.patch.object(estimation, "_draw_chunk",
+                                  wraps=estimation._draw_chunk) as two:
             pilot_chain([cfg], 2 * _CHUNK + 1, 0, estimates)
-            assert (one.call_count, two.call_count) == (
-                (3, 0) if diagonal else (0, 3))
+            want = (3, 0) if diagonal else (0, 3)
+            assert (one.call_count, two.call_count) == want
             empirical_mse(cfg, 2 * _CHUNK + 1, 0)
-            assert one.call_count == (3 if diagonal else 0)
-            assert two.call_count == (3 if diagonal else 6)
+            assert (one.call_count, two.call_count) == want
+
+    @pytest.mark.parametrize("r, s", [
+        (exponential_correlation(4, 0.7), CovarianceMatrix.identity(4)),
+        (CovarianceMatrix.identity(3).scaled(2.0),
+         CovarianceMatrix.identity(3).scaled(0.5)),
+        (CovarianceMatrix(np.diag([0.5, 1.0, 2.0]) + 0.1),
+         CovarianceMatrix(np.eye(3) + 0.2))], ids=["kms", "identity", "dense"])
+    def test_mse_chain_draws_h_and_w_t_only(self, r, s):
+        # on R's eigenbasis (c K, c I) and off it (dense R and S): no noise
+        # draw and no draw of S at all, and one w_t draw per chunk
+        def never(*args, **kwargs):
+            raise AssertionError("the MSE chain drew noise")
+
+        def channel(m, rng, size=None):
+            assert m is r
+            return sample_cn(m, rng, size=size)
+
+        cfgs = [UplinkConfig(r=r, s=s, p_ut=p,
+                             imp=ImpairmentProfile.uniform(0.01))
+                for p in (1.0, 100.0)]
+        with mock.patch.multiple(estimation, _standard_draws=never,
+                                 _noise_draws=never, _diagonal_draws=never,
+                                 _draw_chunk=never, sample_cn=channel), \
+                mock.patch.object(estimation, "sample_scalar_cn",
+                                  wraps=estimation.sample_scalar_cn) as w_t:
+            assert len(empirical_mse_batch(cfgs, 2 * _CHUNK + 1, 0)) == 2
+        assert [c.kwargs["size"] for c in w_t.call_args_list] == [
+            _CHUNK, _CHUNK, 1]
+
+    @pytest.mark.parametrize("r, s", [
+        (CovarianceMatrix(np.array([[1.0, 0.3 + 0.2j, 0.1],
+                                    [0.3 - 0.2j, 2.0, 0.4j],
+                                    [0.1, -0.4j, 0.5]])),
+         CovarianceMatrix(np.array([[0.5, 0.1j, 0.0],
+                                    [-0.1j, 0.8, 0.2],
+                                    [0.0, 0.2, 1.2]]))),
+        (exponential_correlation(4, 0.7).scaled(2.0),
+         CovarianceMatrix.identity(4).scaled(0.5))], ids=["dense", "kms"])
+    def test_mse_chain_integrates_the_noise_out(self, r, s):
+        # ||h - A z||^2 / N simulated plainly, with the noise and array
+        # distortion drawn, agrees with the chain's conditional means
+        # within 4 of the plain estimate's standard error; k and both
+        # sample counts were fixed before any output was seen
+        cfg = UplinkConfig(r=r, s=s, p_ut=10.0,
+                           imp=ImpairmentProfile(kappa_t_ut=0.01,
+                                                 kappa_r_bs=0.02))
+        h, *draws = _draw_chunk(r, s, 100_000, substream(40, 1))
+        e = h - _observe(cfg, h, *draws) @ lmmse_filter(cfg).T
+        plain = np.sum(np.abs(e) ** 2, axis=1) / r.dim
+        se = np.std(plain, ddof=1) / np.sqrt(len(plain))
+        got = empirical_mse(cfg, 400_000, 41)
+        assert abs(got.value - np.mean(plain)) <= 4.0 * se
 
 
 class TestSharedDraws:
@@ -804,21 +855,23 @@ class TestSharedDraws:
         for i, cfg in enumerate(cfgs):
             assert mse[i] == empirical_mse(cfg, 1000, seed=5)
 
-    def test_zero_levels_skip_their_sums(self):
-        # the MSE chain forms 14 weighted sums per config and chunk; an
-        # exact zero multiplies 6 of them without eta_t, 6 without eta_r
-        # and 10 without both, and those are skipped
-        r = exponential_correlation(8, 0.7)
-        counts = []
-        for imp in (ImpairmentProfile(), ImpairmentProfile(kappa_t_ut=0.01),
-                    ImpairmentProfile(kappa_r_bs=0.01),
-                    ImpairmentProfile.uniform(0.01)):
-            cfg = UplinkConfig(r=r, s=CovarianceMatrix.identity(8),
-                               p_ut=2.0, imp=imp)
-            with mock.patch.object(np, "dot", wraps=np.dot) as dot:
-                empirical_mse(cfg, 2, 0)
-            counts.append(dot.call_count)
-        assert counts == [4, 8, 8, 14]
+    @pytest.mark.parametrize("r, rotations", [
+        (exponential_correlation(8, 0.7), 1),
+        (CovarianceMatrix.identity(8).scaled(2.0), 0)],
+        ids=["kms", "identity"])
+    def test_one_rotation_and_two_products_per_chunk(self, r, rotations):
+        # on R's eigenbasis the MSE chain rotates h once per chunk (c K
+        # only), and forms each config's four sums in two products,
+        # whatever its levels
+        s = CovarianceMatrix.identity(8).scaled(0.5)
+        cfgs = [UplinkConfig(r=r, s=s, p_ut=2.0, imp=imp)
+                for imp in (ImpairmentProfile(),
+                            ImpairmentProfile(kappa_t_ut=0.01),
+                            ImpairmentProfile(kappa_r_bs=0.01),
+                            ImpairmentProfile.uniform(0.01))]
+        with mock.patch.object(np, "dot", wraps=np.dot) as dot:
+            empirical_mse_batch(cfgs, 2 * _CHUNK + 1, 0)
+        assert dot.call_count == 3 * (rotations + 2 * len(cfgs))
 
     @staticmethod
     def traced_peak(run, n_samples):
