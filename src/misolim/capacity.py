@@ -52,21 +52,25 @@ _HERMITE_NODES = 40
 
 # The rules of ``lower_bound_iid``: Gauss-Hermite nodes per axis of zeta
 # (even, so that half of them have Im zeta > 0), Gauss-Laguerre nodes in
-# |h_i|^2, and trapezoid nodes in log t on _LOG_T_WINDOW about
-# -log E||z||^2. Against 32, 64 and 500 nodes on (-40, 30) the rate agrees
-# within 3e-10 bits for every kappa <= 0.0225 at 20 dB and N = 1 to 1024,
-# and within 1e-3 bits at kappa = 1, where E[g | zeta] turns sharply
-# near zeta = -1 (tests/test_capacity.py)
+# |h_i|^2, and trapezoid nodes in log t, whose step spreads _LOG_T_NODES
+# over _LOG_T_WINDOW about -log E||z||^2. Against 32, 64 and 500 nodes on
+# (-40, 30) the rate agrees within 3e-10 bits for every kappa <= 0.0225 at
+# 20 dB and N = 1 to 1024, and within 1e-3 bits at kappa = 1, where
+# E[g | zeta] turns sharply near zeta = -1 (tests/test_capacity.py)
 _IID_HERMITE_NODES = 8
 _LAGUERRE_NODES = 24
 _LOG_T_NODES = 160
 _LOG_T_WINDOW = (-25.0, 16.0)
-# Values per (coordinate, (zeta, t) node, r) array of ``lower_bound_iid``,
-# about: 128 KB an array. Best of 30 calls on 2 vCPUs, at 2^12, 2^14 and
-# 2^16 values: 6.8, 3.2 and 4.9 ms for R = K_0.7 at N = 1024 and kappa =
-# 0, and 6.1, 5.8 and 7.8 ms for R = I at N = 1024 and kappa = 0.0025;
-# larger arrays' fresh pages fault in.
-_QUAD_TILE = 2 ** 14
+# Values per (zeta, t, coordinate, r) array of a lattice block of
+# ``lower_bound_iid``: 2^13 float64, 64 KiB, half of glibc's default trim
+# and mmap thresholds (128 KiB), so that a block's temporaries reuse the
+# heap's freed memory instead of faulting in fresh pages.
+_QUAD_BUDGET = 2 ** 13
+# Lattice blocks of the Gauss-Laguerre rule (kappa_r_bs > 0, so R = c I)
+# kept for every N of a run. At the default rules an entry is three
+# read-only arrays of 32 zeta x 10 t values, 7.5 KiB, so the cache holds
+# at most 2 MiB; a default capacity run fills about 60 entries.
+_BLOCK_CACHE = 256
 
 
 @functools.lru_cache(maxsize=None)
@@ -322,15 +326,15 @@ def _trapezoid(f: np.ndarray, h: float, lo: float, hi: float) -> np.ndarray:
                 + f[..., -1] * tail(hi))
 
 
-def _r_moments(d2: np.ndarray, tau: np.ndarray, q: np.ndarray, kr: float):
-    """(log phi, A / (conj(D) phi), C / phi) of ``lower_bound_iid`` at
-    nodes of |D|^2, d2, with each coordinate's t at those nodes in tau, a
-    (coordinates, nodes) array, and its q in q, as (coordinates, nodes)
-    arrays. At kappa_r_bs = 0, v = q does not depend on r, and they are
-    the closed forms phi = 1 / (1 + t (q + |D|^2)), A = conj(D) phi^2 and
-    C = (q + 2 |D|^2 phi) phi^2; otherwise the Gauss-Laguerre rule in r
-    takes them."""
-    q = q[:, None]
+def _r_moments(d2: np.ndarray, tau: np.ndarray, q: np.ndarray, kr: float,
+               laguerre: int):
+    """(log phi, A / (conj(D) phi), C / phi) of ``lower_bound_iid`` as
+    (zeta, t, coordinate) arrays, at nodes of |D|^2 in d2, a (zeta, 1, 1)
+    array, with each coordinate's t in tau, a (t, coordinate) array, and
+    its q in q. At kappa_r_bs = 0, v = q does not depend on r, and they
+    are the closed forms phi = 1 / (1 + t (q + |D|^2)), A = conj(D) phi^2
+    and C = (q + 2 |D|^2 phi) phi^2; otherwise the Gauss-Laguerre rule of
+    ``laguerre`` nodes in r takes them."""
     if kr == 0.0:
         x = tau * (q + d2)
         phi = 1.0 / (1.0 + x)
@@ -338,8 +342,8 @@ def _r_moments(d2: np.ndarray, tau: np.ndarray, q: np.ndarray, kr: float):
     ts1 = 1.0 + tau * q
     a = tau * d2 / ts1  # the exponent's slope in r at 0
     b = (1.0 + a)[..., None]
-    x, wx = _gauss_rule("laguerre", _LAGUERRE_NODES)
-    r = x / b  # (coordinate, node, r)
+    x, wx = _gauss_rule("laguerre", laguerre)
+    r = x / b  # (zeta, t, coordinate, r)
     tkr = (tau * kr)[..., None] * r
     tv1 = ts1[..., None] + tkr  # 1 + tau v
     ar = a[..., None] * r
@@ -365,6 +369,53 @@ def _r_moments(d2: np.ndarray, tau: np.ndarray, q: np.ndarray, kr: float):
     return log_phi, big_a / phi, e.sum(axis=-1) / phi
 
 
+def _rules():
+    """The rules of ``lower_bound_iid`` as they stand, read at each call:
+    the key of every lattice block together with the levels and q."""
+    return (_IID_HERMITE_NODES, _LAGUERRE_NODES, _LOG_T_NODES, _LOG_T_WINDOW,
+            _QUAD_BUDGET)
+
+
+def _lattice(kt: float, kr: float, coordinates: int, rules):
+    """(zeta, weights, |D|^2, h, size) of ``lower_bound_iid`` under
+    ``rules``: the zeta nodes, and the log-t lattice log t = k h, walked in
+    blocks j of the lattice points j size, ..., (j + 1) size - 1, whose
+    (zeta, t, coordinate, r) arrays hold at most _QUAD_BUDGET values (one
+    t when a single t takes more)."""
+    hermite, laguerre, nodes, (lo, hi), budget = rules
+    if kt == 0.0:
+        zeta, wz = np.zeros(1), np.ones(1)
+    else:
+        z, w = _gauss_rule("hermite", hermite)
+        up = z > 0.0
+        zeta = (math.sqrt(kt) * (z[:, None] + 1j * z[up])).ravel()
+        wz = np.outer(w, 2.0 * w[up]).ravel()
+    d2 = (1.0 + zeta.real) ** 2 + zeta.imag ** 2  # |D|^2
+    per_t = coordinates * d2.size * (laguerre if kr else 1)
+    return zeta, wz, d2, (hi - lo) / (nodes - 1), max(1, budget // per_t)
+
+
+def _block(d2, w2, q, kr, laguerre, h, first, stop):
+    """``_r_moments`` at the lattice points first, ..., stop - 1, where
+    coordinate k's t is w2_k e^(k h)."""
+    tau = np.exp(np.arange(first, stop) * h)[:, None] * w2
+    return _r_moments(d2[:, None, None], tau, q, kr, laguerre)
+
+
+@functools.lru_cache(maxsize=_BLOCK_CACHE)
+def _shared_block(kt: float, kr: float, q: float, j: int, rules):
+    """Lattice block j of ``_block`` for one coordinate (R = c I) as
+    read-only arrays: they depend on the levels, q and the rules, never on
+    N, so one computation serves every N of a run. The rules are part of
+    the key, so that finer ones never read a coarser block."""
+    _, _, d2, h, size = _lattice(kt, kr, 1, rules)
+    moments = _block(d2, np.ones(1), np.array([q]), kr, rules[1], h,
+                     j * size, (j + 1) * size)
+    for x in moments:
+        x.flags.writeable = False
+    return moments
+
+
 def _iid_moments(ul: UplinkConfig):
     """(E g, E|g|^2, E u) of the beamformer of ``lower_bound_iid``, for a
     link on its domain, with u taken on R's eigen-coordinates: the bound's
@@ -378,32 +429,29 @@ def _iid_moments(ul: UplinkConfig):
     # eigenvalue's (the last), which sets the scale: 1 for R = c I
     rel = lam / lam[-1]
     w2 = (g / g[-1]) ** 2 * rel
-    a2 = (w2 * rel)[:, None]
+    a2 = w2 * rel
     q = ul.s.identity_scale / (ul.p_ut * lam)
-    if kt == 0.0:
-        zeta, wz = np.zeros(1), np.ones(1)
-    else:
-        z, w = _gauss_rule("hermite", _IID_HERMITE_NODES)
-        up = z > 0.0
-        zeta = (math.sqrt(kt) * (z[:, None] + 1j * z[up])).ravel()
-        wz = np.outer(w, 2.0 * w[up]).ravel()
-    d2 = (1.0 + zeta.real) ** 2 + zeta.imag ** 2  # |D|^2
+    rules = _rules()
+    zeta, wz, d2, h, size = _lattice(kt, kr, lam.size, rules)
     # t about 1 / E Q, in log t: Q weighs coordinate k's |z_k|^2, of mean
     # 1 + kt + kr + q_k, by w2_k, and q is taken at the largest
-    # eigenvalue's, the smallest (for R = c I, 1 / (N (1 + kt + kr + q)))
+    # eigenvalue's, the smallest (for R = c I, 1 / (N (1 + kt + kr + q))).
+    # The window, rounded outward to the lattice, has 160 or 161 nodes
     x0 = -math.log(m * np.sum(w2)) - math.log1p(kt + kr + q[-1])
     lo, hi = _LOG_T_WINDOW
-    log_t, h = np.linspace(x0 + lo, x0 + hi, _LOG_T_NODES, retstep=True)
-    t = np.exp(log_t)
-    # the (zeta, t) nodes on one axis, in tiles of about _QUAD_TILE values
-    # in each (coordinate, node, r) array; coordinate k's t is w2_k t
-    d2n, tn = np.repeat(d2, t.size), np.tile(t, d2.size)
-    step = max(1, _QUAD_TILE // (lam.size * (_LAGUERRE_NODES if kr else 1)))
-    w2, a = w2[:, None], np.sqrt(a2)
-    f_g, f_u, f_pair = np.concatenate([
-        _coordinate_sums(d2n[i:i + step], w2 * tn[i:i + step], q, kr, m, a,
-                         a2)
-        for i in range(0, tn.size, step)], axis=1).reshape(3, d2.size, -1)
+    first, last = math.floor((x0 + lo) / h), math.ceil((x0 + hi) / h)
+    sums = []
+    for j in range(first // size, last // size + 1):
+        start, stop = max(first, j * size), min(last + 1, (j + 1) * size)
+        if kr and lam.size == 1:  # R = c I's Laguerre rule, kept
+            cut = slice(start - j * size, stop - j * size)
+            moments = [x[:, cut]
+                       for x in _shared_block(kt, kr, float(q[0]), j, rules)]
+        else:  # the cheap closed forms, for c I or c K_rho's N coordinates
+            moments = _block(d2, w2, q, kr, _LAGUERRE_NODES, h, start, stop)
+        sums.append(_coordinate_sums(*moments, m, np.sqrt(a2), a2))
+    f_g, f_u, f_pair = np.concatenate(sums, axis=-1)
+    t = np.exp(np.arange(first, last + 1) * h)
     # each integrand times t, for d log t: t^(1/2) and t at t -> 0, and
     # at t -> inf t^(-N-1/2), t^-N and t^(-N-1)
     eg = _trapezoid(np.sqrt(t) * f_g, h, 0.5, n + 0.5)
@@ -416,22 +464,21 @@ def _iid_moments(ul: UplinkConfig):
             ref * float(np.sum(wz * eg2)), ref * float(np.sum(wz * eu)))
 
 
-def _coordinate_sums(d2, tau, q, kr, m, a, a2) -> np.ndarray:
+def _coordinate_sums(log_phi, big_g, big_c, m, a, a2) -> np.ndarray:
     """E[S e^(-tQ)] / conj(D), E[T e^(-tQ)] and the pairs' part of
-    E[|S|^2 e^(-tQ)] / |D|^2 of ``lower_bound_iid`` at nodes of |D|^2 and
-    t, each coordinate's t in tau (coordinates, nodes) and a and a^2 in
-    columns, as a (3, nodes) array: with G_k = a_k A_k / (conj(D) phi_k),
-    Phi m sum_k G_k, Phi m sum_k a_k^2 C_k / phi_k and Phi ((m sum_k
-    G_k)^2 - m sum_k G_k^2), sums over the distinct values k, each counted
-    m times."""
-    log_phi, big_g, big_c = _r_moments(d2, tau, q, kr)
-    big_g *= a
-    s1 = m * big_g.sum(axis=0)
-    big_c *= a2
+    E[|S|^2 e^(-tQ)] / |D|^2 of ``lower_bound_iid`` from the (zeta, t,
+    coordinate) moments of ``_r_moments``, with a and a^2 per coordinate,
+    as a (3, zeta, t) array: with G_k = a_k A_k / (conj(D) phi_k), Phi m
+    sum_k G_k, Phi m sum_k a_k^2 C_k / phi_k and Phi ((m sum_k G_k)^2 - m
+    sum_k G_k^2), sums over the distinct values k, each counted m times.
+    Each sum runs along a node's own contiguous row, so its bits do not
+    depend on how many nodes share the block."""
+    big_g = big_g * a
+    s1 = m * big_g.sum(axis=-1)
     big_g *= big_g
-    phi_all = np.exp(m * log_phi.sum(axis=0))  # Phi
-    return phi_all * np.stack([s1, m * big_c.sum(axis=0),
-                               s1 * s1 - m * big_g.sum(axis=0)])
+    phi_all = np.exp(m * log_phi.sum(axis=-1))  # Phi
+    return phi_all * np.stack([s1, m * (big_c * a2).sum(axis=-1),
+                               s1 * s1 - m * big_g.sum(axis=-1)])
 
 
 def lower_bound_is_exact(ul: UplinkConfig, dl: DownlinkConfig) -> bool:
@@ -487,8 +534,12 @@ def lower_bound_iid(ul: UplinkConfig, dl: DownlinkConfig) -> float:
     Three rules take the integrals:
     - r: closed forms at kappa_r_bs = 0; otherwise Gauss-Laguerre in b r,
       with b = 1 + t |D|^2 / (1 + tq) the decay rate of e^(-r) e at r = 0;
-    - log t: the trapezoid rule on _LOG_T_NODES nodes of _LOG_T_WINDOW
-      about -log E||z||^2, with the power-law tails (``_trapezoid``);
+    - log t: the trapezoid rule on the one lattice log t = k h, h the
+      step of _LOG_T_NODES nodes over _LOG_T_WINDOW, at the lattice
+      points of that window about -log E||z||^2 rounded outward, with the
+      power-law tails (``_trapezoid``). With the Laguerre rule (R = c I)
+      each block of lattice points is computed once for every N
+      (``_shared_block``);
     - zeta: the product Gauss-Hermite rule of _IID_HERMITE_NODES nodes
       per axis, on Im zeta > 0 only, as zeta and conj(zeta) give
       conjugate E[g | zeta] and equal E[|g|^2 | zeta] and E[u | zeta];

@@ -332,19 +332,11 @@ def _noise_draws(s: CovarianceMatrix, h: np.ndarray,
     return nu, hw_r
 
 
-def _standard_draws(s: CovarianceMatrix, h: np.ndarray,
-                    rng: np.random.Generator):
-    """What the uplink distortion and noise of a given (count, N) batch of
-    channels are made of, drawn in this order: w_t ~ CN(0, 1) per row,
-    then ``_noise_draws``; the draws of ``_draw_chunk`` after h."""
-    w_t = sample_scalar_cn(1.0, rng, size=len(h))
-    return (w_t, *_noise_draws(s, h, rng))
-
-
 def _observe(cfg: UplinkConfig, h: np.ndarray, w_t: np.ndarray,
              nu: np.ndarray, hw_r: np.ndarray) -> np.ndarray:
     """z = h (d + eta_t) + nu + eta_r with eta_t = sqrt(kappa_t_ut p) w_t
-    and eta_r = sqrt(kappa_r_bs p) |h| w_r, from ``_standard_draws``."""
+    and eta_r = sqrt(kappa_r_bs p) |h| w_r, from the draws of
+    ``_draw_chunk`` after h."""
     z = h * (cfg.d + math.sqrt(cfg.imp.kappa_t_ut * cfg.p_ut) * w_t)[:, None]
     z += nu
     z += math.sqrt(cfg.imp.kappa_r_bs * cfg.p_ut) * hw_r
@@ -443,7 +435,13 @@ def _chain_filters(cfgs):
 
 
 _CHUNK = 256
-_TILE = 2 ** 14  # complex values in a row tile: 256 KB an array
+# Complex values in a row tile: 256 KB an array. A dense filter's h_hat
+# keeps its bits only for tiles whose row counts lead the BLAS to the same
+# kernels: with dense K_0.7 under OpenBLAS 0.3.31's Haswell kernels its
+# bits were the same from 2^11 to 2^15 values at N = 300 and 1024 (6 to
+# 109 and 2 to 32 rows), but not at 2^10 (3 and 1 rows), nor at 2^9 for
+# N = 100 (5 rows)
+_TILE = 2 ** 14
 
 
 def _shared(cfgs) -> list:
@@ -622,13 +620,16 @@ def pilot_chain(cfgs, n_samples: int, seed: int, stat,
     Chunk j draws h, w_t and the noise and array distortion once from
     ``substream(seed, j)`` (``_map_chunks``), and forms h2 once; every
     config scales those same draws by its own p and kappa and applies its
-    own filter, tile by tile. So config i gives the same bits in any batch
-    and with any tile size. When S is tagged s I (``identity_scale``), the
-    noise and array distortion are one draw u per antenna
-    (``_diagonal_draws``), else nu and |h| w_r (``_draw_chunk``). A dense
-    S takes the standard draws, diagonal or not. ``empirical_mse_batch``
-    draws only h and w_t, as every chunk here begins with
-    (``_channel_draws``).
+    own filter, tile by tile. So config i gives the same bits in any batch.
+    The scalar filter and the tridiagonal solve work row by row, and give
+    the same bits with any tile size; a dense filter's product is the
+    BLAS's, whose summation order may follow the rows in a tile, so there
+    the bits hold for the one _TILE (see there). When S is tagged s I
+    (``identity_scale``), the noise and array distortion are one draw u per
+    antenna (``_diagonal_draws``), else nu and |h| w_r (``_draw_chunk``). A
+    dense S takes the standard draws, diagonal or not.
+    ``empirical_mse_batch`` draws only h and w_t, as every chunk here
+    begins with (``_channel_draws``).
 
     Each config's filter is formed once, before the first chunk:
     - R = c K_rho (``exponential_correlation``) and S = s I: a tridiagonal

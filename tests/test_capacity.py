@@ -854,9 +854,11 @@ class TestGaussRule:
             capacity._gauss_rule("legendre", 4)
 
     def test_no_rule_built_at_import(self):
+        # nor any lattice block of ``lower_bound_iid``
         code = ("import sys, misolim, misolim.cli; "
-                "from misolim.capacity import _gauss_rule; "
-                "sys.exit(_gauss_rule.cache_info().currsize)")
+                "from misolim.capacity import _gauss_rule, _shared_block; "
+                "sys.exit(_gauss_rule.cache_info().currsize "
+                "+ _shared_block.cache_info().currsize)")
         src = os.path.dirname(os.path.dirname(capacity.__file__))
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + path
@@ -1045,6 +1047,86 @@ class TestExactDomain:
         assert peak < 5_000_000
         assert 0.0 < rate < capacity_upper_bound(ul.r, dl)
         assert lower_bound_iid(ul, dl) == rate
+
+
+class TestLatticeBlocks:
+    """``lower_bound_iid`` walks one log-t lattice in blocks of about
+    _QUAD_BUDGET values, and for R = c I with kappa_r_bs > 0 keeps each
+    block's Laguerre moments for every N (``_shared_block``): a rate's
+    bits depend on neither the cache's contents nor the block size."""
+
+    @pytest.mark.parametrize("ut", [None, 0.0025], ids=["vs_n", "vs_kappa"])
+    def test_same_float_whatever_filled_the_cache(self, ut):
+        def rate(n, kappa):
+            return lower_bound_iid(*iid_link(
+                n, 100.0, (kappa, kappa) + (kappa if ut is None else ut,) * 2))
+
+        capacity._shared_block.cache_clear()
+        cold = rate(64, 0.0025)
+        capacity._shared_block.cache_clear()
+        rate(1, 0.0025)
+        rate(1024, 0.0025)
+        after_other_n = rate(64, 0.0025)
+        assert capacity._shared_block.cache_info().hits > 0  # shared
+        capacity._shared_block.cache_clear()
+        rate(64, 0.01)
+        rate(1024, 0.0225)
+        after_other_kappa = rate(64, 0.0025)
+        assert cold == after_other_n == after_other_kappa
+
+    @pytest.mark.parametrize("name, value", [
+        ("_IID_HERMITE_NODES", 16), ("_LAGUERRE_NODES", 48),
+        ("_LOG_T_NODES", 400), ("_LOG_T_WINDOW", (-35.0, 25.0)),
+        ("_QUAD_BUDGET", 2 ** 11)])
+    def test_every_rule_is_in_the_key(self, monkeypatch, name, value):
+        # a finer rule never reads a block of the default rules, which the
+        # finer-rule tests of TestLowerBoundIid would compare with itself
+        ul, dl = iid_link(64, 100.0, (0.0025,) * 4)
+        lower_bound_iid(ul, dl)
+        before = capacity._shared_block.cache_info()
+        monkeypatch.setattr(capacity, name, value)
+        lower_bound_iid(ul, dl)
+        after = capacity._shared_block.cache_info()
+        assert after.hits == before.hits
+        assert after.misses > before.misses
+
+    def test_cache_is_bounded_and_holds_no_kms_block(self):
+        capacity._shared_block.cache_clear()
+        lower_bound_iid(*kms_link(64, 1.0, (0.0, 0.0, 0.0225, 0.01)))
+        lower_bound_iid(*iid_link(64, 100.0, (0.0, 0.0, 0.0025, 0.0025)))
+        info = capacity._shared_block.cache_info()
+        assert info.currsize == 0 and info.maxsize == capacity._BLOCK_CACHE
+        blocks = capacity._shared_block(0.0025, 0.0025, 0.01, 0,
+                                        capacity._rules())
+        assert all(not x.flags.writeable for x in blocks)
+
+    @pytest.mark.parametrize("link", [
+        iid_link(1, 100.0, (0.0025,) * 4),
+        iid_link(64, 100.0, (0.0025,) * 4),
+        iid_link(1024, 100.0, (0.0025,) * 4),
+        kms_link(64, 1.0, (0.0,) * 4),
+        kms_link(1024, 1.0, (0.0,) * 4)],
+        ids=["I-1", "I-64", "I-1024", "K-64", "K-1024"])
+    def test_bits_do_not_depend_on_the_budget(self, monkeypatch, link):
+        moments = []
+        for budget in (2 ** 11, 2 ** 13, 2 ** 15):
+            monkeypatch.setattr(capacity, "_QUAD_BUDGET", budget)
+            moments.append(capacity._iid_moments(link[0]))
+        assert moments[0] == moments[1] == moments[2]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="minor page faults as counted by Linux")
+    def test_warm_call_faults_in_no_fresh_pages(self):
+        resource = pytest.importorskip("resource")
+        ul, dl = iid_link(1024, 100.0, (0.0025,) * 4)
+        lower_bound_iid(ul, dl)
+        faults = []
+        for _ in range(3):  # the fewest: another allocation may interleave
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            lower_bound_iid(ul, dl)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                          - before)
+        assert min(faults) < 100
 
 
 class TestLowerBoundRates:

@@ -34,8 +34,8 @@ from misolim.estimation import (
     UplinkConfig,
     _cho_solve,
     _draw_chunk,
+    _noise_draws,
     _observe,
-    _standard_draws,
     _tridiagonal_filter,
     _tridiagonal_solve,
     empirical_mse,
@@ -52,6 +52,7 @@ from misolim.randmat import (
     CovarianceMatrix,
     exponential_correlation,
     sample_cn,
+    sample_scalar_cn,
     substream,
 )
 
@@ -359,6 +360,14 @@ class TestErrorFloorIid:
     @example(lam=1.0, a=0.028425377251427464, b=0.009439236800021665)
     def test_symmetric_in_impairments(self, lam, a, b):
         assert error_floor_iid(lam, a, b) == error_floor_iid(lam, b, a)
+
+
+def _standard_draws(s, h, rng):
+    """What the uplink distortion and noise of a given (count, N) batch of
+    channels are made of, drawn in this order: w_t ~ CN(0, 1) per row,
+    then ``_noise_draws``; the draws of ``_draw_chunk`` after h."""
+    w_t = sample_scalar_cn(1.0, rng, size=len(h))
+    return (w_t, *_noise_draws(s, h, rng))
 
 
 class TestSimulateUplink:
@@ -720,9 +729,9 @@ class TestOneDisturbanceDraw:
         cfgs = [UplinkConfig(r=r, s=s, p_ut=p,
                              imp=ImpairmentProfile.uniform(0.01))
                 for p in (1.0, 100.0)]
-        with mock.patch.multiple(estimation, _standard_draws=never,
-                                 _noise_draws=never, _diagonal_draws=never,
-                                 _draw_chunk=never, sample_cn=channel), \
+        with mock.patch.multiple(estimation, _noise_draws=never,
+                                 _diagonal_draws=never, _draw_chunk=never,
+                                 sample_cn=channel), \
                 mock.patch.object(estimation, "sample_scalar_cn",
                                   wraps=estimation.sample_scalar_cn) as w_t:
             assert len(empirical_mse_batch(cfgs, 2 * _CHUNK + 1, 0)) == 2
