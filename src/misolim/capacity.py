@@ -288,7 +288,7 @@ def lower_bound_mc_batch(links, n_samples: int, seed: int,
     """``lower_bound_mc`` of each (ul, dl) pair in ``links`` over one shared
     pilot chain, on up to ``workers`` processes: the uplink configs share
     R and S (see ``pilot_chain``)."""
-    _check_draws(n_samples, seed, 1000)
+    _check_draws(n_samples, seed, 1000, workers)
     links = list(links)
     if any(ul.p_ut == 0.0 for ul, _ in links):
         raise ValueError("the lower bound needs pilot power p_ut > 0")
@@ -572,7 +572,7 @@ def lower_bound_rates(links, n_samples: int, seed: int,
     ``lower_bound_is_exact``, and ``lower_bound_mc_batch`` of the others,
     on one pilot chain. A batch whose every link is exact draws nothing,
     and forks no process."""
-    _check_draws(n_samples, seed, 1000)
+    _check_draws(n_samples, seed, 1000, workers)
     links = list(links)
     if not links:
         raise ValueError("a lower-bound batch needs at least one config")

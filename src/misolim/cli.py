@@ -145,14 +145,10 @@ def config_from_args(argv=None) -> ExperimentConfig:
 def main(argv=None) -> int:
     try:
         cfg = config_from_args(argv)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        # a value only the sweep finds out of range (an estimate that
+        # overflows) or a failed fork: one line, as for a bad config
         rows = run_experiment(cfg)
-    except ValueError as exc:
-        # a value that only the sweep finds out of range, such as an
-        # estimate that overflows: one line, as for a rejected config
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if cfg.out:

@@ -61,9 +61,12 @@ def energy_efficiency(capacity_bits: float, p_bs: float, p_ut: float,
     """Bits/Joule: capacity * bandwidth / total radiated (+ circuit) power.
 
     The optional per-antenna circuit power adds n * circuit_power to the
-    denominator (default 0). Needs capacity >= 0 and total power > 0.
+    denominator. Needs capacity, p_bs, p_ut >= 0, integer n >= 1, total > 0.
     """
-    _check_real(capacity_bits, "capacity")
+    for name, v in (("capacity", capacity_bits), ("p_bs", p_bs),
+                    ("p_ut", p_ut)):
+        _check_real(v, name)
+    n = _dimension(n)
     total = ((1.0 + cfg.alpha1) * p_bs + cfg.alpha2 * p_ut
              + n * cfg.circuit_power)
     _check_real(total, "total power", positive=True)

@@ -9,12 +9,12 @@ computed in closed form here, together with their high-power limits
 (the error floors).
 
 The Monte-Carlo bookkeeping of both estimators, this module's MSE and
-the capacity lower bound, lives here too: one check of the sample count
-and seed (``_check_draws``), one chunk map (``_map_chunks``), one
-standard-error rule (``_standard_error``), and the draws of h and w_t
-that begin every chunk (``_channel_draws``). The MSE chain draws nothing
-else: given h and w_t, it integrates the noise and array distortion out
-in closed form (``empirical_mse_batch``).
+the capacity lower bound, lives here too: one check of the sample count,
+worker count and seed (``_check_draws``), one chunk map
+(``_map_chunks``), one standard-error rule (``_standard_error``), and the
+draws of h and w_t that begin every chunk (``_channel_draws``). The MSE
+chain draws nothing else: given h and w_t, it integrates the noise and
+array distortion out in closed form (``empirical_mse_batch``).
 """
 
 from __future__ import annotations
@@ -78,16 +78,15 @@ class ImpairmentProfile:
 @dataclass(frozen=True)
 class UplinkConfig:
     """Pilot-phase scenario: channel covariance R, noise covariance S,
-    pilot power p_ut >= 0 (linear scale), pilot symbol d with |d|^2 =
-    p_ut. p_ut (1 + kappa_t_ut + kappa_r_bs) ||R|| + ||S|| bounds the
-    entries of M (``_mix``) and must be finite, or the tagged paths give
-    a nan MSE or a 0 filter, not an error."""
+    pilot power p_ut >= 0 (linear scale). p_ut (1 + kappa_t_ut +
+    kappa_r_bs) ||R|| + ||S|| bounds the entries of M (``_mix``) and must
+    be finite, or the tagged paths give a nan MSE or a 0 filter, not an
+    error."""
 
     r: CovarianceMatrix
     s: CovarianceMatrix
     p_ut: float
     imp: ImpairmentProfile = field(default_factory=ImpairmentProfile)
-    d: complex | None = None
 
     def __post_init__(self):
         _check_real(self.p_ut, "p_ut")
@@ -104,14 +103,11 @@ class UplinkConfig:
             )
         if self.s.min_eigenvalue <= 0.0:
             raise ValueError("noise covariance S must be positive definite")
-        if self.d is None:
-            object.__setattr__(self, "d", complex(math.sqrt(self.p_ut)))
-        else:
-            object.__setattr__(self, "d", complex(self.d))
-            if abs(abs(self.d) ** 2 - self.p_ut) > 1e-12 * max(self.p_ut, 1e-300):
-                raise ValueError(
-                    f"|d|^2 = {abs(self.d)**2:g} does not match p_ut = {self.p_ut:g}"
-                )
+
+    @property
+    def d(self) -> float:
+        """The pilot symbol sqrt(p_ut); no result depends on its phase."""
+        return math.sqrt(self.p_ut)
 
     @property
     def dim(self) -> int:
@@ -137,13 +133,15 @@ class MonteCarloEstimate:
             raise ValueError("standard error must be nonnegative")
 
 
-def _check_draws(n_samples: int, seed: int, minimum: int) -> None:
-    """ValueError unless n_samples is an integer >= minimum and seed an
-    integer >= 0: the one check of every Monte-Carlo entry point, made
-    before any filter is formed."""
-    if not (_is_int(n_samples) and n_samples >= minimum):
-        raise ValueError(f"need an integer n_samples >= {minimum}, "
-                         f"got {n_samples!r}")
+def _check_draws(n_samples, seed, minimum, workers) -> None:
+    """ValueError unless n_samples is an integer >= minimum, workers one
+    >= 1 and seed one >= 0 (``_is_int``): the one check of every
+    Monte-Carlo entry point and ``ExperimentConfig``, before any filter."""
+    for name, v, least in (("n_samples", n_samples, minimum),
+                           ("workers", workers, 1)):
+        if not (_is_int(v) and v >= least):
+            raise ValueError(f"{name} must be an integer >= {least}, "
+                             f"got {v!r}")
     _check_seed(seed)
 
 
@@ -639,7 +637,7 @@ def pilot_chain(cfgs, n_samples: int, seed: int, stat,
       S = s I, else an N x N array, on tiles of _TILE values.
     """
     cfgs = _shared(cfgs)
-    _check_draws(n_samples, seed, 1)
+    _check_draws(n_samples, seed, 1, workers)
     apply, filters, step = _chain_filters(cfgs)
     r, s = cfgs[0].r, cfgs[0].s
     one_draw = s.identity_scale is not None
@@ -779,7 +777,7 @@ def empirical_mse_batch(cfgs, n_samples: int, seed: int,
     standard error is ``_standard_error`` of the parts that vary, divided
     by N, which a constant added first could round away.
     """
-    _check_draws(n_samples, seed, 2)
+    _check_draws(n_samples, seed, 2, workers)
     cfgs = _shared(cfgs)
     n = cfgs[0].dim
     rows = (_dense_norms if _eigenbasis(cfgs[0]) is None

@@ -39,6 +39,7 @@ from .energy import EnergyConfig, ee_points, warn_if_inadmissible
 from .estimation import (
     ImpairmentProfile,
     UplinkConfig,
+    _check_draws,
     empirical_mse_batch,
     floor_per_antenna,
     mse_per_antenna,
@@ -119,16 +120,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}"
             )
-        for name in ("seed", "n_samples", "workers"):
-            v = getattr(self, name)
-            if not (_is_int(v) or (v is None and name == "n_samples")):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-        if self.n_samples is not None and self.n_samples < 1000:
-            raise ValueError("sample count must be at least 1000")
-        if self.workers < 1:
-            raise ValueError("worker count must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        # n_samples None takes ``samples_for``'s defaults, which pass
+        _check_draws(self.samples_for(1), self.seed, 1000, self.workers)
         grids = GRIDS[self.experiment]
         for name, (rule, ok) in _GRID_RULES.items():
             v = getattr(self, name)

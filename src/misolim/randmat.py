@@ -218,7 +218,7 @@ def _is_int(v) -> bool:
 def _is_finite(x) -> bool:
     """A finite real, numpy's included, and not a bool (which numbers.Real
     admits), a string or an array, even a 0-d one."""
-    if type(x) is float:  # the common case; numbers.Real's ABC test is slow
+    if isinstance(x, float):  # np.float64 too; the ABC test below is slow
         return math.isfinite(x)
     try:
         return (isinstance(x, numbers.Real) and not isinstance(x, bool)
@@ -241,6 +241,14 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seeds must be integers >= 0, got {seed!r}")
 
 
+def _check_size(size, shape: bool = False) -> None:
+    """ValueError unless size is None or an integer >= 0 (``_is_int``),
+    or, when ``shape``, a tuple of such integers."""
+    dims = size if shape and isinstance(size, tuple) else (size,)
+    if size is not None and not all(_is_int(k) and k >= 0 for k in dims):
+        raise ValueError(f"sizes must be integers >= 0, got {size!r}")
+
+
 def _dimension(n) -> int:
     """n as an int; InvalidMatrixError (a ValueError) unless n is a
     positive integer (``_is_int``)."""
@@ -261,11 +269,12 @@ def _as_cov(m) -> CovarianceMatrix:
 def nearly_psd(m: np.ndarray, scale: float) -> CovarianceMatrix:
     """Repair roundoff in a matrix that is PSD in exact arithmetic.
 
-    ``scale`` is the natural magnitude of the computation that produced
-    ``m`` (e.g. the spectral norm of the minuend in a subtraction); negative
-    eigenvalues within -PSD_TOL * scale are clipped to zero, anything worse
-    raises.
+    ``scale``, a finite real >= 0, is the natural magnitude of the
+    computation that produced ``m`` (e.g. the spectral norm of the minuend
+    in a subtraction); negative eigenvalues within -PSD_TOL * scale are
+    clipped to zero, anything worse raises.
     """
+    _check_real(scale, "scale")
     m = np.asarray(m, dtype=np.complex128)
     m = (m + m.conj().T) / 2.0
     w, v = np.linalg.eigh(m)
@@ -353,17 +362,18 @@ def psd_factor(m) -> np.ndarray:
 def sample_cn(m, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Draw x ~ CN(0, m): zero mean, E{x x^H} = m, E{x x^T} = 0.
 
-    Returns shape (n,) or (size, n). The draws are w = (re + 1j im) /
-    sqrt(2) for a block re of standard normals and then a block im, of
-    that shape. A dense matrix returns w @ factor^T, with the factor
-    formed once per CovarianceMatrix; an array ``m`` is validated and
-    factored on every call. A scaled identity c I scales w by sqrt(c)
-    instead of a matrix product. c K_rho scales w by sqrt(c) and runs it
-    through the AR(1) recursion of K's Cholesky factor, x_0 = w_0 and
-    x_i = rho x_(i-1) + sqrt(1 - rho^2) w_i: O(N) per draw, with the
-    antenna axis leading in memory, so that each step reads one contiguous
-    row (the result is a transposed view).
+    Returns shape (n,) or (size, n), for an integer size >= 0. The draws
+    are w = (re + 1j im) / sqrt(2) for a block re of standard normals and
+    then a block im, of that shape. A dense matrix returns w @ factor^T,
+    with the factor formed once per CovarianceMatrix; an array ``m`` is
+    validated and factored on every call. A scaled identity c I scales w
+    by sqrt(c) instead of a matrix product. c K_rho scales w by sqrt(c)
+    and runs it through the AR(1) recursion of K's Cholesky factor, x_0 =
+    w_0 and x_i = rho x_(i-1) + sqrt(1 - rho^2) w_i: O(N) per draw, with
+    the antenna axis leading in memory, so that each step reads one
+    contiguous row (the result is a transposed view).
     """
+    _check_size(size)
     cov = _as_cov(m)
     n, rho = cov.dim, cov.kms_rho
     shape = (n,) if size is None else (int(size), n)
@@ -390,8 +400,10 @@ def _ar1(x: np.ndarray, rho: float) -> None:
 
 def sample_scalar_cn(variance: float, rng: np.random.Generator,
                      size=None) -> complex | np.ndarray:
-    """Draw zero-mean complex Gaussian scalar(s) with E{|x|^2} = variance >= 0."""
+    """Draw zero-mean complex Gaussian scalars with E{|x|^2} = variance >= 0:
+    one, or an array of shape ``size``, an integer >= 0 or a tuple of them."""
     _check_real(variance, "variance")
+    _check_size(size, shape=True)
     variance = float(variance)
     scale = np.sqrt(variance / 2.0)
     x = _re_plus_j_im(rng, () if size is None else size, scale=scale or 1.0)

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 
+from .randmat import _check_real
+
 EULER_GAMMA = 0.5772156649015328606
 
 # |E1(x)| < 1e-300 beyond this point; returned as exact zero.
@@ -26,13 +28,6 @@ _TINY = 1e-300
 # within three terms; the continued fraction stalls a rounding step short
 # of its stopping test for some x above 1e16.
 _ASYMPTOTIC_X = 1e8
-
-
-def _check_positive(x: float) -> float:
-    x = float(x)
-    if math.isnan(x) or x <= 0.0:
-        raise ValueError(f"argument must be a positive real, got {x}")
-    return x
 
 
 def _e1_series(x: float) -> float:
@@ -89,7 +84,8 @@ def exp_integral_e1(x: float) -> float:
 
     Returns 0.0 for x > 700 where the true value underflows below 1e-300.
     """
-    x = _check_positive(x)
+    _check_real(x, "argument", positive=True)
+    x = float(x)  # the loops below run slower on a numpy scalar
     if x > E1_UNDERFLOW:
         return 0.0
     if x <= 1.0:
@@ -103,7 +99,8 @@ def one_minus_x_ex_e1(x: float) -> float:
     Integration by parts gives 1 - x e^x E1(x) = e^x E2(x), so the large-x
     branch is the E2 continued fraction and never suffers cancellation.
     """
-    x = _check_positive(x)
+    _check_real(x, "argument", positive=True)
+    x = float(x)
     if x <= 1.0:
         return 1.0 - x * math.exp(x) * _e1_series(x)
     if x >= _ASYMPTOTIC_X:

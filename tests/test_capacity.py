@@ -818,7 +818,7 @@ class TestLowerBoundAsymptotic:
         assert math.isfinite(rate) and rate >= 0.0
 
 
-def iid_link(n, p, kappas, c=1.0, s=1.0, d=None, p_bs=None, sigma2=1.0):
+def iid_link(n, p, kappas, c=1.0, s=1.0, p_bs=None, sigma2=1.0):
     """(ul, dl) with R = c I and S = s I, both tagged, pilot power p, the
     levels kappas = (kt_bs, kr_bs, kt_ut, kr_ut) and p_bs = p unless
     given."""
@@ -827,7 +827,7 @@ def iid_link(n, p, kappas, c=1.0, s=1.0, d=None, p_bs=None, sigma2=1.0):
         imp = ImpairmentProfile(*kappas)
     ul = UplinkConfig(r=CovarianceMatrix.identity(n).scaled(c),
                       s=CovarianceMatrix.identity(n).scaled(s), p_ut=p,
-                      imp=imp, d=d)
+                      imp=imp)
     return ul, DownlinkConfig(p_bs=p if p_bs is None else p_bs,
                               sigma2_ut=sigma2, imp=imp)
 
@@ -903,30 +903,19 @@ class TestLowerBoundIid:
         assert abs(lower_bound_iid(ul, dl) - want) <= 2e-3
 
     @pytest.mark.parametrize("case", [
-        # (n, c, s, p, kappas, p_bs, sigma2, d)
-        (1, 1.0, 1.0, 100.0, (0.0025, 0.01, 0.0225, 0.01), 100.0, 1.0,
-         None),
-        (4, 2.0, 0.5, 3.0, (0.01, 0.0225, 0.01, 0.0), 3.0, 0.5,
-         math.sqrt(3.0) * complex(math.cos(1.1), math.sin(1.1))),
-        (64, 0.5, 2.0, 1.0, (0.0225, 0.0225, 0.0225, 0.0025), 1.0, 2.0,
-         None),
-        (256, 1.0, 1.0, 100.0, (0.0025,) * 4, 100.0, 1.0, None),
+        # (n, c, s, p, kappas, p_bs, sigma2)
+        (1, 1.0, 1.0, 100.0, (0.0025, 0.01, 0.0225, 0.01), 100.0, 1.0),
+        (4, 2.0, 0.5, 3.0, (0.01, 0.0225, 0.01, 0.0), 3.0, 0.5),
+        (64, 0.5, 2.0, 1.0, (0.0225, 0.0225, 0.0225, 0.0025), 1.0, 2.0),
+        (256, 1.0, 1.0, 100.0, (0.0025,) * 4, 100.0, 1.0),
     ])
     def test_matches_monte_carlo(self, case):
         # within Z = 5 standard errors on a fixed seed, Z fixed before
         # any draw was looked at
-        n, c, s, p, kappas, p_bs, sigma2, d = case
-        ul, dl = iid_link(n, p, kappas, c=c, s=s, d=d, p_bs=p_bs,
-                          sigma2=sigma2)
+        n, c, s, p, kappas, p_bs, sigma2 = case
+        ul, dl = iid_link(n, p, kappas, c=c, s=s, p_bs=p_bs, sigma2=sigma2)
         mc = lower_bound_mc(ul, dl, 20_000, seed=17)
         assert abs(lower_bound_iid(ul, dl) - mc.value) <= 5.0 * mc.std_error
-
-    def test_depends_on_d_only_through_its_modulus(self):
-        kappas = (0.01, 0.0225, 0.01, 0.0025)
-        real = lower_bound_iid(*iid_link(4, 3.0, kappas))
-        for phase in (0.5, math.pi / 2, 3.0):
-            d = math.sqrt(3.0) * complex(math.cos(phase), math.sin(phase))
-            assert lower_bound_iid(*iid_link(4, 3.0, kappas, d=d)) == real
 
     def test_draws_nothing(self, monkeypatch):
         def no_draws(*args):

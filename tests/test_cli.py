@@ -1,5 +1,6 @@
 """Command-line interface tests."""
 
+import errno
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from misolim import cli
+from misolim import cli, estimation
 from misolim.cli import config_from_args, main, parse_config_file
 
 
@@ -187,11 +188,27 @@ class TestMain:
 
     @pytest.mark.parametrize("bad", [["--kappa=-1"], ["--kappa", "nan"],
                                      ["--snr-db", "nan"], ["--n-grid", "0"],
-                                     ["--seed=-3"]])
+                                     ["--seed=-3"], ["--workers", "0"],
+                                     ["--samples", "999"]])
     def test_bad_grid_value_rejected_before_work(self, bad, capsys):
         assert main(self.ARGS + bad) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_failed_fork_is_one_line(self, capsys, monkeypatch):
+        # an OSError in the sweep ends as a rejected config does: one
+        # error line, after the progress line, and no traceback
+        def no_fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(estimation, "_process_count", lambda *a: 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert main(["--experiment", "energy-efficiency", "--n-grid", "2",
+                     "--t", "0.25", "--samples", "1000",
+                     "--workers", "2"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [e.startswith("error:") for e in err] == [False, True]
+        assert "Resource temporarily unavailable" in err[-1]
 
     @pytest.mark.parametrize("bad", [["--seed", "abc"], ["--workers", "x"],
                                      ["--experiment", "bogus"], ["--bogus"]])

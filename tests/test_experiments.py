@@ -92,12 +92,14 @@ class TestExperimentConfig:
         ("seed", 1.5), ("seed", None), ("n_samples", 1500.5),
         ("n_samples", "2000"), ("workers", 2.0)])
     def test_rejects_non_integer_counts(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        rule = "seeds must be integers" if field == "seed" \
+            else f"{field} must be an integer"
+        with pytest.raises(ValueError, match=rule):
             ExperimentConfig(experiment="capacity-vs-n", **{field: value})
 
     @pytest.mark.parametrize("field, value, message", [
         ("workers", True, "workers must be an integer"),
-        ("seed", False, "seed must be an integer"),
+        ("seed", False, "seeds must be integers"),
         ("n_samples", True, "n_samples must be an integer"),
         ("n_grid", [4, True], "n_grid values must be integers"),
         ("snr_db", [True], "snr_db values must be finite"),

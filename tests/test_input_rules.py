@@ -1,25 +1,35 @@
 """The two input rules every public entry point applies: a real input is
-a finite real and not a bool (``randmat._is_finite``), and a seed or a
-sample count is an integer and not a bool (``randmat._is_int``)."""
+a finite real and not a bool (``randmat._is_finite``), and a seed, a
+sample count, a worker count, a sample size or an array size is an
+integer and not a bool (``randmat._is_int``)."""
 
 import math
 
 import numpy as np
 import pytest
 
+from misolim import capacity
 from misolim.capacity import (
     DownlinkConfig,
     lower_bound_mc,
+    lower_bound_mc_batch,
+    lower_bound_rates,
     lower_limit_scaled_power,
     upper_limit_high_power,
     upper_limit_large_n,
 )
 from misolim import estimation
-from misolim.energy import EnergyConfig, energy_efficiency, scaled_power
+from misolim.energy import (
+    EnergyConfig,
+    ee_points,
+    energy_efficiency,
+    scaled_power,
+)
 from misolim.estimation import (
     ImpairmentProfile,
     UplinkConfig,
     empirical_mse,
+    empirical_mse_batch,
     error_floor_iid,
     pilot_chain,
 )
@@ -28,9 +38,12 @@ from misolim.randmat import (
     InvalidMatrixError,
     derive_seed,
     exponential_correlation,
+    nearly_psd,
+    sample_cn,
     sample_scalar_cn,
     substream,
 )
+from misolim.specfun import exp_integral_e1, one_minus_x_ex_e1
 
 EYE = CovarianceMatrix.identity(2)
 
@@ -59,6 +72,16 @@ REAL_SITES = {
     "scaled_power.t": (lambda x: scaled_power(1.0, 4, x), False),
     "energy_efficiency.capacity": (
         lambda x: energy_efficiency(x, 1.0, 1.0, EnergyConfig()), False),
+    # alpha2 = 1: a zero or negative power leaves the total positive
+    "energy_efficiency.p_bs": (
+        lambda x: energy_efficiency(1.0, x, 5.0, EnergyConfig(alpha2=1.0)),
+        False),
+    "energy_efficiency.p_ut": (
+        lambda x: energy_efficiency(1.0, 5.0, x, EnergyConfig(alpha2=1.0)),
+        False),
+    "nearly_psd.scale": (lambda x: nearly_psd(np.eye(2), x), False),
+    "exp_integral_e1": (exp_integral_e1, True),
+    "one_minus_x_ex_e1": (one_minus_x_ex_e1, True),
     "sample_scalar_cn": (lambda x: sample_scalar_cn(x, substream(0)), False),
     "CovarianceMatrix.scaled": (EYE.scaled, False),
     "exponential_correlation": (lambda x: exponential_correlation(3, x),
@@ -113,8 +136,9 @@ NOT_INT = [1.5, 7.9, True, np.True_, "1", np.float64(1.0)]
 
 
 class TestIntegerInputs:
-    """A seed or a sample count that is not an integer is refused, where
-    int() used to truncate it to another integer's draws."""
+    """A seed, a sample count, a worker count or a size that is not an
+    integer is refused, where int() used to truncate it to another
+    integer's draws."""
 
     @pytest.mark.parametrize("seed", NOT_INT, ids=repr)
     def test_seeds(self, seed):
@@ -164,3 +188,51 @@ class TestIntegerInputs:
             == empirical_mse(ul, 1000, 3)
         assert lower_bound_mc(ul, dl, np.int32(1000), np.uint8(3)) \
             == lower_bound_mc(ul, dl, 1000, 3)
+
+    @pytest.mark.parametrize("workers", [2.5, True, "2", 0, -1], ids=repr)
+    def test_worker_counts(self, workers, monkeypatch):
+        # refused by every Monte-Carlo entry point before any filter is
+        # formed, and before any exact rate is computed
+        def never(*args):
+            raise AssertionError("work began")
+
+        for former in ("_chain_filters", "_diagonal_norms", "_dense_norms"):
+            monkeypatch.setattr(estimation, former, never)
+        monkeypatch.setattr(capacity, "lower_bound_iid", never)
+        ul, dl = iid_link()
+        specs = [(EnergyConfig(), "impaired", ul.imp)]
+        for call in (lambda: pilot_chain([ul], 1000, 0,
+                                         lambda h, h_hat, h2: h2, workers),
+                     lambda: empirical_mse_batch([ul], 1000, 0, workers),
+                     lambda: lower_bound_mc_batch([(ul, dl)], 1000, 0,
+                                                  workers),
+                     lambda: lower_bound_rates([(ul, dl)], 1000, 0, workers),
+                     lambda: ee_points(2, (EYE, EYE, 1.0), specs, 1000, 0,
+                                       workers)):
+            with pytest.raises(ValueError, match=r"^workers must be an "
+                                                 r"integer >= 1, got"):
+                call()
+
+    @pytest.mark.parametrize("size", NOT_INT + [2.0, -1], ids=repr)
+    def test_sample_sizes(self, size):
+        rng = substream(0)
+        for call in (lambda: sample_cn(EYE, rng, size=size),
+                     lambda: sample_scalar_cn(1.0, rng, size=size),
+                     lambda: sample_scalar_cn(1.0, rng, size=(2, size))):
+            with pytest.raises(ValueError, match="^sizes must be integers "
+                                                 ">= 0, got"):
+                call()
+
+    def test_sample_sizes_accepted(self):
+        rng = substream(0)
+        assert sample_cn(EYE, rng, size=np.int64(3)).shape == (3, 2)
+        assert sample_cn(EYE, rng, size=0).shape == (0, 2)
+        assert sample_scalar_cn(1.0, rng, size=(2, np.int32(3))).shape \
+            == (2, 3)
+        assert isinstance(sample_scalar_cn(1.0, rng), complex)
+
+    @pytest.mark.parametrize("n", NOT_INT + [0, -3], ids=repr)
+    def test_array_sizes(self, n):
+        with pytest.raises(ValueError, match="dimension must be a positive "
+                                             "integer"):
+            energy_efficiency(1.0, 1.0, 1.0, EnergyConfig(), n=n)
