@@ -15,6 +15,7 @@ omitted).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import re
 import sys
@@ -122,10 +123,11 @@ def _attach_negative_lists(argv: list[str]) -> list[str]:
 
 
 def _check_out(path: str) -> None:
-    """OSError unless ``path`` is no folder and goes in a writable one."""
+    """OSError unless ``path`` is a non-empty name, no folder, and goes in
+    a writable one."""
     folder = os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path) or not os.access(folder, os.W_OK):
-        raise OSError(f"cannot write --out {path}: not a file in a "
+    if not path or os.path.isdir(path) or not os.access(folder, os.W_OK):
+        raise OSError(f"cannot write --out {path!r}: not a file in a "
                       "writable folder")
 
 
@@ -137,25 +139,39 @@ def config_from_args(argv=None) -> ExperimentConfig:
     if "experiment" not in opts:
         raise ValueError("no experiment selected (use --experiment or a config file)")
     cfg = ExperimentConfig(**opts)
-    if cfg.out:
+    if cfg.out is not None:
         _check_out(cfg.out)  # before any grid point runs
     return cfg
+
+
+def _write_stdout(text: str) -> None:
+    """Write text to stdout and flush it. A failed flush leaves the bytes
+    buffered, and Python would flush them again at exit, with a second
+    message and status 120: stdout is closed first, which it does not."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError:
+        with contextlib.suppress(OSError):
+            sys.stdout.close()
+        raise
 
 
 def main(argv=None) -> int:
     try:
         cfg = config_from_args(argv)
         # a value only the sweep finds out of range (an estimate that
-        # overflows) or a failed fork: one line, as for a bad config
+        # overflows), a failed fork or a failed write: one line, as for a
+        # bad config
         rows = run_experiment(cfg)
+        if cfg.out is None:
+            _write_stdout(csv_text(rows))
+        else:
+            write_csv(rows, cfg.out)
+            print(f"wrote {len(rows)} rows to {cfg.out}", file=sys.stderr)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cfg.out:
-        write_csv(rows, cfg.out)
-        print(f"wrote {len(rows)} rows to {cfg.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(csv_text(rows))
     return 0
 
 

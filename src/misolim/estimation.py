@@ -12,7 +12,10 @@ The Monte-Carlo bookkeeping of both estimators, this module's MSE and
 the capacity lower bound, lives here too: one check of the sample count,
 worker count and seed (``_check_draws``), one chunk map
 (``_map_chunks``), one standard-error rule (``_standard_error``), and the
-draws of h and w_t that begin every chunk (``_channel_draws``). The MSE
+draws of h and w_t that begin every chunk (``_channel_draws``). The lower
+bound's chain then draws one u per antenna for the noise and array
+distortion, whatever S, and nu ~ CN(0, S) only for an S without the s I
+tag (``_uplink_draws``), and forms z in one place (``_observe``). The MSE
 chain draws nothing else: given h and w_t, it integrates the noise and
 array distortion out in closed form (``empirical_mse_batch``).
 """
@@ -312,33 +315,11 @@ def error_floor_iid(lam: float, kappa_t_ut: float, kappa_r_bs: float) -> float:
 
 def _channel_draws(r: CovarianceMatrix, count: int,
                    rng: np.random.Generator):
-    """h ~ CN(0, R) of count rows, then w_t ~ CN(0, 1) per row: the first
-    draws of every chunk of both chains (``_draw_chunk``,
-    ``_diagonal_draws``), and the only draws of the MSE chain
-    (``empirical_mse_batch``)."""
+    """h ~ CN(0, R) of count rows, then w_t ~ CN(0, 1) per row, with h2 =
+    |h|^2: what begins every chunk of both chains, and all the MSE chain
+    draws (``empirical_mse_batch``)."""
     h = sample_cn(r, rng, size=count)
-    return h, sample_scalar_cn(1.0, rng, size=count)
-
-
-def _noise_draws(s: CovarianceMatrix, h: np.ndarray,
-                 rng: np.random.Generator):
-    """nu ~ CN(0, S) per row, then |h| w_r with w_r ~ CN(0, 1) per entry,
-    for a (count, N) batch of channels h."""
-    nu = sample_cn(s, rng, size=len(h))
-    hw_r = sample_scalar_cn(1.0, rng, size=h.shape)
-    hw_r *= np.abs(h)
-    return nu, hw_r
-
-
-def _observe(cfg: UplinkConfig, h: np.ndarray, w_t: np.ndarray,
-             nu: np.ndarray, hw_r: np.ndarray) -> np.ndarray:
-    """z = h (d + eta_t) + nu + eta_r with eta_t = sqrt(kappa_t_ut p) w_t
-    and eta_r = sqrt(kappa_r_bs p) |h| w_r, from the draws of
-    ``_draw_chunk`` after h."""
-    z = h * (cfg.d + math.sqrt(cfg.imp.kappa_t_ut * cfg.p_ut) * w_t)[:, None]
-    z += nu
-    z += math.sqrt(cfg.imp.kappa_r_bs * cfg.p_ut) * hw_r
-    return z
+    return h, sample_scalar_cn(1.0, rng, size=count), _squared_moduli(h)
 
 
 def _squared_moduli(h: np.ndarray) -> np.ndarray:
@@ -346,16 +327,15 @@ def _squared_moduli(h: np.ndarray) -> np.ndarray:
     return h.real ** 2 + h.imag ** 2
 
 
-def _diagonal_draws(r: CovarianceMatrix, s: CovarianceMatrix, count: int,
-                    rng: np.random.Generator):
-    """(h, w_t, |h|^2, u) for S = s I (by its tag), drawn in this order:
-    h and w_t (``_channel_draws``), then u ~ CN(0, 1) per entry, in h's
-    memory layout. Given h, nu + eta_r is CN(0, s I + kappa_r_bs p
-    diag(|h_i|^2)), independent across antennas, so ``_observe_diagonal``
-    forms it from u alone: one draw per antenna in place of the two of
-    ``_noise_draws``. s itself is read per config; it is a parameter for
-    the draw signature that ``pilot_chain`` shares with ``_draw_chunk``."""
-    h, w_t = _channel_draws(r, count, rng)
+def _uplink_draws(r: CovarianceMatrix, s: CovarianceMatrix, count: int,
+                  rng: np.random.Generator):
+    """(h, w_t, h2, u[, nu]) of one chunk of ``pilot_chain``, drawn in
+    this order: ``_channel_draws``, then u ~ CN(0, 1) per entry, in h's
+    memory layout, then, for an S without the s I tag only, nu ~ CN(0, S)
+    per row. Given h, eta_r ~ CN(0, kappa_r_bs p diag(|h_i|^2)) is
+    independent across antennas, so ``_observe`` forms it from u, with
+    s I's noise joined to it."""
+    h, w_t, h2 = _channel_draws(r, count, rng)
     # u takes h's layout, whose antenna axis leads in memory for the AR(1)
     # h of c K_rho, so that each config's z takes it too, as the
     # tridiagonal solve wants. Drawn straight into it: the same bits as
@@ -364,17 +344,23 @@ def _diagonal_draws(r: CovarianceMatrix, s: CovarianceMatrix, count: int,
     # medians of 0.145 s against the copy's 0.143 s (the copy faster in
     # 5 of 8) with peak RSS 45.5 MB against 46.1 MB
     u = _re_plus_j_im(rng, h.shape, np.empty_like(h), np.sqrt(0.5))
-    return h, w_t, _squared_moduli(h), u
+    if s.identity_scale is not None:
+        return h, w_t, h2, u
+    return h, w_t, h2, u, sample_cn(s, rng, size=count)
 
 
-def _observe_diagonal(cfg: UplinkConfig, h: np.ndarray, w_t: np.ndarray,
-                      h2: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """z = h (d + eta_t) + sqrt(s + kappa_r_bs p |h_i|^2) u, from
-    ``_diagonal_draws``, for S = s I."""
-    s = cfg.s.identity_scale
+def _observe(cfg: UplinkConfig, h: np.ndarray, w_t: np.ndarray,
+             h2: np.ndarray, u: np.ndarray,
+             nu: np.ndarray | None = None) -> np.ndarray:
+    """z = h (d + eta_t) + sqrt(s + kappa_r_bs p |h_i|^2) u, plus nu when
+    given, from ``_uplink_draws``: eta_t = sqrt(kappa_t_ut p) w_t, and s is
+    S's s I tag, or 0 for an untagged S, whose noise is nu."""
+    s = cfg.s.identity_scale or 0.0
     kr_p = cfg.imp.kappa_r_bs * cfg.p_ut
     z = u * np.sqrt(s if kr_p == 0.0 else kr_p * h2 + s)
     z += h * (cfg.d + math.sqrt(cfg.imp.kappa_t_ut * cfg.p_ut) * w_t)[:, None]
+    if nu is not None:
+        z += nu
     return z
 
 
@@ -451,14 +437,6 @@ def _shared(cfgs) -> list:
     if any(cfg.r is not r or cfg.s is not s for cfg in cfgs):
         raise ValueError("the configs of one pilot chain must share R and S")
     return cfgs
-
-
-def _draw_chunk(r: CovarianceMatrix, s: CovarianceMatrix, count: int,
-                rng: np.random.Generator):
-    """h and w_t (``_channel_draws``), then nu and |h| w_r
-    (``_noise_draws``)."""
-    h, w_t = _channel_draws(r, count, rng)
-    return (h, w_t, *_noise_draws(s, h, rng))
 
 
 def _process_count(workers: int, n_chunks: int, blas: bool = False) -> int:
@@ -615,17 +593,14 @@ def pilot_chain(cfgs, n_samples: int, seed: int, stat,
     antenna values in all. Each config's h_hat is a fresh array. The
     chunks run on up to ``workers`` processes (``_map_chunks``).
 
-    Chunk j draws h, w_t and the noise and array distortion once from
-    ``substream(seed, j)`` (``_map_chunks``), and forms h2 once; every
-    config scales those same draws by its own p and kappa and applies its
-    own filter, tile by tile. So config i gives the same bits in any batch.
-    The scalar filter and the tridiagonal solve work row by row, and give
-    the same bits with any tile size; a dense filter's product is the
-    BLAS's, whose summation order may follow the rows in a tile, so there
-    the bits hold for the one _TILE (see there). When S is tagged s I
-    (``identity_scale``), the noise and array distortion are one draw u per
-    antenna (``_diagonal_draws``), else nu and |h| w_r (``_draw_chunk``). A
-    dense S takes the standard draws, diagonal or not.
+    Chunk j draws h, w_t, u and, for an untagged S, nu once from
+    ``substream(seed, j)`` (``_uplink_draws``), and forms h2 once; every
+    config scales those same draws by its own p and kappa (``_observe``)
+    and applies its own filter, tile by tile. So config i gives the same
+    bits in any batch. The scalar filter and the tridiagonal solve work
+    row by row, and give the same bits with any tile size; a dense
+    filter's product is the BLAS's, whose summation order may follow the
+    rows in a tile, so there the bits hold for the one _TILE (see there).
     ``empirical_mse_batch`` draws only h and w_t, as every chunk here
     begins with (``_channel_draws``).
 
@@ -640,31 +615,25 @@ def pilot_chain(cfgs, n_samples: int, seed: int, stat,
     _check_draws(n_samples, seed, 1, workers)
     apply, filters, step = _chain_filters(cfgs)
     r, s = cfgs[0].r, cfgs[0].s
-    one_draw = s.identity_scale is not None
-    if one_draw:
-        draw, observe = _diagonal_draws, _observe_diagonal
-    else:
-        draw, observe = _draw_chunk, _observe
 
     def rows(count, rng):
-        chunk = draw(r, s, count, rng)
-        h2 = chunk[2] if one_draw else _squared_moduli(chunk[0])
+        chunk = _uplink_draws(r, s, count, rng)
         out = [[] for _ in cfgs]
         for a in range(0, count, step):
             tile = [x[a:a + step] for x in chunk]
             for o, cfg, f in zip(out, cfgs, filters):
-                o.append(stat(tile[0], apply(observe(cfg, *tile), f),
-                              h2[a:a + step]))
+                o.append(stat(tile[0], apply(_observe(cfg, *tile), f),
+                              tile[2]))
         return [np.concatenate(o) for o in out]
 
     return _map_chunks(rows, n_samples, seed, workers, apply is np.matmul)
 
 
 def _diagonal_norms(cfgs):
-    """The chunk function (see ``_map_chunks``) of configs on R's
-    eigenbasis (``_eigenbasis``): a chunk's E[||e||^2 | h, w_t] less its
-    constant tr(A S A^H) per config and row, as a (configs, rows) array.
-    The function's ``trace`` holds that constant per config.
+    """(rows, trace) for configs on R's eigenbasis (``_eigenbasis``): the
+    chunk function rows (see ``_map_chunks``) gives a chunk's E[||e||^2 |
+    h, w_t] less its constant tr(A S A^H) per config and row, as a
+    (configs, rows) array, and trace holds that constant per config.
 
     There A = V diag(d* g) V^H and Q M^{-1} = V diag(q) V^H with q = (p
     kappa_t_ut lam + beta) / (alpha lam + beta). With h' = V^H h, eta_t =
@@ -697,8 +666,7 @@ def _diagonal_norms(cfgs):
     kr_p = np.array([[c.imp.kappa_r_bs * c.p_ut] for c in cfgs])
 
     def rows(count, rng):
-        h, w_t = _channel_draws(r, count, rng)
-        h2 = _squared_moduli(h)
+        h, w_t, h2 = _channel_draws(r, count, rng)
         h2v = h2 if vc is None else _squared_moduli(np.dot(h, vc))
         hh = np.array([np.dot(h2v, wc) for wc in w])
         e_t = eta * w_t
@@ -706,8 +674,7 @@ def _diagonal_norms(cfgs):
                 - 2.0 * (d.conj() * e_t).real * hh[:, :, 1] + hh[:, :, 2]
                 + kr_p * np.array([np.dot(h2, uc) for uc in u]))
 
-    rows.trace = trace
-    return rows
+    return rows, trace
 
 
 def _error_filters(cfg: UplinkConfig):
@@ -719,10 +686,10 @@ def _error_filters(cfg: UplinkConfig):
 
 
 def _dense_norms(cfgs):
-    """The chunk function (see ``_map_chunks``) off R's eigenbasis: a
-    chunk's E[||e||^2 | h, w_t] less its constant tr(A S A^H) per config
-    and row, as a list over configs; the function's ``trace`` holds that
-    constant per config. Each config's two N x N filters
+    """(rows, trace) off R's eigenbasis: the chunk function rows (see
+    ``_map_chunks``) gives a chunk's E[||e||^2 | h, w_t] less its constant
+    tr(A S A^H) per config and row, as a list over configs, and trace
+    holds that constant per config. Each config's two N x N filters
     (``_error_filters``), the column norms ||A e_i||^2 and the constant
     are formed once."""
     r = cfgs[0].r
@@ -733,13 +700,11 @@ def _dense_norms(cfgs):
         trace.append(float(np.vdot(at.T, at.T @ c.s.matrix).real))
 
     def rows(count, rng):
-        h, w_t = _channel_draws(r, count, rng)
-        h2 = _squared_moduli(h)
+        h, w_t, h2 = _channel_draws(r, count, rng)
         return [_dense_norm(cfg, f, h, w_t, h2)
                 for cfg, f in zip(cfgs, filters)]
 
-    rows.trace = trace
-    return rows
+    return rows, trace
 
 
 def _dense_norm(cfg: UplinkConfig, f, h: np.ndarray, w_t: np.ndarray,
@@ -765,8 +730,8 @@ def empirical_mse_batch(cfgs, n_samples: int, seed: int,
     form e = A y - Q M^{-1} h, where z = d h + y, y = eta_t h + nu +
     eta_r, A is the LMMSE filter and Q = M - p R = p kappa_t_ut R + p
     kappa_r_bs diag(R) + S. Given h and w_t, A (nu + eta_r) has mean 0 and
-    is linear in draws that would only be averaged away, so it is
-    integrated out: each draw gives E[||e||^2 | h, w_t] (Rao-Blackwell),
+    is linear in the draws u and nu of ``_uplink_draws``, which would only
+    be averaged away, so it is integrated out: each draw gives E[||e||^2 | h, w_t] (Rao-Blackwell),
     whose mean is the same and whose variance is no larger. Nothing in it
     cancels at high SNR, where h_hat - h would: it comes from weighted row
     sums on R's eigenbasis (``_diagonal_norms``), and otherwise from the
@@ -780,11 +745,11 @@ def empirical_mse_batch(cfgs, n_samples: int, seed: int,
     _check_draws(n_samples, seed, 2, workers)
     cfgs = _shared(cfgs)
     n = cfgs[0].dim
-    rows = (_dense_norms if _eigenbasis(cfgs[0]) is None
-            else _diagonal_norms)(cfgs)
+    rows, trace = (_dense_norms if _eigenbasis(cfgs[0]) is None
+                   else _diagonal_norms)(cfgs)
     out = []
     for e, t in zip(_map_chunks(rows, n_samples, seed, workers, blas=True),
-                    rows.trace):
+                    trace):
         e /= n
         out.append(MonteCarloEstimate(value=float(np.mean(e) + t / n),
                                       std_error=_standard_error(e),

@@ -566,10 +566,10 @@ class TestRowTiles:
 
 
 class TestChainMemory:
-    """The lower bound holds one chunk of draws (h, nu and |h| w_r) and
-    what one tile's estimate and statistics need: at most 4 arrays of
-    _CHUNK x N complex values for R = I, whose tiles are small, and 6 for
-    exponential R, whose solve takes a whole chunk."""
+    """The lower bound holds one chunk of draws (h, |h|^2 and u, and nu
+    for an untagged S) and what one tile's estimate and statistics need:
+    at most 4 arrays of _CHUNK x N complex values for R = I, whose tiles
+    are small, and 6 for exponential R, whose solve takes a whole chunk."""
 
     @pytest.mark.parametrize("kind, arrays", [("identity", 4), ("kms", 6)])
     def test_peak(self, kind, arrays):

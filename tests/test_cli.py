@@ -1,6 +1,7 @@
 """Command-line interface tests."""
 
 import errno
+import io
 import json
 import os
 import subprocess
@@ -182,6 +183,45 @@ class TestMain:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "--out" in err[0]
         assert list(tmp_path.iterdir()) == []
+
+    def test_empty_out_rejected_before_work(self, tmp_path, capsys):
+        # "--out=" and a bare "out =" line: no grid point runs, and no CSV
+        # goes to stdout in place of the file
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("out =\n")
+        for argv in (self.ARGS + ["--out="], self.ARGS + ["--config", str(cfg)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            err = captured.err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:")
+            assert "--out ''" in err[0] and captured.out == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    def test_failed_write_is_one_line(self, tmp_path, capsys):
+        # the write fails after the grid point's progress line: one error
+        # line after it, and no traceback. The link's folder is writable
+        # to any user, where /dev is not
+        full = tmp_path / "full.csv"
+        full.symlink_to("/dev/full")
+        assert main(self.ARGS + ["--out", str(full)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [e.startswith("error:") for e in err] == [False, True]
+        assert "No space left on device" in err[-1]
+
+    def test_failed_stdout_write_is_one_line(self, capsys, monkeypatch):
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        full = Full()
+        monkeypatch.setattr(sys, "stdout", full)
+        assert main(self.ARGS) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [e.startswith("error:") for e in err] == [False, True]
+        assert "No space left on device" in err[-1]
+        # closed, so that Python does not flush it again at exit
+        assert full.closed
 
     def test_bad_sample_count(self, capsys):
         assert main(self.ARGS[:2] + ["--samples", "10"]) == 2

@@ -33,11 +33,11 @@ from misolim.estimation import (
     SingularMatrixError,
     UplinkConfig,
     _cho_solve,
-    _draw_chunk,
-    _noise_draws,
     _observe,
+    _squared_moduli,
     _tridiagonal_filter,
     _tridiagonal_solve,
+    _uplink_draws,
     empirical_mse,
     empirical_mse_batch,
     error_covariance,
@@ -156,7 +156,7 @@ class TestLmmseFilter:
         r = exponential_correlation(4, 0.7)
         cfg = make_config(r=r, p=10.0, kt_ut=0.0025, kr_bs=0.0025)
         n_draws = 1_000_000
-        h, *draws = _draw_chunk(r, cfg.s, n_draws, substream(100))
+        h, *draws = _uplink_draws(r, cfg.s, n_draws, substream(100))
         z = _observe(cfg, h, *draws)
         cov_hz = np.einsum("ki,kj->ij", h, np.conj(z)) / n_draws  # E{h z^H}
         cov_zz = np.einsum("ki,kj->ij", z, np.conj(z)) / n_draws
@@ -171,7 +171,7 @@ class TestEstimate:
         cfg = make_config(r=r, p=5.0, kt_ut=0.0025, kr_bs=0.0025)
         a = lmmse_filter(cfg)
         n_draws = 100_000
-        h, *draws = _draw_chunk(r, cfg.s, n_draws, substream(101))
+        h, *draws = _uplink_draws(r, cfg.s, n_draws, substream(101))
         z = _observe(cfg, h, *draws)
         h_hat = z @ a.T
         eps = h - h_hat
@@ -239,7 +239,7 @@ class TestErrorCovariance:
         a = lmmse_filter(cfg)
         c = error_covariance(cfg)
         n_draws = 100_000
-        h, *draws = _draw_chunk(r, cfg.s, n_draws, substream(102))
+        h, *draws = _uplink_draws(r, cfg.s, n_draws, substream(102))
         z = _observe(cfg, h, *draws)
         h_hat = z @ a.T
         emp = np.einsum("ki,kj->ij", h_hat, np.conj(h_hat)) / n_draws
@@ -359,10 +359,14 @@ class TestErrorFloorIid:
 
 def _standard_draws(s, h, rng):
     """What the uplink distortion and noise of a given (count, N) batch of
-    channels are made of, drawn in this order: w_t ~ CN(0, 1) per row,
-    then ``_noise_draws``; the draws of ``_draw_chunk`` after h."""
+    channels are made of, as ``_observe`` takes them after h: (w_t, h2, u)
+    with w_t ~ CN(0, 1) per row and u ~ CN(0, 1) per entry, and nu ~
+    CN(0, S) per row after them for an S without the s I tag."""
     w_t = sample_scalar_cn(1.0, rng, size=len(h))
-    return (w_t, *_noise_draws(s, h, rng))
+    draws = (w_t, _squared_moduli(h), sample_scalar_cn(1.0, rng, size=h.shape))
+    if s.identity_scale is not None:
+        return draws
+    return (*draws, sample_cn(s, rng, size=len(h)))
 
 
 class TestSimulateUplink:
@@ -390,7 +394,7 @@ class TestSimulateUplink:
         r = exponential_correlation(4, 0.7)
         cfg = make_config(r=r, p=2.0, kt_ut=0.01, kr_bs=0.02)
         n_draws = 100_000
-        h, *draws = _draw_chunk(r, cfg.s, n_draws, substream(3))
+        h, *draws = _uplink_draws(r, cfg.s, n_draws, substream(3))
         z = _observe(cfg, h, *draws)
         emp = np.einsum("ki,kj->ij", z, np.conj(z)) / n_draws
         expected = (cfg.p_ut * (1 + 0.01) * r.matrix
@@ -421,7 +425,7 @@ class TestScaledIdentityMatchesDense:
                             s=CovarianceMatrix.identity(n).scaled(c_s),
                             p_ut=p_ut, imp=imp)
         # the dense twin keeps the tagged S, so that both lower bounds take
-        # the same one-draw disturbance; its dense R alone forces every
+        # the same draws, with no nu; its dense R alone forces every
         # Cholesky path
         dense = UplinkConfig(r=CovarianceMatrix(c_r * np.eye(n)), s=fast.s,
                              p_ut=p_ut, imp=imp)
@@ -499,8 +503,8 @@ class TestEigenbasisMatchesDense:
     relative; the per-antenna MSE and floor, means of differences of terms
     of order R, with a 1e-14 absolute floor. The filter, error covariance
     and error floor of c K_rho take the Cholesky path on both sides. The
-    untagged S takes the standard draws in the lower bound's chain, so its
-    estimates are compared on the tagged S's one-draw observations."""
+    untagged S also draws nu in the lower bound's chain, so its estimates
+    are compared on the tagged S's observations."""
 
     @given(n=st.integers(1, 64), rho=st.floats(0.0, 0.95, exclude_max=True),
            s=st.floats(1e-2, 1e2), p_ut=st.floats(1e-3, 1e6),
@@ -543,10 +547,9 @@ class TestEigenbasisMatchesDense:
             agree((x.value, x.std_error), (y.value, y.std_error))
         # the tridiagonal estimates against the dense filter's, on the same
         # observations; entries of h_hat cancel, so with the filter's floor
-        h, w_t, h2, u = estimation._diagonal_draws(r, fast_s, 1000,
-                                                   substream(3, 0))
+        h, w_t, h2, u = _uplink_draws(r, fast_s, 1000, substream(3, 0))
         for f, d in zip(fast, dense):
-            z = estimation._observe_diagonal(f, h, w_t, h2, u)
+            z = _observe(f, h, w_t, h2, u)
             want = z @ lmmse_filter(d).T
             agree(_tridiagonal_solve(z, _tridiagonal_filter(f)), want,
                   floor=1e-12 * np.max(np.abs(want)))
@@ -661,9 +664,10 @@ class TestEigenbasisProperties:
 
 
 class TestOneDisturbanceDraw:
-    """With S tagged s I the lower bound's chain draws nu + eta_r as one
-    CN(0, s + kappa_r_bs p |h_i|^2) value per antenna; any other S draws
-    nu and |h| w_r. The MSE chain draws neither: it integrates them out."""
+    """The lower bound's chain draws nu + eta_r as one u per antenna: for
+    S tagged s I, one CN(0, s + kappa_r_bs p |h_i|^2) value per antenna;
+    for any other S, eta_r from u, and nu ~ CN(0, S) per row. The MSE
+    chain draws neither: it integrates them out."""
 
     def test_moments_given_h(self):
         # seed chosen before looking at the draws; |h_i| differ, so the
@@ -673,10 +677,10 @@ class TestOneDisturbanceDraw:
         s = CovarianceMatrix.identity(n).scaled(1.5)
         cfg = UplinkConfig(r=r, s=s, p_ut=4.0,
                            imp=ImpairmentProfile(kappa_r_bs=0.02))
-        _, w_t, _, u = estimation._diagonal_draws(r, s, rows, substream(18))
+        _, w_t, _, u = _uplink_draws(r, s, rows, substream(18))
         h = np.tile(np.array([0.2, 1.0 - 1.0j, 3.0j, -2.5]), (rows, 1))
         h2 = np.abs(h) ** 2
-        noise = estimation._observe_diagonal(cfg, h, w_t, h2, u) - cfg.d * h
+        noise = _observe(cfg, h, w_t, h2, u) - cfg.d * h
         want = 1.5 + 0.02 * 4.0 * h2[0]
         power = np.abs(noise) ** 2
         for x, mean in ((power, want), (noise.real * noise.imag, 0.0),
@@ -684,26 +688,54 @@ class TestOneDisturbanceDraw:
             se = np.std(x, axis=0, ddof=1) / np.sqrt(rows)
             assert np.all(np.abs(np.mean(x, axis=0) - mean) <= 5.0 * se)
 
-    @pytest.mark.parametrize("s, diagonal", [
+    def test_untagged_covariance_given_h(self):
+        # kappa_t_ut = 0 and a non-diagonal S without a tag: given h, z - d
+        # h = nu + eta_r has covariance S + kappa_r_bs p diag(|h_i|^2),
+        # every entry within 5 standard errors; seed chosen before looking
+        # at the draws. A covariance's diagonal is real, so only the real
+        # parts are compared there
+        n, rows = 3, 100_000
+        r = CovarianceMatrix.identity(n)
+        s = CovarianceMatrix(np.eye(n) + 0.2)
+        cfg = UplinkConfig(r=r, s=s, p_ut=4.0,
+                           imp=ImpairmentProfile(kappa_r_bs=0.02))
+        _, w_t, _, u, nu = _uplink_draws(r, s, rows, substream(19))
+        h = np.tile(np.array([0.2, 1.0 - 1.0j, 3.0j]), (rows, 1))
+        h2 = np.abs(h) ** 2
+        noise = _observe(cfg, h, w_t, h2, u, nu) - cfg.d * h
+        want = s.matrix + 0.02 * 4.0 * np.diag(h2[0])
+        prod = noise[:, :, None] * noise[:, None, :].conj()
+        off = ~np.eye(n, dtype=bool)
+        for x, mean in ((prod.real, want.real),
+                        (prod.imag[:, off], want.imag[off])):
+            se = np.std(x, axis=0, ddof=1) / np.sqrt(rows)
+            assert np.all(np.abs(np.mean(x, axis=0) - mean) <= 5.0 * se)
+
+    @pytest.mark.parametrize("s, tagged", [
         (CovarianceMatrix(np.diag([0.5, 1.0, 2.0])), False),
         (exponential_correlation(3, 0.0).scaled(0.5), False),
         (CovarianceMatrix.identity(3).scaled(0.5), True),
         (CovarianceMatrix(np.eye(3) + 0.1), False),
     ], ids=["dense-diagonal", "kms-rho-0", "scaled-identity", "dense"])
-    def test_draws_taken(self, s, diagonal):
+    def test_draws_taken(self, s, tagged):
         # the tag decides, not the entries: a dense diagonal S and c K_0
-        # take the standard draws; the MSE chain takes neither
+        # draw nu from S once per chunk, S = s I never; the MSE chain
+        # draws from neither
         cfg = UplinkConfig(r=exponential_correlation(3, 0.7), s=s, p_ut=2.0,
                            imp=ImpairmentProfile.uniform(0.01))
-        with mock.patch.object(estimation, "_diagonal_draws",
-                               wraps=estimation._diagonal_draws) as one, \
-                mock.patch.object(estimation, "_draw_chunk",
-                                  wraps=estimation._draw_chunk) as two:
+        with mock.patch.object(estimation, "_uplink_draws",
+                               wraps=estimation._uplink_draws) as draws, \
+                mock.patch.object(estimation, "sample_cn",
+                                  wraps=estimation.sample_cn) as cn:
             pilot_chain([cfg], 2 * _CHUNK + 1, 0, estimates)
-            want = (3, 0) if diagonal else (0, 3)
-            assert (one.call_count, two.call_count) == want
+            noise = [c.kwargs["size"] for c in cn.call_args_list
+                     if c.args[0] is s]
+            assert draws.call_count == 3
+            assert noise == ([] if tagged else [_CHUNK, _CHUNK, 1])
+            cn.reset_mock()
             empirical_mse(cfg, 2 * _CHUNK + 1, 0)
-            assert (one.call_count, two.call_count) == want
+            assert draws.call_count == 3
+            assert not [c for c in cn.call_args_list if c.args[0] is s]
 
     @pytest.mark.parametrize("r, s", [
         (exponential_correlation(4, 0.7), CovarianceMatrix.identity(4)),
@@ -724,8 +756,7 @@ class TestOneDisturbanceDraw:
         cfgs = [UplinkConfig(r=r, s=s, p_ut=p,
                              imp=ImpairmentProfile.uniform(0.01))
                 for p in (1.0, 100.0)]
-        with mock.patch.multiple(estimation, _noise_draws=never,
-                                 _diagonal_draws=never, _draw_chunk=never,
+        with mock.patch.multiple(estimation, _uplink_draws=never,
                                  sample_cn=channel), \
                 mock.patch.object(estimation, "sample_scalar_cn",
                                   wraps=estimation.sample_scalar_cn) as w_t:
@@ -750,7 +781,7 @@ class TestOneDisturbanceDraw:
         cfg = UplinkConfig(r=r, s=s, p_ut=10.0,
                            imp=ImpairmentProfile(kappa_t_ut=0.01,
                                                  kappa_r_bs=0.02))
-        h, *draws = _draw_chunk(r, s, 100_000, substream(40, 1))
+        h, *draws = _uplink_draws(r, s, 100_000, substream(40, 1))
         e = h - _observe(cfg, h, *draws) @ lmmse_filter(cfg).T
         plain = np.sum(np.abs(e) ** 2, axis=1) / r.dim
         se = np.std(plain, ddof=1) / np.sqrt(len(plain))
@@ -1071,7 +1102,7 @@ class TestProcessMap:
         norms = (estimation._dense_norms if r.kms_rho is None
                  else estimation._diagonal_norms)
         with _cores(3), self.forks(n_samples, calls=2):
-            arrays = [estimation._map_chunks(norms(cfgs), n_samples, 5, w)
+            arrays = [estimation._map_chunks(norms(cfgs)[0], n_samples, 5, w)
                       for w in (1, 2, 3)]
             ests = [empirical_mse_batch(cfgs, n_samples, 5, workers=w)
                     for w in (1, 2, 3)]
