@@ -230,40 +230,34 @@ def _row_sums(h: np.ndarray, h_hat: np.ndarray, h2: np.ndarray):
 
 
 def _mrt_stats(h: np.ndarray, h_hat: np.ndarray, h2: np.ndarray) -> np.ndarray:
-    """Rows (Re g, Im g, |g|^2, u) of the draws with h_hat != 0, for the
-    beamformer v = conj(h_hat)/||h_hat||: g = h^T v = s / sqrt(n2) and
-    u = sum_i |h_i|^2 |v_i|^2 = t / n2, with no array for v, from the row
-    sums s = sum_i h_i conj(h_hat_i), n2 = sum_i |h_hat_i|^2 and
-    t = sum_i |h_i|^2 |h_hat_i|^2, with h2 = |h|^2 (the ``stat`` of
-    ``pilot_chain``)."""
+    """Rows (Re g, Im g, |g|^2, u), one per draw, for the beamformer v =
+    conj(h_hat)/||h_hat||: g = h^T v = s / sqrt(n2) and u = sum_i |h_i|^2
+    |v_i|^2 = t / n2, with no array for v, from the row sums s = sum_i h_i
+    conj(h_hat_i), n2 = sum_i |h_hat_i|^2 and t = sum_i |h_i|^2
+    |h_hat_i|^2, with h2 = |h|^2 (the ``stat`` of ``pilot_chain``). A
+    draw whose h_hat is exactly 0 has no beamformer: RuntimeError."""
     s, n2, t = _row_sums(h, h_hat, h2)
     low = np.flatnonzero((n2 < _NORM_MIN) | (t < _NORM_MIN))
     if low.size:
         # a sum underflows: rescale those rows by their largest modulus,
         # part by part (a complex division's 1 / peak can overflow)
         peak = np.max(np.abs(h_hat[low]), axis=1, keepdims=True)
-        peak[peak == 0.0] = 1.0  # zero rows stay 0, and are dropped
+        if not peak.all():
+            raise RuntimeError("a draw produced a zero channel estimate")
         unit = h_hat[low]
         unit.real /= peak
         unit.imag /= peak
         s[low], n2[low], t[low] = _row_sums(h[low], unit, h2[low])
-    ok = n2 > 0.0  # the rows with h_hat != 0
-    g = s[ok] / np.sqrt(n2[ok])
-    return np.column_stack([g.real, g.imag, np.abs(g) ** 2, t[ok] / n2[ok]])
+    g = s / np.sqrt(n2)
+    return np.column_stack([g.real, g.imag, np.abs(g) ** 2, t / n2])
 
 
-def _rate_estimate(x: np.ndarray, dl: DownlinkConfig,
-                   n_samples: int) -> MonteCarloEstimate:
+def _rate_estimate(x: np.ndarray, dl: DownlinkConfig) -> MonteCarloEstimate:
     """log2(1 + SINR) of the approximate-MRT bound from the rows of
-    ``_mrt_stats``, with its delta-method standard error: the value is a
-    function of the rows' means, so grad^T Cov grad / n, the delta
-    method's variance, is the squared standard error of the rows'
-    projections on the gradient (``_standard_error``)."""
-    dropped = n_samples - x.shape[0]
-    if dropped > 0.001 * n_samples:
-        raise RuntimeError(
-            f"{dropped} of {n_samples} draws produced a zero channel estimate"
-        )
+    ``_mrt_stats``, one per draw, with its delta-method standard error:
+    the value is a function of the rows' means, so grad^T Cov grad / n,
+    the delta method's variance, is the squared standard error of the
+    rows' projections on the gradient (``_standard_error``)."""
     a_re, a_im, q_m, u_m = x.mean(axis=0)
     sig = a_re ** 2 + a_im ** 2
     kt, kr = dl.imp.kappa_t_bs, dl.imp.kappa_r_ut
@@ -294,8 +288,7 @@ def lower_bound_mc_batch(links, n_samples: int, seed: int,
         raise ValueError("the lower bound needs pilot power p_ut > 0")
     rows = pilot_chain([ul for ul, _ in links], n_samples, seed, _mrt_stats,
                        workers)
-    return [_rate_estimate(x, dl, n_samples)
-            for x, (_, dl) in zip(rows, links)]
+    return [_rate_estimate(x, dl) for x, (_, dl) in zip(rows, links)]
 
 
 def lower_bound_mc(ul: UplinkConfig, dl: DownlinkConfig, n_samples: int,
@@ -306,10 +299,11 @@ def lower_bound_mc(ul: UplinkConfig, dl: DownlinkConfig, n_samples: int,
     LMMSE estimate), then the beamformer v = conj(h_hat)/||h_hat||. The
     three expectations E{h^T v}, E{|h^T v|^2}, sum_i E{|h_i|^2 |v_i|^2} are
     estimated jointly from the common sample stream; the standard error of
-    log2(1 + SINR) follows by the delta method (``_rate_estimate``). Draws
-    whose estimate is exactly zero are dropped; more than 0.1 % of them
-    raise RuntimeError. A link without pilot power (p_ut = 0) raises
-    ValueError before any draw.
+    log2(1 + SINR) follows by the delta method (``_rate_estimate``). Every
+    draw counts: n_samples is the request, and a draw whose estimate is
+    exactly zero (R = 0, or an R so small that h_hat underflows) raises
+    RuntimeError in the chunk that takes it. A link without pilot power
+    (p_ut = 0) raises ValueError before any draw.
     """
     return lower_bound_mc_batch([(ul, dl)], n_samples, seed)[0]
 
@@ -505,7 +499,7 @@ def lower_bound_iid(ul: UplinkConfig, dl: DownlinkConfig) -> float:
     antennas, for R = c I) are independent, and h^T conj(h_hat) and
     ||h_hat|| do not change under that rotation. Coordinate k has h_k ~
     CN(0, lam_k), and given h_k, z_k is CN(D h_k, v) with D = d (1 +
-    zeta), v = s + kappa_r_bs p_ut |h_k|^2; h_hat_k = d* g_k z_k
+    zeta), v = s + kappa_r_bs p_ut |h_k|^2; h_hat_k = d g_k z_k
     (``_eigenbasis``). In its own units, where h_k / sqrt(lam_k) has r =
     |.|^2 ~ Exp(1) and z_k / (d sqrt(lam_k)) has D = 1 + zeta and v = q_k
     + kappa_r_bs r, q_k = s / (p_ut lam_k), the estimate is omega_k times
@@ -592,7 +586,7 @@ def lower_bound_asymptotic(ul: UplinkConfig, dl: DownlinkConfig) -> float:
     """Large-array closed form of the lower bound with the O(1/sqrt(N))
     remainders dropped. Nothing is drawn: two calls give the same float.
 
-    With B = R M^{-1} (the LMMSE filter over d*) and Psi = p_ut
+    With B = R M^{-1} (the LMMSE filter over d) and Psi = p_ut
     kappa_r_bs diag(R) + S, the channel-averaged covariance of the
     additive uplink disturbance, only expectations of
 

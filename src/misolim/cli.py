@@ -123,12 +123,13 @@ def _attach_negative_lists(argv: list[str]) -> list[str]:
 
 
 def _check_out(path: str) -> None:
-    """OSError unless ``path`` is a non-empty name, no folder, and goes in
-    a writable one."""
-    folder = os.path.dirname(os.path.abspath(path))
-    if not path or os.path.isdir(path) or not os.access(folder, os.W_OK):
-        raise OSError(f"cannot write --out {path!r}: not a file in a "
-                      "writable folder")
+    """OSError unless ``path`` is a non-empty name, no folder, and either
+    a writable file or a new one in a writable folder."""
+    target = (path if os.path.exists(path)
+              else os.path.dirname(os.path.abspath(path)))
+    if not path or os.path.isdir(path) or not os.access(target, os.W_OK):
+        raise OSError(f"cannot write --out {path!r}: not a writable file "
+                      "or a new one in a writable folder")
 
 
 def config_from_args(argv=None) -> ExperimentConfig:

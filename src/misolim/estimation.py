@@ -225,17 +225,17 @@ def _q(cfg: UplinkConfig) -> np.ndarray:
                 cfg.p_ut * cfg.imp.kappa_r_bs, cfg.s)
 
 
-def lmmse_filter(cfg: UplinkConfig) -> np.ndarray | complex:
+def lmmse_filter(cfg: UplinkConfig) -> np.ndarray | float:
     """Filter A such that h_hat = A z is the LMMSE channel estimate.
 
-    A = d* R (p (1 + kappa_t_ut) R + p kappa_r_bs diag(R) + S)^{-1}.
+    A = d R (p (1 + kappa_t_ut) R + p kappa_r_bs diag(R) + S)^{-1}.
     When R and S are scaled identities, A = a I and the scalar a is
     returned instead of the N x N array.
     """
     if cfg.r.identity_scale is not None and cfg.s.identity_scale is not None:
-        return np.conj(cfg.d) * _eigenbasis(cfg)[1]
+        return cfg.d * _eigenbasis(cfg)[1]
     # R M^{-1} = (M^{-1} R)^H since both R and M are Hermitian.
-    return np.conj(cfg.d) * _solve_m(cfg, cfg.r.matrix).conj().T
+    return cfg.d * _solve_m(cfg, cfg.r.matrix).conj().T
 
 
 def error_covariance(cfg: UplinkConfig) -> CovarianceMatrix:
@@ -366,7 +366,7 @@ def _observe(cfg: UplinkConfig, h: np.ndarray, w_t: np.ndarray,
 
 def _tridiagonal_filter(cfg: UplinkConfig):
     """The LMMSE filter for R = c K_rho and S = s I, as (l, inv_m, kappa):
-    h_hat = d* R M^{-1} z = kappa B^{-1} z with kappa = d* c and
+    h_hat = d R M^{-1} z = kappa B^{-1} z with kappa = d c and
     B = c alpha I + beta K^{-1}, for M = alpha R + beta I as in
     ``_eigenbasis``. K^{-1} is tridiagonal: (1 + rho^2 inside, 1 at both
     ends, -rho off the diagonal) / (1 - rho^2), and [1] for N = 1. B = L
@@ -385,7 +385,7 @@ def _tridiagonal_filter(cfg: UplinkConfig):
     for b in diag[1:]:
         l.append(off / m[-1])
         m.append(b - l[-1] * off)
-    return l, [1.0 / mi for mi in m], np.conj(cfg.d) * c
+    return l, [1.0 / mi for mi in m], cfg.d * c
 
 
 def _tridiagonal_solve(z: np.ndarray, f) -> np.ndarray:
@@ -608,7 +608,7 @@ def pilot_chain(cfgs, n_samples: int, seed: int, stat,
     - R = c K_rho (``exponential_correlation``) and S = s I: a tridiagonal
       solve (``_tridiagonal_filter``), with no eigendecomposition and no
       N x N array, on whole chunks;
-    - otherwise ``lmmse_filter(cfg).T``: the scalar d* g for R = c I and
+    - otherwise ``lmmse_filter(cfg).T``: the scalar d g for R = c I and
       S = s I, else an N x N array, on tiles of _TILE values.
     """
     cfgs = _shared(cfgs)
@@ -635,12 +635,12 @@ def _diagonal_norms(cfgs):
     h, w_t] less its constant tr(A S A^H) per config and row, as a
     (configs, rows) array, and trace holds that constant per config.
 
-    There A = V diag(d* g) V^H and Q M^{-1} = V diag(q) V^H with q = (p
+    There A = V diag(d g) V^H and Q M^{-1} = V diag(q) V^H with q = (p
     kappa_t_ut lam + beta) / (alpha lam + beta). With h' = V^H h, eta_t =
     sqrt(kappa_t_ut p) w_t and <x, w> = sum_k w_k x_k over a row,
 
       E[||e||^2 | h, w_t] = |eta_t|^2 <|h'|^2, p g^2>
-              - 2 Re(d* eta_t) <|h'|^2, q g> + <|h'|^2, q^2>
+              - 2 d Re(eta_t) <|h'|^2, q g> + <|h'|^2, q^2>
               + kappa_r_bs p <|h|^2, |V|^2 p g^2> + s p sum_k g_k^2,
 
     the last two terms being kappa_r_bs p sum_i |h_i|^2 ||A e_i||^2 and
@@ -671,7 +671,7 @@ def _diagonal_norms(cfgs):
         hh = np.array([np.dot(h2v, wc) for wc in w])
         e_t = eta * w_t
         return ((e_t.real ** 2 + e_t.imag ** 2) * hh[:, :, 0]
-                - 2.0 * (d.conj() * e_t).real * hh[:, :, 1] + hh[:, :, 2]
+                - 2.0 * d * e_t.real * hh[:, :, 1] + hh[:, :, 2]
                 + kr_p * np.array([np.dot(h2, uc) for uc in u]))
 
     return rows, trace
@@ -679,10 +679,10 @@ def _diagonal_norms(cfgs):
 
 def _error_filters(cfg: UplinkConfig):
     """(A^T, (Q M^{-1})^T) for the dense path, from one Cholesky solve:
-    with X = M^{-1} [R, Q], A^T = d* conj(X_R) and (Q M^{-1})^T =
+    with X = M^{-1} [R, Q], A^T = d conj(X_R) and (Q M^{-1})^T =
     conj(X_Q), as Q and M are Hermitian."""
     x = _solve_m(cfg, np.hstack([cfg.r.matrix, _q(cfg)])).conj()
-    return np.conj(cfg.d) * x[:, :cfg.dim], x[:, cfg.dim:]
+    return cfg.d * x[:, :cfg.dim], x[:, cfg.dim:]
 
 
 def _dense_norms(cfgs):

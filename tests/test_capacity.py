@@ -397,7 +397,7 @@ class TestLowerBoundMc:
 
     def test_beamformer_stats_scale_free(self):
         # rows whose plain norm underflows give the beamformer of the
-        # unscaled row; zero rows are dropped
+        # unscaled row; a zero row has none, and raises
         rng = substream(12)
         h = sample_cn(CovarianceMatrix.identity(4), rng, size=6)
         h_hat = sample_cn(CovarianceMatrix.identity(4), rng, size=6)
@@ -406,9 +406,35 @@ class TestLowerBoundMc:
         tiny[4] = 0.0
         keep = [0, 1, 2, 3, 5]
         h2 = _squared_moduli(h)
-        np.testing.assert_allclose(_mrt_stats(h, tiny, h2),
+        np.testing.assert_allclose(_mrt_stats(h[keep], tiny[keep], h2[keep]),
                                    _mrt_stats(h[keep], h_hat[keep], h2[keep]),
                                    rtol=1e-14)
+        with pytest.raises(RuntimeError, match="zero channel estimate"):
+            _mrt_stats(h, tiny, h2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("r", [CovarianceMatrix.identity(4).scaled(0.0),
+                                   CovarianceMatrix(np.zeros((3, 3)))],
+                             ids=["tagged", "dense"])
+    def test_zero_channel_raises_at_first_chunk(self, r, workers,
+                                                monkeypatch):
+        # R = 0: every estimate is 0, so the first chunk this process
+        # takes raises, on one process or two, and it takes no other
+        ul = UplinkConfig(r=r, s=CovarianceMatrix.identity(r.dim), p_ut=1.0)
+        stat = mock.Mock(side_effect=_mrt_stats)
+        monkeypatch.setattr(capacity, "_mrt_stats", stat)
+        with pytest.raises(RuntimeError, match="zero channel estimate"):
+            lower_bound_mc_batch([(ul, make_dl(p=1.0))], 10_000, 1, workers)
+        assert stat.call_count == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_subnormal_channel_raises(self, workers):
+        # |h|^2 ~ 1e-322 leaves some estimates exactly 0: an error, not a
+        # value from the draws that are left
+        r = CovarianceMatrix.identity(1).scaled(1e-322)
+        ul = UplinkConfig(r=r, s=CovarianceMatrix.identity(1), p_ut=1.0)
+        with pytest.raises(RuntimeError, match="zero channel estimate"):
+            lower_bound_mc_batch([(ul, make_dl(p=1.0))], 10_000, 1, workers)
 
 
 class TestScaledIdentityBounds:
@@ -487,10 +513,8 @@ class TestExponentialCorrelationChain:
 
 def beamformer_stats(h, h_hat):
     """The rows of ``_mrt_stats`` from the beamformer array
-    v = conj(h_hat) / ||h_hat||, each nonzero row of h_hat first scaled by
-    its largest modulus, and the zero rows dropped."""
-    keep = np.any(h_hat != 0.0, axis=1)
-    h, h_hat = h[keep], h_hat[keep]
+    v = conj(h_hat) / ||h_hat||, each row of h_hat first scaled by its
+    largest modulus."""
     peak = np.max(np.abs(h_hat), axis=1)[:, None]
     h_hat = h_hat.real / peak + 1j * (h_hat.imag / peak)
     v = np.conj(h_hat) / np.linalg.norm(h_hat, axis=1)[:, None]
@@ -502,8 +526,8 @@ def beamformer_stats(h, h_hat):
 class TestMrtRowSums:
     def test_matches_beamformer_expression(self):
         # the three row sums give the beamformer's statistics: on plain
-        # rows, on rows whose |h_hat|^2 or |h|^2 |h_hat|^2 underflows, on
-        # a zero channel row and on zero estimate rows (dropped)
+        # rows, on rows whose |h_hat|^2 or |h|^2 |h_hat|^2 underflows and
+        # on a zero channel row; a zero estimate row raises
         rng = substream(21)
         n = 6
         h = sample_cn(CovarianceMatrix.identity(n), rng, size=40)
@@ -516,14 +540,29 @@ class TestMrtRowSums:
         h_hat[9, 1:] = 0.0
         h_hat[10, :] = 5e-324
         h[11] = 0.0
-        got = _mrt_stats(h, h_hat, _squared_moduli(h))
-        want = beamformer_stats(h, h_hat)
+        h2 = _squared_moduli(h)
+        with pytest.raises(RuntimeError, match="zero channel estimate"):
+            _mrt_stats(h, h_hat, h2)
+        keep = np.arange(40) != 8
+        got = _mrt_stats(h[keep], h_hat[keep], h2[keep])
+        want = beamformer_stats(h[keep], h_hat[keep])
         assert got.shape == want.shape == (39, 4)
         g = np.abs(want[:, 0] + 1j * want[:, 1])
         assert np.all(np.abs(got[:, :2] - want[:, :2]) <= 1e-13 * g[:, None])
         np.testing.assert_allclose(got[:, 2:], want[:, 2:], rtol=1e-13)
-        # row 11 comes after the dropped row 8
+        # row 11 comes after row 8, which is left out
         assert np.all(got[10] == 0.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300], ids=["plain", "tiny"])
+    def test_zero_estimate_raises(self, scale):
+        # one zero estimate among plain or underflowing rows
+        rng = substream(22)
+        h = sample_cn(CovarianceMatrix.identity(3), rng, size=5)
+        h_hat = scale * sample_cn(CovarianceMatrix.identity(3), rng, size=5)
+        h_hat[2] = 0.0
+        with pytest.raises(RuntimeError,
+                           match="^a draw produced a zero channel estimate$"):
+            _mrt_stats(h, h_hat, _squared_moduli(h))
 
 
 class TestRowTiles:
@@ -605,7 +644,7 @@ class TestRateEstimate:
         denom = m[2] - sig + Fraction(dl.sigma2_ut) / Fraction(dl.p_bs)
         exact = math.log2(1.0 + float(sig / denom))
         assert 3e3 < float(sig / denom) < 5e3
-        est = _rate_estimate(x, dl, 1000)
+        est = _rate_estimate(x, dl)
         assert est.value == pytest.approx(exact, rel=1e-14)
 
     @staticmethod
@@ -645,7 +684,7 @@ class TestRateEstimate:
         else:
             ul, dl = link(64, "kms", 100.0, 0.0025)
         x, = pilot_chain([ul], 1000, 11, _mrt_stats)
-        est = _rate_estimate(x, dl, 1000)
+        est = _rate_estimate(x, dl)
         assert est.std_error == pytest.approx(self.delta_method_se(x, dl),
                                               rel=1e-10)
 
@@ -657,10 +696,10 @@ class TestRateEstimate:
         ul, dl = link(64, "kms", 100.0, 0.0025)
         x = np.zeros((1000, 4))
         x[:, 2:] = np.random.default_rng(5).exponential(size=(1000, 2))
-        est = _rate_estimate(x, dl, 1000)
+        est = _rate_estimate(x, dl)
         assert (est.value, est.std_error) == (0.0, 0.0)
         row = pilot_chain([ul], 1, 11, _mrt_stats)[0]
-        est = _rate_estimate(np.repeat(row, 2, axis=0), dl, 2)
+        est = _rate_estimate(np.repeat(row, 2, axis=0), dl)
         assert est.value > 0.0 and est.std_error == 0.0
 
 

@@ -184,6 +184,33 @@ class TestMain:
         assert "--out" in err[0]
         assert list(tmp_path.iterdir()) == []
 
+    def test_writable_file_in_unwritable_folder(self, tmp_path, capsys,
+                                                monkeypatch):
+        # as for a user other than root at --out /dev/null: the folder is
+        # not writable, the file is
+        out = tmp_path / "t.csv"
+        out.write_text("")
+        monkeypatch.setattr(os, "access",
+                            lambda path, mode: str(path) != str(tmp_path))
+        assert main(self.ARGS + ["--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 5
+
+    def test_unwritable_file_rejected_before_work(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # the folder is writable, the file that is there is not
+        def no_run(cfg):
+            raise AssertionError("a grid point ran")
+
+        out = tmp_path / "t.csv"
+        out.write_text("kept")
+        monkeypatch.setattr(os, "access",
+                            lambda path, mode: str(path) != str(out))
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        assert main(self.ARGS + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "--out" in err[0] and out.read_text() == "kept"
+
     def test_empty_out_rejected_before_work(self, tmp_path, capsys):
         # "--out=" and a bare "out =" line: no grid point runs, and no CSV
         # goes to stdout in place of the file
@@ -198,13 +225,10 @@ class TestMain:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs /dev/full")
-    def test_failed_write_is_one_line(self, tmp_path, capsys):
+    def test_failed_write_is_one_line(self, capsys):
         # the write fails after the grid point's progress line: one error
-        # line after it, and no traceback. The link's folder is writable
-        # to any user, where /dev is not
-        full = tmp_path / "full.csv"
-        full.symlink_to("/dev/full")
-        assert main(self.ARGS + ["--out", str(full)]) == 2
+        # line after it, and no traceback
+        assert main(self.ARGS + ["--out", "/dev/full"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert [e.startswith("error:") for e in err] == [False, True]
         assert "No space left on device" in err[-1]
