@@ -277,6 +277,15 @@ def _rate_estimate(x: np.ndarray, dl: DownlinkConfig) -> MonteCarloEstimate:
                               n_samples=x.shape[0])
 
 
+def _check_link(ul: UplinkConfig) -> None:
+    """ValueError unless the link has pilot power and a channel: at p_ut =
+    0 or R = 0 every estimate is 0, and no lower bound has a beamformer."""
+    if ul.p_ut == 0.0:
+        raise ValueError("the lower bound needs pilot power p_ut > 0")
+    if ul.r.max_eigenvalue == 0.0:
+        raise ValueError("the lower bound needs a channel: R is 0")
+
+
 def lower_bound_mc_batch(links, n_samples: int, seed: int,
                          workers: int = 1) -> list[MonteCarloEstimate]:
     """``lower_bound_mc`` of each (ul, dl) pair in ``links`` over one shared
@@ -284,8 +293,8 @@ def lower_bound_mc_batch(links, n_samples: int, seed: int,
     R and S (see ``pilot_chain``)."""
     _check_draws(n_samples, seed, 1000, workers)
     links = list(links)
-    if any(ul.p_ut == 0.0 for ul, _ in links):
-        raise ValueError("the lower bound needs pilot power p_ut > 0")
+    for ul, _ in links:
+        _check_link(ul)
     rows = pilot_chain([ul for ul, _ in links], n_samples, seed, _mrt_stats,
                        workers)
     return [_rate_estimate(x, dl) for x, (_, dl) in zip(rows, links)]
@@ -301,9 +310,9 @@ def lower_bound_mc(ul: UplinkConfig, dl: DownlinkConfig, n_samples: int,
     estimated jointly from the common sample stream; the standard error of
     log2(1 + SINR) follows by the delta method (``_rate_estimate``). Every
     draw counts: n_samples is the request, and a draw whose estimate is
-    exactly zero (R = 0, or an R so small that h_hat underflows) raises
-    RuntimeError in the chunk that takes it. A link without pilot power
-    (p_ut = 0) raises ValueError before any draw.
+    exactly zero (an R so small that h_hat underflows) raises
+    RuntimeError in the chunk that takes it. A link without pilot power or
+    channel (p_ut = 0 or R = 0) raises ValueError before any draw.
     """
     return lower_bound_mc_batch([(ul, dl)], n_samples, seed)[0]
 
@@ -542,13 +551,10 @@ def lower_bound_iid(ul: UplinkConfig, dl: DownlinkConfig) -> float:
     A link with p_ut = 0 or R = 0, or off that domain, raises
     ValueError, and so does a SINR that is not a number.
     """
+    _check_link(ul)
     if not lower_bound_is_exact(ul, dl):
         raise ValueError("lower_bound_iid needs S = s I, and R = c I, or "
                          "R = c K_rho with kappa_r_bs = kappa_t_bs = 0")
-    if ul.p_ut == 0.0:
-        raise ValueError("the lower bound needs pilot power p_ut > 0")
-    if ul.r.constant_diagonal == 0.0:
-        raise ValueError("the lower bound needs a channel: R is 0")
     g, g2, u = _iid_moments(ul)
     sig = g * g
     denom = (dl.imp.kappa_r_ut * g2 + (g2 - sig) + dl.imp.kappa_t_bs * u
@@ -603,10 +609,9 @@ def lower_bound_asymptotic(ul: UplinkConfig, dl: DownlinkConfig) -> float:
     impairments only the noise term sigma^2 / (N p_ut p_bs) is left, so
     the rate grows without bound in the powers but is finite at each.
     Returns +inf only if the denominator underflows to 0. A link with
-    p_ut = 0 raises ValueError.
+    p_ut = 0 or R = 0 raises ValueError.
     """
-    if ul.p_ut == 0.0:
-        raise ValueError("the lower bound needs pilot power p_ut > 0")
+    _check_link(ul)
     basis = _eigenbasis(ul)
     if basis is None:
         b = _solve_m(ul, ul.r.matrix).conj().T

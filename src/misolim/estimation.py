@@ -190,7 +190,7 @@ def _eigenbasis(cfg: UplinkConfig):
     filter has the dense path's bits on a BLAS that does so.
     """
     lam, s = cfg.r.identity_scale, cfg.s.identity_scale
-    if s is None or (lam is None and cfg.r.kms_rho is None):
+    if s is None or cfg.r.constant_diagonal is None:
         return None
     if lam is None:
         lam = cfg.r.eigenvalues
@@ -265,8 +265,8 @@ def mse_per_antenna(cfg: UplinkConfig) -> float:
     return float(np.mean(g * (cfg.p_ut * cfg.imp.kappa_t_ut * lam + beta)))
 
 
-_SINGULAR_FLOOR = ("high-power bracket is singular "
-                   "(rank-deficient R with kappa_r_bs = 0)")
+_SINGULAR_FLOOR = ("high-power bracket (1 + kappa_t_ut) R "
+                   "+ kappa_r_bs diag(R) is singular")
 
 
 def error_floor(cfg: UplinkConfig) -> CovarianceMatrix:

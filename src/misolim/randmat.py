@@ -37,25 +37,23 @@ class CovarianceMatrix:
     for singular M. All arrays are read-only. A matrix built from entries
     is dense: nothing reads its entries for structure.
 
-    Two structured kinds store parameters, not arrays, and their tags are
-    the only source of structure; ``constant_diagonal`` is their c, and
-    None for a dense matrix:
-
-    * ``identity(n)`` and its ``scaled`` copies are c I and store (n, c):
-      ``identity_scale`` is c. Their arrays are built on each access.
-    * ``exponential_correlation(n, rho)`` and its ``scaled`` copies are
-      c K with K_ij = rho^|i-j|, the Kac-Murdock-Szego matrix, and store
-      (n, rho, c): ``kms_rho`` is rho. K is positive definite for
-      0 <= rho < 1, so nothing is validated. Its ``eigenvalues`` are c
-      times K's, from the KMS equation (``_kms_eigenvalues``), with no
-      eigendecomposition and no N x N array. Otherwise it is a dense
-      matrix built late: ``matrix`` on first use and its eigendecomposition
-      on the first use of ``eigenvectors`` or ``factor``, each kept on the
-      instance, with ``factor`` formed from that decomposition as for any
-      dense matrix.
+    A tagged matrix stores one record (n, rho, c), not arrays: c K_rho,
+    with K_ij = rho^|i-j| the Kac-Murdock-Szego matrix, or c I, with rho
+    = None. The record is the only source of structure:
+    ``constant_diagonal`` is c (None for a dense matrix), ``kms_rho`` is
+    rho, and ``identity_scale`` is c when rho is None. ``identity(n)``
+    and ``exponential_correlation(n, rho)`` (rho = 0 included) have c =
+    1, and ``scaled`` multiplies c. K_rho is positive definite for 0 <=
+    rho < 1, so nothing is validated. c I builds its arrays on each
+    access. c K_rho has ``eigenvalues`` c times K's, from the KMS
+    equation (``_kms_eigenvalues``), with no eigendecomposition and no N
+    x N array; otherwise it is a dense matrix built late: ``matrix`` on
+    first use and its eigendecomposition on the first use of
+    ``eigenvectors`` or ``factor``, each kept on the instance, with
+    ``factor`` formed from that decomposition as for any dense matrix.
     """
 
-    _scale = _rho = _diag0 = None
+    _rho = _c = None
     _m = _eigh = _factor = _w = None
 
     def __init__(self, matrix) -> None:
@@ -91,26 +89,19 @@ class CovarianceMatrix:
         return cls.__new__(cls)._store(m, eig, v)
 
     @classmethod
-    def _scaled_identity(cls, n: int, c: float) -> "CovarianceMatrix":
+    def _tagged(cls, n: int, rho: float | None, c: float) -> "CovarianceMatrix":
         cov = cls.__new__(cls)
-        cov._n = n
-        cov._scale = c
-        return cov
-
-    @classmethod
-    def _kms(cls, n: int, rho: float, c: float) -> "CovarianceMatrix":
-        cov = cls.__new__(cls)
-        cov._n, cov._rho, cov._diag0 = n, rho, c
+        cov._n, cov._rho, cov._c = n, rho, c
         return cov
 
     @classmethod
     def identity(cls, n: int) -> "CovarianceMatrix":
-        return cls._scaled_identity(_dimension(n), 1.0)
+        return cls._tagged(_dimension(n), None, 1.0)
 
     @property
     def identity_scale(self) -> float | None:
         """c when the matrix is c I, None otherwise."""
-        return self._scale
+        return self._c if self._rho is None else None
 
     @property
     def kms_rho(self) -> float | None:
@@ -121,7 +112,7 @@ class CovarianceMatrix:
     @property
     def constant_diagonal(self) -> float | None:
         """c for c I and c K_rho, by their tags; None for a dense matrix."""
-        return self._scale if self._scale is not None else self._diag0
+        return self._c
 
     @property
     def dim(self) -> int:
@@ -133,13 +124,13 @@ class CovarianceMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
-        if self._scale is not None:
-            return self._eye(self._scale)
+        if self.identity_scale is not None:
+            return self._eye(self._c)
         if self._m is None:  # c K, built once
             idx = np.arange(self._n)
             k = np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
             np.power(self._rho, k, out=k)
-            k *= self._diag0
+            k *= self._c
             self._m = _frozen(k.astype(np.complex128))
         return self._m
 
@@ -151,8 +142,8 @@ class CovarianceMatrix:
 
     @property
     def factor(self) -> np.ndarray:
-        if self._scale is not None:
-            return self._eye(np.sqrt(self._scale))
+        if self.identity_scale is not None:
+            return self._eye(np.sqrt(self._c))
         if self._factor is None:
             eig, v = self._spectrum()
             self._factor = _frozen(v * np.sqrt(np.clip(eig, 0.0, None)))
@@ -160,46 +151,47 @@ class CovarianceMatrix:
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        if self._scale is not None:
-            return _frozen(np.full(self._n, self._scale))
-        if self._rho is None:
+        if self.identity_scale is not None:
+            return _frozen(np.full(self._n, self._c))
+        if self._c is None:
             return self._spectrum()[0]
         if self._w is None:  # c K, solved once
-            self._w = _frozen(self._diag0
-                              * _kms_eigenvalues(self._n, self._rho))
+            self._w = _frozen(self._c * _kms_eigenvalues(self._n, self._rho))
         return self._w
 
     @property
     def eigenvectors(self) -> np.ndarray:
-        return self._spectrum()[1] if self._scale is None else self._eye(1.0)
+        if self.identity_scale is not None:
+            return self._eye(1.0)
+        return self._spectrum()[1]
 
     @property
     def min_eigenvalue(self) -> float:
-        return float(self.eigenvalues[0]) if self._scale is None else self._scale
+        c = self.identity_scale
+        return float(self.eigenvalues[0]) if c is None else c
 
     @property
     def max_eigenvalue(self) -> float:
-        return float(self.eigenvalues[-1]) if self._scale is None else self._scale
+        c = self.identity_scale
+        return float(self.eigenvalues[-1]) if c is None else c
 
     def trace(self) -> float:
-        if self._scale is None and self._rho is None:
+        if self._c is None:
             return float(np.trace(self._m).real)
-        return self._n * self.constant_diagonal
+        return self._n * self._c
 
     def diagonal(self) -> np.ndarray:
         """Real diagonal entries (the per-antenna variances)."""
-        if self._scale is None and self._rho is None:
+        if self._c is None:
             return np.diagonal(self._m).real.copy()
-        return np.full(self._n, self.constant_diagonal)
+        return np.full(self._n, self._c)
 
     def scaled(self, c: float) -> "CovarianceMatrix":
         """c times this matrix, for a finite real c >= 0."""
         if not (_is_finite(c) and c >= 0.0):
             raise InvalidMatrixError(f"scale factor must be finite and >= 0, got {c!r}")
-        if self._scale is not None:
-            return self._scaled_identity(self._n, c * self._scale)
-        if self._rho is not None:
-            return self._kms(self._n, self._rho, c * self._diag0)
+        if self._c is not None:
+            return self._tagged(self._n, self._rho, c * self._c)
         # c M has eigenvalues c w and the same eigenvectors: nothing to
         # revalidate
         eig, v = self._eigh
@@ -295,7 +287,7 @@ def exponential_correlation(n: int, rho: float) -> CovarianceMatrix:
     n = _dimension(n)
     if not (_is_finite(rho) and 0.0 <= rho < 1.0):
         raise ValueError(f"correlation coefficient must lie in [0, 1), got {rho!r}")
-    return CovarianceMatrix._kms(n, float(rho), 1.0)
+    return CovarianceMatrix._tagged(n, float(rho), 1.0)
 
 
 # Steps per root of ``_kms_eigenvalues``: bisection from a bracket of
@@ -379,7 +371,7 @@ def sample_cn(m, rng: np.random.Generator, size: int | None = None) -> np.ndarra
     shape = (n,) if size is None else (int(size), n)
     out = None if rho is None else np.empty(shape[::-1], dtype=np.complex128).T
     w = _re_plus_j_im(rng, shape, out, 1.0 / np.sqrt(2.0))
-    if cov.identity_scale is None and rho is None:
+    if cov.constant_diagonal is None:
         return w @ cov.factor.T
     # the product with sqrt(c) I, one entry at a time, for c I and c K
     if cov.constant_diagonal != 1.0:
@@ -429,9 +421,10 @@ def _re_plus_j_im(rng, shape, out=None, scale: float = 1.0) -> np.ndarray:
 
 
 def _seed_sequence(seed: int, key) -> np.random.SeedSequence:
-    """The SeedSequence of (seed, key), which must be integers."""
-    if not all(map(_is_int, (seed, *key))):
-        raise ValueError(f"seed and key must be integers, got {(seed, *key)!r}")
+    """The SeedSequence of (seed, key), which must be integers >= 0."""
+    if not all(_is_int(k) and k >= 0 for k in (seed, *key)):
+        raise ValueError(f"seed and key must be integers >= 0, "
+                         f"got {(seed, *key)!r}")
     return np.random.SeedSequence(entropy=int(seed),
                                   spawn_key=tuple(int(k) for k in key))
 

@@ -348,6 +348,13 @@ class TestAsymptoticLimits:
             upper_limit_high_power(n, 0.0025, 0.0025)
 
 
+# R = 0 as c I, as c K_rho and as a dense matrix
+ZERO_CHANNELS = [CovarianceMatrix.identity(3).scaled(0.0),
+                 exponential_correlation(3, 0.5).scaled(0.0),
+                 CovarianceMatrix(np.zeros((3, 3)))]
+ZERO_CHANNEL_IDS = ["identity", "kms", "dense"]
+
+
 class TestLowerBoundMc:
     def test_rejects_small_sample_count(self):
         ul, dl = make_symmetric(4, 0.0025)
@@ -413,19 +420,16 @@ class TestLowerBoundMc:
             _mrt_stats(h, tiny, h2)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("r", [CovarianceMatrix.identity(4).scaled(0.0),
-                                   CovarianceMatrix(np.zeros((3, 3)))],
-                             ids=["tagged", "dense"])
-    def test_zero_channel_raises_at_first_chunk(self, r, workers,
-                                                monkeypatch):
-        # R = 0: every estimate is 0, so the first chunk this process
-        # takes raises, on one process or two, and it takes no other
+    @pytest.mark.parametrize("r", ZERO_CHANNELS, ids=ZERO_CHANNEL_IDS)
+    def test_zero_channel_raises_before_any_draw(self, r, workers,
+                                                 monkeypatch):
+        # R = 0: every estimate would be 0, so the link is refused before
+        # the pilot chain runs, on one process or two
         ul = UplinkConfig(r=r, s=CovarianceMatrix.identity(r.dim), p_ut=1.0)
-        stat = mock.Mock(side_effect=_mrt_stats)
-        monkeypatch.setattr(capacity, "_mrt_stats", stat)
-        with pytest.raises(RuntimeError, match="zero channel estimate"):
+        monkeypatch.setattr(capacity, "pilot_chain", mock.Mock(
+            side_effect=AssertionError("pilot_chain called")))
+        with pytest.raises(ValueError, match="R is 0"):
             lower_bound_mc_batch([(ul, make_dl(p=1.0))], 10_000, 1, workers)
-        assert stat.call_count == 1
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_subnormal_channel_raises(self, workers):
@@ -1226,6 +1230,20 @@ class TestZeroPilotPower:
         powered = UplinkConfig(r=ul.r, s=ul.s, p_ut=1.0, imp=ul.imp)
         with pytest.raises(ValueError, match="pilot power"):
             lower_bound_mc_batch([(powered, dl), (ul, dl)], 1000, 0)
+
+
+class TestZeroChannel:
+    """A link with R = 0 has no channel to estimate: the closed-form
+    lower bounds refuse it, as the sampled one does before any draw
+    (``TestLowerBoundMc::test_zero_channel_raises_before_any_draw``)."""
+
+    @pytest.mark.parametrize("r", ZERO_CHANNELS, ids=ZERO_CHANNEL_IDS)
+    def test_rejected(self, r):
+        ul = UplinkConfig(r=r, s=CovarianceMatrix.identity(r.dim), p_ut=1.0)
+        dl = make_dl(p=1.0)
+        for bound in (lower_bound_asymptotic, lower_bound_iid):
+            with pytest.raises(ValueError, match="R is 0"):
+                bound(ul, dl)
 
 
 class TestCapacityIdealJensen:

@@ -150,6 +150,17 @@ class TestIntegerInputs:
             with pytest.raises(ValueError, match="must be integers"):
                 call()
 
+    def test_negative_seeds(self):
+        # a negative seed or key is refused by the package's rule, not by
+        # numpy's SeedSequence
+        ul, dl = iid_link()
+        for call in (lambda: substream(-1), lambda: substream(1, -1),
+                     lambda: derive_seed(-1, 4),
+                     lambda: empirical_mse(ul, 1000, -1),
+                     lambda: lower_bound_mc(ul, dl, 1000, -1)):
+            with pytest.raises(ValueError, match="integers >= 0"):
+                call()
+
     @pytest.mark.parametrize("count", [2.5e3, 1000.0, True, np.True_,
                                        "1000"], ids=repr)
     def test_sample_counts(self, count, monkeypatch):
