@@ -433,7 +433,11 @@ def _iid_moments(ul: UplinkConfig):
     rel = lam / lam[-1]
     w2 = (g / g[-1]) ** 2 * rel
     a2 = w2 * rel
-    q = ul.s.identity_scale / (ul.p_ut * lam)
+    with np.errstate(over="ignore", divide="ignore"):
+        q = ul.s.identity_scale / (ul.p_ut * lam)
+    if not math.isfinite(q[0]):  # the smallest eigenvalue's, the largest
+        raise ValueError(f"the lower bound's moments are out of range: "
+                         f"s / (p_ut lam) = {q[0]!r}")
     rules = _rules()
     zeta, wz, d2, h, size = _lattice(kt, kr, lam.size, rules)
     # t about 1 / E Q, in log t: Q weighs coordinate k's |z_k|^2, of mean
@@ -624,11 +628,15 @@ def lower_bound_asymptotic(ul: UplinkConfig, dl: DownlinkConfig) -> float:
         t_psi = float(np.real(np.vdot(b, b @ psi)))
     else:
         # B = V diag(g) V^H and Psi = beta I on R's eigenbasis; for R =
-        # c I, lam and g are one value, repeated N times
+        # c I, lam and g are one value, repeated N times. Each t is over
+        # gm^2, lam and g relative to the largest's (as in _iid_moments),
+        # so that none underflows for a tiny R
         lam, g, beta = basis
         lam, g = np.broadcast_to(lam, ul.dim), np.broadcast_to(g, ul.dim)
-        t_rc = float(np.sum(g * lam))
-        t_sig = float(np.sum(g * g * lam))
+        ref, gm = lam[-1], g[-1]
+        lam, g = lam / ref, g / gm
+        t_rc = ref / gm * float(np.sum(g * lam))
+        t_sig = ref * float(np.sum(g * g * lam))
         t_psi = beta * float(np.sum(g * g))
 
     def x(y):

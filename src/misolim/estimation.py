@@ -644,13 +644,14 @@ def _diagonal_norms(cfgs):
               + kappa_r_bs p <|h|^2, |V|^2 p g^2> + s p sum_k g_k^2,
 
     the last two terms being kappa_r_bs p sum_i |h_i|^2 ||A e_i||^2 and
-    tr(A S A^H). h is rotated once per chunk, and each config's sums are
-    one fixed-shape product per weight stack, so that its bits do not
-    depend on the batch.
+    tr(A S A^H). h is rotated once per chunk, by c K's real V as one real
+    product on h^T's interleaved parts (the AR(1) draw's layout), and each
+    config's sums are one fixed-shape product per weight stack, so that
+    its bits do not depend on the batch.
     """
     r = cfgs[0].r
-    vc = None if r.identity_scale is not None else r.eigenvectors.conj()
-    v2 = None if vc is None else _squared_moduli(vc)
+    v = None if r.identity_scale is not None else r.eigenvectors
+    v2 = None if v is None else v * v
     w, u, trace = [], [], []
     for c in cfgs:
         lam, g, beta = _eigenbasis(c)
@@ -659,7 +660,7 @@ def _diagonal_norms(cfgs):
         wc = np.empty((c.dim, 3))
         wc[:, 0], wc[:, 1], wc[:, 2] = p * g * g, q * g, q * q
         w.append(wc)
-        u.append(wc[:, 0] if vc is None else v2 @ wc[:, 0])
+        u.append(wc[:, 0] if v is None else v2 @ wc[:, 0])
         trace.append(c.s.identity_scale * float(np.sum(wc[:, 0])))
     d = np.array([[c.d] for c in cfgs])
     eta = np.array([[math.sqrt(c.imp.kappa_t_ut * c.p_ut)] for c in cfgs])
@@ -667,7 +668,8 @@ def _diagonal_norms(cfgs):
 
     def rows(count, rng):
         h, w_t, h2 = _channel_draws(r, count, rng)
-        h2v = h2 if vc is None else _squared_moduli(np.dot(h, vc))
+        h2v = h2 if v is None else _squared_moduli(
+            np.dot(v.T, h.T.view(np.float64)).view(np.complex128)).T
         hh = np.array([np.dot(h2v, wc) for wc in w])
         e_t = eta * w_t
         return ((e_t.real ** 2 + e_t.imag ** 2) * hh[:, :, 0]

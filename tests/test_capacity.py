@@ -1246,6 +1246,38 @@ class TestZeroChannel:
                 bound(ul, dl)
 
 
+class TestTinyChannel:
+    """A tiny but valid R: the asymptotic bound is one scale-free ratio of
+    traces, formed without underflow, and the exact bound either returns
+    a number or refuses with the package's ValueError."""
+
+    @staticmethod
+    def link(r, c):
+        return UplinkConfig(r=r.scaled(c), s=CovarianceMatrix.identity(3),
+                            p_ut=1.0, imp=ImpairmentProfile.uniform(0.0025))
+
+    @pytest.mark.parametrize("r", [CovarianceMatrix.identity(3),
+                                   exponential_correlation(3, 0.7)],
+                             ids=["identity", "kms"])
+    def test_asymptotic_bound_is_scale_free(self, r):
+        # at c = 1e-200 and below its traces underflowed, and 0 / 0 made
+        # nan
+        dl = make_dl(p=1.0)
+        want = lower_bound_asymptotic(self.link(r, 1e-10), dl)
+        for c in (1e-150, 1e-200, 1e-300):
+            assert lower_bound_asymptotic(self.link(r, c), dl) \
+                == pytest.approx(want, rel=1e-9)
+
+    def test_exact_bound_refuses_a_subnormal_channel(self):
+        # s / (p_ut c) overflows: it reached the lattice window as inf,
+        # which raised OverflowError
+        dl = make_dl(p=1.0)
+        r = CovarianceMatrix.identity(3)
+        assert math.isfinite(lower_bound_iid(self.link(r, 1e-300), dl))
+        with pytest.raises(ValueError, match="out of range"):
+            lower_bound_iid(self.link(r, 1e-322), dl)
+
+
 class TestCapacityIdealJensen:
     def test_identity_covariance(self):
         for n in (1, 4, 16):

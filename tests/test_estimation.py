@@ -622,6 +622,40 @@ class TestEigenbasisMatchesDense:
             with pytest.raises(AssertionError, match="eigenvectors read"):
                 empirical_mse_batch([ul], 2, 0)
 
+    def test_mse_chain_decomposes_nothing(self, monkeypatch):
+        # c K's eigenvectors are in closed form: the MSE chain on c K_rho
+        # with S = s I runs with no eigh and no eigvalsh
+        def no_call(*args, **kwargs):
+            raise AssertionError("dense decomposition called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_call)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_call)
+        n = 16
+        r = exponential_correlation(n, 0.7).scaled(2.0)
+        s = CovarianceMatrix.identity(n).scaled(0.5)
+        cfgs = [UplinkConfig(r=r, s=s, p_ut=p,
+                             imp=ImpairmentProfile.uniform(0.01))
+                for p in (0.1, 10.0)]
+        for est in empirical_mse_batch(cfgs, 1000, 0):
+            assert np.isfinite(est.value) and est.std_error > 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1024])
+    def test_mse_chain_matches_dense_on_the_same_draws(self, n):
+        # the closed-form eigenbasis against the Cholesky path of the same
+        # R with an untagged S = s I, on the same AR(1) draws of R
+        dense_s = CovarianceMatrix(0.5 * np.eye(n))
+        for rho in (0.0, 0.5, 0.95, 0.999):
+            r = exponential_correlation(n, rho)
+            fast, dense = (UplinkConfig(r=r, s=s_, p_ut=1e3,
+                                        imp=ImpairmentProfile.uniform(0.01))
+                           for s_ in (CovarianceMatrix.identity(n).scaled(0.5),
+                                      dense_s))
+            x, = empirical_mse_batch([fast], 64, 3)
+            y, = empirical_mse_batch([dense], 64, 3)
+            np.testing.assert_allclose((x.value, x.std_error),
+                                       (y.value, y.std_error), rtol=1e-12,
+                                       atol=0.0)
+
 
 class TestEigenbasisProperties:
     """Exponential R with S = s I, on R's eigenbasis."""

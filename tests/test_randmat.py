@@ -184,11 +184,15 @@ class TestKmsTag:
     @pytest.mark.parametrize("n", [1, 2, 7, 64])
     @pytest.mark.parametrize("rho", [0.0, 0.7, 0.95])
     def test_arrays_are_the_dense_ones(self, n, rho):
-        # c K is a dense matrix built late: the bits of the dense matrix
-        # built from the same expression, of its eigenvectors and of its
-        # factor V sqrt(w), each kept once formed. Its eigenvalues come
-        # from the KMS equation instead, within 1e-12 relative of the
-        # dense ones (see TestKmsEigenvalues)
+        # c K's matrix has the bits of the dense matrix built from the
+        # same expression, each array kept once formed. Its eigenvalues
+        # come from the KMS equation, within 1e-12 relative of the dense
+        # ones (see TestKmsEigenvalues), and its eigenvectors and factor
+        # V sqrt(w) from the same roots, in closed form and real: they
+        # meet the closed-form contract (TestKmsEigenvectors), and match
+        # the dense ones column by column up to sign, within 1e-12 lam_max
+        # / gap (Davis-Kahan), gap the distance to the nearest other
+        # eigenvalue: at rho = 0 the spectrum is one value, and any basis
         idx = np.arange(n)
         k = rho ** np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
         for c in (1.0, 3.0, 1e-3):
@@ -197,13 +201,25 @@ class TestKmsTag:
             for name in ("matrix", "eigenvalues", "eigenvectors", "factor"):
                 a = getattr(r, name)
                 assert a is getattr(r, name) and not a.flags.writeable
-                if name == "eigenvalues":
-                    np.testing.assert_allclose(a, dense.eigenvalues,
-                                               rtol=1e-12, atol=0.0)
-                else:
-                    assert _same_bits(a, getattr(dense, name))
+            assert _same_bits(r.matrix, dense.matrix)
+            w, v = r.eigenvalues, r.eigenvectors
+            np.testing.assert_allclose(w, dense.eigenvalues, rtol=1e-12,
+                                       atol=0.0)
             assert r.max_eigenvalue == pytest.approx(dense.max_eigenvalue,
                                                      rel=1e-12, abs=0.0)
+            assert v.dtype == r.factor.dtype == np.float64
+            assert _same_bits(r.factor, v * np.sqrt(w))
+            TestKmsEigenvectors.check_contract(r)
+            gap = np.full(n, w[-1])
+            if n > 1:
+                step = np.diff(w)
+                gap[:-1], gap[1:] = step, np.minimum(gap[1:], step)
+            for got, want in ((v, dense.eigenvectors),
+                              (r.factor, dense.factor)):
+                diff = np.minimum(np.max(np.abs(got - want), axis=0),
+                                  np.max(np.abs(got + want), axis=0))
+                scale = np.sqrt(w) if got is r.factor else 1.0
+                assert np.all(diff * gap <= 1e-12 * w[-1] * scale)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64])
     @pytest.mark.parametrize("rho", [0.0, 0.7, 0.95])
@@ -251,6 +267,35 @@ class TestKmsTag:
         assert row_sum / 1.12 <= r.max_eigenvalue <= row_sum * (1.0 + 1e-14)
         assert r.max_eigenvalue == pytest.approx(
             CovarianceMatrix(r.matrix).max_eigenvalue, rel=1e-12)
+
+
+class TestKmsEigenvectors:
+    """c K_rho's eigenvectors are real closed-form columns at the KMS roots
+    of its eigenvalues, with no eigendecomposition. The contract: max|V^T
+    V - I| <= 1e-12 and max|V diag(w) V^T - c K| <= 1e-12 c."""
+
+    @staticmethod
+    def check_contract(r):
+        n, c = r.dim, r.constant_diagonal
+        v, w = r.eigenvectors, r.eigenvalues
+        assert v.shape == (n, n) and v.dtype == np.float64
+        assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-12
+        assert np.max(np.abs((v * w) @ v.T - r.matrix.real)) <= 1e-12 * c
+        assert np.max(np.abs(r.factor @ r.factor.T - r.matrix.real)) \
+            <= 1e-12 * c
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1024])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.95, 0.999])
+    def test_contract(self, n, rho, monkeypatch):
+        def no_call(*args, **kwargs):
+            raise AssertionError("dense decomposition called")
+
+        r = exponential_correlation(n, rho).scaled(3.0)
+        monkeypatch.setattr(np.linalg, "eigh", no_call)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_call)
+        v = r.eigenvectors
+        assert r.eigenvectors is v and not v.flags.writeable
+        self.check_contract(r)
 
 
 KMS_ORACLE = Path(__file__).parent / "oracle" / "kms.csv"
